@@ -66,14 +66,12 @@ class Isometry:
         return d
 
     def apply(self, v):
-        rows = self.matrix.rows
-        n = len(rows)
-        coords = tuple(
-            sum(rows[i][j] * v.coords[j] for j in range(n)) for i in range(n)
-        )
+        nums = v.nums
+        image = tuple(sum(a * x for a, x in zip(row, nums)) for row in self.matrix.rows)
         if isinstance(v, LatticeVector):
-            return LatticeVector(self.lattice, coords)
-        return RationalVector(self.lattice, coords)
+            return LatticeVector(self.lattice, image)
+        # an integral matrix acts on the numerators; the denominator is kept
+        return RationalVector(self.lattice, image, v.den)
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other (matrix product, column action)."""

@@ -1,17 +1,23 @@
 """Integral lattices with an exact symmetric bilinear form.
 
 A Lattice is Z^n equipped with an integer Gram matrix.  Vectors come in two
-flavors: LatticeVector (integer coordinates) and RationalVector (Fraction
-coordinates, living in the ambient rational quadratic space).  Both carry a
-reference to their lattice so that cross-lattice arithmetic is rejected
-instead of silently producing garbage.
+flavors: LatticeVector (integer coordinates) and RationalVector (a point of
+the ambient rational quadratic space).  A RationalVector is stored
+fraction-free, as integer numerators over one common denominator in lowest
+terms, so pairing two of them is one integer sparse dot product over the
+Gram entries followed by a single Fraction; its Fraction coordinates are
+built only on request.  A LatticeVector takes part in mixed arithmetic as
+numerators over the denominator 1.  Both carry a reference to their lattice
+so that cross-lattice arithmetic is rejected instead of silently producing
+garbage.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from math import gcd, lcm
+from typing import ClassVar, Iterable, Sequence, Union
 
 from .exact_linalg import IntMatrix, Rat, det
 
@@ -57,7 +63,11 @@ class Lattice:
         return LatticeVector(self, tuple(coords))
 
     def rational_vector(self, coords: Iterable) -> "RationalVector":
-        return RationalVector(self, tuple(Fraction(c) for c in coords))
+        fracs = [Fraction(c) for c in coords]
+        den = lcm(*(c.denominator for c in fracs))
+        return RationalVector(
+            self, tuple(c.numerator * (den // c.denominator) for c in fracs), den
+        )
 
     def is_even(self) -> bool:
         return all(self.gram[i, i] % 2 == 0 for i in range(self.rank))
@@ -112,7 +122,7 @@ class Lattice:
 
 
 def _check_same_lattice(u, v):
-    if u.lattice != v.lattice:
+    if u.lattice is not v.lattice and u.lattice != v.lattice:
         raise ValueError(
             f"vectors from different lattices: {u.lattice.name} vs {v.lattice.name}"
         )
@@ -120,47 +130,83 @@ def _check_same_lattice(u, v):
 
 @dataclass(frozen=True)
 class RationalVector:
-    """Vector with Fraction coordinates in the rational span of a lattice."""
+    """Vector nums / den in the rational span of a lattice.
+
+    Stored fraction-free: integer numerators over one common denominator,
+    kept canonical (den > 0 and gcd(den, *nums) == 1) so that equality and
+    hashing stay structural.
+    """
 
     lattice: Lattice
-    coords: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self):
-        if len(self.coords) != self.lattice.rank:
+        nums = tuple(self.nums)
+        if len(nums) != self.lattice.rank:
             raise ValueError("coordinate length does not match lattice rank")
-        object.__setattr__(
-            self, "coords", tuple(Fraction(c) for c in self.coords)
-        )
+        den = self.den
+        for c in (den, *nums):
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise TypeError(f"integer numerator and denominator expected, got {c!r}")
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = tuple(c // g for c in nums)
+            den //= g
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    @cached_property
+    def coords(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
+
+    def _combine(self, other, sign: int) -> "RationalVector":
+        _check_same_lattice(self, other)
+        a, b = self.den, other.den
+        if a == b:
+            nums = tuple(x + sign * y for x, y in zip(self.nums, other.nums))
+            return RationalVector(self.lattice, nums, a)
+        m = lcm(a, b)
+        fa, fb = m // a, sign * (m // b)
+        nums = tuple(fa * x + fb * y for x, y in zip(self.nums, other.nums))
+        return RationalVector(self.lattice, nums, m)
 
     def __add__(self, other):
-        _check_same_lattice(self, other)
-        return RationalVector(
-            self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        return self._combine(other, 1)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        _check_same_lattice(self, other)
-        return RationalVector(
-            self.lattice, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
+        return self._combine(other, -1)
+
+    def __rsub__(self, other):
+        return (-self)._combine(other, 1)
 
     def __neg__(self):
-        return RationalVector(self.lattice, tuple(-a for a in self.coords))
+        return RationalVector(self.lattice, tuple(-c for c in self.nums), self.den)
 
     def scale(self, c) -> "RationalVector":
         c = Fraction(c)
-        return RationalVector(self.lattice, tuple(c * a for a in self.coords))
+        p = c.numerator
+        return RationalVector(
+            self.lattice, tuple(p * x for x in self.nums), c.denominator * self.den
+        )
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return self.den == 1
 
     def to_lattice_vector(self) -> "LatticeVector":
-        if not self.is_integral():
+        if self.den != 1:
             raise ValueError("vector has non-integer coordinates")
-        return LatticeVector(self.lattice, tuple(int(c) for c in self.coords))
+        return LatticeVector(self.lattice, self.nums)
 
 
 @dataclass(frozen=True)
@@ -169,6 +215,7 @@ class LatticeVector:
 
     lattice: Lattice
     coords: tuple[int, ...]
+    den: ClassVar[int] = 1  # as an operand of rational arithmetic
 
     def __post_init__(self):
         if len(self.coords) != self.lattice.rank:
@@ -177,13 +224,21 @@ class LatticeVector:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError(f"integer coordinate expected, got {c!r}")
 
+    @property
+    def nums(self) -> tuple[int, ...]:
+        return self.coords
+
     def __add__(self, other):
+        if not isinstance(other, LatticeVector):
+            return NotImplemented
         _check_same_lattice(self, other)
         return LatticeVector(
             self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords))
         )
 
     def __sub__(self, other):
+        if not isinstance(other, LatticeVector):
+            return NotImplemented
         _check_same_lattice(self, other)
         return LatticeVector(
             self.lattice, tuple(a - b for a, b in zip(self.coords, other.coords))
@@ -203,15 +258,17 @@ class LatticeVector:
         return all(c == 0 for c in self.coords)
 
     def to_rational(self) -> RationalVector:
-        return RationalVector(self.lattice, tuple(Fraction(c) for c in self.coords))
+        return RationalVector(self.lattice, self.coords)
 
 
 AnyVector = Union[LatticeVector, RationalVector]
 
 
 def pairing(u: AnyVector, v: AnyVector) -> Coord:
-    """Bilinear pairing (u, v); int when both vectors are integral."""
+    """Bilinear pairing (u, v); int when both vectors are LatticeVectors."""
     _check_same_lattice(u, v)
+    if isinstance(u, RationalVector) or isinstance(v, RationalVector):
+        return Fraction(u.lattice.pairing_coords(u.nums, v.nums), u.den * v.den)
     return u.lattice.pairing_coords(u.coords, v.coords)
 
 

@@ -15,6 +15,7 @@ calibration is itself a test.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -39,14 +40,21 @@ def rational_to_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def rational_from_json(v) -> Fraction:
-    """Exact rational from an int or a 'p/q' string; floats are refused."""
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise ModelError(f"not an exact rational: {v!r}")
-    try:
-        return Fraction(v) if isinstance(v, int) else Fraction(v)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ModelError(f"not an exact rational: {v!r}") from exc
+    """Exact rational from an int or a 'p/q' string.
+
+    Floats and decimal or exponent strings such as "4.0" are refused.
+    """
+    if _is_int(v) or isinstance(v, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", v):
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            pass
+    raise ModelError(f"not an exact rational: {v!r}")
 
 
 @dataclass(frozen=True)
@@ -184,7 +192,10 @@ class Wall:
 
     def __post_init__(self):
         object.__setattr__(self, "level", Fraction(self.level))
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(self.weights))
+        for x in (self.count, *self.weights):
+            if not _is_int(x):
+                raise TypeError(f"integer count and weights expected, got {x!r}")
         if len(self.weights) != 3:
             raise ValueError("expected three weights")  # dimension 6 throughout
         if any(w == 0 for w in self.weights):
@@ -250,6 +261,8 @@ class GluedModel:
         object.__setattr__(self, "walls", tuple(self.walls))
         if self.period is not None:
             object.__setattr__(self, "period", Fraction(self.period))
+        if self.fixed_points is not None and not _is_int(self.fixed_points):
+            raise TypeError(f"integer fixed point count expected, got {self.fixed_points!r}")
 
 
 @dataclass(frozen=True)
@@ -521,7 +534,7 @@ def model_from_json_dict(data: dict) -> GluedModel:
                 )
             )
         walls = [
-            Wall(rational_from_json(w["level"]), int(w["count"]), tuple(w["weights"]))
+            Wall(rational_from_json(w["level"]), w["count"], tuple(w["weights"]))
             for w in data["walls"]
         ]
         period = data.get("period")

@@ -11,6 +11,7 @@ exact; there is no epsilon anywhere.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .exact_linalg import RatMatrix, rat_det
 from .lattice import (
@@ -25,6 +26,10 @@ from .lattice import (
 from .shortvec import is_generic_plane
 
 Vec = LatticeVector | RationalVector
+
+
+class InvariantError(RuntimeError):
+    """An exact identity the construction guarantees has failed: a bug."""
 
 
 def _rational(v: Vec) -> RationalVector:
@@ -64,12 +69,30 @@ class PeriodPoint:
 
 
 def project_to_alpha_perp(kappa: Vec, point: PeriodPoint) -> RationalVector:
-    """Orthogonal projection of kappa away from span(re, im), exactly."""
-    k = _rational(kappa)
-    cr = Fraction(pairing(k, point.re)) / norm(point.re)
-    ci = Fraction(pairing(k, point.im)) / norm(point.im)
-    out = k - point.re.scale(cr) - point.im.scale(ci)
-    assert pairing(out, point.re) == 0 and pairing(out, point.im) == 0
+    """Orthogonal projection of kappa away from span(re, im), exactly.
+
+    With kappa = K/d, re = R/r and im = I/i the projection is
+    K/d - (K,R)/(R,R) R/d - (K,I)/(I,I) I/d: the denominators of re and im
+    cancel, so it is one integer combination of the numerators over
+    d times the reduced denominators of the two coefficients.
+    """
+    if kappa.lattice != point.lattice:
+        raise ValueError("kappa and the period point live in different lattices")
+    gram = point.lattice.pairing_coords
+    k, re, im = kappa.nums, point.re.nums, point.im.nums
+    pr, qr = gram(k, re), gram(re, re)
+    pi, qi = gram(k, im), gram(im, im)
+    g, h = gcd(pr, qr), gcd(pi, qi)
+    pr, qr, pi, qi = pr // g, qr // g, pi // h, qi // h
+    q = qr * qi
+    a, b = pr * qi, pi * qr
+    out = RationalVector(
+        point.lattice,
+        tuple(q * x - a * y - b * z for x, y, z in zip(k, re, im)),
+        kappa.den * q,
+    )
+    if pairing(out, point.re) != 0 or pairing(out, point.im) != 0:
+        raise InvariantError("projection is not orthogonal to the period line")
     return out
 
 
@@ -86,12 +109,14 @@ def is_in_ktilde_omega(kappa: Vec, point: PeriodPoint) -> bool:
     """Positive projection: (k,k) * hermitian_norm > 2 * |(k, line)|^2.
 
     Equivalent to the projection of kappa landing strictly inside the
-    positive cone orthogonal to the line; the equivalence is asserted.
+    positive cone orthogonal to the line; the equivalence is re-checked on
+    every call and a disagreement raises InvariantError.
     """
     lhs = norm(kappa) * point.hermitian_norm()
     rhs = 2 * point.pairing_square(kappa)
     member = lhs > rhs
-    assert member == is_in_k_omega(project_to_alpha_perp(kappa, point), point)
+    if member != is_in_k_omega(project_to_alpha_perp(kappa, point), point):
+        raise InvariantError("cone membership disagrees with its projected form")
     return member
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .exact_linalg import IntMatrix, int_inverse, smith_normal_form
@@ -74,17 +74,10 @@ class Sublattice:
 
 def integral_primitive(v: RationalVector | LatticeVector) -> LatticeVector:
     """Scale a nonzero vector to integer coordinates with content 1."""
-    if isinstance(v, LatticeVector):
-        coords = v.coords
-    else:
-        scale = lcm(*(c.denominator for c in v.coords))
-        coords = tuple(int(c * scale) for c in v.coords)
-    g = 0
-    for c in coords:
-        g = gcd(g, c)
+    g = gcd(*v.nums)
     if g == 0:
         raise ValueError("zero vector has no primitive rescaling")
-    return LatticeVector(v.lattice, tuple(c // g for c in coords))
+    return LatticeVector(v.lattice, tuple(c // g for c in v.nums))
 
 
 def is_primitive_vector(v: LatticeVector) -> bool:
@@ -145,7 +138,7 @@ def orthogonal_complement(
     for v in vectors:
         if v.lattice != ambient:
             raise ValueError("vector does not live in the ambient lattice")
-        if all(c == 0 for c in v.coords):
+        if v.is_zero():
             continue
         ints.append(integral_primitive(v))
     if not ints:

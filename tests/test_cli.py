@@ -212,6 +212,25 @@ def test_validate_model_packaged_file(capsys, tmp_path):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["walls"][0].update(count=16.9), "16.9"),
+        (lambda d: d["walls"][0].update(weights=[-2.7, 1, 1]), "-2.7"),
+        (lambda d: d.update(fixed_points="32"), "'32'"),
+        (lambda d: d.update(period="4.0"), "not an exact rational: '4.0'"),
+    ],
+    ids=["float-count", "float-weight", "string-fixed-points", "decimal-string"],
+)
+def test_validate_model_rejects_coercions(capsys, tmp_path, edit, message):
+    doc = json.loads(open(THEOREM1).read())
+    edit(doc)
+    code, out, err = run(capsys, "validate-model", write_json(tmp_path, "m.json", doc))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_verify_all_pass(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0

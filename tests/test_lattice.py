@@ -1,5 +1,7 @@
+import dataclasses
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from k3dh.lattice import (
     K3_TAGS,
     Lattice,
     LatticeVector,
+    RationalVector,
     direct_sum,
     k3_e,
     k3_f,
@@ -22,6 +25,7 @@ from k3dh.lattice import (
     pairing,
     rescale,
 )
+from k3dh.period import PeriodPoint, project_to_alpha_perp
 
 K3 = make_K3()
 
@@ -188,3 +192,130 @@ def test_json_round_trip():
         lattice_from_json_dict({"rank": 3, "gram": [[2]]})
     with pytest.raises(ValueError):
         lattice_from_json_dict([1, 2])
+
+
+# -- fraction-free RationalVector against the plain Fraction representation --
+
+
+@dataclasses.dataclass(frozen=True)
+class FractionVector:
+    """Test-only oracle: one Fraction per coordinate, dense Gram pairing."""
+
+    coords: tuple
+
+    def __add__(self, other):
+        return FractionVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    def __sub__(self, other):
+        return FractionVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
+
+    def scale(self, c):
+        return FractionVector(tuple(Fraction(c) * a for a in self.coords))
+
+    def pair(self, other):
+        return Fraction(pairing_oracle(K3, self.coords, other.coords))
+
+    def project(self, re, im):
+        cr = self.pair(re) / re.pair(re)
+        ci = self.pair(im) / im.pair(im)
+        return self - re.scale(cr) - im.scale(ci)
+
+
+def oracle(v) -> FractionVector:
+    return FractionVector(tuple(Fraction(c) for c in v.coords))
+
+
+def assert_canonical(v: RationalVector):
+    assert v.den > 0
+    assert gcd(v.den, *v.nums) == 1
+    assert all(type(c) is int for c in v.nums)
+    assert all(type(c) is Fraction for c in v.coords)
+
+
+fractions = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+integral = st.lists(st.integers(-30, 30), min_size=22, max_size=22).map(K3.vector)
+rational = st.lists(fractions, min_size=22, max_size=22).map(K3.rational_vector)
+zero = st.sampled_from([K3.vector([0] * 22), K3.rational_vector([0] * 22)])
+vectors = st.one_of(integral, rational, integral.map(LatticeVector.to_rational), zero)
+scalars = st.one_of(st.integers(-6, 6), fractions, st.just(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(vectors, vectors, scalars)
+def test_rational_vector_matches_fraction_oracle(u, v, c):
+    ou, ov = oracle(u), oracle(v)
+    assert pairing(u, v) == ou.pair(ov)
+    assert norm(u) == ou.pair(ou)
+    for result, expected in ((u + v, ou + ov), (u - v, ou - ov), (v - u, ov - ou)):
+        assert result.coords == expected.coords
+    if isinstance(u, RationalVector):
+        scaled = u.scale(c)
+        assert scaled.coords == ou.scale(c).coords
+        assert_canonical(scaled)
+        assert (-u).coords == ou.scale(-1).coords
+        assert u.is_zero() == (not any(ou.coords))
+        assert u.is_integral() == all(x.denominator == 1 for x in ou.coords)
+    for w in (u + v, u - v, v - u):
+        if isinstance(w, RationalVector):
+            assert_canonical(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(vectors, fractions, fractions, st.integers(1, 3))
+def test_projection_matches_fraction_oracle(kappa, a, b, c):
+    if a == 0 and b == 0:
+        a = Fraction(1)
+    u = (c * (k3_e(K3, 0) + k3_f(K3, 0))).to_rational()
+    v = (c * (k3_e(K3, 1) + k3_f(K3, 1))).to_rational()
+    point = PeriodPoint(u.scale(a) + v.scale(b), u.scale(-b) + v.scale(a))
+    khat = project_to_alpha_perp(kappa, point)
+    assert_canonical(khat)
+    assert khat.coords == oracle(kappa).project(oracle(point.re), oracle(point.im)).coords
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(fractions, min_size=22, max_size=22), st.integers(-9, 9).filter(bool))
+def test_rational_vector_canonical_and_hashable(coords, k):
+    v = K3.rational_vector(coords)
+    assert_canonical(v)
+    assert v.coords == tuple(coords)
+    # the same point written with a common factor normalizes to the same value
+    w = RationalVector(K3, tuple(k * x for x in v.nums), k * v.den)
+    assert w == v and hash(w) == hash(v)
+    assert w.nums == v.nums and w.den == v.den
+    if v.is_integral():
+        assert v.to_lattice_vector() == K3.vector(v.nums)
+
+
+def test_rational_vector_is_immutable_and_validated():
+    v = K3.rational_vector([Fraction(1, 2)] + [0] * 21)
+    assert v.coords[0] == Fraction(1, 2)  # builds the cached coordinates
+    for name, value in (("nums", (0,) * 22), ("den", 3), ("coords", ()), ("other", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, name, value)
+    assert v.nums == (1,) + (0,) * 21 and v.den == 2
+    with pytest.raises(TypeError):
+        RationalVector(K3, (Fraction(1, 2),) + (0,) * 21)
+    with pytest.raises(ZeroDivisionError):
+        RationalVector(K3, (1,) * 22, 0)
+    with pytest.raises(ValueError):
+        RationalVector(K3, (1, 2, 3))
+    neg = RationalVector(K3, (2,) + (0,) * 21, -4)
+    assert (neg.nums[0], neg.den) == (-1, 2)
+    zero = RationalVector(K3, (0,) * 22, -7)
+    assert zero.den == 1 and zero == K3.vector([0] * 22).to_rational()
+
+
+def test_mixed_lattice_and_rational_operands():
+    e, f = k3_e(K3, 0), k3_f(K3, 0)
+    half = e.to_rational().scale(Fraction(1, 2))
+    assert isinstance(f + half, RationalVector)
+    assert (f + half) == (half + f)
+    assert (f - half).coords[:2] == (Fraction(-1, 2), 1)
+    assert (half - f).coords[:2] == (Fraction(1, 2), -1)
+    assert pairing(half, f) == Fraction(1, 2) and pairing(f, half) == Fraction(1, 2)
+    assert type(pairing(e, f)) is int
+    with pytest.raises(ValueError):
+        half + make_H().vector([1, 0])
+    with pytest.raises(ValueError):
+        make_H().vector([1, 0]) + half

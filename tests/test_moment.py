@@ -1,4 +1,7 @@
+import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ from k3dh.moment import (
     model_to_json_dict,
     packaged_model,
     pair_from_polynomial,
+    rational_from_json,
     validate,
     wall_crossing_delta,
     _positive_on_open,
@@ -206,6 +210,27 @@ def test_model_json_round_trip_and_errors():
         model_from_json_dict({"pieces": [{"interval": ["0", "1"], "dh": ["2", "0"]}], "walls": []})
     with pytest.raises(ModelError, match="JSON object"):
         model_from_json_dict([1, 2])
+
+
+def test_readme_model_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Glued-model files", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    model = model_from_json_dict(json.loads(block))
+    assert model == packaged_model()
+    assert validate(model).all_passed()
+
+
+def test_rational_from_json_is_strict():
+    assert rational_from_json(-3) == -3
+    assert rational_from_json("-7/2") == Fraction(-7, 2)
+    for bad in (4.0, True, None, "4.0", "1e3", " 3", "+3", "3_0", "1/0", "1/-2"):
+        with pytest.raises(ModelError, match="exact rational"):
+            rational_from_json(bad)
+    with pytest.raises(TypeError, match="integer"):
+        Wall(1, 16.0, (-2, 1, 1))
+    with pytest.raises(TypeError, match="integer"):
+        GluedModel((), (), fixed_points=32.0)
 
 
 def test_euler_class_match():

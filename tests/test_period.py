@@ -5,8 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import k3dh.period
 from k3dh.lattice import direct_sum, make_H, make_K3, k3_e, k3_f, norm, pairing
 from k3dh.period import (
+    InvariantError,
     OrientedPlane,
     PeriodPoint,
     is_in_k_omega,
@@ -124,6 +126,26 @@ def test_projected_norm_identity_randomized():
         ) / pt.hermitian_norm()
         # projecting lands in the small cone iff we started in the big one
         assert is_in_ktilde_omega(kappa, pt) == is_in_k_omega(khat, pt)
+
+
+def test_cone_equivalence_failure_raises(monkeypatch):
+    pt = standard_point(K3)
+    kappa = hyperbolic(K3, 2, 1, 1)
+    monkeypatch.setattr(k3dh.period, "is_in_k_omega", lambda k, p: False)
+    with pytest.raises(InvariantError, match="cone membership"):
+        is_in_ktilde_omega(kappa, pt)
+
+
+def test_non_orthogonal_projection_raises(monkeypatch):
+    pt = standard_point(K3)
+    monkeypatch.setattr(k3dh.period, "pairing", lambda u, v: Fraction(1))
+    with pytest.raises(InvariantError, match="not orthogonal"):
+        project_to_alpha_perp(k3_e(K3, 0), pt)
+
+
+def test_projection_rejects_foreign_lattice():
+    with pytest.raises(ValueError, match="different lattices"):
+        project_to_alpha_perp(hyperbolic(H3, 0, 1, 1), standard_point(K3))
 
 
 def test_generic_membership_on_small_lattice():
