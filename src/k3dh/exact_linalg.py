@@ -44,6 +44,14 @@ class IntMatrix:
             if any(len(r) != w for r in self.rows):
                 raise ValueError("ragged rows")
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        # rows already are equal-length tuples of ints computed from
+        # validated matrices, so the per-entry checks are skipped
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -65,15 +73,28 @@ class IntMatrix:
         return self.rows[i][j]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.rows)) if self.rows else IntMatrix([])
+        return IntMatrix._trusted(tuple(zip(*self.rows)))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
+        """Row-sparse product: output row i is the sum of a * other.rows[k]
+        over the nonzero entries a = self[i, k], so the cost is
+        nnz(self) * other.ncols and a transvection-shaped left factor
+        (identity plus one row and one column) costs O(n * nnz)."""
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        ot = list(zip(*other.rows))
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.rows]
-        )
+        zero = (0,) * other.ncols
+        out = []
+        for row in self.rows:
+            terms = [(a, orow) for a, orow in zip(row, other.rows) if a]
+            if not terms:
+                out.append(zero)
+            elif len(terms) == 1:
+                a, orow = terms[0]
+                out.append(orow if a == 1 else tuple([a * x for x in orow]))
+            else:
+                scaled = [orow if a == 1 else [a * x for x in orow] for a, orow in terms]
+                out.append(tuple(map(sum, zip(*scaled))))
+        return IntMatrix._trusted(tuple(out))
 
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if self.ncols != len(v):
@@ -303,26 +324,40 @@ def elementary_divisors(m: IntMatrix) -> tuple[int, ...]:
 
 
 def int_inverse(m: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix (det +-1), exactly."""
-    d = det(m)
-    if d not in (1, -1):
+    """Inverse of a unimodular integer matrix (det +-1), exactly.
+
+    Fraction-free (Bareiss) Gauss-Jordan on [m | I]: step k replaces every
+    other row by (p_k * row - row[k] * pivot_row) / p_{k-1}, an exact
+    integer division by Sylvester's identity.  At the end the left block
+    is d * I with d = +-det m and the right block is d * m^-1, so for
+    det = +-1 the inverse is the right block times d.
+    """
+    dm = det(m)
+    if dm not in (1, -1):
         raise ValueError("matrix is not unimodular")
     n = m.nrows
-    # Gauss-Jordan over Q; entries of the result are integers since det = +-1.
-    a = [[Rat(x) for x in row] + [Rat(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m.rows)]
+    a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m.rows)]
+    sign = 1
+    prev = 1
     for k in range(n):
         p = next(i for i in range(k, n) if a[i][k] != 0)
-        a[k], a[p] = a[p], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        pk = pivot_row[k]
         for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    rows = [[x for x in row[n:]] for row in a]
-    assert all(x.denominator == 1 for row in rows for x in row)
-    return IntMatrix([[int(x) for x in row] for row in rows])
+            if i != k:
+                row = a[i]
+                f = row[k]
+                if f:
+                    a[i] = [(pk * x - f * y) // prev for x, y in zip(row, pivot_row)]
+                elif pk != prev:
+                    a[i] = [pk * x // prev for x in row]
+        prev = pk
+    if prev != sign * dm:
+        raise ArithmeticError("fraction-free elimination lost exactness")
+    return IntMatrix._trusted(tuple(tuple(prev * x for x in row[n:]) for row in a))
 
 
 def rat_inverse(m: RatMatrix) -> RatMatrix:

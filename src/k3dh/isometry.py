@@ -1,8 +1,17 @@
 """Integral isometries and the constructive standardization of pairs.
 
-An Isometry wraps an integer matrix that provably preserves the Gram
-matrix; every constructor re-checks this, so no unverified isometry can
-escape the module.
+An Isometry wraps an integer matrix M with M^T G M = G.  The invariant is
+kept in three ways:
+
+- every matrix built from data (the constructor, transvections, signed
+  basis permutations) is checked explicitly on construction;
+- compose and inverse are not re-checked, because they are isometries by
+  algebra: if A^T G A = G and B^T G B = G then
+  (AB)^T G (AB) = B^T (A^T G A) B = G, and multiplying A^T G A = G by
+  A^-T on the left and A^-1 on the right gives (A^-1)^T G A^-1 = G;
+- map_pair_to_standard and lemma_iso re-check the isometry they return
+  once, in full, so a fault anywhere in the move engine surfaces as an
+  InvariantError instead of a wrong answer.
 
 map_pair_to_standard moves a primitive pair (kappa, eta) onto the
 reference pair
@@ -14,17 +23,15 @@ by a finite product of Eichler transvections and hyperbolic block
 moves.  The core is a euclidean reduction on the hyperbolic
 coefficients (transvections with isotropic arguments shift them with no
 quadratic correction), with the definite blocks acting as content
-reservoirs when the hyperbolic gcd bottoms out above 1.  Every branch
-ends in a direct verification of the result; if no sequence is found
-the failure is an explicit StandardizationError, never a wrong answer.
+reservoirs when the hyperbolic gcd bottoms out above 1.  One pass either
+reaches the reference pair or raises StandardizationError; it never
+returns a wrong answer.
 """
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 
-from .exact_linalg import IntMatrix, content, det, int_inverse, xgcd_vector
+from .exact_linalg import IntMatrix, det, int_inverse, xgcd_vector
 from .lattice import (
     K3_TAGS,
     Lattice,
@@ -33,12 +40,11 @@ from .lattice import (
     norm,
     pairing,
 )
-from .period import OrientedPlane, same_component, standard_plane
+from .period import InvariantError, OrientedPlane, same_component, standard_plane
 from .sublattice import is_primitive_embedding
 
 E1, F1, E2, F2, E3, F3 = 0, 1, 2, 3, 4, 5
 
-_MAX_ROUNDS = 12
 _STEP_BUDGET = 60
 
 
@@ -56,16 +62,29 @@ class Isometry:
         if self.matrix.nrows != n or self.matrix.ncols != n:
             raise ValueError("matrix shape does not match the lattice rank")
         g = self.lattice.gram
-        if self.matrix.transpose().mul(g).mul(self.matrix) != g:
+        # M^T (G M): G is sparse and the row-sparse product makes a
+        # near-identity M cheap
+        if self.matrix.transpose().mul(g.mul(self.matrix)) != g:
             raise ValueError("matrix does not preserve the pairing")
+
+    @classmethod
+    def _unchecked(cls, lattice: Lattice, matrix: IntMatrix) -> "Isometry":
+        # only for products and inverses of isometries (module docstring)
+        iso = object.__new__(cls)
+        object.__setattr__(iso, "lattice", lattice)
+        object.__setattr__(iso, "matrix", matrix)
+        return iso
 
     @cached_property
     def det(self) -> int:
         d = det(self.matrix)
-        assert d in (1, -1)
+        if d not in (1, -1):
+            raise ValueError(f"determinant {d} is not +-1: the lattice is degenerate")
         return d
 
     def apply(self, v):
+        if v.lattice is not self.lattice and v.lattice != self.lattice:
+            raise ValueError("vector does not live in the isometry's lattice")
         nums = v.nums
         image = tuple(sum(a * x for a, x in zip(row, nums)) for row in self.matrix.rows)
         if isinstance(v, LatticeVector):
@@ -75,53 +94,60 @@ class Isometry:
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other (matrix product, column action)."""
-        return Isometry(self.lattice, self.matrix.mul(other.matrix))
+        if other.lattice is not self.lattice and other.lattice != self.lattice:
+            raise ValueError("isometries of different lattices do not compose")
+        return Isometry._unchecked(self.lattice, self.matrix.mul(other.matrix))
 
     def inverse(self) -> "Isometry":
-        return Isometry(self.lattice, int_inverse(self.matrix))
+        return Isometry._unchecked(self.lattice, int_inverse(self.matrix))
 
 
-def verify(m: IntMatrix, lattice: Lattice) -> Isometry:
-    return Isometry(lattice, m)
+def _exit_check(phi: Isometry) -> Isometry:
+    """The full M^T G M = G check on an isometry leaving the module; a
+    failure is a fault in the move engine, not bad input."""
+    try:
+        return Isometry(phi.lattice, phi.matrix)
+    except ValueError as exc:
+        raise InvariantError(f"constructed isometry fails its exit check: {exc}") from None
 
 
 def identity_isometry(lattice: Lattice) -> Isometry:
     return Isometry(lattice, IntMatrix.identity(lattice.rank))
 
 
-def _from_images(lattice: Lattice, images) -> Isometry:
-    # images[j] is where basis vector j goes; columns of the matrix
-    n = lattice.rank
-    rows = [[images[j].coords[i] for j in range(n)] for i in range(n)]
-    return Isometry(lattice, IntMatrix(rows))
-
-
 def eichler_transvection(e: LatticeVector, a: LatticeVector) -> Isometry:
-    """x |-> x + (x,e)a - (x,a)e - (a,a)/2 (x,e)e for isotropic e with e ⊥ a."""
+    """x |-> x + (x,e)a - (x,a)e - (a,a)/2 (x,e)e for isotropic e with e ⊥ a.
+
+    With ge = G e and w = G a + (a,a)/2 G e the matrix is the rank-2 update
+    I + a ge^T - e w^T; for a basis vector e it is the identity plus one
+    row and one column."""
     lattice = e.lattice
     if norm(e) != 0:
         raise ValueError("transvection base must be isotropic")
     if pairing(e, a) != 0:
         raise ValueError("transvection argument must be orthogonal to the base")
-    half = norm(a) // 2
-    assert 2 * half == norm(a)
-    images = []
-    for j in range(lattice.rank):
-        x = lattice.basis_vector(j)
-        xe = pairing(x, e)
-        xa = pairing(x, a)
-        images.append(x + xe * a - (xa + half * xe) * e)
-    return _from_images(lattice, images)
+    na = norm(a)
+    if na % 2:
+        raise ValueError("transvection argument must have even norm")
+    ge = lattice.gram.mul_vec(e.coords)
+    w = [y + (na // 2) * x for x, y in zip(ge, lattice.gram.mul_vec(a.coords))]
+    rows = []
+    for i, (ai, ei) in enumerate(zip(a.coords, e.coords)):
+        row = [ai * x - ei * y for x, y in zip(ge, w)]
+        row[i] += 1
+        rows.append(tuple(row))
+    return Isometry(lattice, IntMatrix._trusted(tuple(rows)))
 
 
 def _signed_basis_images(lattice: Lattice, mapping) -> Isometry:
-    # mapping: index -> (index, sign); identity elsewhere
-    images = []
-    for j in range(lattice.rank):
+    # mapping: j -> (k, sign) sends basis vector j to sign * basis vector k,
+    # the column j of the matrix; identity elsewhere
+    n = lattice.rank
+    rows = [[0] * n for _ in range(n)]
+    for j in range(n):
         k, s = mapping.get(j, (j, 1))
-        v = lattice.basis_vector(k)
-        images.append(v if s == 1 else -1 * v)
-    return _from_images(lattice, images)
+        rows[k][j] = s
+    return Isometry(lattice, IntMatrix(rows))
 
 
 def flip_third_H(lattice: Lattice) -> Isometry:
@@ -202,27 +228,6 @@ def _block_functional(m: _Mover, b: int):
     for j, co in zip(idx, coeffs):
         coords[j] = co
     return c, m.lattice.vector(coords)
-
-
-def _scramble_full(m: _Mover, round_: int):
-    rng = random.Random(7919 * round_ + 11)
-    slots = list(range(m.lattice.rank))
-    partner = {E1: F1, F1: E1, E2: F2, F2: E2, E3: F3, F3: E3}
-    for _ in range(round_):
-        base_i = rng.choice((E1, F1, E2, F2, E3, F3))
-        coords = [0] * m.lattice.rank
-        for i in slots:
-            if i == partner[base_i]:
-                continue
-            coords[i] = rng.randint(-1, 1)
-        arg = m.lattice.vector(coords)
-        if pairing(m.basis(base_i), arg) != 0:
-            continue
-        m.transvect(m.basis(base_i), arg)
-
-
-def _standard_first(lattice: Lattice, l0: int) -> LatticeVector:
-    return lattice.basis_vector(E1) + l0 * lattice.basis_vector(F1)
 
 
 @dataclass(frozen=True)
@@ -377,40 +382,15 @@ _FIRST_ROLES = _Roles(h1=(E1, F1), spares=((E2, F2), (E3, F3)), blocks=(0, 1))
 
 def _standardize_vector(kappa: LatticeVector) -> Isometry:
     """Isometry taking kappa to e1 + (kappa,kappa)/2 f1."""
-    lattice = kappa.lattice
-    l0 = norm(kappa) // 2
-    target = _standard_first(lattice, l0)
-    for round_ in range(_MAX_ROUNDS):
-        m = _Mover(kappa)
-        if round_:
-            _scramble_full(m, round_)
-        if not _unitize(m, _FIRST_ROLES):
-            continue
-        # v = p e1 + f1 + w; E(e1, -w) empties w, then the norm pins p
-        w = m.vector - m.coeff(E1) * m.basis(E1) - m.basis(F1)
-        m.transvect(m.basis(E1), -1 * w)
-        m.push(_swap_pair(lattice, (E1, F1)))
-        if m.vector == target:
-            return m.iso
-    raise StandardizationError("first vector: no move sequence found")
-
-
-def _scramble_fixing_first(m: _Mover, round_: int, c: LatticeVector):
-    # bases and arguments orthogonal to e1 + l0 f1
-    rng = random.Random(104729 * round_ + 5)
-    partner = {E2: F2, F2: E2, E3: F3, F3: E3}
-    free = [E2, F2, E3, F3] + [i for b in K3_TAGS.blocks for i in b]
-    for _ in range(round_):
-        base_i = rng.choice((E2, F2, E3, F3))
-        coords = [0] * m.lattice.rank
-        for i in free:
-            if i == partner[base_i]:
-                continue
-            coords[i] = rng.randint(-1, 1)
-        arg = m.lattice.vector(coords) + rng.randint(-1, 1) * c
-        if pairing(m.basis(base_i), arg) != 0:
-            continue
-        m.transvect(m.basis(base_i), arg)
+    m = _Mover(kappa)
+    if not _unitize(m, _FIRST_ROLES):
+        raise StandardizationError("first vector: no move sequence found")
+    # v = p e1 + f1 + w; E(e1, -w) empties w, then the norm pins p
+    # (map_pair_to_standard checks the image of kappa)
+    w = m.vector - m.coeff(E1) * m.basis(E1) - m.basis(F1)
+    m.transvect(m.basis(E1), -1 * w)
+    m.push(_swap_pair(kappa.lattice, (E1, F1)))
+    return m.iso
 
 
 def _standardize_partner(m: _Mover, l0: int) -> bool:
@@ -457,18 +437,13 @@ def map_pair_to_standard(kappa: LatticeVector, eta: LatticeVector) -> Isometry:
     target_e = mval * f1 + e2 + half_eta * f2
 
     g1 = _standardize_vector(kappa)
-    for round_ in range(_MAX_ROUNDS):
-        m = _Mover(g1.apply(eta))
-        coords = [0] * lattice.rank
-        coords[E1], coords[F1] = 1, -l0
-        if round_:
-            _scramble_fixing_first(m, round_, lattice.vector(coords))
-        if not _standardize_partner(m, l0):
-            continue
-        g = m.iso.compose(g1)
-        if g.apply(kappa) == target_k and g.apply(eta) == target_e:
-            return g
-    raise StandardizationError("second vector: no move sequence found")
+    m = _Mover(g1.apply(eta))
+    if not _standardize_partner(m, l0):
+        raise StandardizationError("second vector: no move sequence found")
+    g = m.iso.compose(g1)
+    if g.apply(kappa) != target_k or g.apply(eta) != target_e:
+        raise InvariantError("standardization missed the reference pair")
+    return _exit_check(g)
 
 
 def lemma_iso(
@@ -488,9 +463,12 @@ def lemma_iso(
         raise ValueError("pairs have different Gram data")
     g = map_pair_to_standard(kappa, eta)
     gp = map_pair_to_standard(kappa_p, eta_p)
-    phi = g.inverse().compose(gp)
+    g_inv = g.inverse()
+    phi = g_inv.compose(gp)
     if preserves_components(phi) != preserve:
-        phi = g.inverse().compose(flip_third_H(g.lattice)).compose(gp)
-    assert phi.apply(kappa_p) == kappa and phi.apply(eta_p) == eta
-    assert preserves_components(phi) == preserve
-    return phi
+        phi = g_inv.compose(flip_third_H(g.lattice)).compose(gp)
+        if preserves_components(phi) != preserve:
+            raise InvariantError("lemma_iso: the third-plane flip did not fix the orientation")
+    if phi.apply(kappa_p) != kappa or phi.apply(eta_p) != eta:
+        raise InvariantError("lemma_iso: the isometry misses the target pair")
+    return _exit_check(phi)

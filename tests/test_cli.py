@@ -1,5 +1,10 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -262,6 +267,22 @@ def test_verify_json_is_canonical(capsys):
     for check in doc["checks"]:
         assert list(check) == ["id", "description", "claim", "expected", "computed", "passed"]
         assert check["passed"] is (check["expected"] == check["computed"])
+
+
+def test_verify_json_under_optimize_matches_reference_digest():
+    # -O strips assert statements: the library's own checks must be explicit
+    # errors, and the canonical bytes must equal the benchmark's recording
+    root = Path(__file__).resolve().parents[1]
+    ref = json.loads((root / "bench" / "reference.json").read_text())["verify"]
+    path = os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "k3dh", "verify", "--json"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=170,
+    )
+    assert out.returncode == 0, out.stderr
+    summary = json.loads(out.stdout)["summary"]
+    assert (summary["passed"], summary["total"]) == (ref["checks"], ref["checks"]) == (28, 28)
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == ref["digest"]
 
 
 def test_run_verify_paper_report_object():

@@ -243,3 +243,122 @@ def test_int_matrix_validation():
     assert m.mul_vec([1, 1]) == (3, 7)
     assert m.is_symmetric() is False
     assert IntMatrix(H_GRAM).is_symmetric() is True
+
+
+# -- oracles for the row-sparse product and the fraction-free inverse -------
+
+
+def naive_mul(a, b, ncols):
+    """Test-only oracle: the textbook triple loop."""
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(ncols))
+        for i in range(len(a))
+    )
+
+
+def fraction_inverse(rows):
+    """Test-only oracle: Gauss-Jordan over Fraction, the former int_inverse."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if a[i][k] != 0)
+        a[k], a[p] = a[p], a[k]
+        inv = 1 / a[k][k]
+        a[k] = [x * inv for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k] != 0:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    assert all(x.denominator == 1 for row in a for x in row[n:])
+    return tuple(tuple(int(x) for x in row[n:]) for row in a)
+
+
+DENSE = st.integers(-50, 50)
+SPARSE = st.sampled_from((0,) * 8 + (1, -1, 3))  # includes the unit fast path
+
+
+@st.composite
+def product_operands(draw):
+    r, k, c = (draw(st.integers(0, 6)) for _ in range(3))
+    entry = draw(st.sampled_from((DENSE, SPARSE)))
+    a = [[draw(entry) for _ in range(k)] for _ in range(r)]
+    b = [[draw(entry) for _ in range(c)] for _ in range(k)]
+    return IntMatrix(a), IntMatrix(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_operands())
+def test_mul_matches_triple_loop(operands):
+    a, b = operands
+    if a.ncols != b.nrows:  # an empty matrix forgets its column count
+        with pytest.raises(ValueError):
+            a.mul(b)
+        return
+    out = a.mul(b)
+    assert out.rows == naive_mul(a.rows, b.rows, b.ncols)
+    assert out == IntMatrix(out.rows)  # validated rebuild: same ints, same shape
+    assert all(type(x) is int for row in out.rows for x in row)
+
+
+def test_mul_transvection_shape_and_empty():
+    rng = random.Random(37)
+    n = 22
+    dense = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    t[4] = [rng.randint(-3, 3) for _ in range(n)]
+    for row in t:
+        row[7] += rng.randint(-3, 3)
+    t = IntMatrix(t)
+    for a, b in ((t, dense), (dense, t), (dense, dense)):
+        assert a.mul(b).rows == naive_mul(a.rows, b.rows, n)
+    assert IntMatrix([]).mul(IntMatrix([])).rows == ()
+    assert IntMatrix([[1, 2]]).mul(IntMatrix([[0], [0]])).rows == ((0,),)
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2]]).mul(IntMatrix([[1, 2]]))
+
+
+@st.composite
+def unimodular_rows(draw):
+    """A random product of elementary matrices: add, swap, negate."""
+    n = draw(st.integers(1, 7))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(("add", "add", "swap", "negate")))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if kind == "add" and i != j:
+            q = draw(st.integers(-4, 4))
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+        elif kind == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "negate":
+            rows[i] = [-x for x in rows[i]]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(unimodular_rows())
+def test_int_inverse_matches_fraction_oracle(rows):
+    m = IntMatrix(rows)
+    inv = int_inverse(m)
+    assert inv.rows == fraction_inverse(rows)
+    assert m.mul(inv).rows == IntMatrix.identity(len(rows)).rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(unimodular_rows(), st.sampled_from((0, 2, -2, 3, 7)), st.data())
+def test_int_inverse_rejects_non_unimodular(rows, k, data):
+    i = data.draw(st.integers(0, len(rows) - 1))
+    rows[i] = [k * x for x in rows[i]]
+    with pytest.raises(ValueError, match="not unimodular"):
+        int_inverse(IntMatrix(rows))
+
+
+def test_int_inverse_exactness_guard(monkeypatch):
+    import k3dh.exact_linalg as el
+
+    assert int_inverse(IntMatrix([])).rows == ()
+    # a determinant that disagrees with the elimination is an explicit error
+    monkeypatch.setattr(el, "det", lambda m: -det(m))
+    with pytest.raises(ArithmeticError):
+        el.int_inverse(IntMatrix([[2, 1], [1, 1]]))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3dh.exact_linalg import IntMatrix
-from k3dh.lattice import make_K3, k3_e, k3_f, norm, pairing
+from k3dh.lattice import Lattice, make_E8, make_K3, k3_e, k3_f, norm, pairing
 from k3dh.isometry import (
     Isometry,
     eichler_transvection,
@@ -14,8 +14,8 @@ from k3dh.isometry import (
     lemma_iso,
     map_pair_to_standard,
     preserves_components,
-    verify,
 )
+from k3dh.period import InvariantError
 
 K3 = make_K3()
 E = [k3_e(K3, i) for i in range(3)]
@@ -54,7 +54,7 @@ def standard_pair(l0, m, l2):
 def test_isometry_construction_is_checked():
     ident = identity_isometry(K3)
     assert ident.det == 1
-    assert verify(ident.matrix, K3).matrix == ident.matrix
+    assert Isometry(K3, ident.matrix).matrix == ident.matrix
     with pytest.raises(ValueError):
         Isometry(K3, IntMatrix([[1, 0], [0, 1]]))
     # e1 -> f1, f1 -> -e1 flips the sign of the pairing on the first block
@@ -63,6 +63,13 @@ def test_isometry_construction_is_checked():
     rows[0][0], rows[0][1], rows[1][0], rows[1][1] = 0, -1, 1, 0
     with pytest.raises(ValueError):
         Isometry(K3, IntMatrix(rows))
+
+
+def test_det_is_checked_on_degenerate_lattices():
+    # M^T G M = G forces det M = +-1 only when det G != 0
+    null = Lattice("<0>", IntMatrix([[0]]))
+    with pytest.raises(ValueError, match="not \\+-1"):
+        Isometry(null, IntMatrix([[2]])).det
 
 
 def test_apply_compose_inverse():
@@ -195,3 +202,77 @@ def test_map_pair_round_trip_property(l0, m, l2, seed):
     g = map_pair_to_standard(kap, eta)
     assert g.apply(kap) == kap0
     assert g.apply(eta) == eta0
+
+
+def transvection_by_images(e, a):
+    """Test-only oracle: the former construction, one basis image at a time."""
+    lattice = e.lattice
+    half = norm(a) // 2
+    cols = []
+    for j in range(lattice.rank):
+        x = lattice.basis_vector(j)
+        xe, xa = pairing(x, e), pairing(x, a)
+        cols.append((x + xe * a - (xa + half * xe) * e).coords)
+    return IntMatrix(zip(*cols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    i=st.integers(0, 5),
+    j=st.integers(0, 5),
+    s=st.integers(-3, 3),
+    t=st.integers(-3, 3),
+    x=st.lists(st.integers(-3, 3), min_size=22, max_size=22),
+    y=st.lists(st.integers(-3, 3), min_size=22, max_size=22),
+)
+def test_transvection_matches_basis_image_oracle(i, j, s, t, x, y):
+    # basis vectors from different hyperbolic planes are isotropic and
+    # orthogonal, so s b_i + t b_j is isotropic; (x,e) y - (y,e) x is ⊥ e
+    e = K3.basis_vector(i)
+    if i // 2 != j // 2:
+        e = s * e + t * K3.basis_vector(j)
+    xv, yv = K3.vector(x), K3.vector(y)
+    a = pairing(xv, e) * yv - pairing(yv, e) * xv
+    assert eichler_transvection(e, a).matrix == transvection_by_images(e, a)
+
+
+def test_transvection_rejects_odd_argument():
+    odd = Lattice("H+<1>", IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+    with pytest.raises(ValueError, match="even norm"):
+        eichler_transvection(odd.basis_vector(0), odd.basis_vector(2))
+
+
+def test_apply_and_compose_reject_foreign_lattices():
+    g = random_transvection(random.Random(41))
+    e8 = make_E8()
+    copy = Lattice("K3 copy", K3.gram)  # same rank and Gram, another lattice
+    for v in (e8.vector([1] + [0] * 7), e8.rational_vector([0] * 8),
+              copy.vector([0] * K3.rank)):
+        with pytest.raises(ValueError, match="lattice"):
+            g.apply(v)
+    # compose is unchecked only because both factors preserve one Gram matrix
+    with pytest.raises(ValueError, match="lattices"):
+        g.compose(identity_isometry(copy))
+    with pytest.raises(ValueError, match="lattices"):
+        identity_isometry(e8).compose(g)
+
+
+@pytest.mark.parametrize("method", ["compose", "inverse"])
+def test_exit_check_catches_faulty_products(monkeypatch, method):
+    # the fault adds e1 to the image of the last E8 basis vector; the pair
+    # has no E8 part, so its images stay right and only M^T G M = G sees it.
+    # Only lemma_iso inverts, so a faulty inverse reaches its own exit check
+    exact = getattr(Isometry, method)
+
+    def faulty(self, *other):
+        rows = [list(r) for r in exact(self, *other).matrix.rows]
+        rows[0][-1] += 1
+        return Isometry._unchecked(self.lattice, IntMatrix(rows))
+
+    monkeypatch.setattr(Isometry, method, faulty)
+    kap, eta = standard_pair(2, 1, -1)
+    if method == "compose":
+        with pytest.raises(InvariantError, match="exit check"):
+            map_pair_to_standard(kap, eta)
+    with pytest.raises(InvariantError, match="exit check"):
+        lemma_iso(kap, eta, kap, eta)
