@@ -15,6 +15,10 @@ from typing import Iterable, Optional, Sequence
 Rat = Fraction
 
 
+class InvariantError(RuntimeError):
+    """An exact identity the construction guarantees has failed: a bug."""
+
+
 def _as_int_rows(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     out = []
     for row in rows:

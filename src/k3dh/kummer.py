@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exact_linalg import IntMatrix
+from .exact_linalg import IntMatrix, InvariantError
 from .lattice import Lattice
 
 # slots 0..3 are dz1, dz1bar, dz2, dz2bar
@@ -208,10 +208,6 @@ def _torus_gram() -> IntMatrix:
 
 
 TORUS_LATTICE = Lattice("torus", _torus_gram())
-# one-time sanity: the fixed real basis is even unimodular of signature (3,3)
-assert TORUS_LATTICE.is_even()
-assert TORUS_LATTICE.is_unimodular()
-assert TORUS_LATTICE.signature() == (3, 3)
 
 
 @dataclass(frozen=True)
@@ -266,7 +262,8 @@ def form_to_torus_class(a: InvariantForm) -> TorusClass:
             continue
         for kk, e in enumerate(_EXPANSION[mono]):
             out[kk] = _cadd(out[kk], _cmul(c, e))
-    assert all(im == 0 for _, im in out)  # guaranteed by realness
+    if any(im != 0 for _, im in out):  # excluded by realness
+        raise InvariantError("real form has a non-real torus coordinate")
     return TorusClass(tuple(re for re, _ in out))
 
 

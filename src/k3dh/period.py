@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exact_linalg import RatMatrix, rat_det
+from .exact_linalg import InvariantError, RatMatrix, rat_det  # re-exported
 from .lattice import (
     Lattice,
     LatticeVector,
@@ -26,10 +26,6 @@ from .lattice import (
 from .shortvec import is_generic_plane
 
 Vec = LatticeVector | RationalVector
-
-
-class InvariantError(RuntimeError):
-    """An exact identity the construction guarantees has failed: a bug."""
 
 
 def _rational(v: Vec) -> RationalVector:

@@ -1,52 +1,67 @@
 """Complete short-vector enumeration on definite Gram matrices.
 
-The main enumerator is Fincke-Pohst on an exact rational LDL^T
-decomposition.  All interval endpoints are floors/ceilings of exact
-rational square-root expressions, so no admissible vector is ever lost to
-rounding; a brute-force box search (naive_enumerate) serves as an
-independent completeness oracle in the tests.
+The enumerator is Fincke-Pohst on fraction-free LDL^T data.  Symmetric
+Bareiss elimination on the integer Gram matrix G gives pivots p_k (the
+leading principal minors, p_{-1} = 1) and integer rows a[k][j], j >= k,
+with a[k][k] = p_k.  These are p_{k-1} times the rows of rational Gaussian
+elimination, so with y_k = sum_{j>=k} a[k][j] x_j
+
+    M * Q(x) = sum_k W_k * y_k^2,   M = lcm_k(p_{k-1} p_k),
+                                     W_k = M / (p_{k-1} p_k).
+
+The same pass decides definiteness by Sylvester's criterion: G is positive
+definite iff every p_k > 0, and negative definite iff the signs alternate
+starting from p_0 < 0; a negative definite G is enumerated as -G, whose
+minors are (-1)^(k+1) times those of G.
+
+Fixing x_{k+1}, ..., x_{n-1} leaves an integer budget R = M * rem and
+S = sum_{j>k} a[k][j] x_j.  Since y_k^2 is an integer and W_k > 0,
+W_k y_k^2 <= R holds iff y_k^2 <= R // W_k iff |y_k| <= B = isqrt(R // W_k),
+and as y_k = p_k x_k + S with p_k > 0, x_k ranges exactly over
+[ceil((-B - S) / p_k), floor((B - S) / p_k)].
+Every bound is an equivalence in integer arithmetic, with no rounding, so
+no admissible vector can be lost and the search tree is the one rational
+Fincke-Pohst walks.  A brute-force box search (naive_enumerate) and the
+rational enumerator kept in the tests are independent oracles.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
-from math import isqrt
+from dataclasses import dataclass, field
+from math import isqrt, lcm
+from operator import mul
 from typing import Sequence
 
-from .exact_linalg import IntMatrix, Rat, rat_inverse
+from .exact_linalg import IntMatrix, InvariantError, rat_inverse
 from .lattice import Lattice, LatticeVector, RationalVector
-from .sublattice import Sublattice, orthogonal_complement
-
-THREADS_ENV = "K3DH_THREADS"
+from .sublattice import integral_primitive, orthogonal_complement
 
 
 class IndefiniteGramError(ValueError):
     """Raised when a Gram matrix is not (positive or negative) definite."""
 
 
-def _ldl(gram: IntMatrix) -> tuple[list[Rat], list[list[Rat]]] | None:
-    """Exact LDL^T data (d, c) with Q(x) = sum_i d_i (x_i + sum_{j>i} c_ij x_j)^2.
+def _ldl(gram: IntMatrix) -> tuple[tuple[int, ...], ...] | None:
+    """Symmetric Bareiss elimination: row k is (a[k][k], ..., a[k][n-1]).
 
-    Returns None when some pivot is <= 0 (not positive definite).
+    a[k][j] is the minor of G on rows 0..k and columns 0..k-1, j, so the
+    pivot a[k][k] = p_k is the leading principal minor of order k + 1.
+    Returns None at the first zero pivot: then G is not definite.
     """
     n = gram.nrows
-    q = [[Rat(x) for x in row] for row in gram.rows]
-    d = [Rat(0)] * n
-    c = [[Rat(0)] * n for _ in range(n)]
-    for i in range(n):
-        if q[i][i] <= 0:
+    q = [list(row) for row in gram.rows]
+    prev = 1
+    for k in range(n):
+        qk = q[k]
+        pk = qk[k]
+        if pk == 0:
             return None
-        d[i] = q[i][i]
-        for j in range(i + 1, n):
-            c[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[i][k] * q[i][l] / q[i][i]
-                q[l][k] = q[k][l]
-    return d, c
+        for i in range(k + 1, n):
+            qi, qki = q[i], qk[i]
+            # exact division (Bareiss); only the upper triangle is kept
+            for j in range(i, n):
+                qi[j] = (pk * qi[j] - qki * qk[j]) // prev
+        prev = pk
+    return tuple(tuple(q[k][k:]) for k in range(n))
 
 
 @dataclass(frozen=True)
@@ -54,37 +69,48 @@ class DefiniteGram:
     """Definite symmetric integer matrix, normalized to positive definite.
 
     `negated` records whether the input was negative definite, in which
-    case target norms are negated on the way in.
+    case target norms are negated on the way in.  `rows`, `weights` and
+    `scale` are the Bareiss rows, W_k and M of the normalized matrix (see
+    the module docstring).
     """
 
     matrix: IntMatrix
     negated: bool
+    rows: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    weights: tuple[int, ...] = field(repr=False, compare=False)
+    scale: int = field(repr=False, compare=False)
 
     def __init__(self, matrix: IntMatrix):
         if not matrix.is_symmetric():
             raise IndefiniteGramError("Gram matrix must be symmetric")
         if matrix.nrows == 0:
             raise IndefiniteGramError("empty Gram matrix")
-        if _ldl(matrix) is not None:
-            object.__setattr__(self, "matrix", matrix)
-            object.__setattr__(self, "negated", False)
-            return
-        neg = IntMatrix([[-x for x in row] for row in matrix.rows])
-        if _ldl(neg) is not None:
-            object.__setattr__(self, "matrix", neg)
-            object.__setattr__(self, "negated", True)
-            return
-        raise IndefiniteGramError("Gram matrix is not definite")
+        rows = _ldl(matrix)
+        if rows is None:
+            raise IndefiniteGramError("Gram matrix is not definite")
+        pivots = [row[0] for row in rows]
+        negated = pivots[0] < 0
+        # Sylvester: p_k > 0 for G, (-1)^(k+1) p_k > 0 for -G
+        if any((p < 0) != (negated and k % 2 == 0) for k, p in enumerate(pivots)):
+            raise IndefiniteGramError("Gram matrix is not definite")
+        if negated:
+            matrix = IntMatrix([[-x for x in row] for row in matrix.rows])
+            rows = tuple(
+                tuple(-x for x in row) if k % 2 == 0 else row
+                for k, row in enumerate(rows)
+            )
+            pivots = [abs(p) for p in pivots]
+        dens = [p * q for p, q in zip([1] + pivots, pivots)]
+        scale = lcm(*dens)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "negated", negated)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "weights", tuple(scale // d for d in dens))
+        object.__setattr__(self, "scale", scale)
 
     @property
     def rank(self) -> int:
         return self.matrix.nrows
-
-    @cached_property
-    def ldl(self) -> tuple[list[Rat], list[list[Rat]]]:
-        data = _ldl(self.matrix)
-        assert data is not None
-        return data
 
     def norm_of(self, x: Sequence[int]) -> int:
         q = sum(
@@ -95,66 +121,30 @@ class DefiniteGram:
         return -q if self.negated else q
 
 
-def _floor_plus_sqrt(t: Rat, r: Rat) -> int:
-    """floor(t + sqrt(r)) for rationals with r >= 0, exactly."""
-    assert r >= 0
-    g = (t.numerator // t.denominator) + isqrt(int(r))
-    # int(r) truncates toward zero = floor for r >= 0; adjust the estimate
-    while True:
-        step = g + 1 - t
-        if step <= 0 or step * step <= r:
-            g += 1
-        else:
-            break
-    while True:
-        step = g - t
-        if step <= 0 or step * step <= r:
-            break
-        g -= 1
-    return g
-
-
-def _ceil_minus_sqrt(t: Rat, r: Rat) -> int:
-    """ceil(t - sqrt(r)) for rationals with r >= 0, exactly."""
-    return -_floor_plus_sqrt(-t, r)
-
-
 def _enumerate_level(
-    d: list[Rat],
-    c: list[list[Rat]],
+    rows: tuple[tuple[int, ...], ...],
+    weights: tuple[int, ...],
     i: int,
-    rem: Rat,
-    chosen: list[int],
+    r: int,
+    x: list[int],
     out: list[tuple[int, ...]],
 ) -> None:
-    # chosen holds x_{i+1} .. x_{n-1} (chosen[j] = x_j)
-    s = sum((c[i][j] * chosen[j] for j in range(i + 1, len(chosen))), start=Rat(0))
-    r = rem / d[i]
-    lo = _ceil_minus_sqrt(-s, r)
-    hi = _floor_plus_sqrt(-s, r)
-    for x in range(lo, hi + 1):
-        term = d[i] * (x + s) ** 2
-        rem2 = rem - term
-        chosen[i] = x
+    # x holds the chosen x_j for j > i and zeros below, so the dot product
+    # with rows[i] is S = sum_{j>i} a[i][j] x_j; r is the scaled budget R
+    row = rows[i]
+    p, w = row[0], weights[i]
+    s = sum(map(mul, row, x[i:]))
+    b = isqrt(r // w)
+    for xi in range(-((s + b) // p), (b - s) // p + 1):
+        y = p * xi + s
+        r2 = r - w * y * y
+        x[i] = xi
         if i == 0:
-            if rem2 == 0:
-                out.append(tuple(chosen))
+            if r2 == 0:
+                out.append(tuple(x))
         else:
-            _enumerate_level(d, c, i - 1, rem2, chosen, out)
-    chosen[i] = 0
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer") from exc
-    if n < 1:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer")
-    return n
+            _enumerate_level(rows, weights, i - 1, r2, x, out)
+    x[i] = 0
 
 
 def enumerate_norm(gram: DefiniteGram, target: int) -> tuple[tuple[int, ...], ...]:
@@ -167,38 +157,10 @@ def enumerate_norm(gram: DefiniteGram, target: int) -> tuple[tuple[int, ...], ..
     t = -target if gram.negated else target
     if t <= 0:
         raise ValueError("target norm must be nonzero with the sign of the form")
-    d, c = gram.ldl
     n = gram.rank
-    rem = Rat(t)
-    threads = _thread_count()
-    top = n - 1
-    r = rem / d[top]
-    lo = _ceil_minus_sqrt(Rat(0), r)
-    hi = _floor_plus_sqrt(Rat(0), r)
-    tops = list(range(lo, hi + 1))
-
-    def run_chunk(chunk: list[int]) -> list[tuple[int, ...]]:
-        found: list[tuple[int, ...]] = []
-        chosen = [0] * n
-        for x in chunk:
-            chosen[top] = x
-            rem2 = rem - d[top] * Rat(x) ** 2
-            if n == 1:
-                if rem2 == 0:
-                    found.append(tuple(chosen))
-            else:
-                _enumerate_level(d, c, top - 1, rem2, chosen, found)
-            chosen[top] = 0
-        return found
-
-    if threads == 1 or len(tops) < 2:
-        results = run_chunk(tops)
-    else:
-        k = min(threads, len(tops))
-        chunks = [tops[i::k] for i in range(k)]
-        with ThreadPoolExecutor(max_workers=k) as pool:
-            results = [v for part in pool.map(run_chunk, chunks) for v in part]
-    return tuple(sorted(results))
+    out: list[tuple[int, ...]] = []
+    _enumerate_level(gram.rows, gram.weights, n - 1, gram.scale * t, [0] * n, out)
+    return tuple(sorted(out))
 
 
 def naive_enumerate(gram: DefiniteGram, target: int) -> tuple[tuple[int, ...], ...]:
@@ -247,8 +209,6 @@ def roots_orthogonal_to(
     """
     plane = list(plane)
     if plane:
-        from .sublattice import integral_primitive
-
         ints = [integral_primitive(v) for v in plane]
         plane_gram = IntMatrix(
             [
@@ -267,7 +227,8 @@ def roots_orthogonal_to(
     coords = enumerate_norm(dg, -2)
     roots = tuple(comp.member_from_coefficients(c) for c in coords)
     for r in roots:
-        assert lattice.pairing_coords(r.coords, r.coords) == -2
+        if lattice.pairing_coords(r.coords, r.coords) != -2:
+            raise InvariantError("enumerated root does not have norm -2")
     return roots
 
 

@@ -13,7 +13,7 @@ from functools import cached_property
 from math import gcd
 from typing import Sequence
 
-from .exact_linalg import IntMatrix, int_inverse, smith_normal_form
+from .exact_linalg import IntMatrix, InvariantError, int_inverse, smith_normal_form
 from .lattice import Lattice, LatticeVector, RationalVector, pairing
 
 
@@ -66,10 +66,11 @@ class Sublattice:
         """Ambient vector with the given coefficients in this basis."""
         if len(coeffs) != self.rank:
             raise ValueError("coefficient length does not match sublattice rank")
-        out = self.ambient.vector([0] * self.ambient.rank)
+        out = [0] * self.ambient.rank
         for c, b in zip(coeffs, self.basis):
-            out = out + c * b
-        return out
+            if c:
+                out = [o + c * x for o, x in zip(out, b.coords)]
+        return self.ambient.vector(out)
 
 
 def integral_primitive(v: RationalVector | LatticeVector) -> LatticeVector:
@@ -118,7 +119,8 @@ def saturation(vectors: Sequence[LatticeVector]) -> Sublattice:
     vinv = int_inverse(v)
     basis = tuple(ambient.vector(vinv.rows[i]) for i in range(r))
     out = Sublattice(ambient, basis)
-    assert out.is_saturated()
+    if not out.is_saturated():
+        raise InvariantError("saturation basis is not saturated")
     return out
 
 
@@ -150,5 +152,6 @@ def orthogonal_complement(
     cols = v_trans.transpose().rows  # columns of the transform
     basis = tuple(ambient.vector(cols[j]) for j in range(r, ambient.rank))
     out = Sublattice(ambient, basis)
-    assert out.is_saturated()
+    if not out.is_saturated():
+        raise InvariantError("orthogonal complement basis is not saturated")
     return out

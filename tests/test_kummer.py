@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3dh.exact_linalg import IntMatrix
+from k3dh.exact_linalg import IntMatrix, InvariantError
 from k3dh.lattice import Lattice
 from k3dh.kummer import (
     NUM_EXCEPTIONAL,
@@ -201,3 +201,10 @@ def test_rank_bookkeeping_signature():
     assert blowup.rank == 22
     assert blowup.is_even()
     assert blowup.signature() == (3, 19)
+
+
+def test_realness_check_raises(monkeypatch):
+    # a form that slips past is_real must not lose its imaginary part
+    monkeypatch.setattr(InvariantForm, "is_real", lambda self: True)
+    with pytest.raises(InvariantError, match="non-real"):
+        form_to_torus_class(volume_real_form().scale(0, 1))

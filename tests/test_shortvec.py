@@ -1,14 +1,15 @@
 import random
+from fractions import Fraction
 from math import isqrt, prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3dh.exact_linalg import IntMatrix, rat_inverse
+from k3dh.exact_linalg import IntMatrix, InvariantError, rat_inverse
 from k3dh.lattice import direct_sum, make_E8, make_H, make_K3, k3_e, k3_f, pairing
 from k3dh.shortvec import (
-    THREADS_ENV,
     DefiniteGram,
     IndefiniteGramError,
     enumerate_norm,
@@ -16,6 +17,7 @@ from k3dh.shortvec import (
     naive_enumerate,
     roots_orthogonal_to,
 )
+from k3dh.sublattice import Sublattice
 
 K3 = make_K3()
 E8 = make_E8()
@@ -30,6 +32,65 @@ BLOCKS = {
 
 # pairs 1 with every basis vector of E8, hence nonzero with every root
 WEYL_COEFFS = (46, 68, 91, 135, 110, 84, 57, 29)
+
+
+def fraction_ldl(gram: IntMatrix):
+    """Rational LDL^T: Q(x) = sum_i d_i (x_i + sum_{j>i} c_ij x_j)^2."""
+    n = gram.nrows
+    q = [[Fraction(x) for x in row] for row in gram.rows]
+    d = [Fraction(0)] * n
+    c = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d[i] = q[i][i]
+        for j in range(i + 1, n):
+            c[i][j] = q[i][j] / q[i][i]
+        for k in range(i + 1, n):
+            for l in range(k, n):
+                q[k][l] -= q[i][k] * q[i][l] / q[i][i]
+                q[l][k] = q[k][l]
+    return d, c
+
+
+def floor_plus_sqrt(t: Fraction, r: Fraction) -> int:
+    """floor(t + sqrt(r)) for rationals with r >= 0, exactly."""
+    g = (t.numerator // t.denominator) + isqrt(int(r))
+    while True:
+        step = g + 1 - t
+        if step <= 0 or step * step <= r:
+            g += 1
+        else:
+            break
+    while True:
+        step = g - t
+        if step <= 0 or step * step <= r:
+            break
+        g -= 1
+    return g
+
+
+def fraction_oracle(gram: DefiniteGram, target: int):
+    """The rational Fincke-Pohst enumerator the integer one replaced."""
+    t = -target if gram.negated else target
+    d, c = fraction_ldl(gram.matrix)
+    n = gram.rank
+    out = []
+    chosen = [0] * n
+
+    def level(i, rem):
+        s = sum((c[i][j] * chosen[j] for j in range(i + 1, n)), start=Fraction(0))
+        r = rem / d[i]
+        for x in range(-floor_plus_sqrt(s, r), floor_plus_sqrt(-s, r) + 1):
+            rem2 = rem - d[i] * (x + s) ** 2
+            chosen[i] = x
+            if i == 0:
+                if rem2 == 0:
+                    out.append(tuple(chosen))
+            else:
+                level(i - 1, rem2)
+        chosen[i] = 0
+
+    level(n - 1, Fraction(t))
+    return tuple(sorted(out))
 
 
 def box_points(gram: DefiniteGram, target: int) -> int:
@@ -159,6 +220,10 @@ def test_indefinite_gram_rejected():
         DefiniteGram(IntMatrix([[0]]))
     with pytest.raises(IndefiniteGramError):
         DefiniteGram(IntMatrix([[1, 0], [1, 1]]))  # not symmetric
+    # semidefinite, and signatures (1, 1) and (1, 2) with no zero pivot
+    for m in ([[1, 1], [1, 1]], [[1, 0], [0, -1]], [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]):
+        with pytest.raises(IndefiniteGramError):
+            DefiniteGram(IntMatrix(m))
 
 
 def test_non_positive_plane_rejected():
@@ -178,19 +243,6 @@ def test_wrong_sign_target_rejected():
             enumerate_norm(dg, bad)
 
 
-def test_thread_env_var(monkeypatch):
-    dg = DefiniteGram(E8.gram)
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    base = enumerate_norm(dg, 2)
-    for n in ("1", "2", "3", "7"):
-        monkeypatch.setenv(THREADS_ENV, n)
-        assert enumerate_norm(dg, 2) == base
-    for bad in ("0", "-2", "many"):
-        monkeypatch.setenv(THREADS_ENV, bad)
-        with pytest.raises(ValueError):
-            enumerate_norm(dg, 2)
-
-
 @settings(deadline=None, max_examples=60)
 @given(
     n=st.integers(min_value=1, max_value=3),
@@ -205,3 +257,43 @@ def test_every_constructed_vector_is_found(n, data):
     if t == 0:
         return
     assert x in enumerate_norm(dg, t)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    rng=st.randoms(use_true_random=False),
+    target=st.integers(min_value=1, max_value=8),
+)
+def test_matches_fraction_and_naive_oracles(n, rng, target):
+    dg = random_definite(rng, n)  # negative definite about half the time
+    t = -target if dg.negated else target
+    found = enumerate_norm(dg, t)
+    assert found == fraction_oracle(dg, t)
+    assert found == naive_enumerate(dg, t)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    rng=st.randoms(use_true_random=False),
+    data=st.data(),
+)
+def test_scaled_ldl_identity(n, rng, data):
+    # M * Q(x) = sum_k W_k y_k^2 with y_k = sum_{j>=k} a[k][j] x_j
+    dg = random_definite(rng, n)
+    x = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    q = sum(dg.matrix[i, j] * x[i] * x[j] for i in range(n) for j in range(n))
+    ys = [sum(map(mul, row, x[k:])) for k, row in enumerate(dg.rows)]
+    assert dg.scale * q == sum(w * y * y for w, y in zip(dg.weights, ys))
+    assert all(row[0] > 0 for row in dg.rows)
+
+
+def test_root_norm_check_raises(monkeypatch):
+    fold = Sublattice.member_from_coefficients
+    monkeypatch.setattr(
+        Sublattice, "member_from_coefficients", lambda self, c: 2 * fold(self, c)
+    )
+    plane = [k3_e(K3, i) + k3_f(K3, i) for i in range(3)]
+    with pytest.raises(InvariantError, match="norm -2"):
+        roots_orthogonal_to(K3, plane)

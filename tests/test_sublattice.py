@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k3dh import sublattice
+from k3dh.exact_linalg import IntMatrix, InvariantError
 from k3dh.lattice import make_H, make_K3, k3_e, k3_f, norm, pairing
 from k3dh.sublattice import (
     Sublattice,
@@ -152,6 +154,39 @@ def test_member_from_coefficients():
     assert v.coords == plane.basis[0].coords
     with pytest.raises(ValueError):
         plane.member_from_coefficients([1, 2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-4, 4), min_size=19, max_size=19))
+def test_member_from_coefficients_matches_vector_fold(coeffs):
+    plane = orthogonal_complement(K3, [k3_e(K3, i) + k3_f(K3, i) for i in range(3)])
+    fold = K3.vector([0] * K3.rank)
+    for c, b in zip(coeffs, plane.basis):
+        fold = fold + c * b
+    assert plane.member_from_coefficients(coeffs) == fold
+
+
+def _doubled(m: IntMatrix) -> IntMatrix:
+    return IntMatrix([[2 * x for x in row] for row in m.rows])
+
+
+def test_saturation_check_raises(monkeypatch):
+    inverse = sublattice.int_inverse
+    monkeypatch.setattr(sublattice, "int_inverse", lambda m: _doubled(inverse(m)))
+    with pytest.raises(InvariantError, match="saturation"):
+        saturation([k3_e(K3, 0), k3_f(K3, 0)])
+
+
+def test_orthogonal_complement_check_raises(monkeypatch):
+    snf = sublattice.smith_normal_form
+
+    def faulty(m):
+        u, d, v = snf(m)
+        return u, d, _doubled(v)
+
+    monkeypatch.setattr(sublattice, "smith_normal_form", faulty)
+    with pytest.raises(InvariantError, match="orthogonal complement"):
+        orthogonal_complement(K3, [k3_e(K3, 0)])
 
 
 @settings(max_examples=30, deadline=None)
