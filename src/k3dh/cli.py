@@ -608,10 +608,10 @@ def cmd_kummer_report(args) -> int:
 def cmd_validate_model(args) -> int:
     data = _load_json(args.file)
     try:
-        model = model_from_json_dict(data)
+        report = validate(model_from_json_dict(data))
     except ModelError as exc:
         raise InputError(str(exc)) from exc
-    return _emit(args, validate(model))
+    return _emit(args, report)
 
 
 def cmd_verify(args) -> int:
@@ -652,9 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("isometry", help="construct a verified isometry between pairs")
     p.add_argument("--pairs", required=True, metavar="JSON")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--preserve", action="store_true")
-    mode.add_argument("--reverse", action="store_true")
+    p.add_argument("--reverse", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_isometry)
 

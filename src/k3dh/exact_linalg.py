@@ -4,12 +4,24 @@ Everything here is deterministic and exact: integer matrices use Python's
 arbitrary-precision ints, rational matrices use fractions.Fraction.  No
 floating point enters at any stage, so results are reproducible bit for bit
 across platforms.
+
+Every determinant, inverse, solve and kernel is one elimination,
+_bareiss_rref: fraction-free (Bareiss) Gauss-Jordan with column skipping.
+Step k replaces every other row by (p_k * row - row[c] * pivot_row) / p_{k-1}.
+After step k every entry is a minor of the input: of order k + 1 in a row
+not yet used (the pivot rows and columns plus its own row and column, by
+Sylvester's identity), of order k in a pivot row (the pivot columns with its
+own column in place of one, by Cramer's rule).  So each division by the
+previous pivot p_{k-1} is exact (Bareiss, Math. Comp. 22, 1968;
+Nakos-Turner-Williams, SIGSAM Bull. 31, 1997).  A rational matrix enters as S * m, each row times the lcm of its
+denominators; only the final results are Fractions.  Smith normal form is
+the one other elimination, over the integers by division with remainder.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
 Rat = Fraction
@@ -67,10 +79,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls([[0] * ncols for _ in range(nrows)])
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -137,24 +145,12 @@ class RatMatrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij: tuple[int, int]) -> Rat:
         i, j = ij
         return self.rows[i][j]
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix(zip(*self.rows)) if self.rows else RatMatrix([])
-
-    def mul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        ot = list(zip(*other.rows))
-        return RatMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.rows]
-        )
 
     def mul_vec(self, v: Sequence) -> tuple[Rat, ...]:
         if self.ncols != len(v):
@@ -163,62 +159,140 @@ class RatMatrix:
         return tuple(sum(a * b for a, b in zip(row, vv)) for row in self.rows)
 
 
-# -- determinants -----------------------------------------------------------
+# -- fraction-free elimination ----------------------------------------------
+
+
+def _bareiss_rref(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free (Bareiss) Gauss-Jordan on the first ncols columns, in place.
+
+    Returns (pivots, d, sign): the pivot columns, the last pivot d (1 when
+    there is none) and the sign of the row permutation.  Afterwards pivot
+    row r holds d at pivots[r] and 0 at every other pivot column, so
+    rows / d is the reduced row echelon form; a square matrix of full rank
+    has det = sign * d.  Columns from ncols on are carried along.
+    """
+    pivots: list[int] = []
+    sign = prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        pivot_row = rows[r]
+        pk = pivot_row[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                if f:
+                    rows[i] = [(pk * x - f * y) // prev for x, y in zip(row, pivot_row)]
+                elif pk != prev:
+                    rows[i] = [pk * x // prev for x in row]
+        pivots.append(c)
+        prev = pk
+    return pivots, prev, sign
+
+
+def _clear_denominators(rows: Iterable[Sequence[Rat]]) -> tuple[list[list[int]], list[int]]:
+    """Each rational row times the lcm s_i of its denominators: (S * rows, [s_i])."""
+    out, scales = [], []
+    for row in rows:
+        s = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (s // x.denominator) for x in row])
+        scales.append(s)
+    return out, scales
 
 
 def det(m: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
+    """Determinant: sign * d from the elimination, 0 when the rank is short."""
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.nrows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Exact by Sylvester's identity: prev divides the product.
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    pivots, d, sign = _bareiss_rref([list(row) for row in m.rows], m.ncols)
+    return sign * d if len(pivots) == m.nrows else 0
 
 
 def rat_det(m: RatMatrix) -> Rat:
-    """Determinant of a rational matrix by exact Gaussian elimination."""
+    """Determinant of a rational matrix: det(S * m) / prod(s_i)."""
+    rows, scales = _clear_denominators(m.rows)
+    return Rat(det(IntMatrix._trusted(tuple(map(tuple, rows)))), prod(scales))
+
+
+def int_inverse(m: IntMatrix) -> IntMatrix:
+    """Inverse of a unimodular integer matrix (det +-1), exactly.
+
+    One elimination of [m | I] ends as [d * I | d * m^-1] with d = +-det m,
+    so m is unimodular exactly when the rank is full and d = +-1, and then
+    the inverse is the right block times d.
+    """
     if m.nrows != m.ncols:
-        raise ValueError("determinant of a non-square matrix")
+        raise ValueError("inverse of a non-square matrix")
     n = m.nrows
-    if n == 0:
-        return Rat(1)
-    a = [list(row) for row in m.rows]
-    result = Rat(1)
-    for k in range(n):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    result = -result
-                    break
-            else:
-                return Rat(0)
-        result *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                factor = a[i][k] * inv
-                a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
-    return result
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.rows)]
+    pivots, d, _ = _bareiss_rref(rows, n)
+    if len(pivots) < n or d not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return IntMatrix._trusted(tuple(tuple(d * x for x in row[n:]) for row in rows))
+
+
+def rat_inverse(m: RatMatrix) -> RatMatrix:
+    """Exact inverse of a nonsingular rational matrix.
+
+    [S * m | S] reduces to [d * I | d * m^-1], since (S m)^-1 S = m^-1.
+    """
+    if m.nrows != m.ncols:
+        raise ValueError("inverse of a non-square matrix")
+    n = m.nrows
+    rows, scales = _clear_denominators(m.rows)
+    for i, (row, s) in enumerate(zip(rows, scales)):
+        row += [s if i == j else 0 for j in range(n)]
+    pivots, d, _ = _bareiss_rref(rows, n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return RatMatrix([[Rat(x, d) for x in row[n:]] for row in rows])
+
+
+def rational_solve(m: RatMatrix, b: Sequence) -> Optional[tuple[Rat, ...]]:
+    """One exact solution x of m x = b, or None if the system is inconsistent."""
+    if m.nrows != len(b):
+        raise ValueError("dimension mismatch")
+    nc = m.ncols
+    rows, _ = _clear_denominators(row + (Rat(bi),) for row, bi in zip(m.rows, b))
+    pivots, d, _ = _bareiss_rref(rows, nc)
+    if any(row[nc] for row in rows[len(pivots):]):  # a 0 = nonzero row
+        return None
+    x = [Rat(0)] * nc
+    for row, c in zip(rows, pivots):
+        x[c] = Rat(row[nc], d)
+    return tuple(x)
+
+
+def kernel_basis(m: RatMatrix, integral: bool = True) -> tuple[tuple, ...]:
+    """Basis of the right kernel of m, one vector per non-pivot column.
+
+    The vector of free column f is d * e_f - sum_r rows[r][f] * e_{pivots[r]},
+    d times the RREF kernel vector.  With integral=True each basis vector is
+    scaled to a primitive integer vector (content 1, first nonzero entry
+    positive).
+    """
+    nc = m.ncols
+    rows, _ = _clear_denominators(m.rows)
+    pivots, d, _ = _bareiss_rref(rows, nc)
+    out = []
+    for f in (c for c in range(nc) if c not in pivots):
+        vec = [0] * nc
+        vec[f] = d
+        for row, c in zip(rows, pivots):
+            vec[c] = -row[f]
+        if integral:
+            g = gcd(*vec) * (1 if next(x for x in vec if x) > 0 else -1)
+            out.append(tuple(x // g for x in vec))
+        else:
+            out.append(tuple(Rat(x, d) for x in vec))
+    return tuple(out)
 
 
 # -- Smith normal form ------------------------------------------------------
@@ -324,143 +398,6 @@ def elementary_divisors(m: IntMatrix) -> tuple[int, ...]:
     for i in range(min(d.nrows, d.ncols)):
         if d[i, i]:
             out.append(d[i, i])
-    return tuple(out)
-
-
-def int_inverse(m: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix (det +-1), exactly.
-
-    Fraction-free (Bareiss) Gauss-Jordan on [m | I]: step k replaces every
-    other row by (p_k * row - row[k] * pivot_row) / p_{k-1}, an exact
-    integer division by Sylvester's identity.  At the end the left block
-    is d * I with d = +-det m and the right block is d * m^-1, so for
-    det = +-1 the inverse is the right block times d.
-    """
-    dm = det(m)
-    if dm not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    n = m.nrows
-    a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m.rows)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        p = next(i for i in range(k, n) if a[i][k] != 0)
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        pivot_row = a[k]
-        pk = pivot_row[k]
-        for i in range(n):
-            if i != k:
-                row = a[i]
-                f = row[k]
-                if f:
-                    a[i] = [(pk * x - f * y) // prev for x, y in zip(row, pivot_row)]
-                elif pk != prev:
-                    a[i] = [pk * x // prev for x in row]
-        prev = pk
-    if prev != sign * dm:
-        raise ArithmeticError("fraction-free elimination lost exactness")
-    return IntMatrix._trusted(tuple(tuple(prev * x for x in row[n:]) for row in a))
-
-
-def rat_inverse(m: RatMatrix) -> RatMatrix:
-    """Exact inverse of a nonsingular rational matrix."""
-    if m.nrows != m.ncols:
-        raise ValueError("inverse of a non-square matrix")
-    n = m.nrows
-    a = [list(row) + [Rat(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m.rows)]
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if p is None:
-            raise ValueError("matrix is singular")
-        a[k], a[p] = a[p], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return RatMatrix([row[n:] for row in a])
-
-
-# -- rational solving -------------------------------------------------------
-
-
-def _rref(a: list[list[Rat]]) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot column list."""
-    nr = len(a)
-    nc = len(a[0]) if a else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        p = next((i for i in range(r, nr) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return pivots
-
-
-def rational_solve(m: RatMatrix, b: Sequence) -> Optional[tuple[Rat, ...]]:
-    """One exact solution x of m x = b, or None if the system is inconsistent."""
-    if m.nrows != len(b):
-        raise ValueError("dimension mismatch")
-    nc = m.ncols
-    a = [list(row) + [Rat(bi)] for row, bi in zip(m.rows, b)]
-    if not a:
-        return tuple()
-    pivots = _rref(a)
-    if nc in pivots:  # a pivot in the augmented column: 0 = 1 row
-        return None
-    x = [Rat(0)] * nc
-    for r, c in enumerate(pivots):
-        x[c] = a[r][nc]
-    return tuple(x)
-
-
-def kernel_basis(m: RatMatrix, integral: bool = True) -> tuple[tuple, ...]:
-    """Basis of the right kernel of m.
-
-    With integral=True each basis vector is scaled to a primitive integer
-    vector (cleared denominators, content 1, first nonzero entry positive).
-    """
-    nc = m.ncols
-    a = [list(row) for row in m.rows]
-    if not a:
-        basis = [tuple(Rat(1 if i == j else 0) for i in range(nc)) for j in range(nc)]
-    else:
-        pivots = _rref(a)
-        free = [c for c in range(nc) if c not in pivots]
-        basis = []
-        for fc in free:
-            vec = [Rat(0)] * nc
-            vec[fc] = Rat(1)
-            for r, c in enumerate(pivots):
-                vec[c] = -a[r][fc]
-            basis.append(tuple(vec))
-    if not integral:
-        return tuple(basis)
-    out = []
-    for vec in basis:
-        scale = lcm(*(x.denominator for x in vec)) if vec else 1
-        ints = [int(x * scale) for x in vec]
-        g = gcd(*ints) if any(ints) else 1
-        ints = [x // g for x in ints]
-        lead = next((x for x in ints if x), 0)
-        if lead < 0:
-            ints = [-x for x in ints]
-        out.append(tuple(ints))
     return tuple(out)
 
 

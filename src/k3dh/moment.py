@@ -148,13 +148,7 @@ def is_positive_on(p: DHPolynomial, a, b) -> bool:
     a, b = Fraction(a), Fraction(b)
     if a > b:
         raise ValueError("empty interval")
-    if p.evaluate(a) <= 0 or p.evaluate(b) <= 0:
-        return False
-    if p.c2 != 0:
-        vertex = -p.c1 / (2 * p.c2)
-        if a < vertex < b and p.evaluate(vertex) <= 0:
-            return False
-    return True
+    return p.evaluate(a) > 0 and p.evaluate(b) > 0 and _positive_on_open(p, a, b)
 
 
 def _positive_on_open(p: DHPolynomial, lo, hi) -> bool:
@@ -502,9 +496,12 @@ def euler_class_match(piece_a: Piece, piece_b: Piece) -> bool:
 # -- JSON model files --------------------------------------------------------
 
 
-def _endpoint_from_json(v):
-    if v in ("inf", "-inf"):
+def _endpoint_from_json(v, unbounded: str):
+    """An interval end: None for `unbounded` ("-inf" below, "inf" above)."""
+    if v == unbounded:
         return None
+    if v in ("-inf", "inf"):
+        raise ModelError(f"interval end {v!r} on the wrong side")
     return rational_from_json(v)
 
 
@@ -526,8 +523,8 @@ def model_from_json_dict(data: dict) -> GluedModel:
                 )
             pieces.append(
                 Piece(
-                    _endpoint_from_json(lo),
-                    _endpoint_from_json(hi),
+                    _endpoint_from_json(lo, "-inf"),
+                    _endpoint_from_json(hi, "inf"),
                     DHPolynomial(*coeffs),
                     class_pair=pair,
                     reduced_space=raw.get("reduced_space", "K3"),

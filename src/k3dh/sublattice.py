@@ -13,7 +13,14 @@ from functools import cached_property
 from math import gcd
 from typing import Sequence
 
-from .exact_linalg import IntMatrix, InvariantError, int_inverse, smith_normal_form
+from .exact_linalg import (
+    IntMatrix,
+    InvariantError,
+    content,
+    elementary_divisors,
+    int_inverse,
+    smith_normal_form,
+)
 from .lattice import Lattice, LatticeVector, RationalVector, pairing
 
 
@@ -40,12 +47,7 @@ class Sublattice:
     @cached_property
     def divisors(self) -> tuple[int, ...]:
         """Nonzero elementary divisors of the coordinate matrix (cached)."""
-        if not self.basis:
-            return tuple()
-        _, d, _ = smith_normal_form(self.coordinate_matrix)
-        return tuple(
-            d[i, i] for i in range(min(d.nrows, d.ncols)) if d[i, i] != 0
-        )
+        return elementary_divisors(self.coordinate_matrix)
 
     def is_independent(self) -> bool:
         return len(self.divisors) == self.rank
@@ -82,10 +84,7 @@ def integral_primitive(v: RationalVector | LatticeVector) -> LatticeVector:
 
 
 def is_primitive_vector(v: LatticeVector) -> bool:
-    g = 0
-    for c in v.coords:
-        g = gcd(g, c)
-    return g == 1
+    return content(v.coords) == 1
 
 
 def is_primitive_embedding(vectors: Sequence[LatticeVector]) -> bool:

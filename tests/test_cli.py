@@ -236,6 +236,25 @@ def test_validate_model_rejects_coercions(capsys, tmp_path, edit, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "interval, message",
+    [
+        (["inf", "1"], "'inf' on the wrong side"),
+        (["-1", "-inf"], "'-inf' on the wrong side"),
+        (["inf", "-inf"], "'inf' on the wrong side"),
+        (["-inf", "1"], "periodic model cannot have unbounded pieces"),
+    ],
+    ids=["inf-as-lower", "minus-inf-as-upper", "swapped", "unbounded-periodic"],
+)
+def test_validate_model_rejects_bad_endpoints(capsys, tmp_path, interval, message):
+    doc = json.loads(open(THEOREM1).read())
+    doc["pieces"][0]["interval"] = interval
+    code, out, err = run(capsys, "validate-model", write_json(tmp_path, "m.json", doc))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_verify_all_pass(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from k3dh.exact_linalg import (
     int_inverse,
     kernel_basis,
     rat_det,
+    rat_inverse,
     rational_solve,
     smith_normal_form,
     xgcd_vector,
@@ -256,22 +258,88 @@ def naive_mul(a, b, ncols):
     )
 
 
+# Test-only oracles: the former Fraction eliminations of exact_linalg.
+
+
+def fraction_det(rows):
+    """Gaussian elimination over Fraction, the former rat_det."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    result = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            result = -result
+        result *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return result
+
+
+def fraction_rref(a):
+    """In-place RREF over Fraction, the former _rref; returns the pivot columns."""
+    pivots = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        if len(pivots) == len(a):
+            break
+    return pivots
+
+
 def fraction_inverse(rows):
-    """Test-only oracle: Gauss-Jordan over Fraction, the former int_inverse."""
+    """Gauss-Jordan on [m | I] over Fraction, the former rat_inverse and int_inverse."""
     n = len(rows)
     a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(rows)]
-    for k in range(n):
-        p = next(i for i in range(k, n) if a[i][k] != 0)
-        a[k], a[p] = a[p], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    assert all(x.denominator == 1 for row in a for x in row[n:])
-    return tuple(tuple(int(x) for x in row[n:]) for row in a)
+    if fraction_rref(a)[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in a)
+
+
+def fraction_solve(rows, b):
+    """The former rational_solve: RREF of [m | b]."""
+    nc = len(rows[0]) if rows else 0
+    a = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(rows, b)]
+    pivots = fraction_rref(a)
+    if nc in pivots:
+        return None
+    x = [Fraction(0)] * nc
+    for r, c in enumerate(pivots):
+        x[c] = a[r][nc]
+    return tuple(x)
+
+
+def fraction_kernel(rows, integral):
+    """The former kernel_basis: one RREF kernel vector per free column."""
+    nc = len(rows[0]) if rows else 0
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = fraction_rref(a)
+    out = []
+    for fc in (c for c in range(nc) if c not in pivots):
+        vec = [Fraction(0)] * nc
+        vec[fc] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -a[r][fc]
+        if integral:
+            ints = [int(x * lcm(*(y.denominator for y in vec))) for x in vec]
+            g = gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
+            vec = [x // g for x in ints]
+        out.append(tuple(vec))
+    return tuple(out)
 
 
 DENSE = st.integers(-50, 50)
@@ -354,11 +422,75 @@ def test_int_inverse_rejects_non_unimodular(rows, k, data):
         int_inverse(IntMatrix(rows))
 
 
-def test_int_inverse_exactness_guard(monkeypatch):
-    import k3dh.exact_linalg as el
-
+def test_int_inverse_exactness_guard():
     assert int_inverse(IntMatrix([])).rows == ()
-    # a determinant that disagrees with the elimination is an explicit error
-    monkeypatch.setattr(el, "det", lambda m: -det(m))
-    with pytest.raises(ArithmeticError):
-        el.int_inverse(IntMatrix([[2, 1], [1, 1]]))
+
+
+# -- the fraction-free wrappers against the Fraction oracles -----------------
+
+RAT = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 1, 2, 3, 4, 6, 7))),
+)
+
+
+@st.composite
+def rational_rows(draw, square=False):
+    """Rational rows with denominators; some rank-deficient, some with zero rows."""
+    nr = draw(st.integers(0, 5))
+    nc = nr if square else draw(st.integers(0, 5))
+    rows = [[draw(RAT) for _ in range(nc)] for _ in range(nr)]
+    if nr >= 2 and draw(st.booleans()):  # a row combined from two others
+        i, j, k = (draw(st.integers(0, nr - 1)) for _ in range(3))
+        q = draw(RAT)
+        rows[i] = [q * x + y for x, y in zip(rows[j], rows[k])]
+    if nr and draw(st.booleans()):
+        rows[draw(st.integers(0, nr - 1))] = [Fraction(0)] * nc
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_rows(square=True))
+def test_rat_det_matches_fraction_oracle(rows):
+    d = rat_det(RatMatrix(rows))
+    assert type(d) is Fraction and d == fraction_det(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_rows(square=True))
+def test_rat_inverse_matches_fraction_oracle(rows):
+    try:
+        expected = fraction_inverse(rows)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            rat_inverse(RatMatrix(rows))
+        return
+    inv = rat_inverse(RatMatrix(rows))
+    assert inv.rows == expected
+    assert all(type(x) is Fraction for row in inv.rows for x in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_rows(), st.data())
+def test_rational_solve_matches_fraction_oracle(rows, data):
+    m = RatMatrix(rows)
+    b = list(m.mul_vec([data.draw(RAT) for _ in range(m.ncols)]))
+    if data.draw(st.booleans()):  # most of these are inconsistent
+        b = [data.draw(RAT) for _ in rows]
+    x = rational_solve(m, b)
+    assert x == fraction_solve(rows, b)
+    if x is not None:
+        assert m.mul_vec(x) == tuple(b)
+        assert all(type(xi) is Fraction for xi in x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_rows(), st.booleans())
+def test_kernel_basis_matches_fraction_oracle(rows, integral):
+    m = RatMatrix(rows)
+    basis = kernel_basis(m, integral)
+    assert basis == fraction_kernel(rows, integral)
+    kind = int if integral else Fraction
+    assert all(type(x) is kind for vec in basis for x in vec)
+    for vec in basis:
+        assert not any(m.mul_vec(vec))

@@ -212,6 +212,13 @@ def test_model_json_round_trip_and_errors():
         model_from_json_dict([1, 2])
 
 
+def test_unbounded_ends_keep_their_side():
+    model = GluedModel((Piece(None, None, ORBIFOLD_BRANCH),), ())
+    data = model_to_json_dict(model)
+    assert data["pieces"][0]["interval"] == ["-inf", "inf"]
+    assert model_from_json_dict(data) == model
+
+
 def test_readme_model_example_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Glued-model files", 1)[1]
