@@ -1,16 +1,17 @@
 """Integral isometries and the constructive standardization of pairs.
 
 An Isometry wraps an integer matrix M with M^T G M = G.  The invariant is
-kept in three ways:
+kept without re-checking intermediate products:
 
-- every matrix built from data (the constructor, transvections, signed
-  basis permutations) is checked explicitly on construction;
-- compose and inverse are not re-checked, because they are isometries by
-  algebra: if A^T G A = G and B^T G B = G then
-  (AB)^T G (AB) = B^T (A^T G A) B = G, and multiplying A^T G A = G by
-  A^-T on the left and A^-1 on the right gives (A^-1)^T G A^-1 = G;
-- map_pair_to_standard and lemma_iso re-check the isometry they return
-  once, in full, so a fault anywhere in the move engine surfaces as an
+- a matrix given as data (the constructor, flip_third_H) is checked;
+- an Eichler transvection checks its preconditions, which make it an
+  isometry by algebra (proof in eichler_transvection); swaps and sign
+  changes of hyperbolic basis vectors are isometries by construction;
+  products and inverses of isometries are isometries by algebra:
+  (AB)^T G (AB) = B^T (A^T G A) B = G, and (A^-1)^T G A^-1 = G follows
+  from A^T G A = G by multiplying with A^-T and A^-1;
+- map_pair_to_standard and lemma_iso check the isometry they return
+  once, in full, so a fault in the move engine surfaces as an
   InvariantError instead of a wrong answer.
 
 map_pair_to_standard moves a primitive pair (kappa, eta) onto the
@@ -19,17 +20,19 @@ reference pair
     e1 + (kappa,kappa)/2 * f1,
     (kappa,eta) * f1 + e2 + (eta,eta)/2 * f2
 
-by a finite product of Eichler transvections and hyperbolic block
-moves.  The core is a euclidean reduction on the hyperbolic
-coefficients (transvections with isotropic arguments shift them with no
-quadratic correction), with the definite blocks acting as content
-reservoirs when the hyperbolic gcd bottoms out above 1.  One pass either
-reaches the reference pair or raises StandardizationError; it never
-returns a wrong answer.
+by Eichler transvections and signed permutations of hyperbolic basis
+vectors.  The moves act on a working vector and are recorded; the matrix
+of their product is built once.  The core is a euclidean reduction on the
+hyperbolic coefficients (isotropic transvection arguments shift them with
+no quadratic correction), with the definite blocks as content reservoirs
+when the hyperbolic gcd bottoms out above 1.  One pass either reaches the
+reference pair or raises StandardizationError; it never returns a wrong
+answer.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from operator import mul
 
 from .exact_linalg import IntMatrix, det, int_inverse, xgcd_vector
 from .lattice import (
@@ -37,6 +40,7 @@ from .lattice import (
     Lattice,
     LatticeVector,
     RationalVector,
+    _check_same_lattice,
     norm,
     pairing,
 )
@@ -69,7 +73,7 @@ class Isometry:
 
     @classmethod
     def _unchecked(cls, lattice: Lattice, matrix: IntMatrix) -> "Isometry":
-        # only for products and inverses of isometries (module docstring)
+        # only for isometries by algebra or by construction (module docstring)
         iso = object.__new__(cls)
         object.__setattr__(iso, "lattice", lattice)
         object.__setattr__(iso, "matrix", matrix)
@@ -112,66 +116,64 @@ def _exit_check(phi: Isometry) -> Isometry:
 
 
 def identity_isometry(lattice: Lattice) -> Isometry:
-    return Isometry(lattice, IntMatrix.identity(lattice.rank))
+    return Isometry._unchecked(lattice, IntMatrix._trusted(_identity_rows(lattice.rank)))
+
+
+@cache
+def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    return IntMatrix.identity(n).rows
+
+
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
+def _transvection_data(e: LatticeVector, a: LatticeVector):
+    """G e and w = G a + (a,a)/2 G e, after checking the preconditions of a
+    transvection; G is symmetric, so G v sums the Gram rows in supp(v)."""
+    lattice = e.lattice
+    _check_same_lattice(e, a)
+    ge, ga = [0] * lattice.rank, [0] * lattice.rank
+    for out, v in ((ge, e), (ga, a)):
+        for c, row in zip(v.coords, lattice.gram.rows):
+            if c:
+                out[:] = [x + c * y for x, y in zip(out, row)]
+    if _dot(ge, e.coords) != 0:
+        raise ValueError("transvection base must be isotropic")
+    if _dot(ge, a.coords) != 0:
+        raise ValueError("transvection argument must be orthogonal to the base")
+    na = _dot(ga, a.coords)
+    if na % 2:
+        raise ValueError("transvection argument must have even norm")
+    return ge, [y + (na // 2) * x for x, y in zip(ge, ga)]
 
 
 def eichler_transvection(e: LatticeVector, a: LatticeVector) -> Isometry:
-    """x |-> x + (x,e)a - (x,a)e - (a,a)/2 (x,e)e for isotropic e with e ⊥ a.
+    """x |-> x + (x,e)a - ((x,a) + (a,a)/2 (x,e))e for isotropic e with e ⊥ a.
 
     With ge = G e and w = G a + (a,a)/2 G e the matrix is the rank-2 update
-    I + a ge^T - e w^T; for a basis vector e it is the identity plus one
-    row and one column."""
-    lattice = e.lattice
-    if norm(e) != 0:
-        raise ValueError("transvection base must be isotropic")
-    if pairing(e, a) != 0:
-        raise ValueError("transvection argument must be orthogonal to the base")
-    na = norm(a)
-    if na % 2:
-        raise ValueError("transvection argument must have even norm")
-    ge = lattice.gram.mul_vec(e.coords)
-    w = [y + (na // 2) * x for x, y in zip(ge, lattice.gram.mul_vec(a.coords))]
-    rows = []
+    I + a ge^T - e w^T; only its rows in supp(a) ∪ supp(e) differ from I.
+    Only the preconditions are checked, because they make T an isometry:
+    h = (a,a)/2 is an integer, so T is integral, and with s = (x,e),
+    t = (x,a), s' = (y,e), t' = (y,a), and (e,e) = (e,a) = 0, (a,a) = 2h,
+        (Tx, Ty) = (x,y) + s't + s t' + 2h s s' - s(t' + h s') - s'(t + h s)
+                 = (x,y),
+    so M^T G M = G."""
+    ge, w = _transvection_data(e, a)
+    rows = list(_identity_rows(len(ge)))
     for i, (ai, ei) in enumerate(zip(a.coords, e.coords)):
-        row = [ai * x - ei * y for x, y in zip(ge, w)]
-        row[i] += 1
-        rows.append(tuple(row))
-    return Isometry(lattice, IntMatrix._trusted(tuple(rows)))
-
-
-def _signed_basis_images(lattice: Lattice, mapping) -> Isometry:
-    # mapping: j -> (k, sign) sends basis vector j to sign * basis vector k,
-    # the column j of the matrix; identity elsewhere
-    n = lattice.rank
-    rows = [[0] * n for _ in range(n)]
-    for j in range(n):
-        k, s = mapping.get(j, (j, 1))
-        rows[k][j] = s
-    return Isometry(lattice, IntMatrix(rows))
+        if ai or ei:
+            row = [ai * x - ei * y for x, y in zip(ge, w)]
+            row[i] += 1
+            rows[i] = tuple(row)
+    return Isometry._unchecked(e.lattice, IntMatrix._trusted(tuple(rows)))
 
 
 def flip_third_H(lattice: Lattice) -> Isometry:
     """Negate the third hyperbolic summand; reverses plane orientation."""
-    return _signed_basis_images(lattice, {E3: (E3, -1), F3: (F3, -1)})
-
-
-def _negate_pair(lattice: Lattice, ef) -> Isometry:
-    e, f = ef
-    return _signed_basis_images(lattice, {e: (e, -1), f: (f, -1)})
-
-
-def _swap_pair(lattice: Lattice, ef) -> Isometry:
-    e, f = ef
-    return _signed_basis_images(lattice, {e: (f, 1), f: (e, 1)})
-
-
-def _swap_pairs(lattice: Lattice, ef1, ef2) -> Isometry:
-    """Exchange two hyperbolic pairs, first slot with first slot."""
-    return _signed_basis_images(
-        lattice,
-        {ef1[0]: (ef2[0], 1), ef1[1]: (ef2[1], 1),
-         ef2[0]: (ef1[0], 1), ef2[1]: (ef1[1], 1)},
-    )
+    rows = [list(row) for row in _identity_rows(lattice.rank)]
+    rows[E3][E3] = rows[F3][F3] = -1
+    return Isometry(lattice, IntMatrix(rows))
 
 
 def preserves_components(phi: Isometry) -> bool:
@@ -185,40 +187,71 @@ def preserves_components(phi: Isometry) -> bool:
 
 
 class _Mover:
-    """Working vector plus the isometry accumulated so far."""
+    """Working vector plus the moves applied to it so far: transvections
+    (e, a) and signed basis permutations {j: (k, sign)}, which send basis
+    vector j to sign * basis vector k and fix the others.  A move acts on
+    the working coordinates only; isometry() builds the matrix of the
+    product once."""
 
     def __init__(self, v: LatticeVector):
         self.lattice = v.lattice
-        self.vector = v
-        self.iso = identity_isometry(v.lattice)
+        self.moves = []
+        self.restart(v)
 
-    def push(self, iso: Isometry):
-        self.vector = iso.apply(self.vector)
-        self.iso = iso.compose(self.iso)
+    def restart(self, v: LatticeVector):
+        """Make the image of v under the moves so far the working vector."""
+        moves, self.moves, self.coords = self.moves, [], list(v.coords)
+        for move in moves:
+            self.move(move)
 
     def transvect(self, e: LatticeVector, a: LatticeVector):
-        if not a.coords or all(c == 0 for c in a.coords):
+        if any(a.coords):
+            self.move((e, a))
+
+    def move(self, mv):
+        self.moves.append(mv)
+        x = self.coords
+        if isinstance(mv, dict):
+            for k, c in [(k, s * x[j]) for j, (k, s) in mv.items()]:
+                x[k] = c
             return
-        self.push(eichler_transvection(e, a))
+        e, a = mv
+        ge, w = _transvection_data(e, a)
+        xe, xw = _dot(ge, x), _dot(w, x)
+        for i, (ai, ei) in enumerate(zip(a.coords, e.coords)):
+            if ai or ei:
+                x[i] += xe * ai - xw * ei
+
+    def isometry(self) -> Isometry:
+        """The product of the recorded moves; unchecked, since every factor
+        is an isometry (module docstring)."""
+        acc = identity_isometry(self.lattice)
+        for move in self.moves:
+            if isinstance(move, dict):
+                rows = list(acc.matrix.rows)
+                for j, (k, s) in move.items():
+                    rows[k] = tuple(s * y for y in acc.matrix.rows[j])
+                acc = Isometry._unchecked(self.lattice, IntMatrix._trusted(tuple(rows)))
+            else:
+                acc = eichler_transvection(*move).compose(acc)
+        return acc
 
     def basis(self, i: int) -> LatticeVector:
         return self.lattice.basis_vector(i)
 
     def coeff(self, i: int) -> int:
-        return self.vector.coords[i]
+        return self.coords[i]
 
     def block_part(self, b: int) -> LatticeVector:
-        coords = [0] * self.lattice.rank
-        for i in K3_TAGS.blocks[b]:
-            coords[i] = self.vector.coords[i]
-        return self.lattice.vector(coords)
+        block = K3_TAGS.blocks[b]
+        return self.lattice.vector([c if i in block else 0 for i, c in enumerate(self.coords)])
 
 
 def _block_functional(m: _Mover, b: int):
     """Content of the pairing functional of the block part, and a vector
     realizing it: (part, u) = content.  Returns (0, None) on empty part."""
     idx = list(K3_TAGS.blocks[b])
-    part = [m.vector.coords[i] for i in idx]
+    part = [m.coords[i] for i in idx]
     if all(c == 0 for c in part):
         return 0, None
     g = m.lattice.gram.rows
@@ -256,11 +289,9 @@ def _channels(m: _Mover, roles: _Roles):
         if u is not None:
             out.append((c, u))
     if roles.extra is not None:
-        r = pairing(m.vector, roles.extra)
-        if r > 0:
-            out.append((r, roles.extra))
-        elif r < 0:
-            out.append((-r, -1 * roles.extra))
+        r = m.lattice.pairing_coords(m.coords, roles.extra.coords)
+        if r:
+            out.append((abs(r), (1 if r > 0 else -1) * roles.extra))
     return out
 
 
@@ -299,34 +330,27 @@ def _unitize(m: _Mover, roles: _Roles) -> bool:
     base and argument lie inside the role summands, so whatever is
     orthogonal to all of them stays fixed.
     """
-    lattice = m.lattice
     e1i, f1i = roles.h1
     e1, f1 = m.basis(e1i), m.basis(f1i)
+    slots = [idx for pair in roles.spares for idx in pair]
     for _ in range(_STEP_BUDGET):
         q = m.coeff(f1i)
         if q == 1:
             return True
         if q == -1:
-            m.push(_negate_pair(lattice, roles.h1))
+            m.move({e1i: (e1i, -1), f1i: (f1i, -1)})
             continue
         # a unit spare coefficient finishes in one anchor transvection:
         # E(f_sp, λ f1) adds λ * a to q, E(e_sp, λ f1) adds λ * b
-        done = False
-        for ei, fi in roles.spares:
-            a, b = m.coeff(ei), m.coeff(fi)
-            if a in (1, -1):
-                m.transvect(m.basis(fi), ((1 - q) * a) * f1)
-                done = True
-                break
-            if b in (1, -1):
-                m.transvect(m.basis(ei), ((1 - q) * b) * f1)
-                done = True
-                break
-        if done:
+        units = [(i, j) for ei, fi in roles.spares for i, j in ((ei, fi), (fi, ei))
+                 if m.coeff(i) in (1, -1)]
+        if units:
+            i, j = units[0]
+            m.transvect(m.basis(j), ((1 - q) * m.coeff(i)) * f1)
             continue
         if q == 0:
             if m.coeff(e1i) != 0:
-                m.push(_swap_pair(lattice, roles.h1))
+                m.move({e1i: (f1i, 1), f1i: (e1i, 1)})
                 continue
             for ei, fi in roles.spares:
                 if m.coeff(ei) != 0:
@@ -342,25 +366,16 @@ def _unitize(m: _Mover, roles: _Roles) -> bool:
         # |q| >= 2: reduce every spare coefficient mod q (E(e1, t e_sp)
         # adds t q to a, polluting only p), then swap the smallest
         # nonzero remainder into the q slot
-        for ei, fi in roles.spares:
-            for idx in (ei, fi):
-                t = -(m.coeff(idx) // q)
-                if t:
-                    m.transvect(e1, t * m.basis(idx))
-        best = None
-        for ei, fi in roles.spares:
-            for idx in (ei, fi):
-                a = m.coeff(idx)
-                if a != 0 and (best is None or abs(a) < abs(m.coeff(best))):
-                    best = idx
+        for idx in slots:
+            m.transvect(e1, -(m.coeff(idx) // q) * m.basis(idx))
+        best = min((idx for idx in slots if m.coeff(idx)), key=lambda idx: abs(m.coeff(idx)),
+                   default=None)
         if best is None:
             # hyperbolic part is p e1 + q f1; euclid on (p, q) rides in
             # a spare slot (the write is clean because the plane is empty)
             ei, fi = roles.spares[0]
             m.transvect(f1, m.basis(ei))  # a += p
-            t = -(m.coeff(ei) // q)
-            if t:
-                m.transvect(e1, t * m.basis(ei))
+            m.transvect(e1, -(m.coeff(ei) // q) * m.basis(ei))
             if m.coeff(ei) == 0:
                 # q divides the whole hyperbolic part; bring in the
                 # reservoir gcd, coprime to q by primitivity
@@ -369,10 +384,11 @@ def _unitize(m: _Mover, roles: _Roles) -> bool:
             continue
         for ei, fi in roles.spares:
             if best == ei:
-                m.push(_swap_pair(lattice, (ei, fi)))
+                m.move({ei: (fi, 1), fi: (ei, 1)})
                 best = fi
             if best == fi:
-                m.push(_swap_pairs(lattice, roles.h1, (ei, fi)))
+                # exchange the pairs, first slot with first slot
+                m.move({e1i: (ei, 1), f1i: (fi, 1), ei: (e1i, 1), fi: (f1i, 1)})
                 break
     return False
 
@@ -380,17 +396,16 @@ def _unitize(m: _Mover, roles: _Roles) -> bool:
 _FIRST_ROLES = _Roles(h1=(E1, F1), spares=((E2, F2), (E3, F3)), blocks=(0, 1))
 
 
-def _standardize_vector(kappa: LatticeVector) -> Isometry:
-    """Isometry taking kappa to e1 + (kappa,kappa)/2 f1."""
-    m = _Mover(kappa)
+def _standardize_vector(m: _Mover) -> bool:
+    """Move the working vector kappa to e1 + (kappa,kappa)/2 f1."""
     if not _unitize(m, _FIRST_ROLES):
-        raise StandardizationError("first vector: no move sequence found")
+        return False
     # v = p e1 + f1 + w; E(e1, -w) empties w, then the norm pins p
     # (map_pair_to_standard checks the image of kappa)
-    w = m.vector - m.coeff(E1) * m.basis(E1) - m.basis(F1)
+    w = m.lattice.vector(m.coords) - m.coeff(E1) * m.basis(E1) - m.basis(F1)
     m.transvect(m.basis(E1), -1 * w)
-    m.push(_swap_pair(kappa.lattice, (E1, F1)))
-    return m.iso
+    m.move({E1: (F1, 1), F1: (E1, 1)})
+    return True
 
 
 def _standardize_partner(m: _Mover, l0: int) -> bool:
@@ -402,10 +417,7 @@ def _standardize_partner(m: _Mover, l0: int) -> bool:
     channel.  Primitivity of the pair makes the reservoir gcd coprime to
     whatever the hyperbolic reduction bottoms out at, so the content
     pull inside _unitize always restarts it."""
-    lattice = m.lattice
-    coords = [0] * lattice.rank
-    coords[E1], coords[F1] = 1, -l0
-    c = lattice.vector(coords)  # e1 - l0 f1, orthogonal to e1 + l0 f1
+    c = m.basis(E1) - l0 * m.basis(F1)  # orthogonal to e1 + l0 f1
     roles = _Roles(h1=(F2, E2), spares=((E3, F3),), blocks=(0, 1), extra=c)
     if not _unitize(m, roles):
         return False
@@ -425,41 +437,29 @@ def map_pair_to_standard(kappa: LatticeVector, eta: LatticeVector) -> Isometry:
     Raises StandardizationError when the staged search exhausts its
     budget; the returned isometry is always verified.
     """
-    lattice = kappa.lattice
     if not is_primitive_embedding([kappa, eta]):
         raise ValueError("pair is not a primitive embedding")
     l0 = norm(kappa) // 2
-    mval = pairing(kappa, eta)
-    half_eta = norm(eta) // 2
-    e1, f1 = lattice.basis_vector(E1), lattice.basis_vector(F1)
-    e2, f2 = lattice.basis_vector(E2), lattice.basis_vector(F2)
-    target_k = e1 + l0 * f1
-    target_e = mval * f1 + e2 + half_eta * f2
-
-    g1 = _standardize_vector(kappa)
-    m = _Mover(g1.apply(eta))
+    e1, f1, e2, f2 = (kappa.lattice.basis_vector(i) for i in (E1, F1, E2, F2))
+    target_k, target_e = e1 + l0 * f1, pairing(kappa, eta) * f1 + e2 + norm(eta) // 2 * f2
+    m = _Mover(kappa)
+    if not _standardize_vector(m):
+        raise StandardizationError("first vector: no move sequence found")
+    m.restart(eta)
     if not _standardize_partner(m, l0):
         raise StandardizationError("second vector: no move sequence found")
-    g = m.iso.compose(g1)
+    g = m.isometry()
     if g.apply(kappa) != target_k or g.apply(eta) != target_e:
         raise InvariantError("standardization missed the reference pair")
     return _exit_check(g)
 
 
-def lemma_iso(
-    kappa: LatticeVector,
-    eta: LatticeVector,
-    kappa_p: LatticeVector,
-    eta_p: LatticeVector,
-    preserve: bool = True,
-) -> Isometry:
+def lemma_iso(kappa: LatticeVector, eta: LatticeVector, kappa_p: LatticeVector,
+              eta_p: LatticeVector, preserve: bool = True) -> Isometry:
     """Verified isometry taking (kappa_p, eta_p) to (kappa, eta) and
     preserving (or reversing) the orientation of positive 3-planes."""
-    if (
-        norm(kappa) != norm(kappa_p)
-        or norm(eta) != norm(eta_p)
-        or pairing(kappa, eta) != pairing(kappa_p, eta_p)
-    ):
+    if (norm(kappa), norm(eta), pairing(kappa, eta)) != (
+            norm(kappa_p), norm(eta_p), pairing(kappa_p, eta_p)):
         raise ValueError("pairs have different Gram data")
     g = map_pair_to_standard(kappa, eta)
     gp = map_pair_to_standard(kappa_p, eta_p)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from k3dh.cli import main, run_verify_paper
+from k3dh.cli import InputError, main, run_verify_paper
 from k3dh.lattice import make_K3
 
 
@@ -189,6 +189,23 @@ def test_isometry_input_errors(capsys, tmp_path):
         main(["isometry", "--pairs", "z.json", "--preserve", "--reverse"])
     assert exc.value.code == 2
 
+    listed = write_json(tmp_path, "l.json", list(quadratic_pairs_doc().values()))
+    code, _, err = run(capsys, "isometry", "--pairs", listed)
+    assert code == 2
+    assert "JSON object" in err
+
+
+def test_isometry_non_primitive_pairs_fail_construction(capsys, tmp_path):
+    # equal Gram data, but (2 e1, e2) spans a non-saturated sublattice
+    kappa, eta = [0] * 22, [0] * 22
+    kappa[0], eta[2] = 2, 1
+    doc = {"kappa": kappa, "eta": eta, "kappa_p": kappa, "eta_p": eta}
+    code, out, _ = run(capsys, "isometry", "--pairs", write_json(tmp_path, "p.json", doc))
+    assert code == 1
+    assert "[PASS] isometry:gram-data" in out
+    assert "[FAIL] isometry:construction" in out
+    assert "matrix:" not in out
+
 
 def test_kummer_report(capsys):
     code, out, _ = run(capsys, "kummer-report")
@@ -314,6 +331,10 @@ def test_run_verify_paper_report_object():
     broken = run_verify_paper(perturb="wall")
     failed = {c.check_id for c in broken.checks if not c.passed}
     assert failed == {"model:delta:wall0", "model:fixed-point-total"}
+
+    # argparse choices keep this from the command line; library callers get an error
+    with pytest.raises(InputError, match="unknown perturbation"):
+        run_verify_paper(perturb="bogus")
 
 
 def test_unknown_subcommand_exits_2():

@@ -1,11 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from k3dh import isometry
 from k3dh.exact_linalg import IntMatrix
-from k3dh.lattice import Lattice, make_E8, make_K3, k3_e, k3_f, norm, pairing
+from k3dh.lattice import K3_TAGS, Lattice, make_E8, make_K3, k3_e, k3_f, norm, pairing
 from k3dh.isometry import (
     Isometry,
     eichler_transvection,
@@ -16,6 +17,7 @@ from k3dh.isometry import (
     preserves_components,
 )
 from k3dh.period import InvariantError
+from k3dh.sublattice import is_primitive_embedding
 
 K3 = make_K3()
 E = [k3_e(K3, i) for i in range(3)]
@@ -276,3 +278,175 @@ def test_exit_check_catches_faulty_products(monkeypatch, method):
             map_pair_to_standard(kap, eta)
     with pytest.raises(InvariantError, match="exit check"):
         lemma_iso(kap, eta, kap, eta)
+
+
+class EagerMover:
+    """Test-only oracle: the former mover.  Every move is built as a matrix,
+    checked in full (M^T G M = G) and composed into the running product at
+    once; the working vector is moved by that matrix."""
+
+    def __init__(self, v):
+        self.lattice = v.lattice
+        self.vector = v
+        self.iso = identity_isometry(v.lattice)
+
+    @property
+    def coords(self):
+        return self.vector.coords
+
+    def push(self, g):
+        self.vector = g.apply(self.vector)
+        self.iso = g.compose(self.iso)
+
+    def transvect(self, e, a):
+        if any(a.coords):
+            t = eichler_transvection(e, a)
+            self.push(Isometry(t.lattice, t.matrix))
+
+    def move(self, mapping):
+        n = self.lattice.rank
+        rows = [[0] * n for _ in range(n)]
+        for j in range(n):
+            k, s = mapping.get(j, (j, 1))
+            rows[k][j] = s
+        self.push(Isometry(self.lattice, IntMatrix(rows)))
+
+    def restart(self, v):
+        self.vector = self.iso.apply(v)
+
+    def isometry(self):
+        return self.iso
+
+    def basis(self, i):
+        return self.lattice.basis_vector(i)
+
+    def coeff(self, i):
+        return self.vector.coords[i]
+
+    def block_part(self, b):
+        coords = [0] * self.lattice.rank
+        for i in K3_TAGS.blocks[b]:
+            coords[i] = self.vector.coords[i]
+        return self.lattice.vector(coords)
+
+
+def eager_map_pair(kap, eta):
+    """map_pair_to_standard driven by the eager oracle mover."""
+    recorded = isometry._Mover
+    isometry._Mover = EagerMover
+    try:
+        return map_pair_to_standard(kap, eta)
+    finally:
+        isometry._Mover = recorded
+
+
+def bench_law_pair(rng):
+    """The isometry-pairs benchmark law: e1 + l0 f1 and -l1 f1 + e2 + l2 f2,
+    moved by 1-4 transvections whose base is a hyperbolic basis vector and
+    whose argument gets three random bumps off the base's partner."""
+    l0, l1, l2 = (rng.randint(-9, 9) for _ in range(3))
+    kap, eta = standard_pair(l0, -l1, l2)
+    for _ in range(rng.randint(1, 4)):
+        base_i = rng.randrange(6)
+        arg = [0] * K3.rank
+        for _ in range(3):
+            j = rng.randrange(K3.rank)
+            if j != _PARTNER[base_i]:
+                arg[j] += rng.randint(-2, 2)
+        t = eichler_transvection(K3.basis_vector(base_i), K3.vector(arg))
+        kap, eta = t.apply(kap), t.apply(eta)
+    return kap, eta
+
+
+def test_recorded_moves_match_eager_oracle():
+    rng = random.Random(7919)
+    for _ in range(25):
+        kap, eta = bench_law_pair(rng)
+        g = map_pair_to_standard(kap, eta)
+        assert g.matrix == eager_map_pair(kap, eta).matrix
+        assert (g.apply(kap), g.apply(eta)) == standard_pair(
+            norm(kap) // 2, pairing(kap, eta), norm(eta) // 2)
+
+
+def sparse_coords(entries):
+    coords = [0] * K3.rank
+    for i, c in entries.items():
+        coords[i] = c
+    return coords
+
+
+SPARSE = st.lists(st.one_of(st.just(0), st.integers(-50, 50)), min_size=22, max_size=22)
+
+
+# the examples reach each exit of the q == 0 spare-slot loop in _unitize
+# (a nonzero e slot, a nonzero f slot, an empty spare plane -> content pull)
+@settings(max_examples=40, deadline=None)
+@given(k=SPARSE, e=SPARSE)
+@example(k=sparse_coords({2: 2, 5: 3}), e=sparse_coords({0: 1}))
+@example(k=sparse_coords({3: 2, 5: 3}), e=sparse_coords({0: 1}))
+@example(k=sparse_coords({6: 1}), e=sparse_coords({14: 1}))
+def test_random_primitive_pairs_standardize(k, e):
+    # primitive embeddings of one rank-2 Gram datum form one orbit
+    # (Nikulin, Thm. 1.14.4), so every such pair must reach the reference pair
+    assume(any(k[i] * e[j] != k[j] * e[i] for i in range(K3.rank) for j in range(i)))
+    kap, eta = K3.vector(k), K3.vector(e)
+    assume(is_primitive_embedding([kap, eta]))
+    ref = standard_pair(norm(kap) // 2, pairing(kap, eta), norm(eta) // 2)
+    g = map_pair_to_standard(kap, eta)
+    assert (g.apply(kap), g.apply(eta)) == ref
+    assert g.matrix == eager_map_pair(kap, eta).matrix
+    for preserve in (True, False):
+        phi = lemma_iso(*ref, kap, eta, preserve=preserve)
+        assert (phi.apply(kap), phi.apply(eta)) == ref
+        assert preserves_components(phi) == preserve
+
+
+def gram_is_preserved(m):
+    """M^T G M == G by plain sums over the Gram rows, without IntMatrix.mul."""
+    g, n = K3.gram.rows, K3.rank
+    gm = [[sum(g[i][k] * m[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return all(
+        sum(m[k][i] * gm[k][j] for k in range(n)) == g[i][j] for i in range(n) for j in range(n)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    plane=st.integers(0, 2),
+    v=st.lists(st.integers(-2, 2), min_size=22, max_size=22),
+    x=st.lists(st.integers(-3, 3), min_size=22, max_size=22),
+    y=st.lists(st.integers(-3, 3), min_size=22, max_size=22),
+)
+@example(plane=0, v=sparse_coords({2: 1}), x=sparse_coords({1: 1}), y=sparse_coords({3: 1}))
+def test_transvection_preserves_the_form(plane, v, x, y):
+    # e = e_i + k f_i + r with r ⊥ H_i and k = -(r,r)/2 is isotropic, and
+    # not a basis vector unless r = 0 (the example is e1 + e2);
+    # a = (x,e) y - (y,e) x is orthogonal to e
+    v[2 * plane] = v[2 * plane + 1] = 0
+    r = K3.vector(v)
+    e = E[plane] + (-norm(r) // 2) * F[plane] + r
+    xv, yv = K3.vector(x), K3.vector(y)
+    a = pairing(xv, e) * yv - pairing(yv, e) * xv
+    assert norm(e) == 0 and pairing(e, a) == 0
+    t = eichler_transvection(e, a)
+    assert gram_is_preserved(t.matrix.rows)
+    assert t.matrix == transvection_by_images(e, a)
+
+
+@pytest.mark.parametrize("preserve", [True, False])
+def test_lemma_iso_checks_each_result_once(monkeypatch, preserve):
+    # three exit checks (two standardizations and lemma_iso's own) and
+    # flip_third_H when the orientation has to be reversed
+    kap = E[0] - 2 * F[0]
+    eta = -8 * F[0] + E[1] - 2 * F[1]
+    kp, ep = transvected_pair(random.Random(29), kap, eta, 3)
+    full_check = Isometry.__post_init__
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        full_check(self)
+
+    monkeypatch.setattr(Isometry, "__post_init__", counted)
+    lemma_iso(kap, eta, kp, ep, preserve=preserve)
+    assert 3 <= len(calls) <= 4
