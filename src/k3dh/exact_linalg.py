@@ -5,7 +5,7 @@ arbitrary-precision ints, rational matrices use fractions.Fraction.  No
 floating point enters at any stage, so results are reproducible bit for bit
 across platforms.
 
-Every determinant, inverse, solve and kernel is one elimination,
+Every determinant and inverse is one elimination,
 _bareiss_rref: fraction-free (Bareiss) Gauss-Jordan with column skipping.
 Step k replaces every other row by (p_k * row - row[c] * pivot_row) / p_{k-1}.
 After step k every entry is a minor of the input: of order k + 1 in a row
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 Rat = Fraction
 
@@ -108,11 +108,6 @@ class IntMatrix:
                 out.append(tuple(map(sum, zip(*scaled))))
         return IntMatrix._trusted(tuple(out))
 
-    def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
-        if self.ncols != len(v):
-            raise ValueError("dimension mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
-
     def to_rat(self) -> "RatMatrix":
         return RatMatrix(self.rows)
 
@@ -148,15 +143,6 @@ class RatMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> Rat:
         i, j = ij
         return self.rows[i][j]
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(zip(*self.rows)) if self.rows else RatMatrix([])
-
-    def mul_vec(self, v: Sequence) -> tuple[Rat, ...]:
-        if self.ncols != len(v):
-            raise ValueError("dimension mismatch")
-        vv = [Rat(x) for x in v]
-        return tuple(sum(a * b for a, b in zip(row, vv)) for row in self.rows)
 
 
 # -- fraction-free elimination ----------------------------------------------
@@ -255,46 +241,6 @@ def rat_inverse(m: RatMatrix) -> RatMatrix:
     return RatMatrix([[Rat(x, d) for x in row[n:]] for row in rows])
 
 
-def rational_solve(m: RatMatrix, b: Sequence) -> Optional[tuple[Rat, ...]]:
-    """One exact solution x of m x = b, or None if the system is inconsistent."""
-    if m.nrows != len(b):
-        raise ValueError("dimension mismatch")
-    nc = m.ncols
-    rows, _ = _clear_denominators(row + (Rat(bi),) for row, bi in zip(m.rows, b))
-    pivots, d, _ = _bareiss_rref(rows, nc)
-    if any(row[nc] for row in rows[len(pivots):]):  # a 0 = nonzero row
-        return None
-    x = [Rat(0)] * nc
-    for row, c in zip(rows, pivots):
-        x[c] = Rat(row[nc], d)
-    return tuple(x)
-
-
-def kernel_basis(m: RatMatrix, integral: bool = True) -> tuple[tuple, ...]:
-    """Basis of the right kernel of m, one vector per non-pivot column.
-
-    The vector of free column f is d * e_f - sum_r rows[r][f] * e_{pivots[r]},
-    d times the RREF kernel vector.  With integral=True each basis vector is
-    scaled to a primitive integer vector (content 1, first nonzero entry
-    positive).
-    """
-    nc = m.ncols
-    rows, _ = _clear_denominators(m.rows)
-    pivots, d, _ = _bareiss_rref(rows, nc)
-    out = []
-    for f in (c for c in range(nc) if c not in pivots):
-        vec = [0] * nc
-        vec[f] = d
-        for row, c in zip(rows, pivots):
-            vec[c] = -row[f]
-        if integral:
-            g = gcd(*vec) * (1 if next(x for x in vec if x) > 0 else -1)
-            out.append(tuple(x // g for x in vec))
-        else:
-            out.append(tuple(Rat(x, d) for x in vec))
-    return tuple(out)
-
-
 # -- Smith normal form ------------------------------------------------------
 
 
@@ -328,8 +274,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """
     R, C = m.nrows, m.ncols
     a = [list(row) for row in m.rows]
-    u = [list(row) for row in IntMatrix.identity(R).rows]
-    v = [list(row) for row in IntMatrix.identity(C).rows]
+    u = [[int(i == j) for j in range(R)] for i in range(R)]
+    v = [[int(i == j) for j in range(C)] for i in range(C)]
     # invariant: u * m * v == a
     k = 0
     while k < min(R, C):
@@ -388,7 +334,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
-    return IntMatrix(u), IntMatrix(a), IntMatrix(v)
+    return tuple(IntMatrix._trusted(tuple(map(tuple, x))) for x in (u, a, v))
 
 
 def elementary_divisors(m: IntMatrix) -> tuple[int, ...]:

@@ -26,8 +26,8 @@ of their product is built once.  The core is a euclidean reduction on the
 hyperbolic coefficients (isotropic transvection arguments shift them with
 no quadratic correction), with the definite blocks as content reservoirs
 when the hyperbolic gcd bottoms out above 1.  One pass either reaches the
-reference pair or raises StandardizationError; it never returns a wrong
-answer.
+reference pair or raises StandardizationError, from the one failure site:
+the step budget of _unitize.  It never returns a wrong answer.
 """
 
 from dataclasses import dataclass
@@ -295,21 +295,19 @@ def _channels(m: _Mover, roles: _Roles):
     return out
 
 
-def _pull_content(m: _Mover, roles: _Roles) -> bool:
+def _pull_content(m: _Mover, roles: _Roles):
     """Write the gcd of the content channels into the first spare slot.
 
     The caller guarantees the spare plane is empty, which keeps every
     pull linear: no quadratic correction, no write-back into the
-    reservoirs, and the channel values stay valid across pulls."""
+    reservoirs, and the channel values stay valid across pulls.  With no
+    channel it makes no move."""
     chans = _channels(m, roles)
-    if not chans:
-        return False
     ei, _ = roles.spares[0]
     _, coeffs = xgcd_vector([val for val, u in chans])
     for (val, u), co in zip(chans, coeffs):
         if co:
             m.transvect(m.basis(ei), (-co) * u)
-    return True
 
 
 def _unitize(m: _Mover, roles: _Roles) -> bool:
@@ -324,7 +322,8 @@ def _unitize(m: _Mover, roles: _Roles) -> bool:
     injects the reservoir gcd, which is coprime to it whenever the input
     is primitive across the role summands, and the reduction restarts.
     |q| strictly decreases between pulls, so this terminates well inside
-    the step budget.
+    the step budget; running out of it raises StandardizationError, the one
+    failure site of the standardizer.
 
     Every move is an Eichler transvection or a block sign/swap whose
     base and argument lie inside the role summands, so whatever is
@@ -360,8 +359,7 @@ def _unitize(m: _Mover, roles: _Roles) -> bool:
                     m.transvect(m.basis(ei), f1)
                     break
             else:
-                if not _pull_content(m, roles):
-                    return False
+                _pull_content(m, roles)
             continue
         # |q| >= 2: reduce every spare coefficient mod q (E(e1, t e_sp)
         # adds t q to a, polluting only p), then swap the smallest
@@ -379,8 +377,7 @@ def _unitize(m: _Mover, roles: _Roles) -> bool:
             if m.coeff(ei) == 0:
                 # q divides the whole hyperbolic part; bring in the
                 # reservoir gcd, coprime to q by primitivity
-                if not _pull_content(m, roles):
-                    return False
+                _pull_content(m, roles)
             continue
         for ei, fi in roles.spares:
             if best == ei:
@@ -390,25 +387,23 @@ def _unitize(m: _Mover, roles: _Roles) -> bool:
                 # exchange the pairs, first slot with first slot
                 m.move({e1i: (ei, 1), f1i: (fi, 1), ei: (e1i, 1), fi: (f1i, 1)})
                 break
-    return False
+    raise StandardizationError(f"no move sequence found in {_STEP_BUDGET} steps")
 
 
 _FIRST_ROLES = _Roles(h1=(E1, F1), spares=((E2, F2), (E3, F3)), blocks=(0, 1))
 
 
-def _standardize_vector(m: _Mover) -> bool:
+def _standardize_vector(m: _Mover):
     """Move the working vector kappa to e1 + (kappa,kappa)/2 f1."""
-    if not _unitize(m, _FIRST_ROLES):
-        return False
+    _unitize(m, _FIRST_ROLES)
     # v = p e1 + f1 + w; E(e1, -w) empties w, then the norm pins p
     # (map_pair_to_standard checks the image of kappa)
     w = m.lattice.vector(m.coords) - m.coeff(E1) * m.basis(E1) - m.basis(F1)
     m.transvect(m.basis(E1), -1 * w)
     m.move({E1: (F1, 1), F1: (E1, 1)})
-    return True
 
 
-def _standardize_partner(m: _Mover, l0: int) -> bool:
+def _standardize_partner(m: _Mover, l0: int):
     """Assuming the first vector is already e1 + l0 f1, finish eta.
 
     Same engine as stage one, with the roles shifted down one plane:
@@ -419,8 +414,7 @@ def _standardize_partner(m: _Mover, l0: int) -> bool:
     pull inside _unitize always restarts it."""
     c = m.basis(E1) - l0 * m.basis(F1)  # orthogonal to e1 + l0 f1
     roles = _Roles(h1=(F2, E2), spares=((E3, F3),), blocks=(0, 1), extra=c)
-    if not _unitize(m, roles):
-        return False
+    _unitize(m, roles)
     # kill order matters: each step must not disturb what is already clean
     f2 = m.basis(F2)
     m.transvect(f2, -m.coeff(F3) * m.basis(F3))
@@ -428,7 +422,6 @@ def _standardize_partner(m: _Mover, l0: int) -> bool:
     m.transvect(f2, -1 * m.block_part(0))
     m.transvect(f2, -1 * m.block_part(1))
     m.transvect(f2, -m.coeff(E1) * c)
-    return True
 
 
 def map_pair_to_standard(kappa: LatticeVector, eta: LatticeVector) -> Isometry:
@@ -443,11 +436,9 @@ def map_pair_to_standard(kappa: LatticeVector, eta: LatticeVector) -> Isometry:
     e1, f1, e2, f2 = (kappa.lattice.basis_vector(i) for i in (E1, F1, E2, F2))
     target_k, target_e = e1 + l0 * f1, pairing(kappa, eta) * f1 + e2 + norm(eta) // 2 * f2
     m = _Mover(kappa)
-    if not _standardize_vector(m):
-        raise StandardizationError("first vector: no move sequence found")
+    _standardize_vector(m)
     m.restart(eta)
-    if not _standardize_partner(m, l0):
-        raise StandardizationError("second vector: no move sequence found")
+    _standardize_partner(m, l0)
     g = m.isometry()
     if g.apply(kappa) != target_k or g.apply(eta) != target_e:
         raise InvariantError("standardization missed the reference pair")

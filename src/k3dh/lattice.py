@@ -19,7 +19,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import ClassVar, Iterable, Sequence, Union
 
-from .exact_linalg import IntMatrix, Rat, det
+from .exact_linalg import IntMatrix, det
 
 Coord = Union[int, Fraction]
 
@@ -76,36 +76,40 @@ class Lattice:
         return abs(det(self.gram)) == 1
 
     def signature(self) -> tuple[int, int]:
-        """(positive, negative) inertia indices; error if degenerate."""
-        n = self.rank
-        a = [[Rat(x) for x in row] for row in self.gram.rows]
-        pos = neg = 0
-        for k in range(n):
-            if a[k][k] == 0:
-                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+        """(positive, negative) inertia indices; error if degenerate.
+
+        Symmetric elimination on integers.  A zero pivot a_00 is repaired by
+        x_0 -> x_0 + s x_j for some a_0j != 0, which makes the new pivot
+        2 s a_0j + a_jj; that is nonzero for s = 1 or s = -1, since both
+        vanishing means a_0j = 0.  Then, with d = a_00, completing the square
+        |d| Q(x) = sgn(d) (d x_0 + sum_j a_0j x_j)^2 + sum_ij b_ij x_i x_j,
+        b_ij = |d| a_ij - sgn(d) a_i0 a_0j, shows the form is congruent over Q
+        to <sgn d> + (1/|d|) B.  The trailing block B, divided by its content,
+        carries on.  The repair is a unimodular congruence and the other step
+        a rational congruence up to a positive factor, so by Sylvester's law
+        of inertia the pivot signs count the inertia.  B is degenerate with
+        the form, so a degenerate form ends at a zero row.
+        """
+        a = [list(row) for row in self.gram.rows]
+        signs = []
+        while a:
+            if a[0][0] == 0:
+                j = next((j for j, x in enumerate(a[0]) if x), None)
                 if j is None:
                     raise ValueError("degenerate form")
-                # symmetric row+column addition keeps the congruence class;
-                # one of the signs makes the diagonal entry nonzero since
-                # 2a[k][j] + a[j][j] and -2a[k][j] + a[j][j] cannot both vanish
-                s = 1 if 2 * a[k][j] + a[j][j] != 0 else -1
-                for i in range(n):
-                    a[k][i] += s * a[j][i]
-                for i in range(n):
-                    a[i][k] += s * a[i][j]
-            d = a[k][k]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    f = a[i][k] / d
-                    for j in range(k, n):
-                        a[i][j] -= f * a[k][j]
-                    for j in range(k, n):
-                        a[j][i] -= f * a[j][k]
-        return pos, neg
+                s = 1 if 2 * a[0][j] + a[j][j] else -1
+                a[0] = [x + s * y for x, y in zip(a[0], a[j])]
+                for row in a:
+                    row[0] += s * row[j]
+            d = a[0][0]
+            sgn = 1 if d > 0 else -1
+            signs.append(sgn)
+            top = a[0][1:]
+            a = [[abs(d) * x - sgn * row[0] * y for x, y in zip(row[1:], top)] for row in a[1:]]
+            g = gcd(*(x for row in a for x in row))
+            if g > 1:
+                a = [[x // g for x in row] for row in a]
+        return signs.count(1), signs.count(-1)
 
     def __eq__(self, other) -> bool:
         return (
@@ -362,10 +366,6 @@ def k3_f(l: Lattice, i: int) -> LatticeVector:
 
 
 # -- JSON interchange -------------------------------------------------------
-
-
-def lattice_to_json_dict(l: Lattice) -> dict:
-    return {"rank": l.rank, "gram": [list(row) for row in l.gram.rows]}
 
 
 def lattice_from_json_dict(data: dict, name: str = "lattice") -> Lattice:

@@ -149,21 +149,10 @@ class OrientedPlane:
             if rat_det(RatMatrix([row[:k] for row in g[:k]])) <= 0:
                 raise ValueError("basis does not span a positive 3-plane")
 
-    @property
-    def lattice(self) -> Lattice:
-        return self.basis[0].lattice
-
     def gram(self) -> list[list[Fraction]]:
         return [
             [Fraction(pairing(u, v)) for v in self.basis] for u in self.basis
         ]
-
-
-def plane_of(kappa: Vec, point: PeriodPoint) -> OrientedPlane:
-    """Oriented plane with basis (kappa, re, im); requires membership."""
-    if not is_in_ktilde_omega(kappa, point):
-        raise ValueError("pair does not span a positive 3-plane")
-    return OrientedPlane((_rational(kappa), point.re, point.im))
 
 
 def same_component(p: OrientedPlane, q: OrientedPlane) -> bool:

@@ -1,10 +1,10 @@
-"""Sublattices: primitivity, saturation, orthogonal complements.
+"""Sublattices: primitivity and orthogonal complements.
 
-All three operations reduce to Smith normal form of small integer matrices,
+Both operations reduce to Smith normal form of small integer matrices,
 so they are exact and deterministic.  A set of vectors spans a primitive
 sublattice exactly when the elementary divisors of its coordinate matrix are
-all 1; saturations and orthogonal complements are always returned with a
-primitive (saturated) basis.
+all 1; orthogonal complements are always returned with a primitive
+(saturated) basis.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from .exact_linalg import (
     InvariantError,
     content,
     elementary_divisors,
-    int_inverse,
     smith_normal_form,
 )
 from .lattice import Lattice, LatticeVector, RationalVector, pairing
@@ -99,28 +98,6 @@ def is_primitive_embedding(vectors: Sequence[LatticeVector]) -> bool:
     if not sub.is_independent():
         raise ValueError("vectors are linearly dependent")
     return sub.is_saturated()
-
-
-def saturation(vectors: Sequence[LatticeVector]) -> Sublattice:
-    """Smallest saturated sublattice containing the given vectors.
-
-    The result's basis consists of rows of the inverse SNF column transform,
-    so it is automatically primitive.
-    """
-    if not vectors:
-        raise ValueError("saturation of the empty set is not defined")
-    ambient = vectors[0].lattice
-    sub = Sublattice(ambient, tuple(vectors))
-    _, d, v = smith_normal_form(sub.coordinate_matrix)
-    r = sum(
-        1 for i in range(min(d.nrows, d.ncols)) if d[i, i] != 0
-    )
-    vinv = int_inverse(v)
-    basis = tuple(ambient.vector(vinv.rows[i]) for i in range(r))
-    out = Sublattice(ambient, basis)
-    if not out.is_saturated():
-        raise InvariantError("saturation basis is not saturated")
-    return out
 
 
 def orthogonal_complement(

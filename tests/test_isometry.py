@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,10 +6,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from k3dh import isometry
+from k3dh.cli import main
 from k3dh.exact_linalg import IntMatrix
 from k3dh.lattice import K3_TAGS, Lattice, make_E8, make_K3, k3_e, k3_f, norm, pairing
 from k3dh.isometry import (
     Isometry,
+    StandardizationError,
     eichler_transvection,
     flip_third_H,
     identity_isometry,
@@ -278,6 +281,42 @@ def test_exit_check_catches_faulty_products(monkeypatch, method):
             map_pair_to_standard(kap, eta)
     with pytest.raises(InvariantError, match="exit check"):
         lemma_iso(kap, eta, kap, eta)
+
+
+def test_exit_invariants_catch_faulty_parts(monkeypatch):
+    # each InvariantError raised before an exit check, reached by one faulty part
+    kap, eta = standard_pair(2, 1, -1)
+    kp, ep = transvected_pair(random.Random(29), kap, eta, 3)
+    with monkeypatch.context() as patch:
+        patch.setattr(isometry._Mover, "isometry", lambda self: identity_isometry(K3))
+        with pytest.raises(InvariantError, match="missed the reference pair"):
+            map_pair_to_standard(kp, ep)
+    with monkeypatch.context() as patch:
+        patch.setattr(isometry, "preserves_components", lambda phi: False)
+        with pytest.raises(InvariantError, match="flip did not fix"):
+            lemma_iso(kap, eta, kp, ep)
+    with monkeypatch.context() as patch:
+        patch.setattr(isometry, "map_pair_to_standard", lambda k, e: identity_isometry(K3))
+        with pytest.raises(InvariantError, match="misses the target pair"):
+            lemma_iso(kap, eta, kp, ep)
+
+
+@pytest.mark.parametrize("budget", [0, 1])
+def test_step_budget_is_the_one_failure_site(monkeypatch, tmp_path, capsys, budget):
+    monkeypatch.setattr(isometry, "_STEP_BUDGET", budget)
+    kap, eta = standard_pair(2, 1, -1)
+    kp, ep = transvected_pair(random.Random(29), kap, eta, 3)
+    with pytest.raises(StandardizationError, match=f"in {budget} steps"):
+        map_pair_to_standard(kp, ep)
+    with pytest.raises(StandardizationError):
+        lemma_iso(kap, eta, kp, ep)
+    doc = {"kappa": kap.coords, "eta": eta.coords, "kappa_p": kp.coords, "eta_p": ep.coords}
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(doc))
+    assert main(["isometry", "--pairs", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "[PASS] isometry:gram-data" in out
+    assert "[FAIL] isometry:construction" in out
 
 
 class EagerMover:

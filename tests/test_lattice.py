@@ -17,7 +17,6 @@ from k3dh.lattice import (
     k3_e,
     k3_f,
     lattice_from_json_dict,
-    lattice_to_json_dict,
     make_E8,
     make_H,
     make_K3,
@@ -95,6 +94,8 @@ def test_pairing_matches_dense_oracle():
         u = [rng.randint(-9, 9) for _ in range(22)]
         v = [rng.randint(-9, 9) for _ in range(22)]
         assert pairing(K3.vector(u), K3.vector(v)) == pairing_oracle(K3, u, v)
+    with pytest.raises(ValueError, match="rank"):
+        K3.pairing_coords([1] * 21, [1] * 22)
 
 
 @settings(max_examples=40, deadline=None)
@@ -181,9 +182,66 @@ def test_signature_zero_diagonal_paths():
     assert l3.signature() == (1, 1)
 
 
+def fraction_signature(rows):
+    """Test-only oracle: the former Fraction elimination of Lattice.signature."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    pos = neg = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+            if j is None:
+                raise ValueError("degenerate form")
+            s = 1 if 2 * a[k][j] + a[j][j] != 0 else -1
+            for i in range(n):
+                a[k][i] += s * a[j][i]
+            for i in range(n):
+                a[i][k] += s * a[i][j]
+        d = a[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = a[i][k] / d
+                for j in range(k, n):
+                    a[i][j] -= f * a[k][j]
+                for j in range(k, n):
+                    a[j][i] -= f * a[j][k]
+    return pos, neg
+
+
+@st.composite
+def symmetric_rows(draw):
+    """Symmetric integer rows of rank 1-7, about half the entries zero; in
+    about a quarter of them the whole diagonal is zero."""
+    n = draw(st.integers(1, 7))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-6, 6)) if draw(st.booleans()) else 0
+    if draw(st.integers(0, 3)) == 0:
+        for i in range(n):
+            rows[i][i] = 0
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(symmetric_rows())
+def test_signature_matches_fraction_oracle(rows):
+    lattice = Lattice("sym", IntMatrix(rows))
+    try:
+        expected = fraction_signature(rows)
+    except ValueError:
+        with pytest.raises(ValueError, match="degenerate"):
+            lattice.signature()
+        return
+    assert lattice.signature() == expected
+
+
 def test_json_round_trip():
-    d = lattice_to_json_dict(K3)
-    assert d["rank"] == 22
+    d = {"rank": 22, "gram": [list(row) for row in K3.gram.rows]}
     l2 = lattice_from_json_dict(d, name="K3")
     assert l2 == K3
     with pytest.raises(ValueError):
@@ -192,6 +250,8 @@ def test_json_round_trip():
         lattice_from_json_dict({"rank": 3, "gram": [[2]]})
     with pytest.raises(ValueError):
         lattice_from_json_dict([1, 2])
+    with pytest.raises(ValueError, match="list of integer rows"):
+        lattice_from_json_dict({"gram": "[[2]]"})
 
 
 # -- fraction-free RationalVector against the plain Fraction representation --

@@ -16,7 +16,6 @@ from k3dh.period import (
     is_in_ktilde_omega,
     is_in_ktilde_omega_generic,
     is_in_omega,
-    plane_of,
     project_to_alpha_perp,
     same_component,
     standard_plane,
@@ -165,20 +164,10 @@ def test_generic_membership_on_small_lattice():
     assert not is_in_ktilde_omega_generic(k3_e(H3, 0), std)
 
 
-def test_plane_of_examples():
-    pt = standard_point(K3)
-    kappa = hyperbolic(K3, 2, 1, 1)
-    p = plane_of(kappa, pt)
-    two = Fraction(2)
-    assert p.gram() == [[two, 0, 0], [0, two, 0], [0, 0, two]]
-    with pytest.raises(ValueError):
-        plane_of(pt.re + pt.im.scale(2).to_lattice_vector(), pt)
-    tilted = plane_of(kappa + pt.re.to_lattice_vector(), pt)
-    assert tilted.gram()[0][1] != 0
-
-
 def test_oriented_plane_validation():
     e1, f1 = k3_e(K3, 0), k3_f(K3, 0)
+    with pytest.raises(ValueError, match="three"):
+        OrientedPlane((hyperbolic(K3, 0, 1, 1), hyperbolic(K3, 1, 1, 1)))
     with pytest.raises(ValueError):
         OrientedPlane(
             (e1.to_rational(), k3_e(K3, 1).to_rational(), k3_e(K3, 2).to_rational())
@@ -203,8 +192,13 @@ def test_component_comparison():
     assert not same_component(p, flipped)
     # a nearby tilted plane stays co-oriented
     pt = standard_point(K3)
-    q = plane_of(hyperbolic(K3, 2, 1, 1) + pt.re.to_lattice_vector(), pt)
+    q = OrientedPlane((hyperbolic(K3, 2, 1, 1) + pt.re.to_lattice_vector(), pt.re, pt.im))
     assert same_component(p, q)
+    # orthogonal positive 3-planes of H^6 have a zero mutual pairing
+    h6 = direct_sum("H^6", *[make_H()] * 6)
+    diagonals = [h6.basis_vector(2 * i) + h6.basis_vector(2 * i + 1) for i in range(6)]
+    with pytest.raises(ValueError, match="singular"):
+        same_component(OrientedPlane(diagonals[:3]), OrientedPlane(diagonals[3:]))
 
 
 def test_component_comparison_is_an_equivalence():
@@ -212,10 +206,10 @@ def test_component_comparison_is_an_equivalence():
     p = standard_plane(K3)
     planes = [
         p,
-        plane_of(hyperbolic(K3, 2, 1, 1) + pt.re.to_lattice_vector(), pt),
+        OrientedPlane((hyperbolic(K3, 2, 1, 1) + pt.re.to_lattice_vector(), pt.re, pt.im)),
         OrientedPlane((p.basis[0], p.basis[1], -p.basis[2])),
         OrientedPlane((p.basis[1], p.basis[0], p.basis[2])),
-        plane_of(hyperbolic(K3, 2, 3, 2), pt),
+        OrientedPlane((hyperbolic(K3, 2, 3, 2), pt.re, pt.im)),
     ]
     for a in planes:
         assert same_component(a, a)

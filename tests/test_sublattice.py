@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3dh import sublattice
-from k3dh.exact_linalg import IntMatrix, InvariantError
+from k3dh.exact_linalg import IntMatrix, InvariantError, content
 from k3dh.lattice import make_H, make_K3, k3_e, k3_f, norm, pairing
 from k3dh.sublattice import (
     Sublattice,
@@ -13,7 +13,6 @@ from k3dh.sublattice import (
     is_primitive_embedding,
     is_primitive_vector,
     orthogonal_complement,
-    saturation,
 )
 
 K3 = make_K3()
@@ -26,6 +25,7 @@ def test_primitive_vector_examples():
     assert not is_primitive_vector(2 * e1)
     assert is_primitive_embedding([e1 + 3 * f1])
     assert not is_primitive_embedding([2 * e1])
+    assert is_primitive_embedding([])
 
 
 def test_standard_pair_family_is_primitive():
@@ -43,40 +43,8 @@ def test_dependent_input_rejected():
     e1 = k3_e(K3, 0)
     with pytest.raises(ValueError):
         is_primitive_embedding([e1, 2 * e1])
-
-
-def test_saturation_examples():
-    e1, f1 = H.basis_vector(0), H.basis_vector(1)
-    sat = saturation([2 * e1])
-    assert sat.rank == 1
-    assert sat.basis[0].coords in ((1, 0), (-1, 0))
-    sat2 = saturation([2 * e1 + 2 * f1])
-    assert sat2.rank == 1
-    assert tuple(map(abs, sat2.basis[0].coords)) == (1, 1)
-    # idempotence
-    again = saturation(list(sat2.basis))
-    assert again.basis[0].coords in (sat2.basis[0].coords, (-sat2.basis[0]).coords)
-
-
-def test_saturation_preserves_rational_span():
-    rng = random.Random(9)
-    for _ in range(40):
-        k = rng.randint(1, 3)
-        vecs = [
-            K3.vector([rng.randint(-4, 4) for _ in range(22)]) for _ in range(k)
-        ]
-        if all(v.is_zero() for v in vecs):
-            continue
-        sat = saturation(vecs)
-        assert sat.is_saturated()
-        # every original vector is an integer combination of the saturated basis
-        from k3dh.exact_linalg import RatMatrix, rational_solve
-
-        bt = RatMatrix([b.coords for b in sat.basis]).transpose()
-        for v in vecs:
-            x = rational_solve(bt, v.coords)
-            assert x is not None
-            assert all(c.denominator == 1 for c in x)
+    with pytest.raises(ValueError, match="ambient"):
+        Sublattice(K3, (e1, H.basis_vector(0)))
 
 
 def test_complement_of_e1_in_h():
@@ -84,12 +52,15 @@ def test_complement_of_e1_in_h():
     assert comp.rank == 1
     assert tuple(map(abs, comp.basis[0].coords)) == (1, 0)
     assert comp.restricted_gram.rows == ((0,),)
+    with pytest.raises(ValueError, match="ambient"):
+        orthogonal_complement(H, [K3.basis_vector(0)])
 
 
 def test_complement_of_empty_set_is_everything():
-    comp = orthogonal_complement(K3, [])
-    assert comp.rank == 22
-    assert comp.is_saturated()
+    for vectors in ([], [K3.vector([0] * 22), K3.rational_vector([0] * 22)]):
+        comp = orthogonal_complement(K3, vectors)
+        assert comp.rank == 22
+        assert comp.is_saturated()
 
 
 def test_complement_of_positive_three_plane():
@@ -137,7 +108,9 @@ def test_complement_accepts_rational_vectors():
     assert {b.coords for b in comp.basis} == {b.coords for b in comp_int.basis}
 
 
-def test_integral_primitive():
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=22, max_size=22), st.integers(2, 5))
+def test_integral_primitive(coords, c):
     from fractions import Fraction
 
     v = K3.rational_vector([Fraction(2, 3), Fraction(4, 3)] + [0] * 20)
@@ -146,6 +119,12 @@ def test_integral_primitive():
     with pytest.raises(ValueError):
         integral_primitive(K3.rational_vector([0] * 22))
     assert integral_primitive(4 * k3_e(K3, 0)).coords == k3_e(K3, 0).coords
+    # a random vector scaled by c: the same primitive vector, content 1
+    v = K3.vector(coords)
+    if not v.is_zero():
+        prim = integral_primitive(c * v)
+        assert prim == integral_primitive(v) and is_primitive_vector(prim)
+        assert content(v.coords) * prim == v
 
 
 def test_member_from_coefficients():
@@ -170,13 +149,6 @@ def _doubled(m: IntMatrix) -> IntMatrix:
     return IntMatrix([[2 * x for x in row] for row in m.rows])
 
 
-def test_saturation_check_raises(monkeypatch):
-    inverse = sublattice.int_inverse
-    monkeypatch.setattr(sublattice, "int_inverse", lambda m: _doubled(inverse(m)))
-    with pytest.raises(InvariantError, match="saturation"):
-        saturation([k3_e(K3, 0), k3_f(K3, 0)])
-
-
 def test_orthogonal_complement_check_raises(monkeypatch):
     snf = sublattice.smith_normal_form
 
@@ -187,16 +159,3 @@ def test_orthogonal_complement_check_raises(monkeypatch):
     monkeypatch.setattr(sublattice, "smith_normal_form", faulty)
     with pytest.raises(InvariantError, match="orthogonal complement"):
         orthogonal_complement(K3, [k3_e(K3, 0)])
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(-6, 6), min_size=22, max_size=22), st.integers(2, 5))
-def test_scaled_vector_saturates_to_line(coords, c):
-    v = K3.vector(coords)
-    if v.is_zero():
-        return
-    sat = saturation([c * v])
-    assert sat.rank == 1
-    b = sat.basis[0]
-    prim = integral_primitive(v)
-    assert b.coords == prim.coords or b.coords == (-prim).coords
