@@ -90,9 +90,9 @@ class Isometry:
         if v.lattice is not self.lattice and v.lattice != self.lattice:
             raise ValueError("vector does not live in the isometry's lattice")
         nums = v.nums
-        image = tuple(sum(a * x for a, x in zip(row, nums)) for row in self.matrix.rows)
+        image = tuple(sum(map(mul, row, nums)) for row in self.matrix.rows)
         if isinstance(v, LatticeVector):
-            return LatticeVector(self.lattice, image)
+            return LatticeVector._trusted(self.lattice, image)
         # an integral matrix acts on the numerators; the denominator is kept
         return RationalVector(self.lattice, image, v.den)
 
@@ -130,14 +130,9 @@ def _dot(u, v) -> int:
 
 def _transvection_data(e: LatticeVector, a: LatticeVector):
     """G e and w = G a + (a,a)/2 G e, after checking the preconditions of a
-    transvection; G is symmetric, so G v sums the Gram rows in supp(v)."""
-    lattice = e.lattice
+    transvection; G e and G a are the images cached on e and a."""
     _check_same_lattice(e, a)
-    ge, ga = [0] * lattice.rank, [0] * lattice.rank
-    for out, v in ((ge, e), (ga, a)):
-        for c, row in zip(v.coords, lattice.gram.rows):
-            if c:
-                out[:] = [x + c * y for x, y in zip(out, row)]
+    ge, ga = e.gv, a.gv
     if _dot(ge, e.coords) != 0:
         raise ValueError("transvection base must be isotropic")
     if _dot(ge, a.coords) != 0:
@@ -250,12 +245,12 @@ class _Mover:
 def _block_functional(m: _Mover, b: int):
     """Content of the pairing functional of the block part, and a vector
     realizing it: (part, u) = content.  Returns (0, None) on empty part."""
-    idx = list(K3_TAGS.blocks[b])
-    part = [m.coords[i] for i in idx]
-    if all(c == 0 for c in part):
+    idx = K3_TAGS.blocks[b]
+    part = m.block_part(b)
+    if part.is_zero():
         return 0, None
-    g = m.lattice.gram.rows
-    fs = [sum(part[r] * g[idx[r]][j] for r in range(len(idx))) for j in idx]
+    gv = part.gv
+    fs = [gv[j] for j in idx]
     c, coeffs = xgcd_vector(fs)
     coords = [0] * m.lattice.rank
     for j, co in zip(idx, coeffs):
@@ -289,7 +284,7 @@ def _channels(m: _Mover, roles: _Roles):
         if u is not None:
             out.append((c, u))
     if roles.extra is not None:
-        r = m.lattice.pairing_coords(m.coords, roles.extra.coords)
+        r = _dot(m.coords, roles.extra.gv)
         if r:
             out.append((abs(r), (1 if r > 0 else -1) * roles.extra))
     return out

@@ -10,6 +10,10 @@ built only on request.  A LatticeVector takes part in mixed arithmetic as
 numerators over the denominator 1.  Both carry a reference to their lattice
 so that cross-lattice arithmetic is rejected instead of silently producing
 garbage.
+
+Every pairing goes through one kernel: Lattice.gram_times computes G v once
+per vector and caches it on the vector as `gv`, and a pairing is then one
+dot product of the other side's numerators with that image.
 """
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import ClassVar, Iterable, Sequence, Union
 
 from .exact_linalg import IntMatrix, det
@@ -40,30 +45,45 @@ class Lattice:
         return self.gram.nrows
 
     @cached_property
-    def _gram_entries(self) -> tuple[tuple[int, int, int], ...]:
-        # sparse view of the Gram matrix, used by the pairing hot path
+    def _gram_entries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        # sparse rows of the Gram matrix: row i holds (j, G_ij) for G_ij != 0
         return tuple(
-            (i, j, g)
-            for i, row in enumerate(self.gram.rows)
-            for j, g in enumerate(row)
-            if g
+            tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram.rows
         )
+
+    def gram_times(self, v: Sequence[Coord]) -> tuple[Coord, ...]:
+        """G v, the one pairing kernel.  G is symmetric, so G v is the sum of
+        the Gram rows in supp(v), each scaled by its coordinate."""
+        out = [0] * self.rank
+        for c, row in zip(v, self._gram_entries):
+            if c:
+                for j, g in row:
+                    out[j] += g * c
+        return tuple(out)
 
     def pairing_coords(self, u: Sequence[Coord], v: Sequence[Coord]) -> Coord:
         if len(u) != self.rank or len(v) != self.rank:
             raise ValueError("coordinate length does not match lattice rank")
-        return sum((g * u[i] * v[j] for i, j, g in self._gram_entries), start=0)
+        return sum(map(mul, u, self.gram_times(v)))
+
+    @cached_property
+    def _basis(self) -> tuple["LatticeVector", ...]:
+        # built once per lattice, so each basis vector caches its gv once
+        n = self.rank
+        return tuple(
+            LatticeVector._trusted(self, tuple(int(i == j) for j in range(n)))
+            for i in range(n)
+        )
 
     def basis_vector(self, i: int) -> "LatticeVector":
-        coords = [0] * self.rank
-        coords[i] = 1
-        return LatticeVector(self, tuple(coords))
+        return self._basis[i]
 
     def vector(self, coords: Iterable[int]) -> "LatticeVector":
         return LatticeVector(self, tuple(coords))
 
     def rational_vector(self, coords: Iterable) -> "RationalVector":
-        fracs = [Fraction(c) for c in coords]
+        # ints and Fractions already carry numerator and denominator
+        fracs = [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in coords]
         den = lcm(*(c.denominator for c in fracs))
         return RationalVector(
             self, tuple(c.numerator * (den // c.denominator) for c in fracs), den
@@ -169,6 +189,11 @@ class RationalVector:
         den = self.den
         return tuple(Fraction(c, den) for c in self.nums)
 
+    @cached_property
+    def gv(self) -> tuple[int, ...]:
+        """G times the numerators, computed once."""
+        return self.lattice.gram_times(self.nums)
+
     def _combine(self, other, sign: int) -> "RationalVector":
         _check_same_lattice(self, other)
         a, b = self.den, other.den
@@ -207,11 +232,6 @@ class RationalVector:
     def is_integral(self) -> bool:
         return self.den == 1
 
-    def to_lattice_vector(self) -> "LatticeVector":
-        if self.den != 1:
-            raise ValueError("vector has non-integer coordinates")
-        return LatticeVector(self.lattice, self.nums)
-
 
 @dataclass(frozen=True)
 class LatticeVector:
@@ -228,15 +248,29 @@ class LatticeVector:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError(f"integer coordinate expected, got {c!r}")
 
+    @classmethod
+    def _trusted(cls, lattice: Lattice, coords: tuple[int, ...]) -> "LatticeVector":
+        # coords already is a tuple of ints of the lattice's rank computed
+        # from validated ints, so the checks of __post_init__ are skipped
+        v = object.__new__(cls)
+        object.__setattr__(v, "lattice", lattice)
+        object.__setattr__(v, "coords", coords)
+        return v
+
     @property
     def nums(self) -> tuple[int, ...]:
         return self.coords
+
+    @cached_property
+    def gv(self) -> tuple[int, ...]:
+        """G times the coordinates, computed once."""
+        return self.lattice.gram_times(self.coords)
 
     def __add__(self, other):
         if not isinstance(other, LatticeVector):
             return NotImplemented
         _check_same_lattice(self, other)
-        return LatticeVector(
+        return LatticeVector._trusted(
             self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords))
         )
 
@@ -244,17 +278,17 @@ class LatticeVector:
         if not isinstance(other, LatticeVector):
             return NotImplemented
         _check_same_lattice(self, other)
-        return LatticeVector(
+        return LatticeVector._trusted(
             self.lattice, tuple(a - b for a, b in zip(self.coords, other.coords))
         )
 
     def __neg__(self):
-        return LatticeVector(self.lattice, tuple(-a for a in self.coords))
+        return LatticeVector._trusted(self.lattice, tuple(-a for a in self.coords))
 
     def __mul__(self, c: int):
         if not isinstance(c, int):
             raise TypeError("scale a LatticeVector by an int (see to_rational)")
-        return LatticeVector(self.lattice, tuple(c * a for a in self.coords))
+        return LatticeVector._trusted(self.lattice, tuple(c * a for a in self.coords))
 
     __rmul__ = __mul__
 
@@ -268,12 +302,25 @@ class LatticeVector:
 AnyVector = Union[LatticeVector, RationalVector]
 
 
+def pairing_nums(u: AnyVector, v: AnyVector) -> int:
+    """Integer pairing of the numerators, (u, v) * u.den * v.den.
+
+    One dot product with a cached Gram image: v's, unless only u's is
+    cached (G is symmetric); v caches its image when neither has one.  The
+    caller vouches that u and v share a lattice.
+    """
+    gu = u.__dict__.get("gv")
+    if gu is not None and "gv" not in v.__dict__:
+        return sum(map(mul, v.nums, gu))
+    return sum(map(mul, u.nums, v.gv))
+
+
 def pairing(u: AnyVector, v: AnyVector) -> Coord:
     """Bilinear pairing (u, v); int when both vectors are LatticeVectors."""
     _check_same_lattice(u, v)
     if isinstance(u, RationalVector) or isinstance(v, RationalVector):
-        return Fraction(u.lattice.pairing_coords(u.nums, v.nums), u.den * v.den)
-    return u.lattice.pairing_coords(u.coords, v.coords)
+        return Fraction(pairing_nums(u, v), u.den * v.den)
+    return pairing_nums(u, v)
 
 
 def norm(v: AnyVector) -> Coord:

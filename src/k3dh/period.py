@@ -11,6 +11,7 @@ exact; there is no epsilon anywhere.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from .exact_linalg import InvariantError, RatMatrix, rat_det  # re-exported
@@ -22,6 +23,7 @@ from .lattice import (
     k3_f,
     norm,
     pairing,
+    pairing_nums,
 )
 from .shortvec import is_generic_plane
 
@@ -74,17 +76,16 @@ def project_to_alpha_perp(kappa: Vec, point: PeriodPoint) -> RationalVector:
     """
     if kappa.lattice != point.lattice:
         raise ValueError("kappa and the period point live in different lattices")
-    gram = point.lattice.pairing_coords
-    k, re, im = kappa.nums, point.re.nums, point.im.nums
-    pr, qr = gram(k, re), gram(re, re)
-    pi, qi = gram(k, im), gram(im, im)
+    re, im = point.re, point.im
+    pr, qr = pairing_nums(kappa, re), pairing_nums(re, re)
+    pi, qi = pairing_nums(kappa, im), pairing_nums(im, im)
     g, h = gcd(pr, qr), gcd(pi, qi)
     pr, qr, pi, qi = pr // g, qr // g, pi // h, qi // h
     q = qr * qi
     a, b = pr * qi, pi * qr
     out = RationalVector(
         point.lattice,
-        tuple(q * x - a * y - b * z for x, y, z in zip(k, re, im)),
+        tuple(q * x - a * y - b * z for x, y, z in zip(kappa.nums, re.nums, im.nums)),
         kappa.den * q,
     )
     if pairing(out, point.re) != 0 or pairing(out, point.im) != 0:
@@ -170,8 +171,11 @@ def same_component(p: OrientedPlane, q: OrientedPlane) -> bool:
     return d > 0
 
 
+@cache
 def standard_plane(lattice: Lattice) -> OrientedPlane:
-    """Reference orientation: the diagonal vectors of the hyperbolic summands."""
+    """Reference orientation: the diagonal vectors of the hyperbolic summands.
+
+    Built once per lattice, so its vectors keep their cached Gram images."""
     return OrientedPlane(
         tuple((k3_e(lattice, i) + k3_f(lattice, i)).to_rational() for i in range(3))
     )

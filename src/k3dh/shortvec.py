@@ -32,7 +32,7 @@ from operator import mul
 from typing import Sequence
 
 from .exact_linalg import IntMatrix, InvariantError, rat_inverse
-from .lattice import Lattice, LatticeVector, RationalVector
+from .lattice import Lattice, LatticeVector, RationalVector, pairing_nums
 from .sublattice import integral_primitive, orthogonal_complement
 
 
@@ -111,14 +111,6 @@ class DefiniteGram:
     @property
     def rank(self) -> int:
         return self.matrix.nrows
-
-    def norm_of(self, x: Sequence[int]) -> int:
-        q = sum(
-            self.matrix[i, j] * x[i] * x[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
-        return -q if self.negated else q
 
 
 def _enumerate_level(
@@ -210,12 +202,7 @@ def roots_orthogonal_to(
     plane = list(plane)
     if plane:
         ints = [integral_primitive(v) for v in plane]
-        plane_gram = IntMatrix(
-            [
-                [lattice.pairing_coords(u.coords, v.coords) for v in ints]
-                for u in ints
-            ]
-        )
+        plane_gram = IntMatrix([[pairing_nums(u, v) for v in ints] for u in ints])
         if DefiniteGram(plane_gram).negated:
             raise IndefiniteGramError("plane is not positive definite")
     comp = orthogonal_complement(lattice, plane)
@@ -227,7 +214,7 @@ def roots_orthogonal_to(
     coords = enumerate_norm(dg, -2)
     roots = tuple(comp.member_from_coefficients(c) for c in coords)
     for r in roots:
-        if lattice.pairing_coords(r.coords, r.coords) != -2:
+        if pairing_nums(r, r) != -2:
             raise InvariantError("enumerated root does not have norm -2")
     return roots
 

@@ -16,11 +16,10 @@ from typing import Sequence
 from .exact_linalg import (
     IntMatrix,
     InvariantError,
-    content,
     elementary_divisors,
     smith_normal_form,
 )
-from .lattice import Lattice, LatticeVector, RationalVector, pairing
+from .lattice import Lattice, LatticeVector, RationalVector, pairing_nums
 
 
 @dataclass(frozen=True)
@@ -56,12 +55,10 @@ class Sublattice:
 
     @cached_property
     def restricted_gram(self) -> IntMatrix:
+        # __post_init__ checked that the basis lives in the ambient lattice
         return IntMatrix(
-            [[pairing(u, v) for v in self.basis] for u in self.basis]
+            [[pairing_nums(u, v) for v in self.basis] for u in self.basis]
         )
-
-    def as_lattice(self, name: str) -> Lattice:
-        return Lattice(name, self.restricted_gram)
 
     def member_from_coefficients(self, coeffs: Sequence[int]) -> LatticeVector:
         """Ambient vector with the given coefficients in this basis."""
@@ -69,9 +66,11 @@ class Sublattice:
             raise ValueError("coefficient length does not match sublattice rank")
         out = [0] * self.ambient.rank
         for c, b in zip(coeffs, self.basis):
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise TypeError(f"integer coefficient expected, got {c!r}")
             if c:
                 out = [o + c * x for o, x in zip(out, b.coords)]
-        return self.ambient.vector(out)
+        return LatticeVector._trusted(self.ambient, tuple(out))
 
 
 def integral_primitive(v: RationalVector | LatticeVector) -> LatticeVector:
@@ -79,11 +78,7 @@ def integral_primitive(v: RationalVector | LatticeVector) -> LatticeVector:
     g = gcd(*v.nums)
     if g == 0:
         raise ValueError("zero vector has no primitive rescaling")
-    return LatticeVector(v.lattice, tuple(c // g for c in v.nums))
-
-
-def is_primitive_vector(v: LatticeVector) -> bool:
-    return content(v.coords) == 1
+    return LatticeVector._trusted(v.lattice, tuple(c // g for c in v.nums))
 
 
 def is_primitive_embedding(vectors: Sequence[LatticeVector]) -> bool:
@@ -121,8 +116,8 @@ def orthogonal_complement(
         ints.append(integral_primitive(v))
     if not ints:
         return orthogonal_complement(ambient, [])
-    # rows of m are the pairing functionals x -> (v_i, x)
-    m = IntMatrix([v.coords for v in ints]).mul(ambient.gram)
+    # rows of m are the pairing functionals x -> (v_i, x), that is G v_i
+    m = IntMatrix._trusted(tuple(v.gv for v in ints))
     _, d, v_trans = smith_normal_form(m)
     r = sum(1 for i in range(min(d.nrows, d.ncols)) if d[i, i] != 0)
     cols = v_trans.transpose().rows  # columns of the transform

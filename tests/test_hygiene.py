@@ -1,4 +1,5 @@
-"""Source-level rules: no library assert, no runtime dependency."""
+"""Source-level rules: no library assert, no runtime dependency, unchecked
+constructors only in the core modules, one pairing kernel."""
 import ast
 from pathlib import Path
 
@@ -23,3 +24,50 @@ def test_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project.get("dependencies", []) == []
+
+
+# the unchecked constructors skip input validation, so they are called only
+# in the core modules on ints those modules computed themselves; cli and
+# moment, where user JSON enters, go through the validating constructors
+TRUSTED_CALLERS = {"exact_linalg", "lattice", "sublattice", "isometry", "shortvec"}
+
+
+def attribute_uses(module: str, source: str, attr: str) -> list[str]:
+    return [
+        f"{module}:{node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == attr
+    ]
+
+
+def library_sources():
+    for path in sorted((ROOT / "src" / "k3dh").rglob("*.py")):
+        yield path.stem, path.read_text()
+
+
+def test_unchecked_constructors_stay_in_the_core():
+    found = [
+        site
+        for module, source in library_sources()
+        if module not in TRUSTED_CALLERS
+        for site in attribute_uses(module, source, "_trusted")
+    ]
+    assert found == []
+    assert any(attribute_uses(m, s, "_trusted") for m, s in library_sources())
+    # the scan does see a call site where user JSON enters
+    for module in ("cli", "moment"):
+        assert attribute_uses(module, "v = LatticeVector._trusted(l, c)", "_trusted") == [
+            f"{module}:1"
+        ]
+
+
+def test_one_pairing_kernel():
+    # only lattice.py reads the sparse Gram entries; everything else pairs
+    # through Lattice.gram_times and the cached images it produces
+    found = [
+        site
+        for module, source in library_sources()
+        if module != "lattice"
+        for site in attribute_uses(module, source, "_gram_entries")
+    ]
+    assert found == []

@@ -10,6 +10,7 @@ from k3dh.kummer import (
     NUM_EXCEPTIONAL,
     TORUS_LATTICE,
     InvariantForm,
+    KummerClass,
     TorusClass,
     area_sum_form,
     eta_hat,
@@ -116,6 +117,27 @@ def test_integration_matches_torus_pairing(u, v, r, s):
     ya, yb = form_to_torus_class(a), form_to_torus_class(b)
     assert wedge_integrate(a, b) == ya.pair(yb)
     assert pairing(pullback(ya), pullback(yb)) == ya.pair(yb) / 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(six_ints, six_ints)
+def test_differences_of_forms_and_classes(u, v):
+    a, b = real_form(*u), real_form(*v)
+    assert (a - b) + b == a and -(-a) == a
+    assert (a - a).is_zero() and (a - b).is_zero() == (u == v)
+    assert a.is_zero() == (u == (0,) * 6)
+    ya, yb = form_to_torus_class(a), form_to_torus_class(b)
+    assert ya - yb == form_to_torus_class(a - b)
+    assert (ya - yb).pair(ya - yb) == wedge_integrate(a - b, a - b)
+
+
+def test_shapes_are_validated():
+    with pytest.raises(ValueError, match="one coefficient per monomial"):
+        InvariantForm(((1, 0),) * 5)
+    with pytest.raises(ValueError, match="6 coordinates"):
+        TorusClass((1,) * 7)
+    with pytest.raises(ValueError, match="16 exceptional"):
+        KummerClass(TorusClass((0,) * 6), (0,) * 15)
 
 
 def test_intersection_table():

@@ -1,7 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +24,9 @@ from k3dh.lattice import (
     pairing,
     rescale,
 )
+from k3dh.isometry import eichler_transvection
 from k3dh.period import PeriodPoint, project_to_alpha_perp
+from k3dh.sublattice import Sublattice, integral_primitive
 
 K3 = make_K3()
 
@@ -33,6 +35,14 @@ def pairing_oracle(l, u, v):
     """Dense double-loop evaluation, independent of the sparse hot path."""
     g = l.gram.rows
     return sum(u[i] * g[i][j] * v[j] for i in range(l.rank) for j in range(l.rank))
+
+
+def gram_entries_oracle(l, u, v):
+    """The former pairing kernel: a generator sum over the sparse Gram entries."""
+    return sum(
+        (g * u[i] * v[j] for i, row in enumerate(l._gram_entries) for j, g in row),
+        start=0,
+    )
 
 
 def test_h_lattice():
@@ -131,9 +141,7 @@ def test_vector_arithmetic_and_validation():
     r = e.to_rational().scale(Fraction(1, 2))
     assert r.coords[0] == Fraction(1, 2)
     assert not r.is_integral()
-    with pytest.raises(ValueError):
-        r.to_lattice_vector()
-    assert (r + r).to_lattice_vector().coords == e.coords
+    assert (r + r).is_integral() and (r + r).nums == e.coords
     with pytest.raises(TypeError):
         K3.vector([0.5] + [0] * 21)
     with pytest.raises(ValueError):
@@ -344,7 +352,7 @@ def test_rational_vector_canonical_and_hashable(coords, k):
     assert w == v and hash(w) == hash(v)
     assert w.nums == v.nums and w.den == v.den
     if v.is_integral():
-        assert v.to_lattice_vector() == K3.vector(v.nums)
+        assert v == K3.vector(v.nums).to_rational()
 
 
 def test_rational_vector_is_immutable_and_validated():
@@ -379,3 +387,116 @@ def test_mixed_lattice_and_rational_operands():
         half + make_H().vector([1, 0])
     with pytest.raises(ValueError):
         make_H().vector([1, 0]) + half
+
+
+# -- the cached Gram image and the unchecked constructor ----------------------
+
+
+def fresh(v):
+    """A copy of v with no cached Gram image."""
+    if isinstance(v, LatticeVector):
+        return K3.vector(v.coords)
+    return RationalVector(K3, v.nums, v.den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vectors, vectors, st.sampled_from(["neither", "left", "right", "both"]))
+def test_pairing_matches_gram_entries_oracle(u, v, cached):
+    u, v = fresh(u), fresh(v)
+    if cached in ("left", "both"):
+        assert u.gv == K3.gram_times(u.nums)
+    if cached in ("right", "both"):
+        assert v.gv == K3.gram_times(v.nums)
+    expected = Fraction(gram_entries_oracle(K3, u.nums, v.nums), u.den * v.den)
+    assert K3.pairing_coords(u.nums, v.nums) == gram_entries_oracle(K3, u.nums, v.nums)
+    result = pairing(u, v)
+    assert result == expected and pairing(v, u) == expected
+    integral = isinstance(u, LatticeVector) and isinstance(v, LatticeVector)
+    assert type(result) is (int if integral else Fraction)
+    # a pairing reads the cached side and leaves the other side uncached
+    if cached == "left":
+        assert "gv" not in v.__dict__
+    assert norm(fresh(u)) == Fraction(gram_entries_oracle(K3, u.nums, u.nums), u.den**2)
+
+
+def test_gram_times_is_the_gram_matrix_product():
+    rng = random.Random(11)
+    for lattice in (K3, make_E8(), make_H(), Lattice("odd", IntMatrix([[3, 1], [1, -5]]))):
+        for _ in range(20):
+            x = [rng.randint(-9, 9) if rng.random() < 0.5 else 0 for _ in range(lattice.rank)]
+            assert lattice.gram_times(x) == tuple(
+                sum(g * c for g, c in zip(row, x)) for row in lattice.gram.rows
+            )
+
+
+def assert_validated_ints(v):
+    assert type(v) is LatticeVector
+    assert all(type(c) is int for c in v.coords)
+    assert v == LatticeVector(v.lattice, v.coords)
+
+
+@settings(max_examples=40, deadline=None)
+@given(integral, integral, st.integers(-6, 6), st.integers(0, 21))
+def test_unchecked_constructions_match_validated_ones(u, v, c, i):
+    sites = [
+        (u + v, [a + b for a, b in zip(u.coords, v.coords)]),
+        (u - v, [a - b for a, b in zip(u.coords, v.coords)]),
+        (-u, [-a for a in u.coords]),
+        (c * u, [c * a for a in u.coords]),
+        (u * True, list(u.coords)),
+        (K3.basis_vector(i), [int(j == i) for j in range(22)]),
+    ]
+    t = eichler_transvection(k3_e(K3, 0), K3.vector([0, 0] + list(u.coords[2:])))
+    sites.append((t.apply(v), [sum(r * x for r, x in zip(row, v.coords)) for row in t.matrix.rows]))
+    b0, b1 = k3_e(K3, 1), K3.basis_vector(i)
+    sub = Sublattice(K3, (b0, b1, u))
+    sites.append((
+        sub.member_from_coefficients((c, 2, -1)),
+        [c * x + 2 * y - z for x, y, z in zip(b0.coords, b1.coords, u.coords)],
+    ))
+    if not u.is_zero():
+        g = gcd(*u.coords)
+        prim = [a // g for a in u.coords]
+        sites.append((integral_primitive(u), prim))
+        sites.append((integral_primitive(6 * u), prim))
+        sites.append((integral_primitive(u.to_rational().scale(Fraction(5, 7))), prim))
+    for got, coords in sites:
+        assert_validated_ints(got)
+        assert got == K3.vector(coords)
+    assert K3.basis_vector(i) is K3.basis_vector(i)  # built once per lattice
+    with pytest.raises(TypeError, match="integer coefficient"):
+        sub.member_from_coefficients((1, 0.0, 0))
+
+
+def former_rational_vector(lattice, coords):
+    """The previous Lattice.rational_vector: Fraction(c) for every input."""
+    fracs = [Fraction(c) for c in coords]
+    den = lcm(*(c.denominator for c in fracs))
+    return RationalVector(
+        lattice, tuple(c.numerator * (den // c.denominator) for c in fracs), den
+    )
+
+
+inputs = st.one_of(
+    st.integers(-40, 40),
+    fractions,
+    st.booleans(),
+    st.floats(-40, 40, allow_nan=False).map(lambda x: round(x, 3)),
+    fractions.map(str),
+    st.integers(-40, 40).map(str),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(inputs, min_size=22, max_size=22))
+def test_rational_vector_reads_ints_and_fractions_directly(coords):
+    got, expected = K3.rational_vector(coords), former_rational_vector(K3, coords)
+    assert got == expected and (got.nums, got.den) == (expected.nums, expected.den)
+    assert_canonical(got)
+    for bad in ("x", float("nan"), float("inf"), None):
+        errors = []
+        for build in (K3.rational_vector, lambda c: former_rational_vector(K3, c)):
+            with pytest.raises(Exception) as info:
+                build([bad] + coords[1:])
+            errors.append(type(info.value))
+        assert errors[0] is errors[1]

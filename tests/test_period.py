@@ -192,7 +192,7 @@ def test_component_comparison():
     assert not same_component(p, flipped)
     # a nearby tilted plane stays co-oriented
     pt = standard_point(K3)
-    q = OrientedPlane((hyperbolic(K3, 2, 1, 1) + pt.re.to_lattice_vector(), pt.re, pt.im))
+    q = OrientedPlane((hyperbolic(K3, 2, 1, 1) + K3.vector(pt.re.nums), pt.re, pt.im))
     assert same_component(p, q)
     # orthogonal positive 3-planes of H^6 have a zero mutual pairing
     h6 = direct_sum("H^6", *[make_H()] * 6)
@@ -206,7 +206,7 @@ def test_component_comparison_is_an_equivalence():
     p = standard_plane(K3)
     planes = [
         p,
-        OrientedPlane((hyperbolic(K3, 2, 1, 1) + pt.re.to_lattice_vector(), pt.re, pt.im)),
+        OrientedPlane((hyperbolic(K3, 2, 1, 1) + K3.vector(pt.re.nums), pt.re, pt.im)),
         OrientedPlane((p.basis[0], p.basis[1], -p.basis[2])),
         OrientedPlane((p.basis[1], p.basis[0], p.basis[2])),
         OrientedPlane((hyperbolic(K3, 2, 3, 2), pt.re, pt.im)),

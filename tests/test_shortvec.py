@@ -121,6 +121,14 @@ def random_definite(rng: random.Random, n: int) -> DefiniteGram:
             return dg
 
 
+def norm_of(gram: DefiniteGram, x) -> int:
+    """x^T G x in the sign convention of the original matrix, by the dense
+    double loop; independent of the enumerator's LDL data."""
+    n = gram.rank
+    q = sum(gram.matrix[i, j] * x[i] * x[j] for i in range(n) for j in range(n))
+    return -q if gram.negated else q
+
+
 def embedded(block_start: int, coeffs) -> "object":
     v = [0] * K3.rank
     for i, c in enumerate(coeffs):
@@ -145,10 +153,10 @@ def test_rank_one_odd_form():
 def test_negative_definite_sign_convention():
     dg = DefiniteGram(IntMatrix([[-2, 1], [1, -2]]))
     assert dg.negated
-    assert dg.norm_of((1, 0)) == -2
+    assert norm_of(dg, (1, 0)) == -2
     vecs = enumerate_norm(dg, -2)
     assert len(vecs) == 6
-    assert all(dg.norm_of(v) == -2 for v in vecs)
+    assert all(norm_of(dg, v) == -2 for v in vecs)
 
 
 def test_results_sorted_and_negation_closed():
@@ -220,6 +228,8 @@ def test_indefinite_gram_rejected():
         DefiniteGram(IntMatrix([[0]]))
     with pytest.raises(IndefiniteGramError):
         DefiniteGram(IntMatrix([[1, 0], [1, 1]]))  # not symmetric
+    with pytest.raises(IndefiniteGramError, match="empty"):
+        DefiniteGram(IntMatrix([]))
     # semidefinite, and signatures (1, 1) and (1, 2) with no zero pivot
     for m in ([[1, 1], [1, 1]], [[1, 0], [0, -1]], [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]):
         with pytest.raises(IndefiniteGramError):
@@ -241,6 +251,21 @@ def test_wrong_sign_target_rejected():
     for dg, bad in ((pos, -2), (pos, 0), (neg, 2), (neg, 0)):
         with pytest.raises(ValueError):
             enumerate_norm(dg, bad)
+        with pytest.raises(ValueError, match="sign of the form"):
+            naive_enumerate(dg, bad)
+
+
+def test_plane_spanning_a_definite_lattice_has_no_complement():
+    # a full basis of E8 leaves the zero complement, so there is no root
+    basis = [E8.basis_vector(i) for i in range(8)]
+    assert roots_orthogonal_to(E8, basis) == ()
+    assert is_generic_plane(E8, basis)
+
+
+def test_positive_definite_complement_rejected():
+    # one vector of the positive definite E8 leaves a positive complement
+    with pytest.raises(IndefiniteGramError, match="not negative definite"):
+        roots_orthogonal_to(E8, [E8.basis_vector(0)])
 
 
 @settings(deadline=None, max_examples=60)
@@ -253,7 +278,7 @@ def test_every_constructed_vector_is_found(n, data):
     x = tuple(
         data.draw(st.integers(min_value=-3, max_value=3)) for _ in range(n)
     )
-    t = dg.norm_of(x)
+    t = norm_of(dg, x)
     if t == 0:
         return
     assert x in enumerate_norm(dg, t)
