@@ -90,22 +90,29 @@ class IntMatrix:
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         """Row-sparse product: output row i is the sum of a * other.rows[k]
         over the nonzero entries a = self[i, k], so the cost is
-        nnz(self) * other.ncols and a transvection-shaped left factor
+        nnz(self) * other.ncols.  A zero row or a unit row (one entry 1,
+        the rest 0) is found by C-level scans and gives a shared row of the
+        result without a Python loop, so a transvection-shaped left factor
         (identity plus one row and one column) costs O(n * nnz)."""
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
+        last = self.ncols - 1
         zero = (0,) * other.ncols
         out = []
         for row in self.rows:
-            terms = [(a, orow) for a, orow in zip(row, other.rows) if a]
-            if not terms:
+            zeros = row.count(0)
+            if zeros == last and 1 in row:
+                out.append(other.rows[row.index(1)])
+            elif zeros > last:
                 out.append(zero)
-            elif len(terms) == 1:
-                a, orow = terms[0]
-                out.append(orow if a == 1 else tuple([a * x for x in orow]))
             else:
-                scaled = [orow if a == 1 else [a * x for x in orow] for a, orow in terms]
-                out.append(tuple(map(sum, zip(*scaled))))
+                terms = [(a, orow) for a, orow in zip(row, other.rows) if a]
+                if len(terms) == 1:
+                    a, orow = terms[0]
+                    out.append(tuple([a * x for x in orow]))
+                else:
+                    scaled = [orow if a == 1 else [a * x for x in orow] for a, orow in terms]
+                    out.append(tuple(map(sum, zip(*scaled))))
         return IntMatrix._trusted(tuple(out))
 
     def to_rat(self) -> "RatMatrix":

@@ -4,8 +4,8 @@ A Lattice is Z^n equipped with an integer Gram matrix.  Vectors come in two
 flavors: LatticeVector (integer coordinates) and RationalVector (a point of
 the ambient rational quadratic space).  A RationalVector is stored
 fraction-free, as integer numerators over one common denominator in lowest
-terms, so pairing two of them is one integer sparse dot product over the
-Gram entries followed by a single Fraction; its Fraction coordinates are
+terms, so pairing two of them is one integer dot product against a cached
+Gram image followed by a single Fraction; its Fraction coordinates are
 built only on request.  A LatticeVector takes part in mixed arithmetic as
 numerators over the denominator 1.  Both carry a reference to their lattice
 so that cross-lattice arithmetic is rejected instead of silently producing
@@ -82,12 +82,21 @@ class Lattice:
         return LatticeVector(self, tuple(coords))
 
     def rational_vector(self, coords: Iterable) -> "RationalVector":
-        # ints and Fractions already carry numerator and denominator
-        fracs = [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in coords]
-        den = lcm(*(c.denominator for c in fracs))
-        return RationalVector(
-            self, tuple(c.numerator * (den // c.denominator) for c in fracs), den
-        )
+        """Numerators over the lcm of the reduced denominators.
+
+        Each input is read once as a reduced ratio n/d with d > 0; ints and
+        Fractions give theirs directly, other types go through Fraction(c).
+        The result is already canonical: a prime p dividing den = lcm(d)
+        divides some d_j to the full power it has in den, so p divides
+        neither den // d_j nor n_j (coprime to d_j), nor their product."""
+        ratios = [
+            (c if type(c) is int or type(c) is Fraction else Fraction(c)).as_integer_ratio()
+            for c in coords
+        ]
+        if len(ratios) != self.rank:
+            raise ValueError("coordinate length does not match lattice rank")
+        den = lcm(*(d for _, d in ratios))
+        return RationalVector._trusted(self, tuple(n * (den // d) for n, d in ratios), den)
 
     def is_even(self) -> bool:
         return all(self.gram[i, i] % 2 == 0 for i in range(self.rank))
@@ -183,6 +192,17 @@ class RationalVector:
             den //= g
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _trusted(cls, lattice: Lattice, nums: tuple[int, ...], den: int) -> "RationalVector":
+        # nums is a tuple of ints of the lattice's rank and den > 0 with
+        # gcd(den, *nums) == 1, so the checks and the normalization of
+        # __post_init__ are skipped
+        v = object.__new__(cls)
+        object.__setattr__(v, "lattice", lattice)
+        object.__setattr__(v, "nums", nums)
+        object.__setattr__(v, "den", den)
+        return v
 
     @cached_property
     def coords(self) -> tuple[Fraction, ...]:

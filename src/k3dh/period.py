@@ -5,8 +5,11 @@ vectors re, im with (re, im) = 0 and (re, re) = (im, im) > 0.  With that
 normalization every hermitian quantity needed here collapses to plain
 rational arithmetic: the hermitian norm of the line is
 (re, re) + (im, im), and the squared modulus of the pairing of a vector
-k against the line is (k, re)^2 + (k, im)^2.  All predicates below are
-exact; there is no epsilon anywhere.
+k against the line is (k, re)^2 + (k, im)^2.  Writing each vector as
+integer numerators over one denominator, the predicates compare integer
+pairings of the numerators scaled by squares of the denominators, and a
+Fraction is built only for a value that a function returns.  All
+predicates below are exact; there is no epsilon anywhere.
 """
 
 from dataclasses import dataclass
@@ -19,9 +22,9 @@ from .lattice import (
     Lattice,
     LatticeVector,
     RationalVector,
+    _check_same_lattice,
     k3_e,
     k3_f,
-    norm,
     pairing,
     pairing_nums,
 )
@@ -35,8 +38,18 @@ def _rational(v: Vec) -> RationalVector:
 
 
 def is_in_omega(re: Vec, im: Vec) -> bool:
-    """True iff re + i*im spans a positive isotropic complex line."""
-    return pairing(re, im) == 0 and norm(re) == norm(im) and norm(re) > 0
+    """True iff re + i*im spans a positive isotropic complex line.
+
+    With re = R/r and im = I/i: (R, I) = 0, (R, R) > 0 and
+    (R, R) i^2 = (I, I) r^2.
+    """
+    _check_same_lattice(re, im)
+    rr = pairing_nums(re, re)
+    return (
+        rr > 0
+        and pairing_nums(re, im) == 0
+        and rr * im.den**2 == pairing_nums(im, im) * re.den**2
+    )
 
 
 @dataclass(frozen=True)
@@ -57,13 +70,28 @@ class PeriodPoint:
         return self.re.lattice
 
     def hermitian_norm(self) -> Fraction:
-        return Fraction(norm(self.re) + norm(self.im))
+        """(re, re) + (im, im)."""
+        return Fraction(self._norm_num(), (self.re.den * self.im.den) ** 2)
 
     def pairing_square(self, kappa: Vec) -> Fraction:
         """Squared modulus of the pairing of kappa with the complex line."""
-        return Fraction(
-            pairing(kappa, self.re) ** 2 + pairing(kappa, self.im) ** 2
-        )
+        den = kappa.den * self.re.den * self.im.den
+        return Fraction(self._pairing_square_num(kappa), den * den)
+
+    # With re = R/r, im = I/i and kappa = K/k, the two numerators below are
+    # the hermitian norm times (r i)^2 and the pairing square times (k r i)^2.
+
+    def _norm_num(self) -> int:
+        """(R, R) i^2 + (I, I) r^2."""
+        re, im = self.re, self.im
+        return pairing_nums(re, re) * im.den**2 + pairing_nums(im, im) * re.den**2
+
+    def _pairing_square_num(self, kappa: Vec) -> int:
+        """(K, R)^2 i^2 + (K, I)^2 r^2."""
+        _check_same_lattice(kappa, self.re)
+        re, im = self.re, self.im
+        kr, ki = pairing_nums(kappa, re), pairing_nums(kappa, im)
+        return kr * kr * im.den**2 + ki * ki * re.den**2
 
 
 def project_to_alpha_perp(kappa: Vec, point: PeriodPoint) -> RationalVector:
@@ -88,30 +116,37 @@ def project_to_alpha_perp(kappa: Vec, point: PeriodPoint) -> RationalVector:
         tuple(q * x - a * y - b * z for x, y, z in zip(kappa.nums, re.nums, im.nums)),
         kappa.den * q,
     )
-    if pairing(out, point.re) != 0 or pairing(out, point.im) != 0:
+    if pairing_nums(out, re) != 0 or pairing_nums(out, im) != 0:
         raise InvariantError("projection is not orthogonal to the period line")
     return out
 
 
 def is_in_k_omega(kappa: Vec, point: PeriodPoint) -> bool:
-    """Positive vector orthogonal to the period line."""
+    """Positive vector orthogonal to the period line.
+
+    With kappa = K/k: (K, K) > 0, (K, R) = 0 and (K, I) = 0.
+    """
+    _check_same_lattice(kappa, point.re)
     return (
-        norm(kappa) > 0
-        and pairing(kappa, point.re) == 0
-        and pairing(kappa, point.im) == 0
+        pairing_nums(kappa, kappa) > 0
+        and pairing_nums(kappa, point.re) == 0
+        and pairing_nums(kappa, point.im) == 0
     )
 
 
 def is_in_ktilde_omega(kappa: Vec, point: PeriodPoint) -> bool:
     """Positive projection: (k,k) * hermitian_norm > 2 * |(k, line)|^2.
 
+    With kappa = K/k, re = R/r and im = I/i this is decided on integers as
+    (K, K) ((R, R) i^2 + (I, I) r^2) > 2 ((K, R)^2 i^2 + (K, I)^2 r^2):
+    both sides are the rational ones multiplied by (k r i)^2 > 0.
+
     Equivalent to the projection of kappa landing strictly inside the
     positive cone orthogonal to the line; the equivalence is re-checked on
     every call and a disagreement raises InvariantError.
     """
-    lhs = norm(kappa) * point.hermitian_norm()
-    rhs = 2 * point.pairing_square(kappa)
-    member = lhs > rhs
+    square = point._pairing_square_num(kappa)  # checks the lattice
+    member = pairing_nums(kappa, kappa) * point._norm_num() > 2 * square
     if member != is_in_k_omega(project_to_alpha_perp(kappa, point), point):
         raise InvariantError("cone membership disagrees with its projected form")
     return member

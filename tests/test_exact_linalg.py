@@ -261,10 +261,25 @@ SPARSE = st.sampled_from((0,) * 8 + (1, -1, 3))  # includes the unit fast path
 
 
 @st.composite
+def single_entry_row(draw, k):
+    # zero rows and rows with one entry 1, -1 or 2: the unit fast path and
+    # its nearest misses
+    row = [0] * k
+    if k:
+        row[draw(st.integers(0, k - 1))] = draw(st.sampled_from((0, 1, 1, -1, 2)))
+    return row
+
+
+@st.composite
 def product_operands(draw):
     r, k, c = (draw(st.integers(0, 6)) for _ in range(3))
     entry = draw(st.sampled_from((DENSE, SPARSE)))
-    a = [[draw(entry) for _ in range(k)] for _ in range(r)]
+    a = [
+        draw(st.one_of(
+            st.lists(entry, min_size=k, max_size=k), single_entry_row(k)
+        ))
+        for _ in range(r)
+    ]
     b = [[draw(entry) for _ in range(c)] for _ in range(k)]
     return IntMatrix(a), IntMatrix(b)
 

@@ -54,11 +54,12 @@ def test_unchecked_constructors_stay_in_the_core():
     ]
     assert found == []
     assert any(attribute_uses(m, s, "_trusted") for m, s in library_sources())
-    # the scan does see a call site where user JSON enters
-    for module in ("cli", "moment"):
-        assert attribute_uses(module, "v = LatticeVector._trusted(l, c)", "_trusted") == [
-            f"{module}:1"
-        ]
+    # the scan does see a call site where user JSON enters, and one in period
+    for module in ("cli", "moment", "period"):
+        for cls in ("LatticeVector", "RationalVector"):
+            assert attribute_uses(module, f"v = {cls}._trusted(l, c, d)", "_trusted") == [
+                f"{module}:1"
+            ]
 
 
 def test_one_pairing_kernel():

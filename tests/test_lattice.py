@@ -463,6 +463,17 @@ def test_unchecked_constructions_match_validated_ones(u, v, c, i):
     for got, coords in sites:
         assert_validated_ints(got)
         assert got == K3.vector(coords)
+    fracs = [Fraction(a, 1 + abs(b)) for a, b in zip(u.coords, v.coords)]
+    mixed = [x if j % 2 else a for j, (a, x) in enumerate(zip(u.coords, fracs))]
+    for coords in (u.coords, fracs, mixed, [c] * 22):
+        got = K3.rational_vector(coords)
+        validated = RationalVector(K3, got.nums, got.den)  # normalizes, if needed
+        assert type(got) is RationalVector and all(type(x) is int for x in got.nums)
+        assert (got.nums, got.den) == (validated.nums, validated.den)
+        assert got.coords == tuple(Fraction(x) for x in coords)
+    for short_or_long in (fracs[:21], mixed + [1]):
+        with pytest.raises(ValueError, match="rank"):
+            K3.rational_vector(short_or_long)
     assert K3.basis_vector(i) is K3.basis_vector(i)  # built once per lattice
     with pytest.raises(TypeError, match="integer coefficient"):
         sub.member_from_coefficients((1, 0.0, 0))

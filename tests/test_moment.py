@@ -99,6 +99,13 @@ def test_positive_on_open_boundary_and_unbounded_cases():
     assert _positive_on_open(DHPolynomial(2, 0, 0), None, None)
     assert _positive_on_open(DHPolynomial(0, 1, 0), 0, None)
     assert not _positive_on_open(DHPolynomial(0, 1, 0), None, 1)
+    # a line falling off an unbounded upper side
+    assert _positive_on_open(DHPolynomial(5, -1, 0), None, 5)
+    assert not _positive_on_open(DHPolynomial(5, -1, 0), 0, None)
+    # a negative endpoint value decides before the shape is looked at: the
+    # rising line t - 1 would otherwise pass on (0, inf)
+    assert not _positive_on_open(DHPolynomial(-1, 1, 0), 0, None)
+    assert not _positive_on_open(DHPolynomial(-1, -1, 0), None, 0)
     assert _positive_on_open(ORBIFOLD_BRANCH, None, None)
     # convex with a double root strictly inside is not positive
     assert not _positive_on_open(DHPolynomial(1, -2, 1), 0, 2)
@@ -195,6 +202,46 @@ def test_structural_errors():
     with pytest.raises(ModelError, match="unbounded"):
         piece = Piece(None, 1, ORBIFOLD_BRANCH)
         validate(GluedModel((piece,), (Wall(1, 16, (-2, 1, 1)),), period=4))
+
+
+def test_structural_errors_of_periods_and_pieces():
+    model = packaged_model()
+    for period in (0, -4):
+        with pytest.raises(ModelError, match="period must be positive"):
+            validate(GluedModel(model.pieces, model.walls, period=period))
+    # interior wall at 1 matches, the wrap wall does not end the last piece
+    moved = (model.walls[0], Wall(5, 16, (2, -1, -1)))
+    with pytest.raises(ModelError, match="wrap wall"):
+        validate(GluedModel(model.pieces, moved, model.period))
+    with pytest.raises(ValueError, match="negative fixed point count"):
+        Wall(1, -1, (-2, 1, 1))
+    for lo, hi in ((1, 0), (1, 1)):
+        with pytest.raises(ValueError, match="empty interval"):
+            Piece(lo, hi, ORBIFOLD_BRANCH)
+    with pytest.raises(ValueError, match="unknown reduced space"):
+        Piece(0, 1, ORBIFOLD_BRANCH, reduced_space="Enriques")
+    kappa, eta = pair_from_polynomial(DHPolynomial(2, 0, 0))
+    with pytest.raises(ValueError, match="two members"):
+        Piece(0, 1, DHPolynomial(2, 0, 0), class_pair=(kappa, eta, kappa))
+
+
+def test_validate_reports_negative_endpoints_and_dependent_pairs():
+    # t - 1 on (0, inf): negative at the closed end, rising on the open side
+    rising = Piece(0, None, DHPolynomial(-2, 2, 0))
+    report = validate(GluedModel((rising,), ()))
+    assert {c.check_id for c in report.checks if not c.passed} == {"positivity:piece0"}
+    # a dependent pair: its polynomial 2 (1 - 2t)^2 matches and is positive on
+    # (0, 1/4), but the pair spans no rank-2 sublattice
+    kappa, _ = pair_from_polynomial(DHPolynomial(2, 0, 0))
+    dependent = Piece(0, Fraction(1, 4), DHPolynomial(2, -8, 8), class_pair=(kappa, 2 * kappa))
+    report = validate(GluedModel((dependent,), ()))
+    assert {c.check_id for c in report.checks if not c.passed} == {"primitive:piece0"}
+
+
+def test_only_lattice_class_pairs_serialize():
+    piece = Piece(-1, 1, ORBIFOLD_BRANCH, class_pair=(kappa_hat(), eta_hat(1)), reduced_space="Kummer")
+    with pytest.raises(ModelError, match="only lattice class pairs"):
+        model_to_json_dict(GluedModel((piece,), ()))
 
 
 def test_model_json_round_trip_and_errors():

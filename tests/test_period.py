@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import k3dh.period
-from k3dh.lattice import direct_sum, make_H, make_K3, k3_e, k3_f, norm, pairing
+from k3dh.lattice import direct_sum, make_H, make_K3, k3_e, k3_f, norm, pairing, rescale
 from k3dh.period import (
     InvariantError,
     OrientedPlane,
@@ -103,6 +103,16 @@ def test_cone_membership_examples():
     tilted = kappa + k3_e(K3, 0)
     assert is_in_ktilde_omega(tilted, pt)
     assert not is_in_k_omega(tilted, pt)
+    # the boundary again, on re = 3 e0 + f0/3 and im = e1/2 + 2 f1 (norm 2,
+    # denominators 3 and 2) and kappa with a third denominator
+    e0, f0, e1, f1 = (
+        v.to_rational() for v in (k3_e(K3, 0), k3_f(K3, 0), k3_e(K3, 1), k3_f(K3, 1))
+    )
+    pt = PeriodPoint(e0.scale(3) + f0.scale(Fraction(1, 3)), e1.scale(Fraction(1, 2)) + f1.scale(2))
+    on_line = pt.re.scale(Fraction(2, 7)) + pt.im.scale(Fraction(5, 11))
+    assert norm(on_line) * pt.hermitian_norm() == 2 * pt.pairing_square(on_line)
+    assert not is_in_ktilde_omega(on_line, pt)
+    assert not is_in_ktilde_omega(zero, pt)
 
 
 def test_projected_norm_identity_randomized():
@@ -137,7 +147,7 @@ def test_cone_equivalence_failure_raises(monkeypatch):
 
 def test_non_orthogonal_projection_raises(monkeypatch):
     pt = standard_point(K3)
-    monkeypatch.setattr(k3dh.period, "pairing", lambda u, v: Fraction(1))
+    monkeypatch.setattr(k3dh.period, "pairing_nums", lambda u, v: 1)
     with pytest.raises(InvariantError, match="not orthogonal"):
         project_to_alpha_perp(k3_e(K3, 0), pt)
 
@@ -245,3 +255,151 @@ def test_projection_is_idempotent_and_orthogonal(a, b, coeffs):
     assert pairing(khat, pt.re) == 0
     assert pairing(khat, pt.im) == 0
     assert project_to_alpha_perp(khat, pt) == khat
+
+
+# -- the former Fraction predicates, kept as test-only oracles ----------------
+
+
+def oracle_is_in_omega(re, im):
+    return pairing(re, im) == 0 and norm(re) == norm(im) and norm(re) > 0
+
+
+def oracle_hermitian_norm(point):
+    return Fraction(norm(point.re) + norm(point.im))
+
+
+def oracle_pairing_square(point, kappa):
+    return Fraction(pairing(kappa, point.re) ** 2 + pairing(kappa, point.im) ** 2)
+
+
+def oracle_is_in_k_omega(kappa, point):
+    return (
+        norm(kappa) > 0
+        and pairing(kappa, point.re) == 0
+        and pairing(kappa, point.im) == 0
+    )
+
+
+def oracle_is_in_ktilde_omega(kappa, point):
+    return norm(kappa) * oracle_hermitian_norm(point) > 2 * oracle_pairing_square(point, kappa)
+
+
+small = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+nonzero = small.filter(bool)
+positive_norms = st.fractions(min_value=Fraction(1, 12), max_value=6, max_denominator=12)
+non_positive_norms = st.fractions(min_value=-6, max_value=0, max_denominator=12)
+
+
+@st.composite
+def period_pairs(draw, norms):
+    """re = x0 (e0+f0) + y0 (e0-f0), im = x1 (e1+f1) + y1 (e1-f1), with
+    x^2 - y^2 = n on both sides (x - y = s, x + y = n/s), then rotated.
+
+    Each side draws its own s, so re and im have different denominators;
+    both norms are 2n times a^2 + b^2 of the rotation, and the pair is a
+    period exactly when n > 0.
+    """
+    n = draw(norms)
+    sides = []
+    for i in (0, 1):
+        s = draw(nonzero)
+        x, y = (s + n / s) / 2, (n / s - s) / 2
+        e, f = k3_e(K3, i).to_rational(), k3_f(K3, i).to_rational()
+        sides.append((e + f).scale(x) + (e - f).scale(y))
+    re, im = sides
+    a, b = draw(small), draw(small)
+    if a or b:
+        re, im = re.scale(a) + im.scale(b), re.scale(-b) + im.scale(a)
+    return re, im
+
+
+@st.composite
+def kappas(draw, re, im):
+    kind = draw(st.sampled_from(("random", "tilted", "span", "zero", "orthogonal")))
+    if kind == "zero":
+        return K3.rational_vector([0] * K3.rank)
+    if kind == "span":  # the equality boundary of the tame cone
+        return re.scale(draw(small)) + im.scale(draw(small))
+    e2, f2 = k3_e(K3, 2).to_rational(), k3_f(K3, 2).to_rational()
+    positive = (e2 + f2).scale(draw(st.integers(1, 8))) + (e2 - f2).scale(draw(small) / 8)
+    if kind == "orthogonal":
+        return positive
+    noise = K3.rational_vector(draw(st.lists(small, min_size=K3.rank, max_size=K3.rank)))
+    if kind == "random":
+        return noise
+    return positive + noise.scale(Fraction(1, draw(st.integers(4, 40))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_predicates_match_fraction_oracles(data):
+    re, im = data.draw(period_pairs(positive_norms))
+    assert is_in_omega(re, im) and oracle_is_in_omega(re, im)
+    # non-periods: norms <= 0, unequal norms, a shared direction, a tilted
+    # imaginary part; (c im, re) is a period again for c = +-1
+    c = data.draw(nonzero)
+    non_periods = [data.draw(period_pairs(non_positive_norms))]
+    non_periods += [(re, im.scale(2)), (re, re), (re, im + re.scale(c)), (im.scale(c), re)]
+    for u, v in non_periods:
+        assert is_in_omega(u, v) == oracle_is_in_omega(u, v)
+    point = PeriodPoint(re, im)
+    assert point.hermitian_norm() == oracle_hermitian_norm(point)
+    kappa = data.draw(kappas(re, im))
+    for k in (kappa, kappa.scale(data.draw(nonzero))):
+        assert point.pairing_square(k) == oracle_pairing_square(point, k)
+        assert is_in_k_omega(k, point) == oracle_is_in_k_omega(k, point)
+        assert is_in_ktilde_omega(k, point) == oracle_is_in_ktilde_omega(k, point)
+        lhs = norm(k) * oracle_hermitian_norm(point)
+        if lhs == 2 * oracle_pairing_square(point, k):
+            assert not is_in_ktilde_omega(k, point)
+
+
+def test_predicates_reject_a_foreign_lattice():
+    pt = standard_point(K3)
+    k3_twice = rescale(K3, 2)  # same rank, another form
+    for foreign in (H3, k3_twice):
+        kappa = hyperbolic(foreign, 2, 1, 1)
+        for call in (
+            lambda: is_in_omega(pt.re, kappa),
+            lambda: is_in_omega(kappa.to_rational(), pt.im),
+            lambda: PeriodPoint(pt.re, kappa),
+            lambda: pt.pairing_square(kappa),
+            lambda: is_in_k_omega(kappa, pt),
+            lambda: is_in_ktilde_omega(kappa, pt),
+            lambda: is_in_k_omega_generic(kappa, pt),
+            lambda: is_in_ktilde_omega_generic(kappa, pt),
+            lambda: project_to_alpha_perp(kappa, pt),
+        ):
+            with pytest.raises(ValueError, match="different lattices"):
+                call()
+
+
+def test_predicates_build_no_fraction(monkeypatch):
+    u, v = hyperbolic(K3, 0, 2, 1), hyperbolic(K3, 1, 2, 1)
+    re = u.to_rational().scale(Fraction(3, 5)) + v.to_rational().scale(Fraction(4, 7))
+    im = u.to_rational().scale(Fraction(-4, 7)) + v.to_rational().scale(Fraction(3, 5))
+    kappa = K3.rational_vector([Fraction(i % 5 - 2, i % 4 + 1) for i in range(K3.rank)])
+    lattice_kappa = hyperbolic(K3, 2, 3, 1)
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    point = PeriodPoint(re, im)
+    is_in_omega(re, im)
+    for k in (kappa, lattice_kappa):
+        is_in_k_omega(k, point)
+        is_in_ktilde_omega(k, point)
+        project_to_alpha_perp(k, point)
+    assert made == []
+    # the returned values are the only Fractions: one each
+    point.hermitian_norm()
+    assert len(made) == 1
+    point.pairing_square(kappa)
+    assert len(made) == 2
+    monkeypatch.undo()
+    assert point.hermitian_norm() == oracle_hermitian_norm(point)
+    assert point.pairing_square(kappa) == oracle_pairing_square(point, kappa)
