@@ -163,13 +163,16 @@ def _bareiss_rref(rows: list[list[int]], ncols: int) -> tuple[list[int], int, in
     row r holds d at pivots[r] and 0 at every other pivot column, so
     rows / d is the reduced row echelon form; a square matrix of full rank
     has det = sign * d.  Columns from ncols on are carried along.
+
+    There is no early exit once every row holds a pivot: every caller
+    passes ncols == len(rows), and len(pivots) <= c at column c, so that
+    never happens before the last column; for any other shape the pivot
+    search then finds no row and each later column is skipped.
     """
     pivots: list[int] = []
     sign = prev = 1
     for c in range(ncols):
         r = len(pivots)
-        if r == len(rows):
-            break
         p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if p is None:
             continue

@@ -22,7 +22,11 @@ reference pair
 
 by Eichler transvections and signed permutations of hyperbolic basis
 vectors.  The moves act on a working vector and are recorded; the matrix
-of their product is built once.  The core is a euclidean reduction on the
+of their product is built once.  Consecutive transvections with one
+isotropic base e merge into one factor: for a, b in e^⊥,
+E(e, a) E(e, b) = E(e, a + b) (Eichler; Gritsenko-Hulek-Sankaran,
+J. Algebra 322, 2009), so a run of them costs one product, and none when
+its arguments sum to 0.  The core is a euclidean reduction on the
 hyperbolic coefficients (isotropic transvection arguments shift them with
 no quadratic correction), with the definite blocks as content reservoirs
 when the hyperbolic gcd bottoms out above 1.  One pass either reaches the
@@ -32,6 +36,7 @@ the step budget of _unitize.  It never returns a wrong answer.
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import groupby
 from operator import mul
 
 from .exact_linalg import IntMatrix, det, int_inverse, xgcd_vector
@@ -128,6 +133,12 @@ def _dot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
+def _run_key(mv):
+    # consecutive transvections with one base form a run; a permutation
+    # keys by itself
+    return mv if isinstance(mv, dict) else mv[0].coords
+
+
 def _transvection_data(e: LatticeVector, a: LatticeVector):
     """G e and w = G a + (a,a)/2 G e, after checking the preconditions of a
     transvection; G e and G a are the images cached on e and a."""
@@ -164,8 +175,11 @@ def eichler_transvection(e: LatticeVector, a: LatticeVector) -> Isometry:
     return Isometry._unchecked(e.lattice, IntMatrix._trusted(tuple(rows)))
 
 
+@cache
 def flip_third_H(lattice: Lattice) -> Isometry:
-    """Negate the third hyperbolic summand; reverses plane orientation."""
+    """Negate the third hyperbolic summand; reverses plane orientation.
+
+    Built and checked once per lattice."""
     rows = [list(row) for row in _identity_rows(lattice.rank)]
     rows[E3][E3] = rows[F3][F3] = -1
     return Isometry(lattice, IntMatrix(rows))
@@ -183,10 +197,11 @@ def preserves_components(phi: Isometry) -> bool:
 
 class _Mover:
     """Working vector plus the moves applied to it so far: transvections
-    (e, a) and signed basis permutations {j: (k, sign)}, which send basis
-    vector j to sign * basis vector k and fix the others.  A move acts on
-    the working coordinates only; isometry() builds the matrix of the
-    product once."""
+    (e, a, ge, w), kept with the data of _transvection_data, and signed
+    basis permutations {j: (k, sign)}, which send basis vector j to
+    sign * basis vector k and fix the others.  A move acts on the working
+    coordinates only and is checked once, when it is recorded; isometry()
+    builds the matrix of the product once."""
 
     def __init__(self, v: LatticeVector):
         self.lattice = v.lattice
@@ -201,7 +216,7 @@ class _Mover:
 
     def transvect(self, e: LatticeVector, a: LatticeVector):
         if any(a.coords):
-            self.move((e, a))
+            self.move((e, a, *_transvection_data(e, a)))
 
     def move(self, mv):
         self.moves.append(mv)
@@ -210,8 +225,7 @@ class _Mover:
             for k, c in [(k, s * x[j]) for j, (k, s) in mv.items()]:
                 x[k] = c
             return
-        e, a = mv
-        ge, w = _transvection_data(e, a)
+        e, a, ge, w = mv
         xe, xw = _dot(ge, x), _dot(w, x)
         for i, (ai, ei) in enumerate(zip(a.coords, e.coords)):
             if ai or ei:
@@ -219,17 +233,28 @@ class _Mover:
 
     def isometry(self) -> Isometry:
         """The product of the recorded moves; unchecked, since every factor
-        is an isometry (module docstring)."""
-        acc = identity_isometry(self.lattice)
-        for move in self.moves:
-            if isinstance(move, dict):
-                rows = list(acc.matrix.rows)
-                for j, (k, s) in move.items():
-                    rows[k] = tuple(s * y for y in acc.matrix.rows[j])
-                acc = Isometry._unchecked(self.lattice, IntMatrix._trusted(tuple(rows)))
-            else:
-                acc = eichler_transvection(*move).compose(acc)
-        return acc
+        is an isometry (module docstring).
+
+        A run of consecutive transvections with one base e is built as the
+        single factor E(e, a_1 + ... + a_k), which eichler_transvection
+        checks again, and as no factor when the arguments sum to 0."""
+        acc = None
+        for base, run in groupby(self.moves, key=_run_key):
+            if isinstance(base, dict):
+                for perm in run:
+                    rows = _identity_rows(self.lattice.rank) if acc is None else acc.matrix.rows
+                    out = list(rows)
+                    for j, (k, s) in perm.items():
+                        out[k] = rows[j] if s == 1 else tuple(-y for y in rows[j])
+                    acc = Isometry._unchecked(self.lattice, IntMatrix._trusted(tuple(out)))
+                continue
+            (e, a, *_), *rest = run
+            for mv in rest:
+                a = a + mv[1]
+            if any(a.coords):
+                t = eichler_transvection(e, a)
+                acc = t if acc is None else t.compose(acc)
+        return identity_isometry(self.lattice) if acc is None else acc
 
     def basis(self, i: int) -> LatticeVector:
         return self.lattice.basis_vector(i)
@@ -452,7 +477,9 @@ def lemma_iso(kappa: LatticeVector, eta: LatticeVector, kappa_p: LatticeVector,
     g_inv = g.inverse()
     phi = g_inv.compose(gp)
     if preserves_components(phi) != preserve:
-        phi = g_inv.compose(flip_third_H(g.lattice)).compose(gp)
+        # the flip's rows are unit rows or single -1 rows, so it is the
+        # cheap left factor of a product
+        phi = g_inv.compose(flip_third_H(g.lattice).compose(gp))
         if preserves_components(phi) != preserve:
             raise InvariantError("lemma_iso: the third-plane flip did not fix the orientation")
     if phi.apply(kappa_p) != kappa or phi.apply(eta_p) != eta:

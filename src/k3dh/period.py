@@ -12,7 +12,7 @@ Fraction is built only for a value that a function returns.  All
 predicates below are exact; there is no epsilon anywhere.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -44,26 +44,34 @@ def is_in_omega(re: Vec, im: Vec) -> bool:
     (R, R) i^2 = (I, I) r^2.
     """
     _check_same_lattice(re, im)
-    rr = pairing_nums(re, re)
-    return (
-        rr > 0
-        and pairing_nums(re, im) == 0
-        and rr * im.den**2 == pairing_nums(im, im) * re.den**2
-    )
+    return _in_omega(re, im, pairing_nums(re, re), pairing_nums(im, im))
+
+
+def _in_omega(re: Vec, im: Vec, rr: int, ii: int) -> bool:
+    # is_in_omega given the self-pairings rr = (R, R) and ii = (I, I)
+    return rr > 0 and pairing_nums(re, im) == 0 and rr * im.den**2 == ii * re.den**2
 
 
 @dataclass(frozen=True)
 class PeriodPoint:
+    """A period point; rr = (R, R) and ii = (I, I), the self-pairings of the
+    numerators, are computed once, at construction."""
+
     re: RationalVector
     im: RationalVector
+    rr: int = field(init=False, repr=False, compare=False)
+    ii: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "re", _rational(self.re))
-        object.__setattr__(self, "im", _rational(self.im))
-        if not is_in_omega(self.re, self.im):
+        re, im = _rational(self.re), _rational(self.im)
+        _check_same_lattice(re, im)
+        rr, ii = pairing_nums(re, re), pairing_nums(im, im)
+        if not _in_omega(re, im, rr, ii):
             raise ValueError(
                 "not a period point: need (re,im) = 0 and (re,re) = (im,im) > 0"
             )
+        for name, value in (("re", re), ("im", im), ("rr", rr), ("ii", ii)):
+            object.__setattr__(self, name, value)
 
     @property
     def lattice(self) -> Lattice:
@@ -83,8 +91,7 @@ class PeriodPoint:
 
     def _norm_num(self) -> int:
         """(R, R) i^2 + (I, I) r^2."""
-        re, im = self.re, self.im
-        return pairing_nums(re, re) * im.den**2 + pairing_nums(im, im) * re.den**2
+        return self.rr * self.im.den**2 + self.ii * self.re.den**2
 
     def _pairing_square_num(self, kappa: Vec) -> int:
         """(K, R)^2 i^2 + (K, I)^2 r^2."""
@@ -105,8 +112,8 @@ def project_to_alpha_perp(kappa: Vec, point: PeriodPoint) -> RationalVector:
     if kappa.lattice != point.lattice:
         raise ValueError("kappa and the period point live in different lattices")
     re, im = point.re, point.im
-    pr, qr = pairing_nums(kappa, re), pairing_nums(re, re)
-    pi, qi = pairing_nums(kappa, im), pairing_nums(im, im)
+    pr, qr = pairing_nums(kappa, re), point.rr
+    pi, qi = pairing_nums(kappa, im), point.ii
     g, h = gcd(pr, qr), gcd(pi, qi)
     pr, qr, pi, qi = pr // g, qr // g, pi // h, qi // h
     q = qr * qi
@@ -175,20 +182,26 @@ class OrientedPlane:
     basis: tuple[RationalVector, RationalVector, RationalVector]
 
     def __post_init__(self):
+        """Sylvester's criterion on the numerator Gram matrix.
+
+        With basis vectors u_i = U_i / d_i, N_ij = (U_i, U_j) is d_i d_j G_ij
+        for the Gram matrix G_ij = (u_i, u_j), so N = D G D with
+        D = diag(d_i) > 0, and the leading minor of order k is
+        det N_k = (d_1 ... d_k)^2 det G_k: the same sign.  So the basis spans
+        a positive 3-plane exactly when the three leading minors of N are
+        positive."""
         basis = tuple(_rational(v) for v in self.basis)
         if len(basis) != 3:
             raise ValueError("need exactly three spanning vectors")
+        u, v, w = basis
+        _check_same_lattice(u, v)
+        _check_same_lattice(u, w)
         object.__setattr__(self, "basis", basis)
-        g = self.gram()
-        # Sylvester criterion, leading principal minors
-        for k in (1, 2, 3):
-            if rat_det(RatMatrix([row[:k] for row in g[:k]])) <= 0:
-                raise ValueError("basis does not span a positive 3-plane")
-
-    def gram(self) -> list[list[Fraction]]:
-        return [
-            [Fraction(pairing(u, v)) for v in self.basis] for u in self.basis
-        ]
+        a, b, c = pairing_nums(u, u), pairing_nums(u, v), pairing_nums(u, w)
+        d, e, f = pairing_nums(v, v), pairing_nums(v, w), pairing_nums(w, w)
+        minors = (a, a * d - b * b, a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d))
+        if min(minors) <= 0:
+            raise ValueError("basis does not span a positive 3-plane")
 
 
 def same_component(p: OrientedPlane, q: OrientedPlane) -> bool:

@@ -1,5 +1,6 @@
 """Source-level rules: no library assert, no runtime dependency, unchecked
-constructors only in the core modules, one pairing kernel."""
+constructors only in the core modules, unchecked isometries only in the
+isometry module, one pairing kernel."""
 import ast
 from pathlib import Path
 
@@ -60,6 +61,21 @@ def test_unchecked_constructors_stay_in_the_core():
             assert attribute_uses(module, f"v = {cls}._trusted(l, c, d)", "_trusted") == [
                 f"{module}:1"
             ]
+
+
+def test_unchecked_isometries_stay_in_isometry():
+    # Isometry._unchecked skips the M^T G M = G check; only the isometry
+    # module knows which of its products are isometries by algebra
+    found = [
+        site
+        for module, source in library_sources()
+        if module != "isometry"
+        for site in attribute_uses(module, source, "_unchecked")
+    ]
+    assert found == []
+    assert any(attribute_uses(m, s, "_unchecked") for m, s in library_sources())
+    # the scan does see a call site written into cli
+    assert attribute_uses("cli", "phi = Isometry._unchecked(l, m)", "_unchecked") == ["cli:1"]
 
 
 def test_one_pairing_kernel():

@@ -119,6 +119,15 @@ def test_transvection_additive_in_argument():
         a, b = arg(), arg()
         lhs = eichler_transvection(e, a).compose(eichler_transvection(e, b))
         assert lhs.matrix == eichler_transvection(e, a + b).matrix
+        # a run of 2-5 arguments is one transvection by their sum
+        run = [arg() for _ in range(rng.randint(2, 5))]
+        product, total = identity_isometry(K3), K3.vector([0] * K3.rank)
+        for a in run:
+            product, total = eichler_transvection(e, a).compose(product), total + a
+        assert product.matrix == eichler_transvection(e, total).matrix
+        # and a run whose arguments sum to 0 is the identity
+        product = eichler_transvection(e, -1 * total).compose(product)
+        assert product.matrix == IntMatrix.identity(K3.rank)
 
 
 def test_preserves_components_calibration():
@@ -379,6 +388,39 @@ def eager_map_pair(kap, eta):
         isometry._Mover = recorded
 
 
+def per_move_product(mover):
+    """Test-only oracle: the former build, one product per recorded move
+    (every transvection its own factor, composed onto the identity)."""
+    acc = identity_isometry(mover.lattice)
+    for move in mover.moves:
+        if isinstance(move, dict):
+            rows = list(acc.matrix.rows)
+            for j, (k, s) in move.items():
+                rows[k] = tuple(s * y for y in acc.matrix.rows[j])
+            acc = Isometry(mover.lattice, IntMatrix(rows))
+        else:
+            acc = eichler_transvection(*move[:2]).compose(acc)
+    return acc
+
+
+def recorded_mover(kap, eta):
+    """The mover of map_pair_to_standard(kap, eta) after both stages."""
+    m = isometry._Mover(kap)
+    isometry._standardize_vector(m)
+    m.restart(eta)
+    isometry._standardize_partner(m, norm(kap) // 2)
+    return m
+
+
+def same_base_neighbours(mover):
+    """Recorded transvections that directly follow one with the same base."""
+    return sum(
+        1 for prev, mv in zip(mover.moves, mover.moves[1:])
+        if not isinstance(prev, dict) and not isinstance(mv, dict)
+        and prev[0].coords == mv[0].coords
+    )
+
+
 def bench_law_pair(rng):
     """The isometry-pairs benchmark law: e1 + l0 f1 and -l1 f1 + e2 + l2 f2,
     moved by 1-4 transvections whose base is a hyperbolic basis vector and
@@ -434,6 +476,8 @@ def test_random_primitive_pairs_standardize(k, e):
     g = map_pair_to_standard(kap, eta)
     assert (g.apply(kap), g.apply(eta)) == ref
     assert g.matrix == eager_map_pair(kap, eta).matrix
+    m = recorded_mover(kap, eta)
+    assert m.isometry().matrix == per_move_product(m).matrix == g.matrix
     for preserve in (True, False):
         phi = lemma_iso(*ref, kap, eta, preserve=preserve)
         assert (phi.apply(kap), phi.apply(eta)) == ref
@@ -474,8 +518,9 @@ def test_transvection_preserves_the_form(plane, v, x, y):
 
 @pytest.mark.parametrize("preserve", [True, False])
 def test_lemma_iso_checks_each_result_once(monkeypatch, preserve):
-    # three exit checks (two standardizations and lemma_iso's own) and
-    # flip_third_H when the orientation has to be reversed
+    # three exit checks (two standardizations and lemma_iso's own); the
+    # flip is checked once per lattice, so it is built before counting
+    flip_third_H(K3)
     kap = E[0] - 2 * F[0]
     eta = -8 * F[0] + E[1] - 2 * F[1]
     kp, ep = transvected_pair(random.Random(29), kap, eta, 3)
@@ -488,4 +533,65 @@ def test_lemma_iso_checks_each_result_once(monkeypatch, preserve):
 
     monkeypatch.setattr(Isometry, "__post_init__", counted)
     lemma_iso(kap, eta, kp, ep, preserve=preserve)
-    assert 3 <= len(calls) <= 4
+    assert len(calls) == 3
+
+
+def test_merged_runs_match_per_move_oracle():
+    rng = random.Random(7919)
+    merged = 0
+    for _ in range(25):
+        kap, eta = bench_law_pair(rng)
+        m = recorded_mover(kap, eta)
+        assert m.isometry().matrix == per_move_product(m).matrix
+        assert m.isometry().matrix == map_pair_to_standard(kap, eta).matrix
+        merged += same_base_neighbours(m)
+    assert merged > 0  # the law does produce same-base runs
+
+
+def test_zero_sum_run_adds_no_factor(monkeypatch):
+    built = []
+    monkeypatch.setattr(isometry, "eichler_transvection",
+                        lambda e, a: built.append(a) or eichler_transvection(e, a))
+    a = K3.vector(sparse_coords({2: 1, 6: 1, 7: -1}))
+    m = isometry._Mover(E[1] + 3 * F[1])
+    m.transvect(E[0], a)
+    m.transvect(E[0], -1 * a)
+    assert m.coords == list((E[1] + 3 * F[1]).coords)
+    assert m.isometry().matrix == IntMatrix.identity(K3.rank)
+    assert built == []
+    # a run of one base is one factor by the sum; a new base starts a new run
+    m.transvect(E[0], a)
+    m.transvect(E[0], a)
+    m.transvect(F[2], a)
+    g = m.isometry()
+    assert [b.coords for b in built] == [(2 * a).coords, a.coords]
+    assert g.matrix == per_move_product(m).matrix
+
+
+def test_replay_does_not_recheck_recorded_moves(monkeypatch):
+    # restart replays each move with the data kept when it was recorded
+    kap, eta = bench_law_pair(random.Random(3))
+    m = isometry._Mover(kap)
+    isometry._standardize_vector(m)
+    recorded = len(m.moves)
+    checked = []
+    data = isometry._transvection_data
+    monkeypatch.setattr(isometry, "_transvection_data",
+                        lambda e, a: checked.append(a) or data(e, a))
+    m.restart(eta)
+    assert any(not isinstance(mv, dict) for mv in m.moves)
+    assert len(m.moves) == recorded and checked == []
+
+
+def test_lemma_iso_matches_the_former_formula():
+    # phi = g^-1 gp, or g^-1 flip gp when the orientation must be reversed
+    rng = random.Random(1)
+    pairs = [bench_law_pair(rng) for _ in range(8)]
+    for kap, eta in pairs:
+        kp, ep = transvected_pair(rng, kap, eta, 2)
+        g, gp = map_pair_to_standard(kap, eta), map_pair_to_standard(kp, ep)
+        for preserve in (True, False):
+            phi = g.inverse().compose(gp)
+            if preserves_components(phi) != preserve:
+                phi = g.inverse().compose(flip_third_H(K3)).compose(gp)
+            assert lemma_iso(kap, eta, kp, ep, preserve=preserve).matrix == phi.matrix

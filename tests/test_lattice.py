@@ -64,6 +64,12 @@ def test_e8_lattice():
     assert rescale(e8, -1).signature() == (0, 8)
 
 
+def test_lattice_repr_names_the_rank_not_the_gram():
+    assert repr(K3) == "Lattice('K3', rank=22)"
+    assert repr(rescale(make_E8(), -1)) == "Lattice('E8(-1)', rank=8)"
+    assert repr(Lattice("odd's", IntMatrix([[1]]))) == "Lattice(\"odd's\", rank=1)"
+
+
 def test_k3_lattice_shape():
     assert K3.rank == 22
     assert K3.is_even()

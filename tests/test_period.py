@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import k3dh.period
+from k3dh.exact_linalg import RatMatrix, rat_det
 from k3dh.lattice import direct_sum, make_H, make_K3, k3_e, k3_f, norm, pairing, rescale
 from k3dh.period import (
     InvariantError,
@@ -178,6 +179,11 @@ def test_oriented_plane_validation():
     e1, f1 = k3_e(K3, 0), k3_f(K3, 0)
     with pytest.raises(ValueError, match="three"):
         OrientedPlane((hyperbolic(K3, 0, 1, 1), hyperbolic(K3, 1, 1, 1)))
+    for i in (1, 2):
+        mixed = [hyperbolic(K3, j, 1, 1) for j in range(3)]
+        mixed[i] = hyperbolic(H3, i, 1, 1)
+        with pytest.raises(ValueError, match="different lattices"):
+            OrientedPlane(tuple(mixed))
     with pytest.raises(ValueError):
         OrientedPlane(
             (e1.to_rational(), k3_e(K3, 1).to_rational(), k3_e(K3, 2).to_rational())
@@ -403,3 +409,115 @@ def test_predicates_build_no_fraction(monkeypatch):
     monkeypatch.undo()
     assert point.hermitian_norm() == oracle_hermitian_norm(point)
     assert point.pairing_square(kappa) == oracle_pairing_square(point, kappa)
+
+
+def count_pairings(monkeypatch):
+    """Record the operands of every pairing_nums call the period module makes."""
+    calls = []
+    exact = k3dh.period.pairing_nums
+
+    def counted(u, v):
+        calls.append((u, v))
+        return exact(u, v)
+
+    monkeypatch.setattr(k3dh.period, "pairing_nums", counted)
+    return calls
+
+
+def test_period_point_keeps_its_self_pairings(monkeypatch):
+    u, v = hyperbolic(K3, 0, 2, 1), hyperbolic(K3, 1, 2, 1)
+    re = u.to_rational().scale(Fraction(3, 5)) + v.to_rational().scale(Fraction(4, 7))
+    im = u.to_rational().scale(Fraction(-4, 7)) + v.to_rational().scale(Fraction(3, 5))
+    noise = K3.rational_vector([Fraction(i % 5 - 2, i % 4 + 1) for i in range(K3.rank)])
+    kappa = hyperbolic(K3, 2, 3, 1) + noise.scale(Fraction(1, 40))  # in the tame cone
+    calls = count_pairings(monkeypatch)
+    point = PeriodPoint(re, im)
+    assert len(calls) == 3  # (R, R), (I, I) and (R, I), once each
+    assert (point.rr, point.ii) == (pairing(re, re) * 35**2, pairing(im, im) * 35**2)
+    del calls[:]
+    point.hermitian_norm()
+    assert calls == []
+    project_to_alpha_perp(kappa, point)
+    assert len(calls) == 4  # (K, R), (K, I) and the two orthogonality checks
+    assert is_in_ktilde_omega(kappa, point)
+    # (K, R), (K, I), (K, K), the projection's 4 and is_in_k_omega's 3
+    assert len(calls) == 4 + 10
+    own = {id(point.re), id(point.im)}
+    assert not any(id(a) in own and id(b) in own for a, b in calls)
+    monkeypatch.undo()
+    assert point.hermitian_norm() == oracle_hermitian_norm(point)
+    assert point == PeriodPoint(re, im) and "rr" not in repr(point)
+
+
+def oracle_is_positive_plane(basis):
+    """Test-only oracle: the former Sylvester check, leading minors of the
+    Fraction Gram matrix by rat_det."""
+    g = [[Fraction(pairing(u, v)) for v in basis] for u in basis]
+    return all(rat_det(RatMatrix([row[:k] for row in g[:k]])) > 0 for k in (1, 2, 3))
+
+
+def is_positive_plane(basis):
+    try:
+        OrientedPlane(basis)
+    except ValueError as exc:
+        assert "positive 3-plane" in str(exc)
+        return False
+    return True
+
+
+ratios = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+
+
+@st.composite
+def triples(draw):
+    """Three rational vectors of K3 with denominators 1-12: near the diagonal
+    positive 3-plane, on random hyperbolic and E8 coordinates, negative
+    (anti-diagonals and E8 roots), of rank 2, or led by an isotropic vector."""
+    kind = draw(st.sampled_from(("positive", "random", "negative", "rank2", "isotropic")))
+
+    def vec(support):
+        coords = [Fraction(0)] * K3.rank
+        for i in support:
+            coords[i] = draw(ratios)
+        return coords
+
+    def add(x, y, c=1):
+        return [a + c * b for a, b in zip(x, y)]
+
+    rows = [vec((0, 1, 2, 3, 4, 5, 6)) for _ in range(3)]
+    if kind == "positive":
+        for i, row in enumerate(rows):
+            diag = [Fraction(0)] * K3.rank
+            diag[2 * i] = diag[2 * i + 1] = Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+            rows[i] = add(diag, row, Fraction(1, 24))
+    elif kind == "negative":
+        for i, row in enumerate(rows):
+            anti = [Fraction(0)] * K3.rank
+            anti[2 * i], anti[2 * i + 1] = Fraction(1, i + 1), Fraction(-1, i + 1)
+            rows[i] = add(anti, vec((6 + i, 14 + i)))
+    elif kind == "rank2":
+        rows[2] = add(rows[0], rows[1], draw(ratios))
+    elif kind == "isotropic":
+        rows[0] = vec((0,))
+    return tuple(K3.rational_vector(row) for row in rows)
+
+
+def plane(*rows):
+    return tuple(K3.rational_vector(row + [0] * (K3.rank - len(row))) for row in rows)
+
+
+half, third = Fraction(1, 2), Fraction(1, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(triples())
+@example(plane([1, 1], [0, 0, 1, 1], [0, 0, 0, 0, 1, 1]))  # positive
+@example(plane([half, half], [third, third, 1, 1], [0, 0, 0, 0, 2, 2]))  # positive, shared support
+@example(plane([1, 1], [0, 0, 1, 1], [0, 0, 0, 0, 1, -1]))  # indefinite: third minor < 0
+@example(plane([1, -1], [0, 0, 1, -1], [0, 0, 0, 0, 1, -1]))  # negative
+@example(plane([1, 1], [0, 0, 1, 1], [1, 1, third, third]))  # rank 2: third minor 0
+@example(plane([1, 1], [half, half], [0, 0, 0, 0, 1, 1]))  # second minor 0
+@example(plane([1], [0, 0, 1, 1], [0, 0, 0, 0, 1, 1]))  # isotropic: first minor 0
+@example(plane([1, 1], [1, 0], [0, 0, 1, -1]))  # second minor < 0, third > 0
+def test_integer_sylvester_matches_rat_det_oracle(basis):
+    assert is_positive_plane(basis) == oracle_is_positive_plane(basis)
