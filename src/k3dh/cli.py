@@ -133,7 +133,10 @@ def _distinct(values) -> str:
 
 def cmd_lattice_info(args) -> int:
     lattice = _resolve_lattice(args)
-    sig = lattice.signature()
+    try:
+        sig = lattice.signature()
+    except ValueError as exc:
+        raise InputError(f"bad lattice data: {exc}") from exc
     info = {
         "name": lattice.name,
         "rank": lattice.rank,
@@ -428,7 +431,7 @@ def _kummer_checks() -> list[Check]:
             "no exceptional part left; self-pairing 8",
             "exc 0, self 8",
             "exc {}, self {}".format(
-                max(abs(c) for c in wall_class.exc),
+                max(abs(c) for c in wall_class.exc.coords),
                 rational_to_str(blowup_pairing(wall_class, wall_class)),
             ),
         )

@@ -1,9 +1,9 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra on integer matrices.
 
-Everything here is deterministic and exact: integer matrices use Python's
-arbitrary-precision ints, rational matrices use fractions.Fraction.  No
-floating point enters at any stage, so results are reproducible bit for bit
-across platforms.
+Everything here is deterministic and exact: matrices hold Python's
+arbitrary-precision ints, and a Fraction appears only as the value of
+rat_det.  No floating point enters at any stage, so results are
+reproducible bit for bit across platforms.
 
 Every determinant and inverse is one elimination,
 _bareiss_rref: fraction-free (Bareiss) Gauss-Jordan with column skipping.
@@ -13,8 +13,8 @@ not yet used (the pivot rows and columns plus its own row and column, by
 Sylvester's identity), of order k in a pivot row (the pivot columns with its
 own column in place of one, by Cramer's rule).  So each division by the
 previous pivot p_{k-1} is exact (Bareiss, Math. Comp. 22, 1968;
-Nakos-Turner-Williams, SIGSAM Bull. 31, 1997).  A rational matrix enters as S * m, each row times the lcm of its
-denominators; only the final results are Fractions.  Smith normal form is
+Nakos-Turner-Williams, SIGSAM Bull. 31, 1997).  Rational rows enter rat_det
+as S * m, each row times the lcm of its denominators.  Smith normal form is
 the one other elimination, over the integers by division with remainder.
 """
 from __future__ import annotations
@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
-
-Rat = Fraction
 
 
 class InvariantError(RuntimeError):
@@ -40,11 +38,6 @@ def _as_int_rows(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
                 raise TypeError(f"integer entry expected, got {x!r}")
         out.append(t)
     return tuple(out)
-
-
-def _as_rat_rows(rows: Iterable[Iterable]) -> tuple[tuple[Rat, ...], ...]:
-    # Fraction construction normalizes (reduced, positive denominator).
-    return tuple(tuple(Rat(x) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -115,41 +108,12 @@ class IntMatrix:
                     out.append(tuple(map(sum, zip(*scaled))))
         return IntMatrix._trusted(tuple(out))
 
-    def to_rat(self) -> "RatMatrix":
-        return RatMatrix(self.rows)
-
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and all(
             self.rows[i][j] == self.rows[j][i]
             for i in range(self.nrows)
             for j in range(i)
         )
-
-
-@dataclass(frozen=True)
-class RatMatrix:
-    """Immutable matrix of Fractions (always stored reduced)."""
-
-    rows: tuple[tuple[Rat, ...], ...]
-
-    def __init__(self, rows: Iterable[Iterable]):
-        object.__setattr__(self, "rows", _as_rat_rows(rows))
-        if self.rows:
-            w = len(self.rows[0])
-            if any(len(r) != w for r in self.rows):
-                raise ValueError("ragged rows")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def __getitem__(self, ij: tuple[int, int]) -> Rat:
-        i, j = ij
-        return self.rows[i][j]
 
 
 # -- fraction-free elimination ----------------------------------------------
@@ -193,7 +157,7 @@ def _bareiss_rref(rows: list[list[int]], ncols: int) -> tuple[list[int], int, in
     return pivots, prev, sign
 
 
-def _clear_denominators(rows: Iterable[Sequence[Rat]]) -> tuple[list[list[int]], list[int]]:
+def _clear_denominators(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
     """Each rational row times the lcm s_i of its denominators: (S * rows, [s_i])."""
     out, scales = [], []
     for row in rows:
@@ -211,10 +175,13 @@ def det(m: IntMatrix) -> int:
     return sign * d if len(pivots) == m.nrows else 0
 
 
-def rat_det(m: RatMatrix) -> Rat:
-    """Determinant of a rational matrix: det(S * m) / prod(s_i)."""
-    rows, scales = _clear_denominators(m.rows)
-    return Rat(det(IntMatrix._trusted(tuple(map(tuple, rows)))), prod(scales))
+def rat_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a matrix given by Fraction rows: det(S * m) / prod(s_i).
+
+    S * m is built as a validated IntMatrix, so ragged rows raise there and
+    a non-square shape in det."""
+    ints, scales = _clear_denominators(rows)
+    return Fraction(det(IntMatrix(ints)), prod(scales))
 
 
 def int_inverse(m: IntMatrix) -> IntMatrix:
@@ -232,23 +199,6 @@ def int_inverse(m: IntMatrix) -> IntMatrix:
     if len(pivots) < n or d not in (1, -1):
         raise ValueError("matrix is not unimodular")
     return IntMatrix._trusted(tuple(tuple(d * x for x in row[n:]) for row in rows))
-
-
-def rat_inverse(m: RatMatrix) -> RatMatrix:
-    """Exact inverse of a nonsingular rational matrix.
-
-    [S * m | S] reduces to [d * I | d * m^-1], since (S m)^-1 S = m^-1.
-    """
-    if m.nrows != m.ncols:
-        raise ValueError("inverse of a non-square matrix")
-    n = m.nrows
-    rows, scales = _clear_denominators(m.rows)
-    for i, (row, s) in enumerate(zip(rows, scales)):
-        row += [s if i == j else 0 for j in range(n)]
-    pivots, d, _ = _bareiss_rref(rows, n)
-    if len(pivots) < n:
-        raise ValueError("matrix is singular")
-    return RatMatrix([[Rat(x, d) for x in row[n:]] for row in rows])
 
 
 # -- Smith normal form ------------------------------------------------------

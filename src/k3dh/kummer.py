@@ -3,18 +3,19 @@
 Forms carry exact complex-rational coefficients on the six degree-2 wedge
 monomials in dz1, dz1bar, dz2, dz2bar.  The torus has unit periods, so the
 single normalization int dx1 dy1 dx2 dy2 = 1 fixes every constant in this
-module.  Blowup classes consist of a rational torus pullback plus sixteen
-exceptional coefficients; pullbacks pair at half the torus value and the
-exceptional spheres pair as -2 times the identity.
+module.  A torus class is a RationalVector of TORUS_LATTICE.  Blowup
+classes consist of a rational torus pullback plus a RationalVector of
+EXCEPTIONAL_LATTICE, one coefficient per sphere; pullbacks pair at half the
+torus value and the exceptional spheres pair as -2 times the identity.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .exact_linalg import IntMatrix, InvariantError
-from .lattice import Lattice
+from .lattice import Lattice, RationalVector
+from .lattice import pairing as lattice_pairing
 
 # slots 0..3 are dz1, dz1bar, dz2, dz2bar
 MONOMIALS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -165,7 +166,7 @@ def wedge_integrate(a: InvariantForm, b: InvariantForm) -> Fraction:
 
 
 # real slots 0..3 are dx1, dy1, dx2, dy2; this ordering of the six real
-# monomials is the coordinate convention for TorusClass throughout
+# monomials is the coordinate convention for torus classes throughout
 TORUS_BASIS = ((0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3))
 _TORUS_INDEX = {m: k for k, m in enumerate(TORUS_BASIS)}
 
@@ -210,48 +211,14 @@ def _torus_gram() -> IntMatrix:
 TORUS_LATTICE = Lattice("torus", _torus_gram())
 
 
-@dataclass(frozen=True)
-class TorusClass:
-    """Degree-2 torus class with rational coordinates on TORUS_BASIS."""
-
-    coords: tuple
-
-    def __post_init__(self):
-        if len(self.coords) != len(TORUS_BASIS):
-            raise ValueError("expected 6 coordinates")
-        object.__setattr__(
-            self, "coords", tuple(Fraction(c) for c in self.coords)
-        )
-
-    def __add__(self, other: "TorusClass") -> "TorusClass":
-        return TorusClass(
-            tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other: "TorusClass") -> "TorusClass":
-        return self + (-other)
-
-    def __neg__(self) -> "TorusClass":
-        return self.scale(-1)
-
-    def scale(self, c) -> "TorusClass":
-        c = Fraction(c)
-        return TorusClass(tuple(c * x for x in self.coords))
-
-    def pair(self, other: "TorusClass") -> Fraction:
-        return Fraction(
-            TORUS_LATTICE.pairing_coords(self.coords, other.coords)
-        )
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
-
-    def is_primitive(self) -> bool:
-        """Integral with coordinate gcd 1 (enough: the basis is unimodular)."""
-        return self.is_integral() and gcd(*(c.numerator for c in self.coords)) == 1
+# the sixteen disjoint exceptional spheres, each of self-intersection -2
+EXCEPTIONAL_LATTICE = Lattice(
+    "exceptional",
+    IntMatrix([[-2 * (i == j) for j in range(NUM_EXCEPTIONAL)] for i in range(NUM_EXCEPTIONAL)]),
+)
 
 
-def form_to_torus_class(a: InvariantForm) -> TorusClass:
+def form_to_torus_class(a: InvariantForm) -> RationalVector:
     """Coordinates of a real form in the integral torus basis."""
     if not a.is_real():
         raise ValueError("form is not real")
@@ -264,7 +231,12 @@ def form_to_torus_class(a: InvariantForm) -> TorusClass:
             out[kk] = _cadd(out[kk], _cmul(c, e))
     if any(im != 0 for _, im in out):  # excluded by realness
         raise InvariantError("real form has a non-real torus coordinate")
-    return TorusClass(tuple(re for re, _ in out))
+    return TORUS_LATTICE.rational_vector(re for re, _ in out)
+
+
+def _check_part(v, lattice: Lattice) -> None:
+    if not isinstance(v, RationalVector) or v.lattice != lattice:
+        raise ValueError(f"expected a RationalVector of the {lattice.name} lattice")
 
 
 @dataclass(frozen=True)
@@ -273,48 +245,43 @@ class KummerClass:
 
     torus_part records the pullback to the torus of the downstairs class,
     which is what makes all coordinates rational; the quotient-level pairing
-    is recovered by the factor 1/2 in pairing().
+    is recovered by the factor 1/2 in pairing().  exc lies in
+    EXCEPTIONAL_LATTICE.
     """
 
-    torus_part: TorusClass
-    exc: tuple
+    torus_part: RationalVector
+    exc: RationalVector
 
     def __post_init__(self):
-        if len(self.exc) != NUM_EXCEPTIONAL:
-            raise ValueError("expected 16 exceptional coefficients")
-        object.__setattr__(self, "exc", tuple(Fraction(c) for c in self.exc))
+        _check_part(self.torus_part, TORUS_LATTICE)
+        _check_part(self.exc, EXCEPTIONAL_LATTICE)
 
     def __add__(self, other: "KummerClass") -> "KummerClass":
-        return KummerClass(
-            self.torus_part + other.torus_part,
-            tuple(a + b for a, b in zip(self.exc, other.exc)),
-        )
+        return KummerClass(self.torus_part + other.torus_part, self.exc + other.exc)
 
     def __sub__(self, other: "KummerClass") -> "KummerClass":
-        return self + (-other)
+        return KummerClass(self.torus_part - other.torus_part, self.exc - other.exc)
 
     def __neg__(self) -> "KummerClass":
-        return self.scale(-1)
+        return KummerClass(-self.torus_part, -self.exc)
 
     def scale(self, c) -> "KummerClass":
-        c = Fraction(c)
-        return KummerClass(
-            self.torus_part.scale(c), tuple(c * x for x in self.exc)
-        )
+        return KummerClass(self.torus_part.scale(c), self.exc.scale(c))
 
 
 def pairing(a: KummerClass, b: KummerClass) -> Fraction:
     """Half the torus pairing of the pullback parts, plus -2 per matched sphere."""
-    exc = sum((x * y for x, y in zip(a.exc, b.exc)), start=Fraction(0))
-    return a.torus_part.pair(b.torus_part) / 2 - 2 * exc
+    torus = lattice_pairing(a.torus_part, b.torus_part)
+    return Fraction(torus, 2) + lattice_pairing(a.exc, b.exc)
 
 
-_ZERO_TORUS = TorusClass((0,) * len(TORUS_BASIS))
+_ZERO_TORUS = TORUS_LATTICE.rational_vector((0,) * len(TORUS_BASIS))
+_ZERO_EXC = EXCEPTIONAL_LATTICE.rational_vector((0,) * NUM_EXCEPTIONAL)
 
 
-def pullback(y: TorusClass) -> KummerClass:
+def pullback(y: RationalVector) -> KummerClass:
     """The blowup class of a downstairs class, given through its torus pullback."""
-    return KummerClass(y, (0,) * NUM_EXCEPTIONAL)
+    return KummerClass(y, _ZERO_EXC)
 
 
 def exceptional(i: int) -> KummerClass:
@@ -323,14 +290,14 @@ def exceptional(i: int) -> KummerClass:
         raise ValueError("exceptional index out of range")
     exc = [0] * NUM_EXCEPTIONAL
     exc[i] = 1
-    return KummerClass(_ZERO_TORUS, tuple(exc))
+    return KummerClass(_ZERO_TORUS, EXCEPTIONAL_LATTICE.rational_vector(exc))
 
 
 def kappa_hat() -> KummerClass:
     """Pullback of the volume real part plus half the sum of the spheres."""
     return KummerClass(
         form_to_torus_class(volume_real_form()),
-        (Fraction(1, 2),) * NUM_EXCEPTIONAL,
+        EXCEPTIONAL_LATTICE.rational_vector((Fraction(1, 2),) * NUM_EXCEPTIONAL),
     )
 
 
@@ -339,7 +306,7 @@ def eta_hat(sign: int) -> KummerClass:
     _check_sign(sign)
     return KummerClass(
         -form_to_torus_class(area_sum_form()),
-        (Fraction(sign, 2),) * NUM_EXCEPTIONAL,
+        EXCEPTIONAL_LATTICE.rational_vector((Fraction(sign, 2),) * NUM_EXCEPTIONAL),
     )
 
 
@@ -349,7 +316,7 @@ def sigma_class(sign: int, t) -> KummerClass:
     return kappa_hat() - eta_hat(sign).scale(Fraction(t))
 
 
-def primitive_pair_check(y_torus_half: TorusClass, x: KummerClass) -> bool:
+def primitive_pair_check(y_torus_half: RationalVector, x: KummerClass) -> bool:
     """Sufficient condition for the pair (downstairs y, x) to span primitively.
 
     y_torus_half is the candidate pullback of y/2.  It must be an integral

@@ -51,20 +51,16 @@ class Lattice:
             tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram.rows
         )
 
-    def gram_times(self, v: Sequence[Coord]) -> tuple[Coord, ...]:
-        """G v, the one pairing kernel.  G is symmetric, so G v is the sum of
-        the Gram rows in supp(v), each scaled by its coordinate."""
+    def gram_times(self, v: Sequence[int]) -> tuple[int, ...]:
+        """G v for integer coordinates or numerators, the one pairing kernel.
+        G is symmetric, so G v is the sum of the Gram rows in supp(v), each
+        scaled by its coordinate."""
         out = [0] * self.rank
         for c, row in zip(v, self._gram_entries):
             if c:
                 for j, g in row:
                     out[j] += g * c
         return tuple(out)
-
-    def pairing_coords(self, u: Sequence[Coord], v: Sequence[Coord]) -> Coord:
-        if len(u) != self.rank or len(v) != self.rank:
-            raise ValueError("coordinate length does not match lattice rank")
-        return sum(map(mul, u, self.gram_times(v)))
 
     @cached_property
     def _basis(self) -> tuple["LatticeVector", ...]:
@@ -251,6 +247,11 @@ class RationalVector:
 
     def is_integral(self) -> bool:
         return self.den == 1
+
+    def is_primitive(self) -> bool:
+        """Integral with numerators of content 1, so not a multiple k * w of
+        a lattice vector w with k > 1 (and not zero)."""
+        return self.den == 1 and gcd(*self.nums) == 1
 
 
 @dataclass(frozen=True)
@@ -444,6 +445,9 @@ def lattice_from_json_dict(data: dict, name: str = "lattice") -> Lattice:
     m = IntMatrix(gram)
     if m.nrows != m.ncols:
         raise ValueError("'gram' must be square")
-    if "rank" in data and data["rank"] != m.nrows:
-        raise ValueError("'rank' does not match the Gram matrix size")
+    if "rank" in data:
+        if type(data["rank"]) is not int:
+            raise ValueError(f"'rank' must be an integer, got {data['rank']!r}")
+        if data["rank"] != m.nrows:
+            raise ValueError("'rank' does not match the Gram matrix size")
     return Lattice(name, m)

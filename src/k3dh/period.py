@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from .exact_linalg import InvariantError, RatMatrix, rat_det  # re-exported
+from .exact_linalg import InvariantError, rat_det  # InvariantError re-exported
 from .lattice import (
     Lattice,
     LatticeVector,
@@ -211,9 +211,7 @@ def same_component(p: OrientedPlane, q: OrientedPlane) -> bool:
     nonsingular, and its determinant sign is constant on components of
     the oriented Grassmannian, positive exactly on the diagonal.
     """
-    d = rat_det(
-        RatMatrix([[pairing(u, v) for v in q.basis] for u in p.basis])
-    )
+    d = rat_det([[pairing(u, v) for v in q.basis] for u in p.basis])
     if d == 0:
         raise ValueError("singular mutual pairing: planes are not both maximal positive")
     return d > 0

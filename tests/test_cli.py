@@ -1,12 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3dh.cli import InputError, main, run_verify_paper
 from k3dh.lattice import make_K3
@@ -59,6 +64,20 @@ def test_lattice_info_from_file(capsys, tmp_path):
     code, _, err = run(capsys, "lattice-info", "--file", path)
     assert code == 2
     assert "not valid JSON" in err
+
+    # a degenerate form has no signature: an input error, not a traceback
+    for gram in ([[0]], [[0, 0], [0, 2]]):
+        path = write_json(tmp_path, "d.json", {"gram": gram})
+        code, out, err = run(capsys, "lattice-info", "--file", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "degenerate" in err
+
+    # only an int is a rank: no bool, no float
+    for rank in (True, 1.0, "1"):
+        path = write_json(tmp_path, "r.json", {"rank": rank, "gram": [[2]]})
+        code, out, err = run(capsys, "lattice-info", "--file", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "'rank' must be an integer" in err
 
 
 def test_shortvec_counts(capsys, tmp_path):
@@ -341,3 +360,122 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# -- robustness: generated documents never crash the CLI ----------------------
+
+SMALL = st.integers(-3, 3)
+JUNK = st.sampled_from((True, False, 1.0, 2.5, "1", "1/2", None, [], {}))
+RATIONAL = st.one_of(SMALL, st.sampled_from(("1/2", "-3/2", "2/3")))
+
+
+def spoiled(draw, rows):
+    """rows, or a copy with one entry (or one whole row) replaced by junk."""
+    if not rows or draw(st.integers(0, 3)):
+        return rows
+    rows = [list(r) if isinstance(r, list) else r for r in rows]
+    i = draw(st.integers(0, len(rows) - 1))
+    if isinstance(rows[i], list) and rows[i] and draw(st.booleans()):
+        rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(JUNK)
+    else:
+        rows[i] = draw(JUNK)
+    return rows
+
+
+@st.composite
+def lattice_docs(draw):
+    n = draw(st.integers(1, 4))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(st.one_of(st.just(0), SMALL))  # degenerate often
+    if draw(st.integers(0, 4)) == 0:
+        gram[0][-1] += 1  # not symmetric unless n == 1
+    doc = {"gram": spoiled(draw, gram)}
+    if draw(st.booleans()):
+        doc["rank"] = draw(st.one_of(st.just(n), SMALL, JUNK))
+    return doc
+
+
+@st.composite
+def period_docs(draw):
+    if draw(st.booleans()):
+        lattice = draw(lattice_docs())
+        n = len(lattice["gram"])
+        doc = {"lattice": lattice}
+        entries = RATIONAL
+    else:  # the K3 default, with sparse vectors
+        n, doc = 22, {}
+        entries = st.one_of(st.just(0), st.just(0), RATIONAL)
+    for key in ("kappa", "re", "im"):
+        if draw(st.integers(0, 9)):
+            size = n + draw(st.sampled_from((0, 0, 0, 0, 1, -1)))
+            doc[key] = spoiled(draw, draw(st.lists(entries, min_size=size, max_size=size)))
+    return doc
+
+
+@st.composite
+def pairs_docs(draw):
+    vector = st.lists(st.one_of(st.just(0), st.just(0), SMALL), min_size=22, max_size=22)
+    kappa, eta = draw(vector), draw(vector)
+    same = draw(st.booleans())  # equal Gram data, so lemma_iso runs
+    doc = {
+        "kappa": kappa, "eta": eta,
+        "kappa_p": kappa if same else draw(vector), "eta_p": eta if same else draw(vector),
+    }
+    key = draw(st.sampled_from(sorted(doc)))
+    doc[key] = spoiled(draw, doc[key])
+    return doc
+
+
+MODEL_EDITS = (
+    ("fixed_points",), ("period",), ("name",), ("walls", 0, "count"),
+    ("walls", 1, "weights"), ("walls", 0, "level"), ("pieces", 0, "interval"),
+    ("pieces", 1, "dh"), ("pieces", 0, "reduced_space"), ("pieces", 1, "class_pair", "eta"),
+)
+
+
+@st.composite
+def model_docs(draw):
+    doc = json.loads(Path(THEOREM1).read_text())
+    *path, last = draw(st.sampled_from(MODEL_EDITS))
+    parent = doc
+    for k in path:
+        parent = parent[k]
+    if draw(st.integers(0, 4)) == 0:
+        del parent[last]
+    elif isinstance(parent[last], list):
+        parent[last] = spoiled(draw, parent[last])
+    else:
+        parent[last] = draw(st.one_of(SMALL, RATIONAL, JUNK))
+    return doc
+
+
+GENERATED = {
+    "lattice-info": (["lattice-info", "--file"], lattice_docs(), st.just([])),
+    "shortvec": (
+        ["shortvec", "--gram"], lattice_docs(), st.integers(-4, 6).map(lambda k: ["--norm", str(k)])
+    ),
+    "period-check": (["period-check"], period_docs(), st.just([])),
+    "isometry": (["isometry", "--pairs"], pairs_docs(), st.just([])),
+    "validate-model": (["validate-model"], model_docs(), st.just([])),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GENERATED))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_generated_documents_exit_cleanly(command, data):
+    # every document either runs (exit 0 or 1) or is refused with exit 2
+    # and an error line; no exception escapes main
+    head, docs, tail = GENERATED[command]
+    doc, extra = data.draw(docs), data.draw(tail)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(head + [path] + extra)
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.getvalue().startswith("error:")

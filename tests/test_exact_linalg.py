@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from k3dh.exact_linalg import (
     IntMatrix,
-    RatMatrix,
     content,
     det,
     elementary_divisors,
     int_inverse,
     rat_det,
-    rat_inverse,
     smith_normal_form,
     xgcd_vector,
 )
@@ -135,7 +133,7 @@ def test_det_rejects_non_square():
     with pytest.raises(ValueError, match="non-square"):
         int_inverse(IntMatrix([[1, 0, 0], [0, 1, 0]]))
     with pytest.raises(ValueError, match="non-square"):
-        rat_inverse(RatMatrix([[1, 0, 0], [0, 1, 0]]))
+        rat_det([[Fraction(1, 2), 0, 0], [0, 1, 0]])
 
 
 def test_rat_det_agrees_with_int_det():
@@ -143,7 +141,7 @@ def test_rat_det_agrees_with_int_det():
     for _ in range(60):
         n = rng.randint(1, 4)
         rows = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(n)]
-        assert rat_det(RatMatrix(rows)) == Fraction(det(IntMatrix(rows)))
+        assert rat_det(rows) == Fraction(det(IntMatrix(rows)))
 
 
 def test_int_inverse_unimodular():
@@ -184,8 +182,8 @@ def test_int_matrix_validation():
         IntMatrix([[1.5]])
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
-    with pytest.raises(ValueError):
-        RatMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged"):
+        rat_det([[Fraction(1, 2), 2], [3]])
     m = IntMatrix([[1, 2], [3, 4]])
     assert m.transpose().rows == ((1, 3), (2, 4))
     assert m.mul(IntMatrix.identity(2)).rows == m.rows
@@ -247,7 +245,7 @@ def fraction_rref(a):
 
 
 def fraction_inverse(rows):
-    """Gauss-Jordan on [m | I] over Fraction, the former rat_inverse and int_inverse."""
+    """Gauss-Jordan on [m | I] over Fraction, the former int_inverse."""
     n = len(rows)
     a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(rows)]
@@ -355,7 +353,7 @@ def test_int_inverse_exactness_guard():
     assert int_inverse(IntMatrix([])).rows == ()
 
 
-# -- the fraction-free wrappers against the Fraction oracles -----------------
+# -- the fraction-free rat_det against the Fraction oracle -------------------
 
 RAT = st.one_of(
     st.just(Fraction(0)),
@@ -380,19 +378,5 @@ def rational_rows(draw):
 @settings(max_examples=200, deadline=None)
 @given(rational_rows())
 def test_rat_det_matches_fraction_oracle(rows):
-    d = rat_det(RatMatrix(rows))
+    d = rat_det(rows)
     assert type(d) is Fraction and d == fraction_det(rows)
-
-
-@settings(max_examples=200, deadline=None)
-@given(rational_rows())
-def test_rat_inverse_matches_fraction_oracle(rows):
-    try:
-        expected = fraction_inverse(rows)
-    except ValueError:
-        with pytest.raises(ValueError, match="singular"):
-            rat_inverse(RatMatrix(rows))
-        return
-    inv = rat_inverse(RatMatrix(rows))
-    assert inv.rows == expected
-    assert all(type(x) is Fraction for row in inv.rows for x in row)

@@ -1,10 +1,14 @@
 """Source-level rules: no library assert, no runtime dependency, unchecked
 constructors only in the core modules, unchecked isometries only in the
-isometry module, one pairing kernel."""
+isometry module, one pairing kernel on integers."""
 import ast
+import json
 from pathlib import Path
 
 import pytest
+
+from k3dh.cli import main, run_verify_paper
+from k3dh.lattice import Lattice
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -88,3 +92,29 @@ def test_one_pairing_kernel():
         for site in attribute_uses(module, source, "_gram_entries")
     ]
     assert found == []
+
+
+def test_pairing_kernel_sees_only_integers(monkeypatch, capsys, tmp_path):
+    # rational classes pair through their integer numerators, so the kernel
+    # never receives a Fraction: not from the K3 lattice, not from the torus
+    # and exceptional parts of blowup classes, not from a period record
+    kernel = Lattice.gram_times
+    seen = []
+
+    def integer_kernel(self, v):
+        v = tuple(v)
+        assert all(type(c) is int for c in v), (self.name, v)
+        seen.append(self.name)
+        return kernel(self, v)
+
+    monkeypatch.setattr(Lattice, "gram_times", integer_kernel)
+    assert run_verify_paper().all_passed()
+    assert main(["kummer-report"]) == 0
+    k, re, im = [0] * 22, [0] * 22, [0] * 22
+    k[0], k[1], k[4], k[5] = 2, 3, 1, 1
+    re[0], re[1], im[2], im[3] = 1, "1/2", 1, "1/2"
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"kappa": k, "re": re, "im": im}))
+    assert main(["period-check", str(path)]) == 0
+    capsys.readouterr()
+    assert {"torus", "exceptional", "K3"} <= set(seen)

@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from k3dh.exact_linalg import IntMatrix, InvariantError
 from k3dh.lattice import Lattice
+from k3dh.lattice import pairing as lattice_pairing
 from k3dh.kummer import (
+    EXCEPTIONAL_LATTICE,
     NUM_EXCEPTIONAL,
     TORUS_LATTICE,
     InvariantForm,
     KummerClass,
-    TorusClass,
     area_sum_form,
     eta_hat,
     exceptional,
@@ -97,7 +98,7 @@ def test_form_to_torus_class_examples():
     assert not form_to_torus_class(vol).is_primitive()  # gcd 2
     assert form_to_torus_class(vol).scale(HALF).is_primitive()
     assert form_to_torus_class(InvariantForm.from_terms({})).coords == (0,) * 6
-    assert not TorusClass((0,) * 6).is_primitive()
+    assert not TORUS_LATTICE.rational_vector((0,) * 6).is_primitive()
     with pytest.raises(ValueError, match="not real"):
         form_to_torus_class(InvariantForm.from_terms({(0, 2): 1}))
 
@@ -115,8 +116,8 @@ def test_integration_matches_torus_pairing(u, v, r, s):
         + s * s * wedge_integrate(b, b)
     )
     ya, yb = form_to_torus_class(a), form_to_torus_class(b)
-    assert wedge_integrate(a, b) == ya.pair(yb)
-    assert pairing(pullback(ya), pullback(yb)) == ya.pair(yb) / 2
+    assert wedge_integrate(a, b) == lattice_pairing(ya, yb)
+    assert pairing(pullback(ya), pullback(yb)) == lattice_pairing(ya, yb) / 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,16 +129,24 @@ def test_differences_of_forms_and_classes(u, v):
     assert a.is_zero() == (u == (0,) * 6)
     ya, yb = form_to_torus_class(a), form_to_torus_class(b)
     assert ya - yb == form_to_torus_class(a - b)
-    assert (ya - yb).pair(ya - yb) == wedge_integrate(a - b, a - b)
+    assert lattice_pairing(ya - yb, ya - yb) == wedge_integrate(a - b, a - b)
 
 
 def test_shapes_are_validated():
     with pytest.raises(ValueError, match="one coefficient per monomial"):
         InvariantForm(((1, 0),) * 5)
-    with pytest.raises(ValueError, match="6 coordinates"):
-        TorusClass((1,) * 7)
-    with pytest.raises(ValueError, match="16 exceptional"):
-        KummerClass(TorusClass((0,) * 6), (0,) * 15)
+    with pytest.raises(ValueError, match="rank"):
+        TORUS_LATTICE.rational_vector((1,) * 7)
+    zero_torus = TORUS_LATTICE.rational_vector((0,) * 6)
+    with pytest.raises(ValueError, match="rank"):
+        EXCEPTIONAL_LATTICE.rational_vector((0,) * 15)
+    # each part must be a RationalVector of its own lattice
+    with pytest.raises(ValueError, match="exceptional lattice"):
+        KummerClass(zero_torus, zero_torus)
+    with pytest.raises(ValueError, match="exceptional lattice"):
+        KummerClass(zero_torus, (0,) * NUM_EXCEPTIONAL)
+    with pytest.raises(ValueError, match="torus lattice"):
+        KummerClass(TORUS_LATTICE.vector((0,) * 6), exceptional(0).exc)
 
 
 def test_intersection_table():
@@ -175,11 +184,11 @@ def test_sigma_polynomials():
 
 def test_sigma_class_at_the_wall():
     s = sigma_class(1, 1)
-    assert set(s.exc) == {0}
+    assert s.exc.is_zero()
     assert s.torus_part == form_to_torus_class(symplectic_family_form(1, 1))
     assert pairing(s, s) == 8
     m = sigma_class(-1, -1)
-    assert set(m.exc) == {0}
+    assert m.exc.is_zero()
     assert pairing(m, m) == 8
 
 
@@ -202,7 +211,8 @@ def test_primitive_pair_check():
     # gcd 2, not primitive
     assert not primitive_pair_check(form_to_torus_class(volume_real_form()), eta_hat(1))
     # non-integral candidate
-    assert not primitive_pair_check(TorusClass((HALF, 0, 0, 0, 0, 0)), eta_hat(1))
+    half = TORUS_LATTICE.rational_vector((HALF, 0, 0, 0, 0, 0))
+    assert not primitive_pair_check(half, eta_hat(1))
     # no exceptional sphere pairs to a unit
     assert not primitive_pair_check(y, pullback(y))
     assert not primitive_pair_check(y, kappa_hat() - eta_hat(1))
@@ -214,7 +224,8 @@ def test_rank_bookkeeping_signature():
     The full pairing is half-integral, so the assertion runs on the doubled
     Gram matrix, which has the same signature.
     """
-    basis = [pullback(TorusClass(tuple(int(i == k) for i in range(6)))) for k in range(6)]
+    basis = [pullback(TORUS_LATTICE.rational_vector(int(i == k) for i in range(6)))
+             for k in range(6)]
     basis += [exceptional(i) for i in range(NUM_EXCEPTIONAL)]
     doubled = IntMatrix(
         [[int(2 * pairing(x, y)) for y in basis] for x in basis]
@@ -230,3 +241,44 @@ def test_realness_check_raises(monkeypatch):
     monkeypatch.setattr(InvariantForm, "is_real", lambda self: True)
     with pytest.raises(InvariantError, match="non-real"):
         form_to_torus_class(volume_real_form().scale(0, 1))
+
+
+# -- the former Fraction formula as oracle ------------------------------------
+
+FRAC = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+kummer_coords = st.tuples(
+    st.lists(FRAC, min_size=6, max_size=6),
+    st.lists(FRAC, min_size=NUM_EXCEPTIONAL, max_size=NUM_EXCEPTIONAL),
+)
+
+
+def kummer_class(coords) -> KummerClass:
+    torus, exc = coords
+    return KummerClass(
+        TORUS_LATTICE.rational_vector(torus), EXCEPTIONAL_LATTICE.rational_vector(exc)
+    )
+
+
+def former_pairing(a, b) -> Fraction:
+    """Half the torus Gram pairing of the Fraction coordinates, minus twice
+    the dot product of the exceptional coefficients."""
+    (ta, ea), (tb, eb) = a, b
+    gram = TORUS_LATTICE.gram
+    torus = sum(
+        (ta[i] * gram[i, j] * tb[j] for i in range(6) for j in range(6)), start=Fraction(0)
+    )
+    exc = sum((x * y for x, y in zip(ea, eb)), start=Fraction(0))
+    return torus / 2 - 2 * exc
+
+
+@settings(max_examples=60, deadline=None)
+@given(kummer_coords, kummer_coords, FRAC)
+def test_pairing_matches_the_former_fraction_formula(u, v, c):
+    a, b = kummer_class(u), kummer_class(v)
+    result = pairing(a, b)
+    assert type(result) is Fraction and result == former_pairing(u, v)
+    # the arithmetic acts part by part, coordinate by coordinate
+    assert a + b == kummer_class(tuple([x + y for x, y in zip(p, q)] for p, q in zip(u, v)))
+    assert a - b == kummer_class(tuple([x - y for x, y in zip(p, q)] for p, q in zip(u, v)))
+    assert -a == kummer_class(tuple([-x for x in p] for p in u))
+    assert a.scale(c) == kummer_class(tuple([c * x for x in p] for p in u))

@@ -2,6 +2,7 @@ import dataclasses
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -111,7 +112,7 @@ def test_pairing_matches_dense_oracle():
         v = [rng.randint(-9, 9) for _ in range(22)]
         assert pairing(K3.vector(u), K3.vector(v)) == pairing_oracle(K3, u, v)
     with pytest.raises(ValueError, match="rank"):
-        K3.pairing_coords([1] * 21, [1] * 22)
+        pairing(K3.rational_vector([1] * 21), K3.vector([1] * 22))
 
 
 @settings(max_examples=40, deadline=None)
@@ -414,7 +415,7 @@ def test_pairing_matches_gram_entries_oracle(u, v, cached):
     if cached in ("right", "both"):
         assert v.gv == K3.gram_times(v.nums)
     expected = Fraction(gram_entries_oracle(K3, u.nums, v.nums), u.den * v.den)
-    assert K3.pairing_coords(u.nums, v.nums) == gram_entries_oracle(K3, u.nums, v.nums)
+    assert sum(map(mul, u.nums, K3.gram_times(v.nums))) == gram_entries_oracle(K3, u.nums, v.nums)
     result = pairing(u, v)
     assert result == expected and pairing(v, u) == expected
     integral = isinstance(u, LatticeVector) and isinstance(v, LatticeVector)
@@ -517,3 +518,12 @@ def test_rational_vector_reads_ints_and_fractions_directly(coords):
                 build([bad] + coords[1:])
             errors.append(type(info.value))
         assert errors[0] is errors[1]
+
+
+def test_rational_vector_is_primitive():
+    h = make_H()
+    assert h.rational_vector([3, 2]).is_primitive()
+    assert h.rational_vector([Fraction(6, 2), -1]).is_primitive()  # reduced to ints
+    assert not h.rational_vector([4, 2]).is_primitive()  # content 2
+    assert not h.rational_vector([Fraction(1, 2), 1]).is_primitive()  # not integral
+    assert not h.rational_vector([0, 0]).is_primitive()

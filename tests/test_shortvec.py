@@ -4,14 +4,15 @@ from math import isqrt, prod
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from k3dh.exact_linalg import IntMatrix, InvariantError, rat_inverse
+from k3dh.exact_linalg import IntMatrix, InvariantError, det
 from k3dh.lattice import direct_sum, make_E8, make_H, make_K3, k3_e, k3_f, pairing
 from k3dh.shortvec import (
     DefiniteGram,
     IndefiniteGramError,
+    _box_radii,
     enumerate_norm,
     is_generic_plane,
     naive_enumerate,
@@ -93,11 +94,31 @@ def fraction_oracle(gram: DefiniteGram, target: int):
     return tuple(sorted(out))
 
 
+def fraction_inverse(gram: IntMatrix):
+    """Gauss-Jordan on [G | I] over Fraction, for a nonsingular G."""
+    n = gram.nrows
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(gram.rows)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if a[i][c])
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return [row[n:] for row in a]
+
+
+def fraction_radii(gram: DefiniteGram, target: int) -> list[int]:
+    """The former box radii of naive_enumerate: isqrt(int(t * (G^-1)_ii))."""
+    ginv = fraction_inverse(gram.matrix)
+    return [isqrt(int(target * ginv[i][i])) for i in range(gram.rank)]
+
+
 def box_points(gram: DefiniteGram, target: int) -> int:
     """Size of the search box naive_enumerate would visit."""
-    ginv = rat_inverse(gram.matrix.to_rat())
-    radii = [isqrt(int(target * ginv.rows[i][i])) for i in range(gram.rank)]
-    return prod(2 * r + 1 for r in radii)
+    return prod(2 * r + 1 for r in fraction_radii(gram, target))
 
 
 def random_definite(rng: random.Random, n: int) -> DefiniteGram:
@@ -296,6 +317,26 @@ def test_matches_fraction_and_naive_oracles(n, rng, target):
     found = enumerate_norm(dg, t)
     assert found == fraction_oracle(dg, t)
     assert found == naive_enumerate(dg, t)
+
+
+@st.composite
+def definite_grams(draw):
+    """+-A^T A for a nonsingular integer A of rank 1-5, either sign."""
+    n = draw(st.integers(1, 5))
+    a = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    assume(det(IntMatrix(a)) != 0)
+    sign = draw(st.sampled_from((1, -1)))
+    g = [[sign * sum(a[k][i] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return DefiniteGram(IntMatrix(g))
+
+
+@settings(deadline=None, max_examples=150)
+@given(definite_grams(), st.integers(1, 12))
+def test_integer_box_radii_match_fraction_inverse(dg, t):
+    # naive_enumerate's radii isqrt(t * C_ii // det G) against the former
+    # Fraction-inverse radii, on the normalized positive definite matrix
+    assert _box_radii(dg.matrix, t) == fraction_radii(dg, t)
 
 
 @settings(deadline=None, max_examples=60)
