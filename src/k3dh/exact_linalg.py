@@ -14,14 +14,17 @@ Sylvester's identity), of order k in a pivot row (the pivot columns with its
 own column in place of one, by Cramer's rule).  So each division by the
 previous pivot p_{k-1} is exact (Bareiss, Math. Comp. 22, 1968;
 Nakos-Turner-Williams, SIGSAM Bull. 31, 1997).  Rational rows enter rat_det
-as S * m, each row times the lcm of its denominators.  Smith normal form is
-the one other elimination, over the integers by division with remainder.
+as S * m, each row times the lcm of its denominators.  symmetric_bareiss is
+the same recurrence on the upper triangle of a symmetric matrix, and the one
+symmetric elimination: it gives the fraction-free LDL^T data of a quadratic
+form, whose pivot signs are its inertia.  Smith normal form is the one other
+elimination, over the integers by division with remainder.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 
@@ -201,6 +204,60 @@ def int_inverse(m: IntMatrix) -> IntMatrix:
     return IntMatrix._trusted(tuple(tuple(d * x for x in row[n:]) for row in rows))
 
 
+def symmetric_bareiss(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
+    """Fraction-free LDL^T of the symmetric matrix G whose upper triangle is m's.
+
+    Row k is (a[k][k], ..., a[k][n-1]), a[k][j] the minor of G' = P^T G P
+    (P unimodular) on rows 0..k and columns 0..k-1, j; the pivot p_k =
+    a[k][k] is the leading principal minor of order k + 1 of G'.  P = I
+    when no leading principal minor of G vanishes, as for a definite G.
+
+    Step k eliminates the trailing block (i, j > k) by
+    a[i][j] <- (p_k a[i][j] - a[k][i] a[k][j]) / p_{k-1}, exact by Sylvester's
+    identity as in _bareiss_rref.  A zero pivot is repaired by the congruence
+    x_k -> x_k + s x_j for some a[k][j] != 0, j > k: it adds s times row and
+    column j of G' to row and column k and fixes rows and columns 0..k-1.
+    The minors are linear in their bordering row and column, so the new ones
+    are the old ones under the same operation, made on the trailing block
+    and on column k of the finished rows.  The new pivot 2 s a[k][j] +
+    a[j][j] is nonzero for s = 1 or s = -1, as both vanishing means
+    a[k][j] = 0, and every entry stays a minor, so every division stays exact.
+
+    The trailing block is p_{k-1} times a Schur complement of G', so a zero
+    trailing row means G is degenerate and raises ValueError("degenerate
+    form"); conversely p_{n-1} = det G' = det G, so a degenerate G ends at one.
+    Otherwise, by Jacobi's rule, the number of negative eigenvalues of G' is
+    the number of sign changes in 1, p_0, ..., p_{n-1}, and by Sylvester's law
+    of inertia G, congruent to G' over Z, has the same inertia.
+    """
+    n = m.nrows
+    if m.ncols != n:
+        raise ValueError("symmetric elimination of a non-square matrix")
+    q = [list(row) for row in m.rows]
+    prev = 1
+    for k in range(n):
+        qk = q[k]
+        if qk[k] == 0:
+            j = next((j for j in range(k + 1, n) if qk[j]), None)
+            if j is None:
+                raise ValueError("degenerate form")
+            s = 1 if 2 * qk[j] + q[j][j] else -1
+            qk[k] = 2 * s * qk[j] + q[j][j]
+            # column k += s column j in the finished rows, and row k += s
+            # row j in the trailing block, where a[j][i] = a[i][j]
+            for r in range(k):
+                q[r][k] += s * q[r][j]
+            for i in range(k + 1, n):
+                qk[i] += s * (q[j][i] if j <= i else q[i][j])
+        pk = qk[k]
+        for i in range(k + 1, n):
+            qi, qki = q[i], qk[i]
+            for j in range(i, n):
+                qi[j] = (pk * qi[j] - qki * qk[j]) // prev
+        prev = pk
+    return tuple(tuple(q[k][k:]) for k in range(n))
+
+
 # -- Smith normal form ------------------------------------------------------
 
 
@@ -224,8 +281,9 @@ def _col_addmul(a, dst, src, q):
             row[dst] += q * row[src]
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return unimodular (U, D, V) with U * m * V = D in Smith normal form.
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Return (D, V) with V unimodular and U * m * V = D in Smith normal form
+    for some unimodular U, which is not built: no caller reads it.
 
     D is diagonal with nonnegative entries d_1 | d_2 | ... ; the pivot at
     each stage is the least-|value| nonzero entry of the working submatrix,
@@ -234,9 +292,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """
     R, C = m.nrows, m.ncols
     a = [list(row) for row in m.rows]
-    u = [[int(i == j) for j in range(R)] for i in range(R)]
     v = [[int(i == j) for j in range(C)] for i in range(C)]
-    # invariant: u * m * v == a
+    # invariant: u * m * v == a for the product u of the row operations
     k = 0
     while k < min(R, C):
         piv = None
@@ -249,7 +306,6 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             break
         if piv[0] != k:
             _row_swap(a, k, piv[0])
-            _row_swap(u, k, piv[0])
         if piv[1] != k:
             _col_swap(a, k, piv[1])
             _col_swap(v, k, piv[1])
@@ -259,10 +315,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 if i != k and a[i][k]:
                     q = a[i][k] // a[k][k]
                     _row_addmul(a, i, k, -q)
-                    _row_addmul(u, i, k, -q)
                     if a[i][k]:  # remainder becomes the smaller pivot
                         _row_swap(a, k, i)
-                        _row_swap(u, k, i)
                         moved = True
             for j in range(C):
                 if j != k and a[k][j]:
@@ -283,7 +337,6 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             for j in range(k + 1, C):
                 if a[i][j] % a[k][k]:
                     _row_addmul(a, k, i, 1)
-                    _row_addmul(u, k, i, 1)
                     fixed = False
                     break
             if not fixed:
@@ -293,26 +346,17 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     for i in range(min(R, C)):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-    return tuple(IntMatrix._trusted(tuple(map(tuple, x))) for x in (u, a, v))
+    return tuple(IntMatrix._trusted(tuple(map(tuple, x))) for x in (a, v))
 
 
 def elementary_divisors(m: IntMatrix) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith normal form."""
-    _, d, _ = smith_normal_form(m)
+    d, _ = smith_normal_form(m)
     out = []
     for i in range(min(d.nrows, d.ncols)):
         if d[i, i]:
             out.append(d[i, i])
     return tuple(out)
-
-
-def content(v: Sequence[int]) -> int:
-    """gcd of the entries (0 for the zero vector)."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
 
 
 def xgcd_vector(values: Sequence[int]) -> tuple[int, tuple[int, ...]]:

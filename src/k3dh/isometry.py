@@ -35,11 +35,11 @@ the step budget of _unitize.  It never returns a wrong answer.
 """
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import groupby
 from operator import mul
 
-from .exact_linalg import IntMatrix, det, int_inverse, xgcd_vector
+from .exact_linalg import IntMatrix, int_inverse, xgcd_vector
 from .lattice import (
     K3_TAGS,
     Lattice,
@@ -83,13 +83,6 @@ class Isometry:
         object.__setattr__(iso, "lattice", lattice)
         object.__setattr__(iso, "matrix", matrix)
         return iso
-
-    @cached_property
-    def det(self) -> int:
-        d = det(self.matrix)
-        if d not in (1, -1):
-            raise ValueError(f"determinant {d} is not +-1: the lattice is degenerate")
-        return d
 
     def apply(self, v):
         if v.lattice is not self.lattice and v.lattice != self.lattice:

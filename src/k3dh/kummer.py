@@ -1,9 +1,10 @@
 """H^2 of the four-torus via translation-invariant forms, and its blowup.
 
-Forms carry exact complex-rational coefficients on the six degree-2 wedge
-monomials in dz1, dz1bar, dz2, dz2bar.  The torus has unit periods, so the
-single normalization int dx1 dy1 dx2 dy2 = 1 fixes every constant in this
-module.  A torus class is a RationalVector of TORUS_LATTICE.  Blowup
+A form is a complex-rational combination of the six degree-2 wedge
+monomials in dz1, dz1bar, dz2, dz2bar, held as its real and imaginary
+parts, two RationalVectors of WEDGE_LATTICE.  The torus has unit periods,
+so the single normalization int dx1 dy1 dx2 dy2 = 1 fixes every constant in
+this module.  A torus class is a RationalVector of TORUS_LATTICE.  Blowup
 classes consist of a rational torus pullback plus a RationalVector of
 EXCEPTIONAL_LATTICE, one coefficient per sphere; pullbacks pair at half the
 torus value and the exceptional spheres pair as -2 times the identity.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exact_linalg import IntMatrix, InvariantError
 from .lattice import Lattice, RationalVector
@@ -22,23 +24,12 @@ MONOMIALS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _MONO_INDEX = {m: k for k, m in enumerate(MONOMIALS)}
 _CONJ_SLOT = (1, 0, 3, 2)
 
+# real slots 0..3 are dx1, dy1, dx2, dy2; this ordering of the six real
+# monomials is the coordinate convention for torus classes throughout
+TORUS_BASIS = ((0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3))
+_TORUS_INDEX = {m: k for k, m in enumerate(TORUS_BASIS)}
+
 NUM_EXCEPTIONAL = 16
-
-
-# exact complex scalars as (re, im) pairs of Fractions
-def _c(re, im=0) -> tuple[Fraction, Fraction]:
-    return (Fraction(re), Fraction(im))
-
-
-_C0 = _c(0)
-
-
-def _cadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _cmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
 def _perm_sign(p) -> int:
@@ -53,18 +44,57 @@ def _check_sign(sign: int) -> None:
         raise ValueError("sign must be +1 or -1")
 
 
+def _fold(i: int, j: int, index: dict) -> tuple[int, int]:
+    """slot_i ^ slot_j as (sign, k) with slot_i ^ slot_j = sign * basis[k]."""
+    return (1, index[(i, j)]) if i < j else (-1, index[(j, i)])
+
+
+def _wedge_gram(monomials) -> IntMatrix:
+    """Coefficient of the top slot monomial (0, 1, 2, 3) in m1 ^ m2."""
+    return IntMatrix(
+        [
+            [_perm_sign(m1 + m2) if len(set(m1 + m2)) == 4 else 0 for m2 in monomials]
+            for m1 in monomials
+        ]
+    )
+
+
+# on either basis, u^T G v is the coefficient of the top monomial in u ^ v
+WEDGE_LATTICE = Lattice("wedge", _wedge_gram(MONOMIALS))
+TORUS_LATTICE = Lattice("torus", _wedge_gram(TORUS_BASIS))
+
+# the sixteen disjoint exceptional spheres, each of self-intersection -2
+EXCEPTIONAL_LATTICE = Lattice(
+    "exceptional",
+    IntMatrix([[-2 * (i == j) for j in range(NUM_EXCEPTIONAL)] for i in range(NUM_EXCEPTIONAL)]),
+)
+
+# conjugation swaps dz_j and dzbar_j: MONOMIALS[k] goes to sign * MONOMIALS[kk]
+_CONJ = tuple(_fold(_CONJ_SLOT[i], _CONJ_SLOT[j], _MONO_INDEX) for i, j in MONOMIALS)
+
+
+def _permuted(v: RationalVector, sign: int) -> RationalVector:
+    nums = [0] * len(MONOMIALS)
+    for x, (s, kk) in zip(v.nums, _CONJ):
+        nums[kk] = sign * s * x
+    return RationalVector(WEDGE_LATTICE, tuple(nums), v.den)
+
+
+def _check_part(v, lattice: Lattice) -> None:
+    if not isinstance(v, RationalVector) or v.lattice != lattice:
+        raise ValueError(f"expected a RationalVector of the {lattice.name} lattice")
+
+
 @dataclass(frozen=True)
 class InvariantForm:
-    """Translation-invariant 2-form; coeffs[k] is the (re, im) pair on MONOMIALS[k]."""
+    """Translation-invariant 2-form re + i * im on MONOMIALS."""
 
-    coeffs: tuple
+    re: RationalVector
+    im: RationalVector
 
     def __post_init__(self):
-        if len(self.coeffs) != len(MONOMIALS):
-            raise ValueError("expected one coefficient per monomial")
-        object.__setattr__(
-            self, "coeffs", tuple(_c(re, im) for re, im in self.coeffs)
-        )
+        _check_part(self.re, WEDGE_LATTICE)
+        _check_part(self.im, WEDGE_LATTICE)
 
     @staticmethod
     def from_terms(terms: dict) -> "InvariantForm":
@@ -72,51 +102,41 @@ class InvariantForm:
 
         Reversed slot order is accepted and contributes with a sign flip.
         """
-        acc = [_C0] * len(MONOMIALS)
+        re = [Fraction(0)] * len(MONOMIALS)
+        im = [Fraction(0)] * len(MONOMIALS)
         for (i, j), val in terms.items():
-            sign = 1
-            if i > j:
-                i, j, sign = j, i, -1
-            if not (0 <= i < j <= 3):
+            if not 0 <= min(i, j) < max(i, j) <= 3:
                 raise ValueError(f"not a wedge monomial: ({i}, {j})")
-            c = _c(*val) if isinstance(val, tuple) else _c(val)
-            k = _MONO_INDEX[(i, j)]
-            acc[k] = _cadd(acc[k], (sign * c[0], sign * c[1]))
-        return InvariantForm(tuple(acc))
-
-    def __add__(self, other: "InvariantForm") -> "InvariantForm":
+            sign, k = _fold(i, j, _MONO_INDEX)
+            x, y = val if isinstance(val, tuple) else (val, 0)
+            re[k] += sign * Fraction(x)
+            im[k] += sign * Fraction(y)
         return InvariantForm(
-            tuple(_cadd(a, b) for a, b in zip(self.coeffs, other.coeffs))
+            WEDGE_LATTICE.rational_vector(re), WEDGE_LATTICE.rational_vector(im)
         )
 
+    def __add__(self, other: "InvariantForm") -> "InvariantForm":
+        return InvariantForm(self.re + other.re, self.im + other.im)
+
     def __neg__(self) -> "InvariantForm":
-        return self.scale(-1)
+        return InvariantForm(-self.re, -self.im)
 
     def __sub__(self, other: "InvariantForm") -> "InvariantForm":
-        return self + (-other)
+        return InvariantForm(self.re - other.re, self.im - other.im)
 
-    def scale(self, re, im=0) -> "InvariantForm":
-        """Multiply by the exact complex scalar re + im*i."""
-        s = _c(re, im)
-        return InvariantForm(tuple(_cmul(s, c) for c in self.coeffs))
+    def scale(self, x, y=0) -> "InvariantForm":
+        """Multiply by the exact complex scalar x + y*i."""
+        re, im = self.re, self.im
+        return InvariantForm(re.scale(x) - im.scale(y), im.scale(x) + re.scale(y))
 
     def conjugate(self) -> "InvariantForm":
-        acc = [_C0] * len(MONOMIALS)
-        for k, (i, j) in enumerate(MONOMIALS):
-            re, im = self.coeffs[k]
-            ci, cj = _CONJ_SLOT[i], _CONJ_SLOT[j]
-            sign = 1
-            if ci > cj:
-                ci, cj, sign = cj, ci, -1
-            kk = _MONO_INDEX[(ci, cj)]
-            acc[kk] = _cadd(acc[kk], (sign * re, -sign * im))
-        return InvariantForm(tuple(acc))
+        return InvariantForm(_permuted(self.re, 1), _permuted(self.im, -1))
 
     def is_real(self) -> bool:
         return self == self.conjugate()
 
     def is_zero(self) -> bool:
-        return all(c == _C0 for c in self.coeffs)
+        return self.re.is_zero() and self.im.is_zero()
 
 
 def volume_real_form() -> InvariantForm:
@@ -141,102 +161,55 @@ def symplectic_family_form(sign: int, t) -> InvariantForm:
 def wedge_integrate(a: InvariantForm, b: InvariantForm) -> Fraction:
     """Integral of a wedge b over the unit-period torus.
 
-    dz_j ^ dzbar_j = -2i dx_j ^ dy_j, so the top monomial in slot order
-    carries (-2i)^2 = -4 against int dx1 dy1 dx2 dy2 = 1.  The return type
-    is a plain rational; a nonzero imaginary part raises.
+    The top coefficient of a ^ b is (R_a + i I_a)^T G (R_b + i I_b) for the
+    Gram G of WEDGE_LATTICE.  dz_j ^ dzbar_j = -2i dx_j ^ dy_j, so the top
+    monomial in slot order carries (-2i)^2 = -4 against
+    int dx1 dy1 dx2 dy2 = 1.  The return type is a plain rational; a nonzero
+    imaginary part (R_a, I_b) + (I_a, R_b) raises.
     """
-    top = _C0
-    for k1, (i1, j1) in enumerate(MONOMIALS):
-        c1 = a.coeffs[k1]
-        if c1 == _C0:
-            continue
-        for k2, (i2, j2) in enumerate(MONOMIALS):
-            if len({i1, j1, i2, j2}) != 4:
-                continue
-            c2 = b.coeffs[k2]
-            if c2 == _C0:
-                continue
-            s = _perm_sign((i1, j1, i2, j2))
-            prod = _cmul(c1, c2)
-            top = _cadd(top, (s * prod[0], s * prod[1]))
-    re, im = -4 * top[0], -4 * top[1]
-    if im != 0:
+    if lattice_pairing(a.re, b.im) + lattice_pairing(a.im, b.re) != 0:
         raise ValueError("wedge integral is not real")
-    return re
+    return -4 * (lattice_pairing(a.re, b.re) - lattice_pairing(a.im, b.im))
 
 
-# real slots 0..3 are dx1, dy1, dx2, dy2; this ordering of the six real
-# monomials is the coordinate convention for torus classes throughout
-TORUS_BASIS = ((0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3))
-_TORUS_INDEX = {m: k for k, m in enumerate(TORUS_BASIS)}
-
-# dz1 = dx1 + i dy1 and friends, as complex combinations of the real slots
+# dz1 = dx1 + i dy1 and friends: (real slot, power of i) for each term
 _DZ = (
-    {0: _c(1), 1: _c(0, 1)},
-    {0: _c(1), 1: _c(0, -1)},
-    {2: _c(1), 3: _c(0, 1)},
-    {2: _c(1), 3: _c(0, -1)},
+    ((0, 0), (1, 1)),
+    ((0, 0), (1, 3)),
+    ((2, 0), (3, 1)),
+    ((2, 0), (3, 3)),
 )
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^e as (re, im)
 
 
-def _real_expansion(mono) -> tuple:
-    """Complex wedge monomial -> complex coefficients on TORUS_BASIS."""
-    i, j = mono
-    out = [_C0] * len(TORUS_BASIS)
-    for ri, ci in _DZ[i].items():
-        for rj, cj in _DZ[j].items():
-            if ri == rj:
-                continue
-            a, b, sign = (ri, rj, 1) if ri < rj else (rj, ri, -1)
-            c = _cmul(ci, cj)
-            k = _TORUS_INDEX[(a, b)]
-            out[k] = _cadd(out[k], (sign * c[0], sign * c[1]))
-    return tuple(out)
+def _expansion() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Integer X, Y with MONOMIALS[k] = sum_kk (X + i Y)[kk][k] TORUS_BASIS[kk]."""
+    x = [[0] * len(MONOMIALS) for _ in TORUS_BASIS]
+    y = [[0] * len(MONOMIALS) for _ in TORUS_BASIS]
+    for k, (i, j) in enumerate(MONOMIALS):
+        for ri, ei in _DZ[i]:
+            for rj, ej in _DZ[j]:
+                if ri != rj:
+                    sign, kk = _fold(ri, rj, _TORUS_INDEX)
+                    re, im = _I_POWERS[(ei + ej) % 4]
+                    x[kk][k] += sign * re
+                    y[kk][k] += sign * im
+    return tuple(map(tuple, x)), tuple(map(tuple, y))
 
 
-_EXPANSION = {m: _real_expansion(m) for m in MONOMIALS}
-
-
-def _torus_gram() -> IntMatrix:
-    rows = []
-    for m1 in TORUS_BASIS:
-        row = []
-        for m2 in TORUS_BASIS:
-            quad = m1 + m2
-            row.append(_perm_sign(quad) if len(set(quad)) == 4 else 0)
-        rows.append(row)
-    return IntMatrix(rows)
-
-
-TORUS_LATTICE = Lattice("torus", _torus_gram())
-
-
-# the sixteen disjoint exceptional spheres, each of self-intersection -2
-EXCEPTIONAL_LATTICE = Lattice(
-    "exceptional",
-    IntMatrix([[-2 * (i == j) for j in range(NUM_EXCEPTIONAL)] for i in range(NUM_EXCEPTIONAL)]),
-)
+_X, _Y = _expansion()
 
 
 def form_to_torus_class(a: InvariantForm) -> RationalVector:
-    """Coordinates of a real form in the integral torus basis."""
+    """Coordinates X R - Y I of a real form R + i I in the integral torus
+    basis; the imaginary part Y R + X I vanishes by realness."""
     if not a.is_real():
         raise ValueError("form is not real")
-    out = [_C0] * len(TORUS_BASIS)
-    for k, mono in enumerate(MONOMIALS):
-        c = a.coeffs[k]
-        if c == _C0:
-            continue
-        for kk, e in enumerate(_EXPANSION[mono]):
-            out[kk] = _cadd(out[kk], _cmul(c, e))
-    if any(im != 0 for _, im in out):  # excluded by realness
+    (r, dr), (i, di) = (a.re.nums, a.re.den), (a.im.nums, a.im.den)
+    if any(di * sum(map(mul, y, r)) + dr * sum(map(mul, x, i)) for x, y in zip(_X, _Y)):
         raise InvariantError("real form has a non-real torus coordinate")
-    return TORUS_LATTICE.rational_vector(re for re, _ in out)
-
-
-def _check_part(v, lattice: Lattice) -> None:
-    if not isinstance(v, RationalVector) or v.lattice != lattice:
-        raise ValueError(f"expected a RationalVector of the {lattice.name} lattice")
+    nums = tuple(di * sum(map(mul, x, r)) - dr * sum(map(mul, y, i)) for x, y in zip(_X, _Y))
+    return RationalVector(TORUS_LATTICE, nums, dr * di)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import ClassVar, Iterable, Sequence, Union
 
-from .exact_linalg import IntMatrix, det
+from .exact_linalg import IntMatrix, det, symmetric_bareiss
 
 Coord = Union[int, Fraction]
 
@@ -101,40 +101,14 @@ class Lattice:
         return abs(det(self.gram)) == 1
 
     def signature(self) -> tuple[int, int]:
-        """(positive, negative) inertia indices; error if degenerate.
+        """(positive, negative) inertia indices; ValueError if degenerate.
 
-        Symmetric elimination on integers.  A zero pivot a_00 is repaired by
-        x_0 -> x_0 + s x_j for some a_0j != 0, which makes the new pivot
-        2 s a_0j + a_jj; that is nonzero for s = 1 or s = -1, since both
-        vanishing means a_0j = 0.  Then, with d = a_00, completing the square
-        |d| Q(x) = sgn(d) (d x_0 + sum_j a_0j x_j)^2 + sum_ij b_ij x_i x_j,
-        b_ij = |d| a_ij - sgn(d) a_i0 a_0j, shows the form is congruent over Q
-        to <sgn d> + (1/|d|) B.  The trailing block B, divided by its content,
-        carries on.  The repair is a unimodular congruence and the other step
-        a rational congruence up to a positive factor, so by Sylvester's law
-        of inertia the pivot signs count the inertia.  B is degenerate with
-        the form, so a degenerate form ends at a zero row.
+        The negative index is the number of sign changes in 1, p_0, p_1, ...
+        for the pivots p_k of symmetric_bareiss (Jacobi's rule; see there).
         """
-        a = [list(row) for row in self.gram.rows]
-        signs = []
-        while a:
-            if a[0][0] == 0:
-                j = next((j for j, x in enumerate(a[0]) if x), None)
-                if j is None:
-                    raise ValueError("degenerate form")
-                s = 1 if 2 * a[0][j] + a[j][j] else -1
-                a[0] = [x + s * y for x, y in zip(a[0], a[j])]
-                for row in a:
-                    row[0] += s * row[j]
-            d = a[0][0]
-            sgn = 1 if d > 0 else -1
-            signs.append(sgn)
-            top = a[0][1:]
-            a = [[abs(d) * x - sgn * row[0] * y for x, y in zip(row[1:], top)] for row in a[1:]]
-            g = gcd(*(x for row in a for x in row))
-            if g > 1:
-                a = [[x // g for x in row] for row in a]
-        return signs.count(1), signs.count(-1)
+        signs = [1] + [1 if row[0] > 0 else -1 for row in symmetric_bareiss(self.gram)]
+        neg = sum(a != b for a, b in zip(signs, signs[1:]))
+        return self.rank - neg, neg
 
     def __eq__(self, other) -> bool:
         return (

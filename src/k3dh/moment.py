@@ -505,15 +505,27 @@ def _endpoint_from_json(v, unbounded: str):
     return rational_from_json(v)
 
 
+def _json_list(raw: dict, key: str) -> list:
+    """raw[key], which must be a JSON list: a string would unpack by
+    characters and read "404" as three coefficients."""
+    v = raw[key]
+    if not isinstance(v, list):
+        raise ModelError(f"{key!r} must be a list, got {v!r}")
+    return v
+
+
 def model_from_json_dict(data: dict) -> GluedModel:
     """Parse the model schema; every malformation raises ModelError."""
     if not isinstance(data, dict):
         raise ModelError("model file must contain a JSON object")
+    name = data.get("name", "model")
+    if not isinstance(name, str):
+        raise ModelError(f"'name' must be a string, got {name!r}")
     try:
         pieces = []
         for raw in data["pieces"]:
-            lo, hi = raw["interval"]
-            coeffs = [rational_from_json(c) for c in raw["dh"]]
+            lo, hi = _json_list(raw, "interval")
+            coeffs = [rational_from_json(c) for c in _json_list(raw, "dh")]
             if len(coeffs) != 3:
                 raise ModelError("dh must have three coefficients")
             pair = None
@@ -531,7 +543,7 @@ def model_from_json_dict(data: dict) -> GluedModel:
                 )
             )
         walls = [
-            Wall(rational_from_json(w["level"]), w["count"], tuple(w["weights"]))
+            Wall(rational_from_json(w["level"]), w["count"], tuple(_json_list(w, "weights")))
             for w in data["walls"]
         ]
         period = data.get("period")
@@ -540,7 +552,7 @@ def model_from_json_dict(data: dict) -> GluedModel:
             tuple(walls),
             period=None if period is None else rational_from_json(period),
             fixed_points=data.get("fixed_points"),
-            name=str(data.get("name", "model")),
+            name=name,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model: {exc}") from exc

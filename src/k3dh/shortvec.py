@@ -1,7 +1,8 @@
 """Complete short-vector enumeration on definite Gram matrices.
 
 The enumerator is Fincke-Pohst on fraction-free LDL^T data.  Symmetric
-Bareiss elimination on the integer Gram matrix G gives pivots p_k (the
+Bareiss elimination (exact_linalg.symmetric_bareiss) on the integer Gram
+matrix G gives pivots p_k (the
 leading principal minors, p_{-1} = 1) and integer rows a[k][j], j >= k,
 with a[k][k] = p_k.  These are p_{k-1} times the rows of rational Gaussian
 elimination, so with y_k = sum_{j>=k} a[k][j] x_j
@@ -12,7 +13,10 @@ elimination, so with y_k = sum_{j>=k} a[k][j] x_j
 The same pass decides definiteness by Sylvester's criterion: G is positive
 definite iff every p_k > 0, and negative definite iff the signs alternate
 starting from p_0 < 0; a negative definite G is enumerated as -G, whose
-minors are (-1)^(k+1) times those of G.
+minors are (-1)^(k+1) times those of G.  A definite G has no zero leading
+minor, so the elimination never repairs a pivot and its rows are G's.  A
+form it repairs is congruent to G and fails the sign check, and a
+degenerate form raises there.
 
 Fixing x_{k+1}, ..., x_{n-1} leaves an integer budget R = M * rem and
 S = sum_{j>k} a[k][j] x_j.  Since y_k^2 is an integer and W_k > 0,
@@ -31,37 +35,13 @@ from math import isqrt, lcm
 from operator import mul
 from typing import Sequence
 
-from .exact_linalg import IntMatrix, InvariantError, det
+from .exact_linalg import IntMatrix, InvariantError, det, symmetric_bareiss
 from .lattice import Lattice, LatticeVector, RationalVector, pairing_nums
 from .sublattice import integral_primitive, orthogonal_complement
 
 
 class IndefiniteGramError(ValueError):
     """Raised when a Gram matrix is not (positive or negative) definite."""
-
-
-def _ldl(gram: IntMatrix) -> tuple[tuple[int, ...], ...] | None:
-    """Symmetric Bareiss elimination: row k is (a[k][k], ..., a[k][n-1]).
-
-    a[k][j] is the minor of G on rows 0..k and columns 0..k-1, j, so the
-    pivot a[k][k] = p_k is the leading principal minor of order k + 1.
-    Returns None at the first zero pivot: then G is not definite.
-    """
-    n = gram.nrows
-    q = [list(row) for row in gram.rows]
-    prev = 1
-    for k in range(n):
-        qk = q[k]
-        pk = qk[k]
-        if pk == 0:
-            return None
-        for i in range(k + 1, n):
-            qi, qki = q[i], qk[i]
-            # exact division (Bareiss); only the upper triangle is kept
-            for j in range(i, n):
-                qi[j] = (pk * qi[j] - qki * qk[j]) // prev
-        prev = pk
-    return tuple(tuple(q[k][k:]) for k in range(n))
 
 
 @dataclass(frozen=True)
@@ -85,9 +65,10 @@ class DefiniteGram:
             raise IndefiniteGramError("Gram matrix must be symmetric")
         if matrix.nrows == 0:
             raise IndefiniteGramError("empty Gram matrix")
-        rows = _ldl(matrix)
-        if rows is None:
-            raise IndefiniteGramError("Gram matrix is not definite")
+        try:
+            rows = symmetric_bareiss(matrix)
+        except ValueError:
+            raise IndefiniteGramError("Gram matrix is not definite") from None
         pivots = [row[0] for row in rows]
         negated = pivots[0] < 0
         # Sylvester: p_k > 0 for G, (-1)^(k+1) p_k > 0 for -G

@@ -118,7 +118,7 @@ def orthogonal_complement(
         return orthogonal_complement(ambient, [])
     # rows of m are the pairing functionals x -> (v_i, x), that is G v_i
     m = IntMatrix._trusted(tuple(v.gv for v in ints))
-    _, d, v_trans = smith_normal_form(m)
+    d, v_trans = smith_normal_form(m)
     r = sum(1 for i in range(min(d.nrows, d.ncols)) if d[i, i] != 0)
     cols = v_trans.transpose().rows  # columns of the transform
     basis = tuple(ambient.vector(cols[j]) for j in range(r, ambient.rank))

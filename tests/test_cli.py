@@ -260,8 +260,14 @@ def test_validate_model_packaged_file(capsys, tmp_path):
         (lambda d: d["walls"][0].update(weights=[-2.7, 1, 1]), "-2.7"),
         (lambda d: d.update(fixed_points="32"), "'32'"),
         (lambda d: d.update(period="4.0"), "not an exact rational: '4.0'"),
+        # strings unpack by characters: "404" would read as (4, 0, 4)
+        (lambda d: d["pieces"][0].update(dh="404"), "'dh' must be a list, got '404'"),
+        (lambda d: d["pieces"][1].update(interval="13"), "'interval' must be a list"),
+        (lambda d: d["walls"][0].update(weights="-211"), "'weights' must be a list"),
+        (lambda d: d.update(name=[1, 2]), "'name' must be a string, got [1, 2]"),
     ],
-    ids=["float-count", "float-weight", "string-fixed-points", "decimal-string"],
+    ids=["float-count", "float-weight", "string-fixed-points", "decimal-string",
+         "string-dh", "string-interval", "string-weights", "list-name"],
 )
 def test_validate_model_rejects_coercions(capsys, tmp_path, edit, message):
     doc = json.loads(open(THEOREM1).read())

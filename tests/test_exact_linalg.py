@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,12 @@ from hypothesis import strategies as st
 
 from k3dh.exact_linalg import (
     IntMatrix,
-    content,
     det,
     elementary_divisors,
     int_inverse,
     rat_det,
     smith_normal_form,
+    symmetric_bareiss,
     xgcd_vector,
 )
 
@@ -41,11 +43,25 @@ def det_cofactor(rows):
     return total
 
 
+def determinantal_divisors(rows, ncols):
+    """D_k = gcd of the k x k minors, k = 1..min(nrows, ncols), by cofactors."""
+    return [
+        gcd(*(
+            det_cofactor([[rows[i][j] for j in cs] for i in rs])
+            for rs in combinations(range(len(rows)), k)
+            for cs in combinations(range(ncols), k)
+        ))
+        for k in range(1, min(len(rows), ncols) + 1)
+    ]
+
+
 def assert_snf_contract(m):
-    u, d, v = smith_normal_form(m)
-    assert u.mul(m).mul(v).rows == d.rows
-    assert abs(det(u)) == 1
-    assert abs(det(v)) == 1
+    d, v = smith_normal_form(m)
+    # D: diagonal, nonnegative, d_1 | d_2 | ..., and d_1 ... d_k = D_k
+    for i in range(d.nrows):
+        for j in range(d.ncols):
+            if i != j:
+                assert d[i, j] == 0
     diag = [d[i, i] for i in range(min(d.nrows, d.ncols))]
     assert all(x >= 0 for x in diag)
     for a, b in zip(diag, diag[1:]):
@@ -53,11 +69,16 @@ def assert_snf_contract(m):
             assert b % a == 0
         else:
             assert b == 0
-    # off-diagonal zero
-    for i in range(d.nrows):
-        for j in range(d.ncols):
-            if i != j:
-                assert d[i, j] == 0
+    assert [prod(diag[:k]) for k in range(1, len(diag) + 1)] == determinantal_divisors(
+        m.rows, m.ncols
+    )
+    # V: unimodular, and m V = [B | 0] with rank B = r
+    assert abs(det(v)) == 1
+    r = sum(1 for x in diag if x)
+    mv = m.mul(v).rows
+    assert all(not any(row[r:]) for row in mv)
+    if r:
+        assert determinantal_divisors([row[:r] for row in mv], r)[r - 1] != 0
     return diag
 
 
@@ -149,23 +170,20 @@ def test_int_inverse_unimodular():
     for _ in range(40):
         n = rng.randint(1, 5)
         m = IntMatrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
-        u, _, v = smith_normal_form(m)
-        for w in (u, v):
-            winv = int_inverse(w)
-            assert w.mul(winv).rows == IntMatrix.identity(n).rows
-            assert winv.mul(w).rows == IntMatrix.identity(n).rows
+        _, v = smith_normal_form(m)
+        vinv = int_inverse(v)
+        assert v.mul(vinv).rows == IntMatrix.identity(n).rows
+        assert vinv.mul(v).rows == IntMatrix.identity(n).rows
     with pytest.raises(ValueError):
         int_inverse(IntMatrix([[2, 0], [0, 1]]))
 
 
 def test_content_and_xgcd():
-    assert content([0, 0]) == 0
-    assert content([4, 6]) == 2
     rng = random.Random(31)
     for _ in range(200):
         vals = [rng.randint(-40, 40) for _ in range(rng.randint(1, 6))]
         g, coeffs = xgcd_vector(vals)
-        assert g == content(vals)
+        assert g == gcd(*vals)
         assert sum(c * v for c, v in zip(coeffs, vals)) == g
 
 
@@ -174,7 +192,7 @@ def test_content_and_xgcd():
 def test_xgcd_property(vals):
     g, coeffs = xgcd_vector(vals)
     assert sum(c * v for c, v in zip(coeffs, vals)) == g
-    assert g == content(vals)
+    assert g == gcd(*vals)
 
 
 def test_int_matrix_validation():
@@ -380,3 +398,68 @@ def rational_rows(draw):
 def test_rat_det_matches_fraction_oracle(rows):
     d = rat_det(rows)
     assert type(d) is Fraction and d == fraction_det(rows)
+
+
+# -- the symmetric elimination ----------------------------------------------
+
+
+def leading_minors(rows):
+    return [det_cofactor([r[: k + 1] for r in rows[: k + 1]]) for k in range(len(rows))]
+
+
+def ldl_product(rows):
+    """G'_ij = sum_k a[k][i] a[k][j] / (p_{k-1} p_k) over k <= min(i, j)."""
+    n = len(rows)
+    a = [[0] * k + list(row) for k, row in enumerate(rows)]
+    p = [1] + [row[0] for row in rows]
+    return [
+        [sum(Fraction(a[k][i] * a[k][j], p[k] * p[k + 1]) for k in range(min(i, j) + 1))
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def test_symmetric_bareiss_pivots_and_repairs():
+    rng = random.Random(43)
+    seen = {"plain": 0, "repaired": 0, "degenerate": 0}
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.choice((0, 0, 0, 1, -1, 2, -3))
+        minors = leading_minors(rows)
+        if det_cofactor(rows) == 0:
+            seen["degenerate"] += 1
+            with pytest.raises(ValueError, match="degenerate form"):
+                symmetric_bareiss(IntMatrix(rows))
+            continue
+        out = symmetric_bareiss(IntMatrix(rows))
+        assert [len(r) for r in out] == list(range(n, 0, -1))
+        pivots = [r[0] for r in out]
+        assert 0 not in pivots and pivots[-1] == minors[-1]  # det P = 1
+        if 0 in minors:
+            # the rows are the LDL^T data of an integer G' with det G' = det G
+            seen["repaired"] += 1
+            g2 = ldl_product(out)
+            assert all(x.denominator == 1 for row in g2 for x in row)
+            assert det_cofactor(g2) == minors[-1]
+        else:
+            # no repair: the rows are the bordered minors of the input
+            seen["plain"] += 1
+            for k, row in enumerate(out):
+                for j, x in zip(range(k, n), row):
+                    assert x == det_cofactor(
+                        [r[:k] + [r[j]] for r in rows[: k + 1]]
+                    )
+    assert min(seen.values()) > 20, seen
+
+
+def test_symmetric_bareiss_repair_example():
+    # x_0 -> x_0 + x_1 turns H into [[2, 1], [1, 0]]
+    assert symmetric_bareiss(IntMatrix(H_GRAM)) == ((2, 1), (-1,))
+    assert symmetric_bareiss(IntMatrix([])) == ()
+    with pytest.raises(ValueError, match="degenerate form"):
+        symmetric_bareiss(IntMatrix([[0, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="non-square"):
+        symmetric_bareiss(IntMatrix([[1, 2]]))

@@ -1,14 +1,17 @@
 """Source-level rules: no library assert, no runtime dependency, unchecked
 constructors only in the core modules, unchecked isometries only in the
-isometry module, one pairing kernel on integers."""
+isometry module, one pairing kernel on integers, one symmetric
+elimination."""
 import ast
 import json
 from pathlib import Path
 
 import pytest
 
+from k3dh import lattice, shortvec
 from k3dh.cli import main, run_verify_paper
-from k3dh.lattice import Lattice
+from k3dh.exact_linalg import IntMatrix
+from k3dh.lattice import Lattice, make_K3
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -96,8 +99,9 @@ def test_one_pairing_kernel():
 
 def test_pairing_kernel_sees_only_integers(monkeypatch, capsys, tmp_path):
     # rational classes pair through their integer numerators, so the kernel
-    # never receives a Fraction: not from the K3 lattice, not from the torus
-    # and exceptional parts of blowup classes, not from a period record
+    # never receives a Fraction: not from the K3 lattice, not from the real
+    # and imaginary parts of invariant forms, not from the torus and
+    # exceptional parts of blowup classes, not from a period record
     kernel = Lattice.gram_times
     seen = []
 
@@ -117,4 +121,22 @@ def test_pairing_kernel_sees_only_integers(monkeypatch, capsys, tmp_path):
     path.write_text(json.dumps({"kappa": k, "re": re, "im": im}))
     assert main(["period-check", str(path)]) == 0
     capsys.readouterr()
-    assert {"torus", "exceptional", "K3"} <= set(seen)
+    assert {"wedge", "torus", "exceptional", "K3"} <= set(seen)
+
+
+def test_one_symmetric_elimination(monkeypatch):
+    # the inertia of a lattice and the LDL^T data of a definite Gram come
+    # from the one kernel exact_linalg.symmetric_bareiss
+    calls = []
+    for module in (lattice, shortvec):
+        kernel = module.symmetric_bareiss
+
+        def counted(m, module=module, kernel=kernel):
+            calls.append(module.__name__)
+            return kernel(m)
+
+        monkeypatch.setattr(module, "symmetric_bareiss", counted)
+    assert make_K3().signature() == (3, 19)
+    assert calls == ["k3dh.lattice"]
+    assert shortvec.DefiniteGram(IntMatrix([[2, -1], [-1, 2]])).rank == 2
+    assert calls == ["k3dh.lattice", "k3dh.shortvec"]

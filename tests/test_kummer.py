@@ -10,7 +10,10 @@ from k3dh.lattice import pairing as lattice_pairing
 from k3dh.kummer import (
     EXCEPTIONAL_LATTICE,
     NUM_EXCEPTIONAL,
+    MONOMIALS,
+    TORUS_BASIS,
     TORUS_LATTICE,
+    WEDGE_LATTICE,
     InvariantForm,
     KummerClass,
     area_sum_form,
@@ -53,6 +56,12 @@ def test_torus_basis_gram():
     assert TORUS_LATTICE.is_even()
     assert TORUS_LATTICE.is_unimodular()
     assert TORUS_LATTICE.signature() == (3, 3)
+    # the wedge table of the dz monomials: the three complementary pairs
+    assert WEDGE_LATTICE.gram.rows == tuple(
+        tuple({(0, 5): 1, (5, 0): 1, (1, 4): -1, (4, 1): -1, (2, 3): 1, (3, 2): 1}.get((i, j), 0)
+              for j in range(6))
+        for i in range(6)
+    )
 
 
 def test_reference_integrals():
@@ -133,8 +142,14 @@ def test_differences_of_forms_and_classes(u, v):
 
 
 def test_shapes_are_validated():
-    with pytest.raises(ValueError, match="one coefficient per monomial"):
-        InvariantForm(((1, 0),) * 5)
+    # each part of a form must be a RationalVector of the wedge lattice
+    zero_wedge = WEDGE_LATTICE.rational_vector((0,) * 6)
+    with pytest.raises(ValueError, match="wedge lattice"):
+        InvariantForm(zero_wedge, TORUS_LATTICE.rational_vector((0,) * 6))
+    with pytest.raises(ValueError, match="wedge lattice"):
+        InvariantForm(((1, 0),) * 6, zero_wedge)
+    with pytest.raises(ValueError, match="rank"):
+        WEDGE_LATTICE.rational_vector((1,) * 5)
     with pytest.raises(ValueError, match="rank"):
         TORUS_LATTICE.rational_vector((1,) * 7)
     zero_torus = TORUS_LATTICE.rational_vector((0,) * 6)
@@ -282,3 +297,134 @@ def test_pairing_matches_the_former_fraction_formula(u, v, c):
     assert a - b == kummer_class(tuple([x - y for x, y in zip(p, q)] for p, q in zip(u, v)))
     assert -a == kummer_class(tuple([-x for x in p] for p in u))
     assert a.scale(c) == kummer_class(tuple([c * x for x in p] for p in u))
+
+
+# -- the former complex-Fraction forms as oracle ------------------------------
+# A form was six (re, im) pairs of Fractions, one per monomial, with its own
+# complex arithmetic; these are its operations, kept verbatim in substance.
+
+
+def _c(re, im=0):
+    return (Fraction(re), Fraction(im))
+
+
+_C0 = _c(0)
+
+
+def _cadd(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _perm_sign(p):
+    inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
+    return -1 if inv % 2 else 1
+
+
+def _fold(i, j, basis):
+    return (basis.index((i, j)), 1) if i < j else (basis.index((j, i)), -1)
+
+
+def former_from_terms(terms):
+    acc = [_C0] * 6
+    for (i, j), val in terms.items():
+        k, sign = _fold(i, j, MONOMIALS)
+        c = _c(*val) if isinstance(val, tuple) else _c(val)
+        acc[k] = _cadd(acc[k], (sign * c[0], sign * c[1]))
+    return tuple(acc)
+
+
+def former_add(a, b):
+    return tuple(_cadd(x, y) for x, y in zip(a, b))
+
+
+def former_scale(a, re, im=0):
+    return tuple(_cmul(_c(re, im), x) for x in a)
+
+
+def former_conjugate(a):
+    acc = [_C0] * 6
+    for (i, j), (re, im) in zip(MONOMIALS, a):
+        kk, sign = _fold((1, 0, 3, 2)[i], (1, 0, 3, 2)[j], MONOMIALS)
+        acc[kk] = _cadd(acc[kk], (sign * re, -sign * im))
+    return tuple(acc)
+
+
+def former_wedge(a, b):
+    top = _C0
+    for (i1, j1), c1 in zip(MONOMIALS, a):
+        for (i2, j2), c2 in zip(MONOMIALS, b):
+            if len({i1, j1, i2, j2}) == 4:
+                s = _perm_sign((i1, j1, i2, j2))
+                prod = _cmul(c1, c2)
+                top = _cadd(top, (s * prod[0], s * prod[1]))
+    if top[1] != 0:
+        raise ValueError("wedge integral is not real")
+    return -4 * top[0]
+
+
+_FORMER_DZ = (
+    {0: _c(1), 1: _c(0, 1)},
+    {0: _c(1), 1: _c(0, -1)},
+    {2: _c(1), 3: _c(0, 1)},
+    {2: _c(1), 3: _c(0, -1)},
+)
+
+
+def former_torus_class(a):
+    if a != former_conjugate(a):
+        raise ValueError("form is not real")
+    out = [_C0] * 6
+    for (i, j), c in zip(MONOMIALS, a):
+        for ri, ci in _FORMER_DZ[i].items():
+            for rj, cj in _FORMER_DZ[j].items():
+                if ri != rj:
+                    kk, sign = _fold(ri, rj, TORUS_BASIS)
+                    e = _cmul(ci, cj)
+                    out[kk] = _cadd(out[kk], _cmul(c, (sign * e[0], sign * e[1])))
+    assert all(im == 0 for _, im in out)
+    return tuple(re for re, _ in out)
+
+
+def as_pairs(form: InvariantForm):
+    return tuple(zip(form.re.coords, form.im.coords))
+
+
+SLOT_PAIRS = [(i, j) for i in range(4) for j in range(4) if i != j]
+complex_terms = st.dictionaries(
+    st.sampled_from(SLOT_PAIRS), st.one_of(FRAC, st.tuples(FRAC, FRAC)), max_size=6
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(complex_terms, complex_terms, FRAC, FRAC)
+def test_forms_match_the_former_complex_fractions(ta, tb, x, y):
+    a, b = InvariantForm.from_terms(ta), InvariantForm.from_terms(tb)
+    fa, fb = former_from_terms(ta), former_from_terms(tb)
+    assert as_pairs(a) == fa and as_pairs(b) == fb
+    assert as_pairs(a + b) == former_add(fa, fb)
+    assert as_pairs(a - b) == former_add(fa, former_scale(fb, -1))
+    assert as_pairs(-a) == former_scale(fa, -1)
+    assert as_pairs(a.scale(x, y)) == former_scale(fa, x, y)
+    assert as_pairs(a.conjugate()) == former_conjugate(fa)
+    assert a.is_real() == (fa == former_conjugate(fa))
+    # a non-real integral raises on both sides
+    try:
+        expected = former_wedge(fa, fb)
+    except ValueError:
+        with pytest.raises(ValueError, match="not real"):
+            wedge_integrate(a, b)
+    else:
+        assert wedge_integrate(a, b) == expected
+    # a + conj(a) is real; a itself mostly is not
+    for form, former in ((a + a.conjugate(), former_add(fa, former_conjugate(fa))), (a, fa)):
+        try:
+            expected = former_torus_class(former)
+        except ValueError:
+            with pytest.raises(ValueError, match="not real"):
+                form_to_torus_class(form)
+        else:
+            assert form_to_torus_class(form).coords == expected

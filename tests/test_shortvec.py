@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from k3dh.exact_linalg import IntMatrix, InvariantError, det
+from k3dh.exact_linalg import IntMatrix, InvariantError, det, symmetric_bareiss
 from k3dh.lattice import direct_sum, make_E8, make_H, make_K3, k3_e, k3_f, pairing
 from k3dh.shortvec import (
     DefiniteGram,
@@ -337,6 +337,39 @@ def test_integer_box_radii_match_fraction_inverse(dg, t):
     # naive_enumerate's radii isqrt(t * C_ii // det G) against the former
     # Fraction-inverse radii, on the normalized positive definite matrix
     assert _box_radii(dg.matrix, t) == fraction_radii(dg, t)
+
+
+def former_ldl(gram: IntMatrix):
+    """Test-only oracle: the former shortvec._ldl, symmetric Bareiss on the
+    upper triangle that gives up (None) at the first zero pivot."""
+    n = gram.nrows
+    q = [list(row) for row in gram.rows]
+    prev = 1
+    for k in range(n):
+        qk = q[k]
+        pk = qk[k]
+        if pk == 0:
+            return None
+        for i in range(k + 1, n):
+            qi, qki = q[i], qk[i]
+            for j in range(i, n):
+                qi[j] = (pk * qi[j] - qki * qk[j]) // prev
+        prev = pk
+    return tuple(tuple(q[k][k:]) for k in range(n))
+
+
+@settings(deadline=None, max_examples=150)
+@given(definite_grams())
+def test_symmetric_bareiss_matches_former_ldl(dg):
+    # a definite form of either sign never needs a pivot repair, so the
+    # shared kernel gives the former rows exactly, and DefiniteGram keeps them
+    for sign in (1, -1):
+        m = IntMatrix([[sign * x for x in row] for row in dg.matrix.rows])
+        rows = former_ldl(m)
+        assert rows is not None and symmetric_bareiss(m) == rows
+        again = DefiniteGram(m)
+        assert again.negated == (sign < 0) and again.matrix == dg.matrix
+        assert again.rows == (rows if sign > 0 else dg.rows)
 
 
 @settings(deadline=None, max_examples=60)
