@@ -21,8 +21,11 @@ reference pair
     (kappa,eta) * f1 + e2 + (eta,eta)/2 * f2
 
 by Eichler transvections and signed permutations of hyperbolic basis
-vectors.  The moves act on a working vector and are recorded; the matrix
-of their product is built once.  Consecutive transvections with one
+vectors.  Each stage drives the coefficient of its reference slot, e1 for
+kappa and e2 for eta, to 1 and then clears the rest, so a pair already in
+reference position takes no move and maps by the identity: standardizing
+is idempotent.  The moves act on a working vector and are recorded; the
+matrix of their product is built once.  Consecutive transvections with one
 isotropic base e merge into one factor: for a, b in e^⊥,
 E(e, a) E(e, b) = E(e, a + b) (Eichler; Gritsenko-Hulek-Sankaran,
 J. Algebra 322, 2009), so a run of them costs one product, and none when
@@ -403,17 +406,20 @@ def _unitize(m: _Mover, roles: _Roles) -> bool:
     raise StandardizationError(f"no move sequence found in {_STEP_BUDGET} steps")
 
 
-_FIRST_ROLES = _Roles(h1=(E1, F1), spares=((E2, F2), (E3, F3)), blocks=(0, 1))
+_FIRST_ROLES = _Roles(h1=(F1, E1), spares=((E2, F2), (E3, F3)), blocks=(0, 1))
 
 
 def _standardize_vector(m: _Mover):
-    """Move the working vector kappa to e1 + (kappa,kappa)/2 f1."""
+    """Move the working vector kappa to e1 + (kappa,kappa)/2 f1.
+
+    The unitizer drives the e1 coefficient, the reference slot, to 1, as
+    stage two does for e2, so a vector already in reference position takes
+    no move."""
     _unitize(m, _FIRST_ROLES)
-    # v = p e1 + f1 + w; E(e1, -w) empties w, then the norm pins p
+    # v = e1 + q f1 + w; E(f1, -w) empties w, then the norm pins q
     # (map_pair_to_standard checks the image of kappa)
-    w = m.lattice.vector(m.coords) - m.coeff(E1) * m.basis(E1) - m.basis(F1)
-    m.transvect(m.basis(E1), -1 * w)
-    m.move({E1: (F1, 1), F1: (E1, 1)})
+    w = m.lattice.vector(m.coords) - m.basis(E1) - m.coeff(F1) * m.basis(F1)
+    m.transvect(m.basis(F1), -1 * w)
 
 
 def _standardize_partner(m: _Mover, l0: int):

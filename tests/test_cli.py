@@ -183,6 +183,17 @@ def test_isometry_both_modes(capsys, tmp_path):
     assert len(matrix) == 22 and all(len(row) == 22 for row in matrix)
 
 
+def test_isometry_of_a_model_pair_onto_itself_is_the_identity(capsys, tmp_path):
+    doc = quadratic_pairs_doc()
+    doc["kappa_p"], doc["eta_p"] = doc["kappa"], doc["eta"]
+    path = write_json(tmp_path, "same.json", doc)
+    code, out, _ = run(capsys, "isometry", "--pairs", path, "--json")
+    report = json.loads(out)
+    assert code == 0
+    assert report["summary"]["failed"] == 0
+    assert report["matrix"] == [[int(i == j) for j in range(22)] for i in range(22)]
+
+
 def test_isometry_gram_mismatch_fails(capsys, tmp_path):
     doc = quadratic_pairs_doc()
     doc["eta_p"][0] += 1

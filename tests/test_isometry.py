@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -148,12 +149,32 @@ def test_preserves_components_is_multiplicative():
             )
 
 
-def test_map_pair_fixes_reference_pairs():
-    for l0, m, l2 in ((3, 2, -2), (0, 1, 0), (-2, -8, -2)):
-        kap, eta = standard_pair(l0, m, l2)
-        g = map_pair_to_standard(kap, eta)
-        assert g.apply(kap) == kap
-        assert g.apply(eta) == eta
+def test_map_pair_fixes_reference_pairs(monkeypatch):
+    # both stages drive the coefficient of their reference slot to 1, so a
+    # pair already in reference position records no move and builds no factor
+    movers, built = [], []
+
+    class Watched(isometry._Mover):
+        def __init__(self, v):
+            super().__init__(v)
+            movers.append(self)
+
+    monkeypatch.setattr(isometry, "_Mover", Watched)
+    monkeypatch.setattr(isometry, "eichler_transvection",
+                        lambda e, a: built.append(a) or eichler_transvection(e, a))
+    ident = IntMatrix.identity(K3.rank)
+    for l0, m, l2 in product(range(-9, 10), repeat=3):
+        assert recorded_mover(*standard_pair(l0, m, l2)).isometry().matrix == ident
+    # the full paths add the primitivity and exit checks, on coarser grids
+    for l0, m, l2 in product(range(-9, 10, 3), repeat=3):
+        assert map_pair_to_standard(*standard_pair(l0, m, l2)).matrix == ident
+    for l0, m, l2 in product(range(-9, 10, 6), repeat=3):
+        ref = standard_pair(l0, m, l2)
+        assert lemma_iso(*ref, *ref, preserve=True).matrix == ident
+        assert lemma_iso(*ref, *ref, preserve=False).matrix == flip_third_H(K3).matrix
+    assert len(movers) == 19 ** 3 + 7 ** 3 + 4 * 4 ** 3
+    assert not any(mover.moves for mover in movers)
+    assert built == []
 
 
 def test_map_pair_round_trip_randomized():
@@ -266,8 +287,10 @@ def test_apply_and_compose_reject_foreign_lattices():
 
 @pytest.mark.parametrize("method", ["compose", "inverse"])
 def test_exit_check_catches_faulty_products(monkeypatch, method):
-    # the fault adds e1 to the image of the last E8 basis vector; the pair
-    # has no E8 part, so its images stay right and only M^T G M = G sees it.
+    # the fault adds e1 to the image of the last E8 basis vector; the pairs
+    # have no E8 part, so their images stay right and only M^T G M = G sees
+    # it.  A reference pair takes no move, so the pair is moved off it by
+    # transvections inside H^3 to make its standardization build a product.
     # Only lemma_iso inverts, so a faulty inverse reaches its own exit check
     exact = getattr(Isometry, method)
 
@@ -276,13 +299,17 @@ def test_exit_check_catches_faulty_products(monkeypatch, method):
         rows[0][-1] += 1
         return Isometry._unchecked(self.lattice, IntMatrix(rows))
 
-    monkeypatch.setattr(Isometry, method, faulty)
     kap, eta = standard_pair(2, 1, -1)
+    kp, ep = kap, eta
+    for t in (eichler_transvection(E[1], 2 * E[2] - F[0]),
+              eichler_transvection(F[2], E[0] + 3 * F[1])):
+        kp, ep = t.apply(kp), t.apply(ep)
+    monkeypatch.setattr(Isometry, method, faulty)
     if method == "compose":
         with pytest.raises(InvariantError, match="exit check"):
-            map_pair_to_standard(kap, eta)
+            map_pair_to_standard(kp, ep)
     with pytest.raises(InvariantError, match="exit check"):
-        lemma_iso(kap, eta, kap, eta)
+        lemma_iso(kap, eta, kp, ep)
 
 
 def test_exit_invariants_catch_faulty_parts(monkeypatch):
@@ -588,3 +615,25 @@ def test_lemma_iso_matches_the_former_formula():
             if preserves_components(phi) != preserve:
                 phi = g.inverse().compose(flip_third_H(K3)).compose(gp)
             assert lemma_iso(kap, eta, kp, ep, preserve=preserve).matrix == phi.matrix
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=SPARSE, e=SPARSE)
+@example(k=sparse_coords({2: 2, 5: 3}), e=sparse_coords({0: 1}))
+def test_standardizing_is_idempotent(k, e):
+    # the image (g kappa, g eta) of a primitive pair is a reference pair
+    assume(any(k[i] * e[j] != k[j] * e[i] for i in range(K3.rank) for j in range(i)))
+    kap, eta = K3.vector(k), K3.vector(e)
+    assume(is_primitive_embedding([kap, eta]))
+    g = map_pair_to_standard(kap, eta)
+    image = g.apply(kap), g.apply(eta)
+    assert recorded_mover(*image).moves == []
+    assert map_pair_to_standard(*image).matrix == IntMatrix.identity(K3.rank)
+
+
+def test_transvected_model_pairs_take_few_moves():
+    # 40 pairs of the isometry-pairs law take 413 moves in all, against 763
+    # when stage one drove the f1 coefficient to 1 and then swapped e1, f1
+    rng = random.Random(1)
+    pairs = [bench_law_pair(rng) for _ in range(40)]
+    assert sum(len(recorded_mover(kap, eta).moves) for kap, eta in pairs) <= 413
