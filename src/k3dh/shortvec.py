@@ -24,15 +24,36 @@ W_k y_k^2 <= R holds iff y_k^2 <= R // W_k iff |y_k| <= B = isqrt(R // W_k),
 and as y_k = p_k x_k + S with p_k > 0, x_k ranges exactly over
 [ceil((-B - S) / p_k), floor((B - S) / p_k)].
 Every bound is an equivalence in integer arithmetic, with no rounding, so
-no admissible vector can be lost and the search tree is the one rational
-Fincke-Pohst walks.  A brute-force box search (naive_enumerate) and the
-rational enumerator kept in the tests are independent oracles.
+no admissible vector can be lost.
+
+The walk visits half of that tree and decides its last level in closed
+form (Fincke-Pohst, Math. Comp. 44, 1985; the sign symmetry as in
+Schnorr-Euchner, Math. Programming 66, 1994):
+
+- Half tree.  Q(-x) = Q(x) and the target is nonzero, so every solution
+  x != 0 has a highest nonzero coordinate x_k, and exactly one of x, -x
+  has x_k > 0.  While x_{k+1}, ..., x_{n-1} are all 0, S = 0 and the
+  range of x_k is the symmetric [-(B // p_k), B // p_k]; the walk keeps
+  x_k >= 0 there, and x_0 > 0 at level 0, so it finds exactly the
+  solutions whose highest nonzero coordinate is positive.  (At level 0
+  with every higher coordinate 0, R = M t and R // W_0 = p_0 t > 0, so the
+  one candidate below, y / p_0, is positive.)  enumerate_norm
+  adds their negations, which are distinct from them because x != 0.
+- Last level.  At level 0 an x_0 is a solution iff W_0 (p_0 x_0 + S)^2 = R.
+  That needs R mod W_0 = 0 and R // W_0 = y^2 for an integer y >= 0, and
+  then p_0 x_0 + S = +-y, so x_0 = (+-y - S) / p_0 when p_0 divides it.
+  Then B = isqrt(R // W_0) = y, so both candidates lie in the range of
+  the full walk: the closed form keeps exactly the x_0 that its loop over
+  the range would keep.
+
+A brute-force box search (naive_enumerate) and the rational enumerator
+kept in the tests are independent oracles.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isqrt, lcm
-from operator import mul
+from operator import mul, neg
 from typing import Sequence
 
 from .exact_linalg import IntMatrix, InvariantError, det, symmetric_bareiss
@@ -101,22 +122,31 @@ def _enumerate_level(
     r: int,
     x: list[int],
     out: list[tuple[int, ...]],
+    top: bool,
 ) -> None:
     # x holds the chosen x_j for j > i and zeros below, so the dot product
-    # with rows[i] is S = sum_{j>i} a[i][j] x_j; r is the scaled budget R
+    # with rows[i] is S = sum_{j>i} a[i][j] x_j; r is the scaled budget R;
+    # top is set while every x_j, j > i, is 0 (see the module docstring)
     row = rows[i]
     p, w = row[0], weights[i]
     s = sum(map(mul, row, x[i:]))
-    b = isqrt(r // w)
-    for xi in range(-((s + b) // p), (b - s) // p + 1):
-        y = p * xi + s
-        r2 = r - w * y * y
-        x[i] = xi
-        if i == 0:
-            if r2 == 0:
+    if i == 0:
+        q, rest = divmod(r, w)
+        y = isqrt(q)
+        if rest or y * y != q:
+            return
+        for t in (y,) if top or not y else (y, -y):
+            x0, m = divmod(t - s, p)
+            if not m:
+                x[0] = x0
                 out.append(tuple(x))
-        else:
-            _enumerate_level(rows, weights, i - 1, r2, x, out)
+        x[0] = 0
+        return
+    b = isqrt(r // w)
+    for xi in range(0 if top else -((s + b) // p), (b - s) // p + 1):
+        y = p * xi + s
+        x[i] = xi
+        _enumerate_level(rows, weights, i - 1, r - w * y * y, x, out, top and not xi)
     x[i] = 0
 
 
@@ -132,7 +162,8 @@ def enumerate_norm(gram: DefiniteGram, target: int) -> tuple[tuple[int, ...], ..
         raise ValueError("target norm must be nonzero with the sign of the form")
     n = gram.rank
     out: list[tuple[int, ...]] = []
-    _enumerate_level(gram.rows, gram.weights, n - 1, gram.scale * t, [0] * n, out)
+    _enumerate_level(gram.rows, gram.weights, n - 1, gram.scale * t, [0] * n, out, True)
+    out += [tuple(map(neg, v)) for v in out]
     return tuple(sorted(out))
 
 

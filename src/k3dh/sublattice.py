@@ -60,16 +60,25 @@ class Sublattice:
             [[pairing_nums(u, v) for v in self.basis] for u in self.basis]
         )
 
+    @cached_property
+    def sparse_basis(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The basis rows as their nonzero entries (j, b_j) (cached)."""
+        return tuple(
+            tuple((j, x) for j, x in enumerate(v.coords) if x) for v in self.basis
+        )
+
     def member_from_coefficients(self, coeffs: Sequence[int]) -> LatticeVector:
         """Ambient vector with the given coefficients in this basis."""
         if len(coeffs) != self.rank:
             raise ValueError("coefficient length does not match sublattice rank")
-        out = [0] * self.ambient.rank
-        for c, b in zip(coeffs, self.basis):
-            if not isinstance(c, int) or isinstance(c, bool):
+        for c in coeffs:
+            if type(c) is not int:
                 raise TypeError(f"integer coefficient expected, got {c!r}")
+        out = [0] * self.ambient.rank
+        for c, row in zip(coeffs, self.sparse_basis):
             if c:
-                out = [o + c * x for o, x in zip(out, b.coords)]
+                for j, x in row:
+                    out[j] += c * x
         return LatticeVector._trusted(self.ambient, tuple(out))
 
 

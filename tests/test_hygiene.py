@@ -1,9 +1,12 @@
 """Source-level rules: no library assert, no runtime dependency, unchecked
 constructors only in the core modules, unchecked isometries only in the
 isometry module, one pairing kernel on integers, one symmetric
-elimination."""
+elimination, and every benchmark tracer entry bound in the library."""
 import ast
+import importlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,3 +143,32 @@ def test_one_symmetric_elimination(monkeypatch):
     assert calls == ["k3dh.lattice"]
     assert shortvec.DefiniteGram(IntMatrix([[2, -1], [-1, 2]])).rank == 2
     assert calls == ["k3dh.lattice", "k3dh.shortvec"]
+
+
+def test_every_tracer_entry_resolves(monkeypatch):
+    # bench/tracer.py wraps library functions by module and attribute name,
+    # and fails a traced run when one is gone or never called; loading it
+    # here (read-only, no bytecode written) makes a renamed binding fail
+    # the test suite rather than only a traced benchmark run
+    path = ROOT / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in benchmark["workloads"]}
+    src = ROOT / "src" / "k3dh"
+    missing = []
+    for e in tracer.ENTRIES:
+        module = importlib.import_module(e.module)
+        assert Path(module.__file__).resolve().parent == src, e.module
+        # the lookup of Tracer.install: the class in the module's namespace,
+        # then the attribute on the class or module itself, not inherited
+        cls_name, _, attr = e.attr.rpartition(".")
+        owner = vars(module).get(cls_name) if cls_name else module
+        if owner is None or not callable(vars(owner).get(attr)):
+            missing.append(f"{e.module}.{e.attr}")
+        assert e.hot in workloads | {""}, e.name
+    assert missing == []
+    assert len(tracer.ENTRIES) > 20

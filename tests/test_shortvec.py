@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from k3dh import shortvec
 from k3dh.exact_linalg import IntMatrix, InvariantError, det, symmetric_bareiss
 from k3dh.lattice import direct_sum, make_E8, make_H, make_K3, k3_e, k3_f, pairing
 from k3dh.shortvec import (
@@ -18,7 +19,7 @@ from k3dh.shortvec import (
     naive_enumerate,
     roots_orthogonal_to,
 )
-from k3dh.sublattice import Sublattice
+from k3dh.sublattice import Sublattice, orthogonal_complement
 
 K3 = make_K3()
 E8 = make_E8()
@@ -396,3 +397,107 @@ def test_root_norm_check_raises(monkeypatch):
     plane = [k3_e(K3, i) + k3_f(K3, i) for i in range(3)]
     with pytest.raises(InvariantError, match="norm -2"):
         roots_orthogonal_to(K3, plane)
+
+
+def former_level(rows, weights, i, r, x, out):
+    """Test-only oracle: the former shortvec._enumerate_level, which walks
+    the full tree and loops over the whole range at level 0 too."""
+    row = rows[i]
+    p, w = row[0], weights[i]
+    s = sum(map(mul, row, x[i:]))
+    b = isqrt(r // w)
+    for xi in range(-((s + b) // p), (b - s) // p + 1):
+        y = p * xi + s
+        r2 = r - w * y * y
+        x[i] = xi
+        if i == 0:
+            if r2 == 0:
+                out.append(tuple(x))
+        else:
+            former_level(rows, weights, i - 1, r2, x, out)
+    x[i] = 0
+
+
+def former_enumerate(gram: DefiniteGram, target: int):
+    t = -target if gram.negated else target
+    n = gram.rank
+    out = []
+    former_level(gram.rows, gram.weights, n - 1, gram.scale * t, [0] * n, out)
+    return tuple(sorted(out))
+
+
+def standard_plane_complement_gram() -> DefiniteGram:
+    plane = [k3_e(K3, i) + k3_f(K3, i) for i in range(3)]
+    return DefiniteGram(orthogonal_complement(K3, plane).restricted_gram)
+
+
+def test_half_tree_matches_full_tree_on_the_root_systems():
+    e8 = DefiniteGram(E8.gram)
+    ee = DefiniteGram(direct_sum("E8+E8", E8, E8).gram)
+    cases = [(e8, 2, 240), (e8, 4, 2160), (e8, 6, 6720), (ee, 2, 480),
+             (standard_plane_complement_gram(), -2, 486)]
+    for dg, t, count in cases:
+        found = enumerate_norm(dg, t)
+        assert len(found) == count
+        assert found == former_enumerate(dg, t)
+
+
+def random_definite_large(rng: random.Random, n: int) -> DefiniteGram:
+    # A_n plus a random 0/1 diagonal, so odd norms occur too, conjugated by
+    # a few elementary unimodular moves and negated half the time
+    g = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
+         for i in range(n)]
+    for i in range(n):
+        g[i][i] += rng.randint(0, 1)
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-1, 1])
+        for r in range(n):
+            g[r][j] += c * g[r][i]
+        for r in range(n):
+            g[j][r] += c * g[i][r]
+    if rng.random() < 0.5:
+        g = [[-x for x in row] for row in g]
+    return DefiniteGram(IntMatrix(g))
+
+
+def test_half_tree_matches_full_tree_on_random_forms():
+    # odd targets on the even forms take the leaf's no-solution branches
+    rng = random.Random(20261018)
+    signs = set()
+    for _ in range(16):
+        dg = random_definite_large(rng, rng.randint(5, 8))
+        signs.add(dg.negated)
+        for target in range(1, 9):
+            t = -target if dg.negated else target
+            assert enumerate_norm(dg, t) == former_enumerate(dg, t)
+    assert signs == {False, True}
+
+
+# _enumerate_level calls at the parent of the half tree, which walked the
+# full tree and looped over the last level
+FULL_TREE_CALLS = {"E8": 510, "E8+E8": 2940, "complement": 4389}
+
+
+def test_half_tree_halves_the_calls(monkeypatch):
+    # wrapped through the module global, as bench/tracer.py counts it; more
+    # than one call each shows the recursion still goes through that name
+    level = shortvec._enumerate_level
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return level(*args)
+
+    monkeypatch.setattr(shortvec, "_enumerate_level", counted)
+    plane = [k3_e(K3, i) + k3_f(K3, i) for i in range(3)]
+    runs = {
+        "E8": lambda: enumerate_norm(DefiniteGram(E8.gram), 2),
+        "E8+E8": lambda: enumerate_norm(DefiniteGram(direct_sum("E8+E8", E8, E8).gram), 2),
+        "complement": lambda: roots_orthogonal_to(K3, plane),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert 1 < len(calls) <= 0.55 * FULL_TREE_CALLS[name], name
+        assert 0 in calls

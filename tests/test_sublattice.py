@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -137,6 +138,12 @@ def test_member_from_coefficients():
     assert v.coords == plane.basis[0].coords
     with pytest.raises(ValueError):
         plane.member_from_coefficients([1, 2])
+    for bad in (True, 0.0, Fraction(1)):
+        for at in (0, 18):
+            coeffs = [1] * 19
+            coeffs[at] = bad
+            with pytest.raises(TypeError, match="integer coefficient"):
+                plane.member_from_coefficients(coeffs)
 
 
 @settings(max_examples=40, deadline=None)
