@@ -115,9 +115,10 @@ def _emit(args, report: Report) -> int:
 
 
 def _pairing_preserved(phi: Isometry) -> bool:
-    # recheck M^T G M = G from scratch rather than trusting the constructor
+    # recheck M^T G M = G from scratch rather than trusting the constructor;
+    # G M first, as G is sparse and the row-sparse product skips its zeros
     g = phi.lattice.gram
-    return phi.matrix.transpose().mul(g).mul(phi.matrix) == g
+    return phi.matrix.transpose().mul(g.mul(phi.matrix)) == g
 
 
 def _rats(*values) -> str:

@@ -197,11 +197,13 @@ def int_inverse(m: IntMatrix) -> IntMatrix:
     if m.nrows != m.ncols:
         raise ValueError("inverse of a non-square matrix")
     n = m.nrows
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.rows)]
+    rows = [[*row, *([0] * i), 1, *([0] * (n - 1 - i))] for i, row in enumerate(m.rows)]
     pivots, d, _ = _bareiss_rref(rows, n)
     if len(pivots) < n or d not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    return IntMatrix._trusted(tuple(tuple(d * x for x in row[n:]) for row in rows))
+    if d == 1:
+        return IntMatrix._trusted(tuple(tuple(row[n:]) for row in rows))
+    return IntMatrix._trusted(tuple(tuple([-x for x in row[n:]]) for row in rows))
 
 
 def symmetric_bareiss(m: IntMatrix) -> tuple[tuple[int, ...], ...]:

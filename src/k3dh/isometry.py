@@ -10,9 +10,15 @@ kept without re-checking intermediate products:
   products and inverses of isometries are isometries by algebra:
   (AB)^T G (AB) = B^T (A^T G A) B = G, and (A^-1)^T G A^-1 = G follows
   from A^T G A = G by multiplying with A^-T and A^-1;
-- map_pair_to_standard and lemma_iso check the isometry they return
-  once, in full, so a fault in the move engine surfaces as an
-  InvariantError instead of a wrong answer.
+- each distinct matrix that map_pair_to_standard or lemma_iso returns is
+  checked once, in full, so a fault in the move engine surfaces as an
+  InvariantError instead of a wrong answer.  Two returns are not checked
+  again: the identity, an isometry by construction, which is what
+  map_pair_to_standard returns for a pair in reference position; and a
+  phi of lemma_iso whose matrix is that of gp, which map_pair_to_standard
+  checked (or found to be the identity) in the same call.  Every other
+  phi, such as a product with the flip or with a moved g^-1, is checked,
+  so a faulty compose or inverse still meets a full check.
 
 map_pair_to_standard moves a primitive pair (kappa, eta) onto the
 reference pair
@@ -91,7 +97,7 @@ class Isometry:
         if v.lattice is not self.lattice and v.lattice != self.lattice:
             raise ValueError("vector does not live in the isometry's lattice")
         nums = v.nums
-        image = tuple(sum(map(mul, row, nums)) for row in self.matrix.rows)
+        image = tuple([sum(map(mul, row, nums)) for row in self.matrix.rows])
         if isinstance(v, LatticeVector):
             return LatticeVector._trusted(self.lattice, image)
         # an integral matrix acts on the numerators; the denominator is kept
@@ -260,7 +266,8 @@ class _Mover:
 
     def block_part(self, b: int) -> LatticeVector:
         block = K3_TAGS.blocks[b]
-        return self.lattice.vector([c if i in block else 0 for i, c in enumerate(self.coords)])
+        return LatticeVector._trusted(
+            self.lattice, tuple([c if i in block else 0 for i, c in enumerate(self.coords)]))
 
 
 def _block_functional(m: _Mover, b: int):
@@ -381,7 +388,9 @@ def _unitize(m: _Mover, roles: _Roles) -> bool:
         # adds t q to a, polluting only p), then swap the smallest
         # nonzero remainder into the q slot
         for idx in slots:
-            m.transvect(e1, -(m.coeff(idx) // q) * m.basis(idx))
+            quo = m.coeff(idx) // q
+            if quo:
+                m.transvect(e1, -quo * m.basis(idx))
         best = min((idx for idx in slots if m.coeff(idx)), key=lambda idx: abs(m.coeff(idx)),
                    default=None)
         if best is None:
@@ -389,7 +398,9 @@ def _unitize(m: _Mover, roles: _Roles) -> bool:
             # a spare slot (the write is clean because the plane is empty)
             ei, fi = roles.spares[0]
             m.transvect(f1, m.basis(ei))  # a += p
-            m.transvect(e1, -(m.coeff(ei) // q) * m.basis(ei))
+            quo = m.coeff(ei) // q
+            if quo:
+                m.transvect(e1, -quo * m.basis(ei))
             if m.coeff(ei) == 0:
                 # q divides the whole hyperbolic part; bring in the
                 # reservoir gcd, coprime to q by primitivity
@@ -418,7 +429,8 @@ def _standardize_vector(m: _Mover):
     _unitize(m, _FIRST_ROLES)
     # v = e1 + q f1 + w; E(f1, -w) empties w, then the norm pins q
     # (map_pair_to_standard checks the image of kappa)
-    w = m.lattice.vector(m.coords) - m.basis(E1) - m.coeff(F1) * m.basis(F1)
+    v = LatticeVector._trusted(m.lattice, tuple(m.coords))
+    w = v - m.basis(E1) - m.coeff(F1) * m.basis(F1)
     m.transvect(m.basis(F1), -1 * w)
 
 
@@ -434,20 +446,24 @@ def _standardize_partner(m: _Mover, l0: int):
     c = m.basis(E1) - l0 * m.basis(F1)  # orthogonal to e1 + l0 f1
     roles = _Roles(h1=(F2, E2), spares=((E3, F3),), blocks=(0, 1), extra=c)
     _unitize(m, roles)
-    # kill order matters: each step must not disturb what is already clean
+    # kill order matters: each step must not disturb what is already clean;
+    # a zero coefficient needs no move, so its argument is never built
     f2 = m.basis(F2)
-    m.transvect(f2, -m.coeff(F3) * m.basis(F3))
-    m.transvect(f2, -m.coeff(E3) * m.basis(E3))
+    for i in (F3, E3):
+        if m.coeff(i):
+            m.transvect(f2, -m.coeff(i) * m.basis(i))
     m.transvect(f2, -1 * m.block_part(0))
     m.transvect(f2, -1 * m.block_part(1))
-    m.transvect(f2, -m.coeff(E1) * c)
+    if m.coeff(E1):
+        m.transvect(f2, -m.coeff(E1) * c)
 
 
 def map_pair_to_standard(kappa: LatticeVector, eta: LatticeVector) -> Isometry:
     """Isometry g with g(kappa), g(eta) in the reference position.
 
     Raises StandardizationError when the staged search exhausts its
-    budget; the returned isometry is always verified.
+    budget; the returned isometry is always verified: the identity by
+    construction, any other matrix by the full exit check.
     """
     if not is_primitive_embedding([kappa, eta]):
         raise ValueError("pair is not a primitive embedding")
@@ -461,6 +477,8 @@ def map_pair_to_standard(kappa: LatticeVector, eta: LatticeVector) -> Isometry:
     g = m.isometry()
     if g.apply(kappa) != target_k or g.apply(eta) != target_e:
         raise InvariantError("standardization missed the reference pair")
+    if g.matrix.rows == _identity_rows(kappa.lattice.rank):
+        return g
     return _exit_check(g)
 
 
@@ -483,4 +501,5 @@ def lemma_iso(kappa: LatticeVector, eta: LatticeVector, kappa_p: LatticeVector,
             raise InvariantError("lemma_iso: the third-plane flip did not fix the orientation")
     if phi.apply(kappa_p) != kappa or phi.apply(eta_p) != eta:
         raise InvariantError("lemma_iso: the isometry misses the target pair")
-    return _exit_check(phi)
+    # gp's matrix was verified by map_pair_to_standard a few lines above
+    return phi if phi.matrix == gp.matrix else _exit_check(phi)

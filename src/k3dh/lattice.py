@@ -283,7 +283,7 @@ class LatticeVector:
     def __mul__(self, c: int):
         if not isinstance(c, int):
             raise TypeError("scale a LatticeVector by an int (see to_rational)")
-        return LatticeVector._trusted(self.lattice, tuple(c * a for a in self.coords))
+        return LatticeVector._trusted(self.lattice, tuple([c * a for a in self.coords]))
 
     __rmul__ = __mul__
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k3dh import exact_linalg
 from k3dh.exact_linalg import (
     IntMatrix,
     det,
@@ -369,6 +370,21 @@ def test_int_inverse_rejects_non_unimodular(rows, k, data):
 
 def test_int_inverse_exactness_guard():
     assert int_inverse(IntMatrix([])).rows == ()
+
+
+@pytest.mark.parametrize("rows", [[[1, 0], [0, -1]], [[2, 1], [1, 0]]])
+def test_int_inverse_at_minus_one(rows):
+    # both eliminations end at d = -1, where the right block is negated
+    work = [[*row, int(i == 0), int(i == 1)] for i, row in enumerate(rows)]
+    assert exact_linalg._bareiss_rref(work, 2)[1] == -1
+    assert int_inverse(IntMatrix(rows)).rows == fraction_inverse(rows)
+    with pytest.raises(ValueError, match="not unimodular"):
+        int_inverse(IntMatrix([rows[0], [2 * x for x in rows[1]]]))
+
+
+def test_int_inverse_of_the_identity():
+    ident = IntMatrix.identity(22)
+    assert int_inverse(ident).rows == ident.rows
 
 
 # -- the fraction-free rat_det against the Fraction oracle -------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from k3dh import lattice, shortvec
+from k3dh import isometry, lattice, shortvec
 from k3dh.cli import main, run_verify_paper
 from k3dh.exact_linalg import IntMatrix
 from k3dh.lattice import Lattice, make_K3
@@ -145,17 +145,23 @@ def test_one_symmetric_elimination(monkeypatch):
     assert calls == ["k3dh.lattice", "k3dh.shortvec"]
 
 
-def test_every_tracer_entry_resolves(monkeypatch):
-    # bench/tracer.py wraps library functions by module and attribute name,
-    # and fails a traced run when one is gone or never called; loading it
-    # here (read-only, no bytecode written) makes a renamed binding fail
-    # the test suite rather than only a traced benchmark run
+def load_tracer(monkeypatch):
+    """bench/tracer.py, loaded read-only: no bytecode is written."""
     path = ROOT / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("_bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.setitem(sys.modules, spec.name, tracer)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_tracer_entry_resolves(monkeypatch):
+    # bench/tracer.py wraps library functions by module and attribute name,
+    # and fails a traced run when one is gone or never called; loading it
+    # here makes a renamed binding fail the test suite rather than only a
+    # traced benchmark run
+    tracer = load_tracer(monkeypatch)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = {w["name"] for w in benchmark["workloads"]}
     src = ROOT / "src" / "k3dh"
@@ -172,3 +178,46 @@ def test_every_tracer_entry_resolves(monkeypatch):
         assert e.hot in workloads | {""}, e.name
     assert missing == []
     assert len(tracer.ENTRIES) > 20
+
+
+def test_one_lemma_iso_reaches_every_isometry_pairs_entry(monkeypatch):
+    # a traced isometry-pairs run fails when one of its hot entries records
+    # no call, so a refactor that takes one off the lemma_iso path (say,
+    # int_inverse or smith_normal_form) must fail here first.  Each entry is
+    # wrapped as Tracer.install wraps it: a method on its class, a function
+    # in every k3dh module that bound it
+    tracer = load_tracer(monkeypatch)
+    called = set()
+    hot = [e for e in tracer.ENTRIES if e.hot == "isometry-pairs"]
+    for e in hot:
+        cls_name, _, attr = e.attr.rpartition(".")
+        owner = importlib.import_module(e.module)
+        if cls_name:
+            owner = vars(owner)[cls_name]
+        orig = vars(owner)[attr]
+
+        def spy(*args, _name=e.name, _orig=orig, **kwargs):
+            called.add(_name)
+            return _orig(*args, **kwargs)
+
+        if cls_name:
+            monkeypatch.setattr(owner, attr, spy)
+            continue
+        for name, module in list(sys.modules.items()):
+            if name.startswith("k3dh."):
+                for binding, value in list(vars(module).items()):
+                    if value is orig:
+                        monkeypatch.setattr(module, binding, spy)
+    # the benchmark's op: a model pair and a copy moved by transvections
+    k3 = make_K3()
+    e1, f1, e2, f2, e3, f3 = (k3.basis_vector(i) for i in range(6))
+    kap, eta = e1 + 2 * f1, -3 * f1 + e2 - f2
+    kp, ep = kap, eta
+    for t in (isometry.eichler_transvection(e2, 2 * e3 - f1),
+              isometry.eichler_transvection(f3, e1 + 3 * f2)):
+        kp, ep = t.apply(kp), t.apply(ep)
+    assert isometry.map_pair_to_standard(kap, eta).matrix == IntMatrix.identity(k3.rank)
+    called.clear()
+    isometry.lemma_iso(kap, eta, kp, ep)
+    assert sorted(e.name for e in hot if e.name not in called) == []
+    assert len(hot) > 10

@@ -538,22 +538,32 @@ def test_transvection_preserves_the_form(plane, v, x, y):
 
 @pytest.mark.parametrize("preserve", [True, False])
 def test_lemma_iso_checks_each_result_once(monkeypatch, preserve):
-    # three exit checks (two standardizations and lemma_iso's own); the
-    # flip is checked once per lattice, so it is built before counting
+    # each distinct matrix that leaves the module is checked once in full:
+    # gp when it moves, g when it moves (a model pair maps by the identity),
+    # and phi unless it is gp's matrix, which it is for a model pair unless
+    # the flip is needed.  The flip is checked once per lattice, so it is
+    # built before counting
     flip_third_H(K3)
-    kap = E[0] - 2 * F[0]
-    eta = -8 * F[0] + E[1] - 2 * F[1]
-    kp, ep = transvected_pair(random.Random(29), kap, eta, 3)
+    ref = standard_pair(-2, -8, -2)
+    moved = transvected_pair(random.Random(29), *ref, 3)
+    cases = {
+        "model": (ref, moved, 1 if preserve else 2),
+        "moved": (transvected_pair(random.Random(31), *ref, 2), moved, 3),
+        "reference": (ref, ref, 0 if preserve else 1),
+    }
     full_check = Isometry.__post_init__
     calls = []
 
     def counted(self):
-        calls.append(self)
+        calls.append(self.matrix)
         full_check(self)
 
     monkeypatch.setattr(Isometry, "__post_init__", counted)
-    lemma_iso(kap, eta, kp, ep, preserve=preserve)
-    assert len(calls) == 3
+    for case, (target, source, checks) in cases.items():
+        calls.clear()
+        phi = lemma_iso(*target, *source, preserve=preserve)
+        assert len(calls) == len(set(calls)) == checks, case
+        assert phi.matrix in calls or phi.matrix == IntMatrix.identity(K3.rank), case
 
 
 def test_merged_runs_match_per_move_oracle():
@@ -603,18 +613,39 @@ def test_replay_does_not_recheck_recorded_moves(monkeypatch):
     assert len(m.moves) == recorded and checked == []
 
 
+def former_lemma_iso(kappa, eta, kappa_p, eta_p, preserve=True):
+    """Test-only oracle: the former lemma_iso, which checked g, gp and phi
+    in full, the identity too."""
+    if (norm(kappa), norm(eta), pairing(kappa, eta)) != (
+            norm(kappa_p), norm(eta_p), pairing(kappa_p, eta_p)):
+        raise ValueError("pairs have different Gram data")
+    g = isometry._exit_check(map_pair_to_standard(kappa, eta))
+    gp = isometry._exit_check(map_pair_to_standard(kappa_p, eta_p))
+    g_inv = g.inverse()
+    phi = g_inv.compose(gp)
+    if preserves_components(phi) != preserve:
+        phi = g_inv.compose(flip_third_H(g.lattice).compose(gp))
+        if preserves_components(phi) != preserve:
+            raise InvariantError("lemma_iso: the third-plane flip did not fix the orientation")
+    if phi.apply(kappa_p) != kappa or phi.apply(eta_p) != eta:
+        raise InvariantError("lemma_iso: the isometry misses the target pair")
+    return isometry._exit_check(phi)
+
+
 def test_lemma_iso_matches_the_former_formula():
-    # phi = g^-1 gp, or g^-1 flip gp when the orientation must be reversed
+    # phi = g^-1 gp, or g^-1 flip gp when the orientation must be reversed,
+    # on pairs of the isometry-pairs law sent to their model pair (g is the
+    # identity) and to a moved copy of it (g moves too)
     rng = random.Random(1)
-    pairs = [bench_law_pair(rng) for _ in range(8)]
-    for kap, eta in pairs:
-        kp, ep = transvected_pair(rng, kap, eta, 2)
-        g, gp = map_pair_to_standard(kap, eta), map_pair_to_standard(kp, ep)
-        for preserve in (True, False):
-            phi = g.inverse().compose(gp)
-            if preserves_components(phi) != preserve:
-                phi = g.inverse().compose(flip_third_H(K3)).compose(gp)
-            assert lemma_iso(kap, eta, kp, ep, preserve=preserve).matrix == phi.matrix
+    ident = IntMatrix.identity(K3.rank).rows
+    for _ in range(40):
+        kp, ep = bench_law_pair(rng)
+        ref = standard_pair(norm(kp) // 2, pairing(kp, ep), norm(ep) // 2)
+        assert map_pair_to_standard(*ref).matrix.rows == ident
+        for target in (ref, transvected_pair(rng, *ref, 2)):
+            for preserve in (True, False):
+                phi = lemma_iso(*target, kp, ep, preserve=preserve)
+                assert phi.matrix == former_lemma_iso(*target, kp, ep, preserve).matrix
 
 
 @settings(max_examples=25, deadline=None)
