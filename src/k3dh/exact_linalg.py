@@ -32,15 +32,18 @@ class InvariantError(RuntimeError):
     """An exact identity the construction guarantees has failed: a bug."""
 
 
-def _as_int_rows(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for row in rows:
-        t = tuple(row)
-        for x in t:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise TypeError(f"integer entry expected, got {x!r}")
-        out.append(t)
-    return tuple(out)
+def int_tuple(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as a tuple, each checked to be exactly an int.
+
+    The one integer rule of the package: type(x) is int refuses floats and
+    strings, and also bool and every other int subclass, such as an IntEnum
+    member, so that no such value is silently coerced.
+    """
+    t = tuple(values)
+    for x in t:
+        if type(x) is not int:
+            raise TypeError(f"integer {what} expected, got {x!r}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,7 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        object.__setattr__(self, "rows", _as_int_rows(rows))
+        object.__setattr__(self, "rows", tuple(int_tuple(row, "entry") for row in rows))
         if self.rows:
             w = len(self.rows[0])
             if any(len(r) != w for r in self.rows):

@@ -48,9 +48,9 @@ from functools import cache
 from itertools import groupby
 from operator import mul
 
-from .exact_linalg import IntMatrix, int_inverse, xgcd_vector
+from .exact_linalg import IntMatrix, InvariantError, int_inverse, xgcd_vector
 from .lattice import (
-    K3_TAGS,
+    E1, E2, E3, F1, F2, F3, K3_BLOCKS,
     Lattice,
     LatticeVector,
     RationalVector,
@@ -58,10 +58,8 @@ from .lattice import (
     norm,
     pairing,
 )
-from .period import InvariantError, OrientedPlane, same_component, standard_plane
+from .period import OrientedPlane, same_component, standard_plane
 from .sublattice import is_primitive_embedding
-
-E1, F1, E2, F2, E3, F3 = 0, 1, 2, 3, 4, 5
 
 _STEP_BUDGET = 60
 
@@ -265,7 +263,7 @@ class _Mover:
         return self.coords[i]
 
     def block_part(self, b: int) -> LatticeVector:
-        block = K3_TAGS.blocks[b]
+        block = K3_BLOCKS[b]
         return LatticeVector._trusted(
             self.lattice, tuple([c if i in block else 0 for i, c in enumerate(self.coords)]))
 
@@ -273,7 +271,7 @@ class _Mover:
 def _block_functional(m: _Mover, b: int):
     """Content of the pairing functional of the block part, and a vector
     realizing it: (part, u) = content.  Returns (0, None) on empty part."""
-    idx = K3_TAGS.blocks[b]
+    idx = K3_BLOCKS[b]
     part = m.block_part(b)
     if part.is_zero():
         return 0, None

@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import ClassVar, Iterable, Sequence, Union
 
-from .exact_linalg import IntMatrix, det, symmetric_bareiss
+from .exact_linalg import IntMatrix, det, int_tuple, symmetric_bareiss
 
 Coord = Union[int, Fraction]
 
@@ -149,9 +149,7 @@ class RationalVector:
         if len(nums) != self.lattice.rank:
             raise ValueError("coordinate length does not match lattice rank")
         den = self.den
-        for c in (den, *nums):
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise TypeError(f"integer numerator and denominator expected, got {c!r}")
+        int_tuple((den, *nums), "numerator and denominator")
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         g = gcd(den, *nums)
@@ -239,9 +237,7 @@ class LatticeVector:
     def __post_init__(self):
         if len(self.coords) != self.lattice.rank:
             raise ValueError("coordinate length does not match lattice rank")
-        for c in self.coords:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise TypeError(f"integer coordinate expected, got {c!r}")
+        int_tuple(self.coords, "coordinate")
 
     @classmethod
     def _trusted(cls, lattice: Lattice, coords: tuple[int, ...]) -> "LatticeVector":
@@ -373,44 +369,26 @@ def make_K3() -> Lattice:
     return direct_sum("K3", h, h, h, me8, me8)
 
 
-@dataclass(frozen=True)
-class HyperbolicTags:
-    """Positions of the standard summands inside a direct-sum basis.
-
-    e_index/f_index give the isotropic basis pair of each hyperbolic block;
-    blocks lists the index ranges of the remaining definite summands.
-    """
-
-    hyperbolic: tuple[tuple[int, int], ...]
-    blocks: tuple[tuple[int, ...], ...]
-
-    def e_index(self, i: int) -> int:
-        return self.hyperbolic[i][0]
-
-    def f_index(self, i: int) -> int:
-        return self.hyperbolic[i][1]
-
-
-K3_TAGS = HyperbolicTags(
-    hyperbolic=((0, 1), (2, 3), (4, 5)),
-    blocks=(tuple(range(6, 14)), tuple(range(14, 22))),
-)
+# Basis layout of make_K3: the isotropic pairs (e_i, f_i) of the three
+# hyperbolic blocks, then the index ranges of the two -E8 blocks.
+E1, F1, E2, F2, E3, F3 = range(6)
+K3_BLOCKS = (tuple(range(6, 14)), tuple(range(14, 22)))
 
 
 def k3_e(l: Lattice, i: int) -> LatticeVector:
     """Isotropic generator e_i of the i-th hyperbolic block (i = 0, 1, 2)."""
-    return l.basis_vector(K3_TAGS.e_index(i))
+    return l.basis_vector((E1, E2, E3)[i])
 
 
 def k3_f(l: Lattice, i: int) -> LatticeVector:
     """Isotropic generator f_i with (e_i, f_i) = 1."""
-    return l.basis_vector(K3_TAGS.f_index(i))
+    return l.basis_vector((F1, F2, F3)[i])
 
 
 # -- JSON interchange -------------------------------------------------------
 
 
-def lattice_from_json_dict(data: dict, name: str = "lattice") -> Lattice:
+def lattice_from_json_dict(data: dict) -> Lattice:
     if not isinstance(data, dict) or "gram" not in data:
         raise ValueError("lattice JSON must be an object with a 'gram' field")
     gram = data["gram"]
@@ -424,4 +402,4 @@ def lattice_from_json_dict(data: dict, name: str = "lattice") -> Lattice:
             raise ValueError(f"'rank' must be an integer, got {data['rank']!r}")
         if data["rank"] != m.nrows:
             raise ValueError("'rank' does not match the Gram matrix size")
-    return Lattice(name, m)
+    return Lattice("lattice", m)

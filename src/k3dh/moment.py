@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .isometry import lemma_iso
+from .exact_linalg import int_tuple
 from .kummer import KummerClass
 from .kummer import pairing as kummer_pairing
-from .lattice import LatticeVector, k3_e, k3_f, make_K3, norm, pairing
+from .lattice import LatticeVector, k3_e, k3_f, make_K3, pairing
 from .sublattice import is_primitive_embedding
 
 REPORT_SCHEMA_VERSION = 1
@@ -40,16 +40,12 @@ def rational_to_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def rational_from_json(v) -> Fraction:
     """Exact rational from an int or a 'p/q' string.
 
     Floats and decimal or exponent strings such as "4.0" are refused.
     """
-    if _is_int(v) or isinstance(v, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", v):
+    if type(v) is int or isinstance(v, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", v):
         try:
             return Fraction(v)
         except ZeroDivisionError:
@@ -187,9 +183,7 @@ class Wall:
     def __post_init__(self):
         object.__setattr__(self, "level", Fraction(self.level))
         object.__setattr__(self, "weights", tuple(self.weights))
-        for x in (self.count, *self.weights):
-            if not _is_int(x):
-                raise TypeError(f"integer count and weights expected, got {x!r}")
+        int_tuple((self.count, *self.weights), "count and weights")
         if len(self.weights) != 3:
             raise ValueError("expected three weights")  # dimension 6 throughout
         if any(w == 0 for w in self.weights):
@@ -255,8 +249,8 @@ class GluedModel:
         object.__setattr__(self, "walls", tuple(self.walls))
         if self.period is not None:
             object.__setattr__(self, "period", Fraction(self.period))
-        if self.fixed_points is not None and not _is_int(self.fixed_points):
-            raise TypeError(f"integer fixed point count expected, got {self.fixed_points!r}")
+        if self.fixed_points is not None:
+            int_tuple((self.fixed_points,), "fixed point count")
 
 
 @dataclass(frozen=True)
@@ -475,24 +469,6 @@ def validate(model: GluedModel) -> Report:
     return Report(f"model {model.name}", tuple(checks))
 
 
-def euler_class_match(piece_a: Piece, piece_b: Piece) -> bool:
-    """Whether two pieces' circle bundles agree over a common reduced space.
-
-    Requires lattice class pairs on both pieces.  Unequal Gram data is an
-    immediate mismatch; otherwise the verified orientation-preserving
-    isometry construction decides (and its errors propagate).
-    """
-    for piece in (piece_a, piece_b):
-        if piece.class_pair is None or not isinstance(piece.class_pair[0], LatticeVector):
-            raise ValueError("piece carries no lattice class pair")
-    ka, ea = piece_a.class_pair
-    kb, eb = piece_b.class_pair
-    if (norm(ka), pairing(ka, ea), norm(ea)) != (norm(kb), pairing(kb, eb), norm(eb)):
-        return False
-    lemma_iso(ka, ea, kb, eb, preserve=True)
-    return True
-
-
 # -- JSON model files --------------------------------------------------------
 
 
@@ -558,45 +534,7 @@ def model_from_json_dict(data: dict) -> GluedModel:
         raise ModelError(f"malformed model: {exc}") from exc
 
 
-def model_to_json_dict(model: GluedModel) -> dict:
-    def endpoint(v, side):
-        if v is None:
-            return "-inf" if side == 0 else "inf"
-        return rational_to_str(v)
-
-    pieces = []
-    for p in model.pieces:
-        raw = {
-            "interval": [endpoint(p.lo, 0), endpoint(p.hi, 1)],
-            "dh": [rational_to_str(c) for c in p.dh.coefficients],
-            "reduced_space": p.reduced_space,
-        }
-        if p.class_pair is not None:
-            kappa, eta = p.class_pair
-            if not isinstance(kappa, LatticeVector):
-                raise ModelError("only lattice class pairs serialize")
-            raw["class_pair"] = {
-                "kappa": list(kappa.coords),
-                "eta": list(eta.coords),
-            }
-        pieces.append(raw)
-    out = {"name": model.name, "pieces": pieces}
-    out["walls"] = [
-        {
-            "level": rational_to_str(w.level),
-            "count": w.count,
-            "weights": list(w.weights),
-        }
-        for w in model.walls
-    ]
-    if model.period is not None:
-        out["period"] = rational_to_str(model.period)
-    if model.fixed_points is not None:
-        out["fixed_points"] = model.fixed_points
-    return out
-
-
-def packaged_model(name: str = "theorem1") -> GluedModel:
-    """Load one of the model fixtures shipped inside the package."""
-    text = resources.files("k3dh").joinpath(f"data/{name}.json").read_text()
+def packaged_model() -> GluedModel:
+    """Load the glued-model fixture shipped inside the package."""
+    text = resources.files("k3dh").joinpath("data/theorem1.json").read_text()
     return model_from_json_dict(json.loads(text))

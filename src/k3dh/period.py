@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from .exact_linalg import InvariantError, rat_det  # InvariantError re-exported
+from .exact_linalg import InvariantError, rat_det
 from .lattice import (
     Lattice,
     LatticeVector,
@@ -163,16 +163,14 @@ def is_in_k_omega_generic(kappa: Vec, point: PeriodPoint) -> bool:
     """Membership plus no -2-vector orthogonal to span(kappa, re, im)."""
     if not is_in_k_omega(kappa, point):
         return False
-    k = _rational(kappa)
-    return is_generic_plane(k.lattice, [k, point.re, point.im])
+    return is_generic_plane(kappa.lattice, [kappa, point.re, point.im])
 
 
 def is_in_ktilde_omega_generic(kappa: Vec, point: PeriodPoint) -> bool:
     """Membership plus no -2-vector orthogonal to span(kappa, re, im)."""
     if not is_in_ktilde_omega(kappa, point):
         return False
-    k = _rational(kappa)
-    return is_generic_plane(k.lattice, [k, point.re, point.im])
+    return is_generic_plane(kappa.lattice, [kappa, point.re, point.im])
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from .exact_linalg import (
     IntMatrix,
     InvariantError,
     elementary_divisors,
+    int_tuple,
     smith_normal_form,
 )
 from .lattice import Lattice, LatticeVector, RationalVector, pairing_nums
@@ -71,9 +72,7 @@ class Sublattice:
         """Ambient vector with the given coefficients in this basis."""
         if len(coeffs) != self.rank:
             raise ValueError("coefficient length does not match sublattice rank")
-        for c in coeffs:
-            if type(c) is not int:
-                raise TypeError(f"integer coefficient expected, got {c!r}")
+        int_tuple(coeffs, "coefficient")
         out = [0] * self.ambient.rank
         for c, row in zip(coeffs, self.sparse_basis):
             if c:

@@ -1,4 +1,5 @@
 import random
+from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3dh import exact_linalg
+from k3dh import cli, exact_linalg
 from k3dh.exact_linalg import (
     IntMatrix,
     det,
@@ -18,6 +19,9 @@ from k3dh.exact_linalg import (
     symmetric_bareiss,
     xgcd_vector,
 )
+from k3dh.lattice import RationalVector, make_K3
+from k3dh.moment import GluedModel, ModelError, Wall, rational_from_json
+from k3dh.sublattice import Sublattice
 
 H_GRAM = [[0, 1], [1, 0]]
 
@@ -208,6 +212,40 @@ def test_int_matrix_validation():
     assert m.mul(IntMatrix.identity(2)).rows == m.rows
     assert m.is_symmetric() is False
     assert IntMatrix(H_GRAM).is_symmetric() is True
+
+
+class Flag(IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("bad", [True, Flag.ONE], ids=["bool", "IntEnum"])
+def test_one_integer_rule(bad, monkeypatch, capsys):
+    # every integer entry point applies the one rule type(x) is int: an int
+    # subclass, such as bool or an IntEnum member, is refused, not coerced
+    k3 = make_K3()
+    coords = [bad] + [0] * 21
+    entry_points = [
+        lambda: IntMatrix([[1, bad]]),
+        lambda: k3.vector(coords),
+        lambda: RationalVector(k3, coords),
+        lambda: RationalVector(k3, [1] + [0] * 21, bad),
+        lambda: Sublattice(k3, (k3.basis_vector(0),)).member_from_coefficients([bad]),
+        lambda: Wall(1, bad, (-2, 1, 1)),
+        lambda: Wall(1, 16, (-2, bad, 1)),
+        lambda: GluedModel((), (), fixed_points=bad),
+    ]
+    for make in entry_points:
+        with pytest.raises(TypeError, match="integer"):
+            make()
+    with pytest.raises(ModelError, match="exact rational"):
+        rational_from_json(bad)
+    # a JSON file cannot hold an IntEnum member, so the document is handed
+    # to the command as the loader would return it
+    doc = {key: [1] + [0] * 21 for key in ("kappa", "eta", "kappa_p", "eta_p")}
+    doc["eta_p"] = coords
+    monkeypatch.setattr(cli, "_load_json", lambda path: doc)
+    assert cli.main(["isometry", "--pairs", "pairs.json"]) == 2
+    assert "'eta_p' must contain integers only" in capsys.readouterr().err
 
 
 # -- oracles for the row-sparse product and the fraction-free inverse -------

@@ -1,7 +1,8 @@
 """Source-level rules: no library assert, no runtime dependency, unchecked
 constructors only in the core modules, unchecked isometries only in the
 isometry module, one pairing kernel on integers, one symmetric
-elimination, and every benchmark tracer entry bound in the library."""
+elimination, every library name called outside the unit tests, and every
+benchmark tracer entry bound in the library."""
 import ast
 import importlib
 import importlib.util
@@ -143,6 +144,50 @@ def test_one_symmetric_elimination(monkeypatch):
     assert calls == ["k3dh.lattice"]
     assert shortvec.DefiniteGram(IntMatrix([[2, -1], [-1, 2]])).rank == 2
     assert calls == ["k3dh.lattice", "k3dh.shortvec"]
+
+
+# library names kept without a caller in the library, the benchmark or the
+# acceptance gate, each with the reason it stays
+UNCALLED_ALLOWED = {
+    # the public predicate for the period domain: re + i*im spans a positive
+    # isotropic line; tests/test_period.py checks it against a Fraction oracle
+    "is_in_omega",
+}
+
+
+def uncalled_names(library: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """Functions and classes defined in `library` (module -> source) whose
+    name no Name or Attribute node in `callers` reads.  Dunder methods are
+    called by the language, so they are not listed."""
+    defined = {}
+    for module, source in library.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.setdefault(node.name, f"{module}:{node.lineno}")
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for source in callers.values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    return sorted(f"{site} {name}" for name, site in defined.items() if name not in read)
+
+
+def test_every_library_name_has_a_caller():
+    # a function that only its own unit tests call is surface without a
+    # user; the callers are the library itself, the benchmark runner and
+    # the acceptance gate
+    library = dict(library_sources())
+    callers = dict(library)
+    for path in [*sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]:
+        callers[str(path.relative_to(ROOT))] = path.read_text()
+    found = [site for site in uncalled_names(library, callers)
+             if site.split()[1] not in UNCALLED_ALLOWED]
+    assert found == []
+    # the scan does see a name nobody reads, and a method read as an attribute
+    snippet = {"m": "class A:\n    def f(self): pass\n    def g(self): pass\ndef h(a): a.f()\nh(A())\n"}
+    assert uncalled_names(snippet, snippet) == ["m:3 g"]
 
 
 def load_tracer(monkeypatch):

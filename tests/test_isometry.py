@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from k3dh import isometry
 from k3dh.cli import main
-from k3dh.exact_linalg import IntMatrix, det
-from k3dh.lattice import K3_TAGS, Lattice, make_E8, make_K3, k3_e, k3_f, norm, pairing
+from k3dh.exact_linalg import IntMatrix, InvariantError, det
+from k3dh.lattice import K3_BLOCKS, Lattice, make_E8, make_K3, k3_e, k3_f, norm, pairing
 from k3dh.isometry import (
     Isometry,
     StandardizationError,
@@ -20,7 +20,6 @@ from k3dh.isometry import (
     map_pair_to_standard,
     preserves_components,
 )
-from k3dh.period import InvariantError
 from k3dh.sublattice import is_primitive_embedding
 
 K3 = make_K3()
@@ -393,7 +392,7 @@ class EagerMover:
 
     def block_part(self, b):
         coords = [0] * self.lattice.rank
-        for i in K3_TAGS.blocks[b]:
+        for i in K3_BLOCKS[b]:
             coords[i] = self.vector.coords[i]
         return self.lattice.vector(coords)
 

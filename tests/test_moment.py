@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3dh.isometry import eichler_transvection
 from k3dh.kummer import eta_hat, kappa_hat
 from k3dh.lattice import k3_e, k3_f, make_H, make_K3, norm, pairing
 from k3dh.moment import (
@@ -17,10 +16,8 @@ from k3dh.moment import (
     Piece,
     Wall,
     dh_from_pair,
-    euler_class_match,
     is_positive_on,
     model_from_json_dict,
-    model_to_json_dict,
     packaged_model,
     pair_from_polynomial,
     rational_from_json,
@@ -238,17 +235,28 @@ def test_validate_reports_negative_endpoints_and_dependent_pairs():
     assert {c.check_id for c in report.checks if not c.passed} == {"primitive:piece0"}
 
 
-def test_only_lattice_class_pairs_serialize():
-    piece = Piece(-1, 1, ORBIFOLD_BRANCH, class_pair=(kappa_hat(), eta_hat(1)), reduced_space="Kummer")
-    with pytest.raises(ModelError, match="only lattice class pairs"):
-        model_to_json_dict(GluedModel((piece,), ()))
-
-
 def test_model_json_round_trip_and_errors():
-    model = packaged_model()
-    data = model_to_json_dict(model)
-    assert model_from_json_dict(data) == model
-    assert data["pieces"][1]["class_pair"]["kappa"][:2] == [1, -2]
+    data = {
+        "name": "theorem1",
+        "pieces": [
+            {"interval": ["-1", "1"], "dh": ["4", "0", "4"], "reduced_space": "Kummer"},
+            {
+                "interval": ["1", "3"],
+                "dh": ["-4", "16", "-4"],
+                "reduced_space": "K3",
+                "class_pair": {"kappa": [1, -2] + [0] * 20, "eta": [0, -8, 1, -2] + [0] * 18},
+            },
+        ],
+        "walls": [
+            {"level": "1", "count": 16, "weights": [-2, 1, 1]},
+            {"level": "3", "count": 16, "weights": [2, -1, -1]},
+        ],
+        "period": "4",
+        "fixed_points": 32,
+    }
+    model = model_from_json_dict(data)
+    assert model == packaged_model()
+    assert model.pieces[1].class_pair == pair_from_polynomial(PLUS_BRANCH)
     with pytest.raises(ModelError, match="rational"):
         model_from_json_dict({"pieces": [{"interval": [0.5, 1], "dh": [1, 0, 0]}], "walls": []})
     with pytest.raises(ModelError, match="malformed"):
@@ -260,10 +268,8 @@ def test_model_json_round_trip_and_errors():
 
 
 def test_unbounded_ends_keep_their_side():
-    model = GluedModel((Piece(None, None, ORBIFOLD_BRANCH),), ())
-    data = model_to_json_dict(model)
-    assert data["pieces"][0]["interval"] == ["-inf", "inf"]
-    assert model_from_json_dict(data) == model
+    data = {"pieces": [{"interval": ["-inf", "inf"], "dh": ["4", "0", "4"]}], "walls": []}
+    assert model_from_json_dict(data) == GluedModel((Piece(None, None, ORBIFOLD_BRANCH),), ())
 
 
 def test_readme_model_example_parses():
@@ -285,24 +291,3 @@ def test_rational_from_json_is_strict():
         Wall(1, 16.0, (-2, 1, 1))
     with pytest.raises(TypeError, match="integer"):
         GluedModel((), (), fixed_points=32.0)
-
-
-def test_euler_class_match():
-    kappa, eta = pair_from_polynomial(DHPolynomial(2, 0, 0))
-    a = Piece(0, 1, DHPolynomial(2, 0, 0), class_pair=(kappa, eta))
-    b = Piece(1, 2, DHPolynomial(2, 0, 0), class_pair=(kappa, eta))
-    assert euler_class_match(a, b)
-
-    # an isometric copy of the same pair still matches
-    phi = eichler_transvection(k3_e(K3, 2), k3_f(K3, 0) - 3 * k3_e(K3, 1))
-    moved = Piece(1, 2, DHPolynomial(2, 0, 0), class_pair=(phi.apply(kappa), phi.apply(eta)))
-    assert euler_class_match(a, moved)
-
-    other_kappa, other_eta = pair_from_polynomial(DHPolynomial(2, 0, -2))
-    c = Piece(1, 2, DHPolynomial(2, 0, -2), class_pair=(other_kappa, other_eta))
-    assert not euler_class_match(a, c)
-
-    with pytest.raises(ValueError, match="no lattice class pair"):
-        euler_class_match(a, Piece(1, 2, DHPolynomial(2, 0, 0)))
-    with pytest.raises(ValueError, match="no lattice class pair"):
-        euler_class_match(a, Piece(1, 2, PLUS_BRANCH, class_pair=(kappa_hat(), eta_hat(1))))

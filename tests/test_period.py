@@ -6,10 +6,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import k3dh.period
-from k3dh.exact_linalg import rat_det
+from k3dh.exact_linalg import InvariantError, rat_det
 from k3dh.lattice import direct_sum, make_H, make_K3, k3_e, k3_f, norm, pairing, rescale
 from k3dh.period import (
-    InvariantError,
     OrientedPlane,
     PeriodPoint,
     is_in_k_omega,
