@@ -15,10 +15,27 @@ kept without re-checking intermediate products:
   InvariantError instead of a wrong answer.  Two returns are not checked
   again: the identity, an isometry by construction, which is what
   map_pair_to_standard returns for a pair in reference position; and a
-  phi of lemma_iso whose matrix is that of gp, which map_pair_to_standard
-  checked (or found to be the identity) in the same call.  Every other
-  phi, such as a product with the flip or with a moved g^-1, is checked,
-  so a faulty compose or inverse still meets a full check.
+  phi of lemma_iso whose matrix is that of gp, which _built checked (or
+  found to be the identity) in the same call.  Every other phi, a product
+  with a moved g^-1, is checked, so a faulty compose or inverse still
+  meets a full check.
+
+lemma_iso decides the flip of the third hyperbolic summand before it builds
+a matrix.  The orientation character of an isometry, +1 when it keeps the
+two components of positive 3-planes and -1 when it swaps them, is
+multiplicative, so char(g^-1) = char(g).  An Eichler transvection has
+character +1: for real t in [0, 1], E(e, t a) is a real isometry (the
+proof in eichler_transvection holds for real h), so t |-> E(e, t a) is a
+path from the identity, and the character, the sign of a determinant that
+never vanishes (same_component), is constant along it.  A merged run is a
+transvection too.  So the character of gp is the product of the fixed
+characters of its signed permutations, and phi = g^-1 gp has char(g) times
+that (Huybrechts, Lectures on K3 Surfaces, CUP 2016, Ch. 14;
+Gritsenko-Hulek-Sankaran, J. Algebra 322, 2009).  When the product
+disagrees with the requested orientation, the flip, which fixes the
+reference pair, becomes gp's last move, and gp is built once.
+preserves_components(phi) stays as the exit check, so a wrong prediction
+raises InvariantError instead of returning a wrong answer.
 
 map_pair_to_standard moves a primitive pair (kappa, eta) onto the
 reference pair
@@ -139,6 +156,15 @@ def _run_key(mv):
     return mv if isinstance(mv, dict) else mv[0].coords
 
 
+def _permuted(rows, perm) -> tuple:
+    """The rows of P M for the signed permutation perm = {j: (k, sign)}:
+    row k of P M is sign * row j of M."""
+    out = list(rows)
+    for j, (k, s) in perm.items():
+        out[k] = rows[j] if s == 1 else tuple(-y for y in rows[j])
+    return tuple(out)
+
+
 def _transvection_data(e: LatticeVector, a: LatticeVector):
     """G e and w = G a + (a,a)/2 G e, after checking the preconditions of a
     transvection; G e and G a are the images cached on e and a."""
@@ -175,20 +201,46 @@ def eichler_transvection(e: LatticeVector, a: LatticeVector) -> Isometry:
     return Isometry._unchecked(e.lattice, IntMatrix._trusted(tuple(rows)))
 
 
+# the signed permutation that negates the third hyperbolic summand; it fixes
+# the reference pair, which has no e3 or f3 part
+_FLIP = {E3: (E3, -1), F3: (F3, -1)}
+
+
 @cache
 def flip_third_H(lattice: Lattice) -> Isometry:
     """Negate the third hyperbolic summand; reverses plane orientation.
 
     Built and checked once per lattice."""
-    rows = [list(row) for row in _identity_rows(lattice.rank)]
-    rows[E3][E3] = rows[F3][F3] = -1
-    return Isometry(lattice, IntMatrix(rows))
+    return Isometry(lattice, IntMatrix(_permuted(_identity_rows(lattice.rank), _FLIP)))
 
 
 def preserves_components(phi: Isometry) -> bool:
     p = standard_plane(phi.lattice)
     image = OrientedPlane(tuple(phi.apply(b) for b in p.basis))
     return same_component(p, image)
+
+
+_PLANES = ((E1, F1), (E2, F2), (E3, F3))
+
+
+def _character(rows) -> int:
+    """The orientation character of the isometry with matrix rows: +1 when
+    it preserves the components of positive 3-planes, -1 when it swaps them.
+
+    It is the sign of det((b_i, M b_j)) for the basis b_i = e_i + f_i of
+    the standard plane, the determinant that same_component takes in
+    Fractions, here on integers.  In H, (e_i + f_i, x) = x_{e_i} + x_{f_i},
+    so each entry is a sum of four matrix entries."""
+    (a, b, c), (d, e, f), (g, h, k) = [
+        [rows[r][t] + rows[r][u] + rows[s][t] + rows[s][u] for t, u in _PLANES]
+        for r, s in _PLANES]
+    return 1 if a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g) > 0 else -1
+
+
+@cache
+def _perm_character(rank: int, perm: tuple) -> int:
+    """_character of a signed permutation, given as its items, once each."""
+    return _character(_permuted(_identity_rows(rank), dict(perm)))
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +295,7 @@ class _Mover:
             if isinstance(base, dict):
                 for perm in run:
                     rows = _identity_rows(self.lattice.rank) if acc is None else acc.matrix.rows
-                    out = list(rows)
-                    for j, (k, s) in perm.items():
-                        out[k] = rows[j] if s == 1 else tuple(-y for y in rows[j])
-                    acc = Isometry._unchecked(self.lattice, IntMatrix._trusted(tuple(out)))
+                    acc = Isometry._unchecked(self.lattice, IntMatrix._trusted(_permuted(rows, perm)))
                 continue
             (e, a, *_), *rest = run
             for mv in rest:
@@ -456,6 +505,32 @@ def _standardize_partner(m: _Mover, l0: int):
         m.transvect(f2, -m.coeff(E1) * c)
 
 
+def _standardized(kappa: LatticeVector, eta: LatticeVector) -> _Mover:
+    """The mover after both stages on a primitive pair; no matrix is built."""
+    if not is_primitive_embedding([kappa, eta]):
+        raise ValueError("pair is not a primitive embedding")
+    m = _Mover(kappa)
+    _standardize_vector(m)
+    m.restart(eta)
+    _standardize_partner(m, norm(kappa) // 2)
+    return m
+
+
+def _built(m: _Mover, kappa: LatticeVector, eta: LatticeVector) -> Isometry:
+    """The product of m's moves, checked to send (kappa, eta) to the
+    reference pair; the identity by construction, any other matrix by the
+    full exit check."""
+    l0 = norm(kappa) // 2
+    e1, f1, e2, f2 = (kappa.lattice.basis_vector(i) for i in (E1, F1, E2, F2))
+    target_k, target_e = e1 + l0 * f1, pairing(kappa, eta) * f1 + e2 + norm(eta) // 2 * f2
+    g = m.isometry()
+    if g.apply(kappa) != target_k or g.apply(eta) != target_e:
+        raise InvariantError("standardization missed the reference pair")
+    if g.matrix.rows == _identity_rows(kappa.lattice.rank):
+        return g
+    return _exit_check(g)
+
+
 def map_pair_to_standard(kappa: LatticeVector, eta: LatticeVector) -> Isometry:
     """Isometry g with g(kappa), g(eta) in the reference position.
 
@@ -463,21 +538,19 @@ def map_pair_to_standard(kappa: LatticeVector, eta: LatticeVector) -> Isometry:
     budget; the returned isometry is always verified: the identity by
     construction, any other matrix by the full exit check.
     """
-    if not is_primitive_embedding([kappa, eta]):
-        raise ValueError("pair is not a primitive embedding")
-    l0 = norm(kappa) // 2
-    e1, f1, e2, f2 = (kappa.lattice.basis_vector(i) for i in (E1, F1, E2, F2))
-    target_k, target_e = e1 + l0 * f1, pairing(kappa, eta) * f1 + e2 + norm(eta) // 2 * f2
-    m = _Mover(kappa)
-    _standardize_vector(m)
-    m.restart(eta)
-    _standardize_partner(m, l0)
-    g = m.isometry()
-    if g.apply(kappa) != target_k or g.apply(eta) != target_e:
-        raise InvariantError("standardization missed the reference pair")
-    if g.matrix.rows == _identity_rows(kappa.lattice.rank):
-        return g
-    return _exit_check(g)
+    return _built(_standardized(kappa, eta), kappa, eta)
+
+
+def _predicted_character(g: Isometry, m: _Mover) -> int:
+    """The orientation character of g^-1 gp, where gp is the product of m's
+    moves: char(g) times the characters of m's signed permutations, since
+    the character is multiplicative, char(g^-1) = char(g), and every
+    transvection has character +1 (module docstring)."""
+    sign = _character(g.matrix.rows)
+    for mv in m.moves:
+        if isinstance(mv, dict):
+            sign *= _perm_character(m.lattice.rank, tuple(mv.items()))
+    return sign
 
 
 def lemma_iso(kappa: LatticeVector, eta: LatticeVector, kappa_p: LatticeVector,
@@ -488,16 +561,14 @@ def lemma_iso(kappa: LatticeVector, eta: LatticeVector, kappa_p: LatticeVector,
             norm(kappa_p), norm(eta_p), pairing(kappa_p, eta_p)):
         raise ValueError("pairs have different Gram data")
     g = map_pair_to_standard(kappa, eta)
-    gp = map_pair_to_standard(kappa_p, eta_p)
-    g_inv = g.inverse()
-    phi = g_inv.compose(gp)
+    m = _standardized(kappa_p, eta_p)
+    if (_predicted_character(g, m) == 1) != preserve:
+        m.move(_FLIP)
+    gp = _built(m, kappa_p, eta_p)
+    phi = g.inverse().compose(gp)
     if preserves_components(phi) != preserve:
-        # the flip's rows are unit rows or single -1 rows, so it is the
-        # cheap left factor of a product
-        phi = g_inv.compose(flip_third_H(g.lattice).compose(gp))
-        if preserves_components(phi) != preserve:
-            raise InvariantError("lemma_iso: the third-plane flip did not fix the orientation")
+        raise InvariantError("lemma_iso: the predicted orientation character is wrong")
     if phi.apply(kappa_p) != kappa or phi.apply(eta_p) != eta:
         raise InvariantError("lemma_iso: the isometry misses the target pair")
-    # gp's matrix was verified by map_pair_to_standard a few lines above
+    # gp's matrix was verified by _built a few lines above
     return phi if phi.matrix == gp.matrix else _exit_check(phi)

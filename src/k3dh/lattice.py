@@ -277,8 +277,9 @@ class LatticeVector:
         return LatticeVector._trusted(self.lattice, tuple(-a for a in self.coords))
 
     def __mul__(self, c: int):
-        if not isinstance(c, int):
-            raise TypeError("scale a LatticeVector by an int (see to_rational)")
+        # the one integer rule of exact_linalg.int_tuple: no bool, no IntEnum
+        if type(c) is not int:
+            raise TypeError(f"scale a LatticeVector by an integer, got {c!r} (see to_rational)")
         return LatticeVector._trusted(self.lattice, tuple([c * a for a in self.coords]))
 
     __rmul__ = __mul__

@@ -233,6 +233,8 @@ def test_one_integer_rule(bad, monkeypatch, capsys):
         lambda: Wall(1, bad, (-2, 1, 1)),
         lambda: Wall(1, 16, (-2, bad, 1)),
         lambda: GluedModel((), (), fixed_points=bad),
+        lambda: k3.basis_vector(0) * bad,
+        lambda: bad * k3.basis_vector(0),
     ]
     for make in entry_points:
         with pytest.raises(TypeError, match="integer"):

@@ -172,7 +172,10 @@ def test_map_pair_fixes_reference_pairs(monkeypatch):
         assert lemma_iso(*ref, *ref, preserve=True).matrix == ident
         assert lemma_iso(*ref, *ref, preserve=False).matrix == flip_third_H(K3).matrix
     assert len(movers) == 19 ** 3 + 7 ** 3 + 4 * 4 ** 3
-    assert not any(mover.moves for mover in movers)
+    # the one recorded move is the flip that a reversing lemma_iso appends
+    flipped = [mover for mover in movers if mover.moves]
+    assert len(flipped) == 4 ** 3
+    assert all(mover.moves == [isometry._FLIP] for mover in flipped)
     assert built == []
 
 
@@ -321,12 +324,14 @@ def test_exit_invariants_catch_faulty_parts(monkeypatch):
             map_pair_to_standard(kp, ep)
     with monkeypatch.context() as patch:
         patch.setattr(isometry, "preserves_components", lambda phi: False)
-        with pytest.raises(InvariantError, match="flip did not fix"):
+        with pytest.raises(InvariantError, match="predicted orientation"):
             lemma_iso(kap, eta, kp, ep)
+    # lemma_iso standardizes its source pair without map_pair_to_standard, so
+    # the faulty g is that of a moved target
     with monkeypatch.context() as patch:
         patch.setattr(isometry, "map_pair_to_standard", lambda k, e: identity_isometry(K3))
         with pytest.raises(InvariantError, match="misses the target pair"):
-            lemma_iso(kap, eta, kp, ep)
+            lemma_iso(kp, ep, kap, eta)
 
 
 @pytest.mark.parametrize("budget", [0, 1])
@@ -539,30 +544,33 @@ def test_transvection_preserves_the_form(plane, v, x, y):
 def test_lemma_iso_checks_each_result_once(monkeypatch, preserve):
     # each distinct matrix that leaves the module is checked once in full:
     # gp when it moves, g when it moves (a model pair maps by the identity),
-    # and phi unless it is gp's matrix, which it is for a model pair unless
-    # the flip is needed.  The flip is checked once per lattice, so it is
-    # built before counting
-    flip_third_H(K3)
+    # and phi unless it is gp's matrix, which it is whenever g is the
+    # identity: the flip, when needed, is gp's last move.  The orientation
+    # is decided before the build, so each call checks it once, on phi
     ref = standard_pair(-2, -8, -2)
     moved = transvected_pair(random.Random(29), *ref, 3)
     cases = {
-        "model": (ref, moved, 1 if preserve else 2),
+        "model": (ref, moved, 1),
         "moved": (transvected_pair(random.Random(31), *ref, 2), moved, 3),
         "reference": (ref, ref, 0 if preserve else 1),
     }
     full_check = Isometry.__post_init__
-    calls = []
+    calls, oriented = [], []
 
     def counted(self):
         calls.append(self.matrix)
         full_check(self)
 
     monkeypatch.setattr(Isometry, "__post_init__", counted)
+    monkeypatch.setattr(isometry, "preserves_components",
+                        lambda phi: oriented.append(phi.matrix) or preserves_components(phi))
     for case, (target, source, checks) in cases.items():
         calls.clear()
+        oriented.clear()
         phi = lemma_iso(*target, *source, preserve=preserve)
         assert len(calls) == len(set(calls)) == checks, case
         assert phi.matrix in calls or phi.matrix == IntMatrix.identity(K3.rank), case
+        assert oriented == [phi.matrix], case
 
 
 def test_merged_runs_match_per_move_oracle():
@@ -613,13 +621,14 @@ def test_replay_does_not_recheck_recorded_moves(monkeypatch):
 
 
 def former_lemma_iso(kappa, eta, kappa_p, eta_p, preserve=True):
-    """Test-only oracle: the former lemma_iso, which checked g, gp and phi
-    in full, the identity too."""
+    """Test-only oracle: the former lemma_iso, which built gp, checked the
+    orientation of g^-1 gp and, when it was wrong, composed the flip after
+    the build, g^-1 (flip gp), and checked the orientation again."""
     if (norm(kappa), norm(eta), pairing(kappa, eta)) != (
             norm(kappa_p), norm(eta_p), pairing(kappa_p, eta_p)):
         raise ValueError("pairs have different Gram data")
-    g = isometry._exit_check(map_pair_to_standard(kappa, eta))
-    gp = isometry._exit_check(map_pair_to_standard(kappa_p, eta_p))
+    g = map_pair_to_standard(kappa, eta)
+    gp = map_pair_to_standard(kappa_p, eta_p)
     g_inv = g.inverse()
     phi = g_inv.compose(gp)
     if preserves_components(phi) != preserve:
@@ -632,9 +641,10 @@ def former_lemma_iso(kappa, eta, kappa_p, eta_p, preserve=True):
 
 
 def test_lemma_iso_matches_the_former_formula():
-    # phi = g^-1 gp, or g^-1 flip gp when the orientation must be reversed,
-    # on pairs of the isometry-pairs law sent to their model pair (g is the
-    # identity) and to a moved copy of it (g moves too)
+    # the flip decided from the move list gives the matrix of the flip
+    # composed after the build, on pairs of the isometry-pairs law sent to
+    # their model pair (g is the identity) and to a moved copy of it (g
+    # moves too), in both modes
     rng = random.Random(1)
     ident = IntMatrix.identity(K3.rank).rows
     for _ in range(40):
@@ -645,6 +655,43 @@ def test_lemma_iso_matches_the_former_formula():
             for preserve in (True, False):
                 phi = lemma_iso(*target, kp, ep, preserve=preserve)
                 assert phi.matrix == former_lemma_iso(*target, kp, ep, preserve).matrix
+
+
+def test_perm_characters_match_preserves_components():
+    # every distinct signed permutation that the mover records on the law
+    # pairs, and the flip, has the orientation character of its matrix
+    rng = random.Random(7919)
+    perms = {tuple(isometry._FLIP.items())}
+    for _ in range(40):
+        perms.update(tuple(mv.items()) for mv in recorded_mover(*bench_law_pair(rng)).moves
+                     if isinstance(mv, dict))
+    assert len(perms) > 2
+    characters = set()
+    for perm in perms:
+        mover = EagerMover(E[0])
+        mover.move(dict(perm))  # builds the matrix and checks it in full
+        expected = 1 if preserves_components(mover.isometry()) else -1
+        assert isometry._perm_character(K3.rank, perm) == expected, perm
+        characters.add(expected)
+    assert characters == {1, -1}
+    # the character of the matrix itself: transvections +1, the rest by sign
+    rng = random.Random(5)
+    for g in (random_transvection(rng), minus_identity(), flip_third_H(K3),
+              flip_third_H(K3).compose(random_transvection(rng))):
+        assert isometry._character(g.matrix.rows) == (1 if preserves_components(g) else -1)
+
+
+@pytest.mark.parametrize("preserve", [True, False])
+def test_wrong_character_is_caught(monkeypatch, preserve):
+    # a wrong prediction puts the flip where it does not belong; the
+    # orientation exit check on phi refuses the result
+    predicted = isometry._predicted_character
+    monkeypatch.setattr(isometry, "_predicted_character", lambda g, m: -predicted(g, m))
+    ref = standard_pair(2, 1, -1)
+    moved = transvected_pair(random.Random(29), *ref, 3)
+    for target, source in ((ref, ref), (ref, moved), (moved, ref)):
+        with pytest.raises(InvariantError, match="predicted orientation"):
+            lemma_iso(*target, *source, preserve=preserve)
 
 
 @settings(max_examples=25, deadline=None)
