@@ -10,15 +10,16 @@ kept without re-checking intermediate products:
   products and inverses of isometries are isometries by algebra:
   (AB)^T G (AB) = B^T (A^T G A) B = G, and (A^-1)^T G A^-1 = G follows
   from A^T G A = G by multiplying with A^-T and A^-1;
-- each distinct matrix that map_pair_to_standard or lemma_iso returns is
-  checked once, in full, so a fault in the move engine surfaces as an
-  InvariantError instead of a wrong answer.  Two returns are not checked
-  again: the identity, an isometry by construction, which is what
-  map_pair_to_standard returns for a pair in reference position; and a
-  phi of lemma_iso whose matrix is that of gp, which _built checked (or
-  found to be the identity) in the same call.  Every other phi, a product
-  with a moved g^-1, is checked, so a faulty compose or inverse still
-  meets a full check.
+- each matrix that map_pair_to_standard or lemma_iso returns is checked
+  once, in full (_exit_check), so a fault in the move engine surfaces as
+  an InvariantError instead of a wrong answer.  The identity is not: it
+  is an isometry by construction, and map_pair_to_standard returns it
+  for a pair in reference position.  gp, the product of lemma_iso's
+  source moves, never leaves the module and is built unchecked: g was
+  checked when it left map_pair_to_standard, and phi = g^-1 gp is an
+  isometry that hits the target pair exactly when gp is one that hits
+  the reference pair.  So the images, orientation and full checks on phi
+  cover gp, and a faulty compose or inverse still meets them.
 
 lemma_iso decides the flip of the third hyperbolic summand before it builds
 a matrix.  The orientation character of an isometry, +1 when it keeps the
@@ -94,10 +95,7 @@ class Isometry:
         n = self.lattice.rank
         if self.matrix.nrows != n or self.matrix.ncols != n:
             raise ValueError("matrix shape does not match the lattice rank")
-        g = self.lattice.gram
-        # M^T (G M): G is sparse and the row-sparse product makes a
-        # near-identity M cheap
-        if self.matrix.transpose().mul(g.mul(self.matrix)) != g:
+        if not preserves_pairing(self):
             raise ValueError("matrix does not preserve the pairing")
 
     @classmethod
@@ -128,9 +126,20 @@ class Isometry:
         return Isometry._unchecked(self.lattice, int_inverse(self.matrix))
 
 
+def preserves_pairing(phi: Isometry) -> bool:
+    """M^T G M = G on the full Gram matrix, computed from scratch."""
+    g = phi.lattice.gram
+    # M^T (G M): G is sparse and the row-sparse product makes a
+    # near-identity M cheap
+    return phi.matrix.transpose().mul(g.mul(phi.matrix)) == g
+
+
 def _exit_check(phi: Isometry) -> Isometry:
-    """The full M^T G M = G check on an isometry leaving the module; a
-    failure is a fault in the move engine, not bad input."""
+    """The full M^T G M = G check on an isometry leaving the module, except
+    the identity, an isometry by construction; a failure is a fault in the
+    move engine, not bad input."""
+    if phi.matrix.rows == _identity_rows(phi.lattice.rank):
+        return phi
     try:
         return Isometry(phi.lattice, phi.matrix)
     except ValueError as exc:
@@ -516,29 +525,20 @@ def _standardized(kappa: LatticeVector, eta: LatticeVector) -> _Mover:
     return m
 
 
-def _built(m: _Mover, kappa: LatticeVector, eta: LatticeVector) -> Isometry:
-    """The product of m's moves, checked to send (kappa, eta) to the
-    reference pair; the identity by construction, any other matrix by the
-    full exit check."""
-    l0 = norm(kappa) // 2
-    e1, f1, e2, f2 = (kappa.lattice.basis_vector(i) for i in (E1, F1, E2, F2))
-    target_k, target_e = e1 + l0 * f1, pairing(kappa, eta) * f1 + e2 + norm(eta) // 2 * f2
-    g = m.isometry()
-    if g.apply(kappa) != target_k or g.apply(eta) != target_e:
-        raise InvariantError("standardization missed the reference pair")
-    if g.matrix.rows == _identity_rows(kappa.lattice.rank):
-        return g
-    return _exit_check(g)
-
-
 def map_pair_to_standard(kappa: LatticeVector, eta: LatticeVector) -> Isometry:
     """Isometry g with g(kappa), g(eta) in the reference position.
 
     Raises StandardizationError when the staged search exhausts its
-    budget; the returned isometry is always verified: the identity by
-    construction, any other matrix by the full exit check.
+    budget; the returned isometry is always verified: its images here, and
+    its matrix by the exit check.
     """
-    return _built(_standardized(kappa, eta), kappa, eta)
+    g = _standardized(kappa, eta).isometry()
+    l0 = norm(kappa) // 2
+    e1, f1, e2, f2 = (kappa.lattice.basis_vector(i) for i in (E1, F1, E2, F2))
+    target_k, target_e = e1 + l0 * f1, pairing(kappa, eta) * f1 + e2 + norm(eta) // 2 * f2
+    if g.apply(kappa) != target_k or g.apply(eta) != target_e:
+        raise InvariantError("standardization missed the reference pair")
+    return _exit_check(g)
 
 
 def _predicted_character(g: Isometry, m: _Mover) -> int:
@@ -564,11 +564,9 @@ def lemma_iso(kappa: LatticeVector, eta: LatticeVector, kappa_p: LatticeVector,
     m = _standardized(kappa_p, eta_p)
     if (_predicted_character(g, m) == 1) != preserve:
         m.move(_FLIP)
-    gp = _built(m, kappa_p, eta_p)
-    phi = g.inverse().compose(gp)
+    phi = g.inverse().compose(m.isometry())
     if preserves_components(phi) != preserve:
         raise InvariantError("lemma_iso: the predicted orientation character is wrong")
     if phi.apply(kappa_p) != kappa or phi.apply(eta_p) != eta:
         raise InvariantError("lemma_iso: the isometry misses the target pair")
-    # gp's matrix was verified by _built a few lines above
-    return phi if phi.matrix == gp.matrix else _exit_check(phi)
+    return _exit_check(phi)

@@ -48,7 +48,8 @@ def rational_from_json(v) -> Fraction:
     if type(v) is int or isinstance(v, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", v):
         try:
             return Fraction(v)
-        except ZeroDivisionError:
+        except (ZeroDivisionError, ValueError):
+            # a zero denominator, or more digits than int() converts
             pass
     raise ModelError(f"not an exact rational: {v!r}")
 

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k3dh import cli
 from k3dh.cli import InputError, main, run_verify_paper
+from k3dh.isometry import StandardizationError
 from k3dh.lattice import make_K3
 
 
@@ -373,6 +375,22 @@ def test_run_verify_paper_report_object():
         run_verify_paper(perturb="bogus")
 
 
+def test_verify_reports_a_failed_lemma_construction(monkeypatch, capsys):
+    # the battery builds its lemma checks as the isometry subcommand does, so
+    # a construction that fails is two failed checks, not an exception
+    def no_moves(*args, **kwargs):
+        raise StandardizationError("no move sequence found in 0 steps")
+
+    monkeypatch.setattr(cli, "lemma_iso", no_moves)
+    report = run_verify_paper()
+    failed = {c.check_id for c in report.checks if not c.passed}
+    assert failed == {"isometry:lemma-preserve", "isometry:lemma-reverse"}
+    assert report.passed_count == len(report.checks) - 2
+    code, out, _ = run(capsys, "verify", "--json")
+    assert code == 1
+    assert json.loads(out)["summary"]["failed"] == 2
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -496,3 +514,27 @@ def test_generated_documents_exit_cleanly(command, data):
             code = main(head + [path] + extra)
     assert code in (0, 1, 2)
     assert (code == 2) == err.getvalue().startswith("error:")
+
+
+# documents that json.load or Fraction refuse with something other than a
+# JSONDecodeError: an integer past the int-string digit limit, and arrays
+# nested deeper than the recursion limit
+HUGE = "1" * 5000
+MALFORMED = {"digits": HUGE, "nesting": "[" * 100_000 + "]" * 100_000}
+
+
+@pytest.mark.parametrize("command", sorted(GENERATED))
+def test_malformed_json_exits_2(capsys, tmp_path, command):
+    head, _, _ = GENERATED[command]
+    tail = ["--norm", "2"] if command == "shortvec" else []
+    docs = dict(MALFORMED)
+    if command == "period-check":
+        # valid JSON, with a p/q string whose numerator int() refuses
+        zeros = [0] * 22
+        docs["rational"] = json.dumps({"kappa": [f"{HUGE}/3", *zeros[1:]], "re": zeros, "im": zeros})
+    for name, text in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        code, out, err = run(capsys, *head, str(path), *tail)
+        assert (code, out) == (2, ""), name
+        assert err.startswith("error:") and "Traceback" not in err, name

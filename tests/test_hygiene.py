@@ -1,8 +1,8 @@
 """Source-level rules: no library assert, no runtime dependency, unchecked
 constructors only in the core modules, unchecked isometries only in the
-isometry module, one pairing kernel on integers, one symmetric
-elimination, every library name called outside the unit tests, and every
-benchmark tracer entry bound in the library."""
+isometry module, one call site per verified claim, one pairing kernel on
+integers, one symmetric elimination, every library name called outside the
+unit tests, and every benchmark tracer entry bound in the library."""
 import ast
 import importlib
 import importlib.util
@@ -87,6 +87,55 @@ def test_unchecked_isometries_stay_in_isometry():
     assert any(attribute_uses(m, s, "_unchecked") for m, s in library_sources())
     # the scan does see a call site written into cli
     assert attribute_uses("cli", "phi = Isometry._unchecked(l, m)", "_unchecked") == ["cli:1"]
+
+
+def call_sites(source: str, name: str) -> list[str]:
+    """The enclosing function of each call of `name`, as a bare name or an
+    attribute, sorted; a call outside any function is listed as <module>."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    sites.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(sites)
+
+
+# each claim has one implementation.  In cli, the check builders of the
+# period-check and isometry subcommands, which the battery reuses, make the
+# calls behind those claims; preserves_components has one more call site,
+# the calibration of the reference isometries, a claim of its own.  In
+# isometry, the checking constructor runs the full M^T G M = G check, so it
+# is called where a matrix leaves the module and on the one matrix given as
+# data
+CALL_SITES = {
+    "cli": {
+        "lemma_iso": ["_isometry_checks"],
+        "preserves_components": ["_isometry_checks", "run_verify_paper"],
+        "project_to_alpha_perp": ["_period_checks"],
+        "is_in_ktilde_omega": ["_period_checks"],
+    },
+    "isometry": {"Isometry": ["_exit_check", "flip_third_H"]},
+}
+
+
+def test_each_claim_has_one_call_site():
+    sources = dict(library_sources())
+    found = {module: {name: call_sites(sources[module], name) for name in names}
+             for module, names in CALL_SITES.items()}
+    assert found == CALL_SITES
+    # the scan sees bare and attribute calls in each scope, and no reference
+    # that is not a call
+    snippet = "def f(x):\n    return g(x) + m.g(h(g))\ng(1)\nclass A:\n    def k(self): return g\n"
+    assert call_sites(snippet, "g") == ["<module>", "f", "f"]
 
 
 def test_one_pairing_kernel():

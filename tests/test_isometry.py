@@ -542,34 +542,42 @@ def test_transvection_preserves_the_form(plane, v, x, y):
 
 @pytest.mark.parametrize("preserve", [True, False])
 def test_lemma_iso_checks_each_result_once(monkeypatch, preserve):
-    # each distinct matrix that leaves the module is checked once in full:
-    # gp when it moves, g when it moves (a model pair maps by the identity),
-    # and phi unless it is gp's matrix, which it is whenever g is the
-    # identity: the flip, when needed, is gp's last move.  The orientation
-    # is decided before the build, so each call checks it once, on phi
+    # each non-identity matrix that leaves the module is checked once in
+    # full: g when it moves (a model pair maps by the identity), and phi.
+    # gp, the product of the source pair's moves, stays inside lemma_iso
+    # and is built unchecked, so its matrix meets a full check only as
+    # phi's, which it is whenever g is the identity: the flip, when needed,
+    # is gp's last move.  The orientation is decided before the build, so
+    # each call checks it once, on phi
     ref = standard_pair(-2, -8, -2)
     moved = transvected_pair(random.Random(29), *ref, 3)
     cases = {
         "model": (ref, moved, 1),
-        "moved": (transvected_pair(random.Random(31), *ref, 2), moved, 3),
+        "moved": (transvected_pair(random.Random(31), *ref, 2), moved, 2),
         "reference": (ref, ref, 0 if preserve else 1),
     }
     full_check = Isometry.__post_init__
-    calls, oriented = [], []
+    build = isometry._Mover.isometry
+    calls, oriented, built = [], [], []
 
     def counted(self):
         calls.append(self.matrix)
         full_check(self)
 
     monkeypatch.setattr(Isometry, "__post_init__", counted)
+    monkeypatch.setattr(isometry._Mover, "isometry",
+                        lambda m: built.append(build(m)) or built[-1])
     monkeypatch.setattr(isometry, "preserves_components",
                         lambda phi: oriented.append(phi.matrix) or preserves_components(phi))
     for case, (target, source, checks) in cases.items():
         calls.clear()
         oriented.clear()
+        built.clear()
         phi = lemma_iso(*target, *source, preserve=preserve)
         assert len(calls) == len(set(calls)) == checks, case
         assert phi.matrix in calls or phi.matrix == IntMatrix.identity(K3.rank), case
+        _, gp = built  # g, then gp
+        assert gp.matrix not in calls or gp.matrix == phi.matrix, case
         assert oriented == [phi.matrix], case
 
 
