@@ -32,6 +32,16 @@ class InvariantError(RuntimeError):
     """An exact identity the construction guarantees has failed: a bug."""
 
 
+def clip_repr(value) -> str:
+    """repr(value) for a refusal message: a repr longer than 60 characters
+    is cut there and followed by its full length, so that an echoed input
+    keeps the error line short; a short repr is unchanged."""
+    text = repr(value)
+    if len(text) <= 60:
+        return text
+    return f"{text[:60]}... ({len(text)} chars)"
+
+
 def int_tuple(values: Iterable, what: str) -> tuple[int, ...]:
     """The values as a tuple, each checked to be exactly an int.
 
@@ -42,7 +52,7 @@ def int_tuple(values: Iterable, what: str) -> tuple[int, ...]:
     t = tuple(values)
     for x in t:
         if type(x) is not int:
-            raise TypeError(f"integer {what} expected, got {x!r}")
+            raise TypeError(f"integer {what} expected, got {clip_repr(x)}")
     return t
 
 

@@ -13,7 +13,9 @@ garbage.
 
 Every pairing goes through one kernel: Lattice.gram_times computes G v once
 per vector and caches it on the vector as `gv`, and a pairing is then one
-dot product of the other side's numerators with that image.
+dot product of the other side's numerators with that image.  A vector also
+caches its self-pairing `vv`, that dot product with its own image, so
+pairing a vector with itself again is a lookup.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import ClassVar, Iterable, Sequence, Union
 
-from .exact_linalg import IntMatrix, det, int_tuple, symmetric_bareiss
+from .exact_linalg import IntMatrix, clip_repr, det, int_tuple, symmetric_bareiss
 
 Coord = Union[int, Fraction]
 
@@ -182,6 +184,11 @@ class RationalVector:
         """G times the numerators, computed once."""
         return self.lattice.gram_times(self.nums)
 
+    @cached_property
+    def vv(self) -> int:
+        """Self-pairing of the numerators, computed once."""
+        return _self_pairing(self)
+
     def _combine(self, other, sign: int) -> "RationalVector":
         _check_same_lattice(self, other)
         a, b = self.den, other.den
@@ -257,6 +264,11 @@ class LatticeVector:
         """G times the coordinates, computed once."""
         return self.lattice.gram_times(self.coords)
 
+    @cached_property
+    def vv(self) -> int:
+        """Self-pairing of the coordinates, computed once."""
+        return _self_pairing(self)
+
     def __add__(self, other):
         if not isinstance(other, LatticeVector):
             return NotImplemented
@@ -279,7 +291,9 @@ class LatticeVector:
     def __mul__(self, c: int):
         # the one integer rule of exact_linalg.int_tuple: no bool, no IntEnum
         if type(c) is not int:
-            raise TypeError(f"scale a LatticeVector by an integer, got {c!r} (see to_rational)")
+            raise TypeError(
+                f"scale a LatticeVector by an integer, got {clip_repr(c)} (see to_rational)"
+            )
         return LatticeVector._trusted(self.lattice, tuple([c * a for a in self.coords]))
 
     __rmul__ = __mul__
@@ -294,13 +308,21 @@ class LatticeVector:
 AnyVector = Union[LatticeVector, RationalVector]
 
 
+def _self_pairing(v: AnyVector) -> int:
+    # the one dot product behind each vector's cached `vv`
+    return sum(map(mul, v.nums, v.gv))
+
+
 def pairing_nums(u: AnyVector, v: AnyVector) -> int:
     """Integer pairing of the numerators, (u, v) * u.den * v.den.
 
-    One dot product with a cached Gram image: v's, unless only u's is
-    cached (G is symmetric); v caches its image when neither has one.  The
-    caller vouches that u and v share a lattice.
+    A vector paired with itself reads its cached self-pairing `vv`.
+    Otherwise one dot product with a cached Gram image: v's, unless only
+    u's is cached (G is symmetric); v caches its image when neither has
+    one.  The caller vouches that u and v share a lattice.
     """
+    if u is v:
+        return u.vv
     gu = u.__dict__.get("gv")
     if gu is not None and "gv" not in v.__dict__:
         return sum(map(mul, v.nums, gu))
@@ -400,7 +422,7 @@ def lattice_from_json_dict(data: dict) -> Lattice:
         raise ValueError("'gram' must be square")
     if "rank" in data:
         if type(data["rank"]) is not int:
-            raise ValueError(f"'rank' must be an integer, got {data['rank']!r}")
+            raise ValueError(f"'rank' must be an integer, got {clip_repr(data['rank'])}")
         if data["rank"] != m.nrows:
             raise ValueError("'rank' does not match the Gram matrix size")
     return Lattice("lattice", m)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .exact_linalg import int_tuple
+from .exact_linalg import clip_repr, int_tuple
 from .kummer import KummerClass
 from .kummer import pairing as kummer_pairing
 from .lattice import LatticeVector, k3_e, k3_f, make_K3, pairing
@@ -51,7 +51,7 @@ def rational_from_json(v) -> Fraction:
         except (ZeroDivisionError, ValueError):
             # a zero denominator, or more digits than int() converts
             pass
-    raise ModelError(f"not an exact rational: {v!r}")
+    raise ModelError(f"not an exact rational: {clip_repr(v)}")
 
 
 @dataclass(frozen=True)
@@ -478,7 +478,7 @@ def _endpoint_from_json(v, unbounded: str):
     if v == unbounded:
         return None
     if v in ("-inf", "inf"):
-        raise ModelError(f"interval end {v!r} on the wrong side")
+        raise ModelError(f"interval end {clip_repr(v)} on the wrong side")
     return rational_from_json(v)
 
 
@@ -487,7 +487,7 @@ def _json_list(raw: dict, key: str) -> list:
     characters and read "404" as three coefficients."""
     v = raw[key]
     if not isinstance(v, list):
-        raise ModelError(f"{key!r} must be a list, got {v!r}")
+        raise ModelError(f"{key!r} must be a list, got {clip_repr(v)}")
     return v
 
 
@@ -497,7 +497,7 @@ def model_from_json_dict(data: dict) -> GluedModel:
         raise ModelError("model file must contain a JSON object")
     name = data.get("name", "model")
     if not isinstance(name, str):
-        raise ModelError(f"'name' must be a string, got {name!r}")
+        raise ModelError(f"'name' must be a string, got {clip_repr(name)}")
     try:
         pieces = []
         for raw in data["pieces"]:

@@ -55,12 +55,17 @@ def _in_omega(re: Vec, im: Vec, rr: int, ii: int) -> bool:
 @dataclass(frozen=True)
 class PeriodPoint:
     """A period point; rr = (R, R) and ii = (I, I), the self-pairings of the
-    numerators, are computed once, at construction."""
+    numerators, are computed once, at construction.  `_projection` holds the
+    last kappa that project_to_alpha_perp projected away from this point,
+    with its projection, or None."""
 
     re: RationalVector
     im: RationalVector
     rr: int = field(init=False, repr=False, compare=False)
     ii: int = field(init=False, repr=False, compare=False)
+    _projection: tuple[Vec, RationalVector] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         re, im = _rational(self.re), _rational(self.im)
@@ -108,7 +113,16 @@ def project_to_alpha_perp(kappa: Vec, point: PeriodPoint) -> RationalVector:
     K/d - (K,R)/(R,R) R/d - (K,I)/(I,I) I/d: the denominators of re and im
     cancel, so it is one integer combination of the numerators over
     d times the reduced denominators of the two coefficients.
+
+    The point keeps one projection: that of the last kappa object it was
+    asked for, stored only once the orthogonality check has passed.  It is
+    keyed by identity and holds kappa itself, so the key cannot be reused
+    by another object; vectors and points are immutable, so a repeated
+    call on the same pair returns the same, already checked, vector.
     """
+    memo = point._projection
+    if memo is not None and memo[0] is kappa:
+        return memo[1]
     if kappa.lattice != point.lattice:
         raise ValueError("kappa and the period point live in different lattices")
     re, im = point.re, point.im
@@ -125,6 +139,7 @@ def project_to_alpha_perp(kappa: Vec, point: PeriodPoint) -> RationalVector:
     )
     if pairing_nums(out, re) != 0 or pairing_nums(out, im) != 0:
         raise InvariantError("projection is not orthogonal to the period line")
+    object.__setattr__(point, "_projection", (kappa, out))
     return out
 
 
@@ -150,7 +165,11 @@ def is_in_ktilde_omega(kappa: Vec, point: PeriodPoint) -> bool:
 
     Equivalent to the projection of kappa landing strictly inside the
     positive cone orthogonal to the line; the equivalence is re-checked on
-    every call and a disagreement raises InvariantError.
+    every call and a disagreement raises InvariantError.  The projection
+    comes from project_to_alpha_perp, so after a caller's own projection of
+    the same kappa it is the point's stored vector, checked orthogonal when
+    it was built: the re-check is the same comparison against the same
+    vector, without building a second, identical copy of it.
     """
     square = point._pairing_square_num(kappa)  # checks the lattice
     member = pairing_nums(kappa, kappa) * point._norm_num() > 2 * square

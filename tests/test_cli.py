@@ -538,3 +538,46 @@ def test_malformed_json_exits_2(capsys, tmp_path, command):
         code, out, err = run(capsys, *head, str(path), *tail)
         assert (code, out) == (2, ""), name
         assert err.startswith("error:") and "Traceback" not in err, name
+
+
+def model_with(edit):
+    doc = json.loads(Path(THEOREM1).read_text())
+    edit(doc)
+    return doc
+
+
+ZEROS = [0] * 22
+# each refused value echoes in the error line: a p/q string past the digit
+# limit, strings, a list, at each library site that prints the value
+LONG_VALUES = {
+    "rational": (["period-check"], {"kappa": [f"{HUGE}/3", *ZEROS[1:]], "re": ZEROS, "im": ZEROS}),
+    "rank": (["lattice-info", "--file"], {"gram": [[2]], "rank": "9" * 5000}),
+    "entry": (["lattice-info", "--file"], {"gram": [["9" * 5000]]}),
+    "name": (["validate-model"], model_with(lambda d: d.update(name=["n"] * 3000))),
+    "dh": (["validate-model"], model_with(lambda d: d["pieces"][0].update(dh="4" * 5000))),
+    "interval": (["validate-model"], model_with(lambda d: d["pieces"][0].update(interval=[f"{HUGE}/3", "1"]))),
+    "weights": (["validate-model"], model_with(lambda d: d["walls"][0].update(weights=["5" * 5000, 1, 1]))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_VALUES))
+def test_refusals_clip_long_values(capsys, tmp_path, case):
+    head, doc = LONG_VALUES[case]
+    code, out, err = run(capsys, *head, write_json(tmp_path, "doc.json", doc))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and len(err) <= 200, err
+    assert "chars)" in err
+
+
+def test_refusals_print_short_values_in_full(capsys, tmp_path):
+    cases = [
+        (["period-check"], {"kappa": ["4.0", *ZEROS[1:]], "re": ZEROS, "im": ZEROS},
+         "error: bad 'kappa': not an exact rational: '4.0'\n"),
+        (["lattice-info", "--file"], {"gram": [[2]], "rank": "two"},
+         "error: bad lattice data: 'rank' must be an integer, got 'two'\n"),
+        (["validate-model"], model_with(lambda d: d.update(name=7)),
+         "error: 'name' must be a string, got 7\n"),
+    ]
+    for head, doc, expected in cases:
+        code, out, err = run(capsys, *head, write_json(tmp_path, "doc.json", doc))
+        assert (code, out, err) == (2, "", expected)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from k3dh import cli, exact_linalg
 from k3dh.exact_linalg import (
     IntMatrix,
+    clip_repr,
     det,
     elementary_divisors,
     int_inverse,
@@ -519,3 +520,15 @@ def test_symmetric_bareiss_repair_example():
         symmetric_bareiss(IntMatrix([[0, 0], [0, 1]]))
     with pytest.raises(ValueError, match="non-square"):
         symmetric_bareiss(IntMatrix([[1, 2]]))
+
+
+def test_clip_repr_bounds_long_values():
+    # a repr of at most 60 characters prints in full, a longer one is cut
+    # there and followed by its length
+    for short in (7, "two", [1, 2], "x" * 58):
+        assert clip_repr(short) == repr(short)
+    assert clip_repr("x" * 59) == repr("x" * 59)[:60] + "... (61 chars)"
+    assert clip_repr("9" * 5000) == "'" + "9" * 59 + "... (5002 chars)"
+    with pytest.raises(TypeError) as refused:
+        make_K3().basis_vector(0) * ("7" * 5000)
+    assert len(str(refused.value)) <= 200

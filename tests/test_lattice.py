@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import k3dh.lattice
 from k3dh.exact_linalg import IntMatrix, det
 from k3dh.lattice import (
     K3_BLOCKS,
@@ -23,6 +24,7 @@ from k3dh.lattice import (
     make_K3,
     norm,
     pairing,
+    pairing_nums,
     rescale,
 )
 from k3dh.isometry import eichler_transvection
@@ -433,6 +435,58 @@ def test_gram_times_is_the_gram_matrix_product():
             assert lattice.gram_times(x) == tuple(
                 sum(g * c for g, c in zip(row, x)) for row in lattice.gram.rows
             )
+
+
+def random_symmetric_lattice(rng, n):
+    """A seeded symmetric Gram of rank n, with negative off-diagonal
+    entries and at least one zero row."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.4:
+                rows[i][j] = rows[j][i] = rng.randint(-9, 9)
+    zero = rng.randrange(n)
+    for j in range(n):
+        rows[zero][j] = rows[j][zero] = 0
+    others = [k for k in range(n) if k != zero]
+    if len(others) > 1:
+        i, j = others[:2]
+        rows[i][j] = rows[j][i] = -rng.randint(1, 9)
+    return Lattice(f"random{n}", IntMatrix(rows))
+
+
+def test_self_pairing_matches_dense_oracle(monkeypatch):
+    rng = random.Random(19)
+    randoms = [random_symmetric_lattice(rng, n) for n in (1, 2, 3, 6, 22)]
+    assert all(any(not any(row) for row in l.gram.rows) for l in randoms)
+    assert sum(g < 0 for l in randoms for i, row in enumerate(l.gram.rows)
+               for j, g in enumerate(row) if i != j) > 10
+    lattices = (K3, make_E8(), make_H(), Lattice("odd", IntMatrix([[3, 1], [1, -5]])), *randoms)
+    compute = k3dh.lattice._self_pairing
+    computed = []
+
+    def counted(v):
+        computed.append(v)
+        return compute(v)
+
+    monkeypatch.setattr(k3dh.lattice, "_self_pairing", counted)
+    for lattice in lattices:
+        for _ in range(20):
+            x = [rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(lattice.rank)]
+            den = rng.randint(1, 6)
+            for image_first in (True, False):
+                for v in (lattice.vector(x), lattice.rational_vector([Fraction(c, den) for c in x])):
+                    expected = pairing_oracle(lattice, v.nums, v.nums)
+                    del computed[:]
+                    if image_first:
+                        assert v.gv == lattice.gram_times(v.nums)
+                    assert pairing_nums(v, v) == expected
+                    assert norm(v) == Fraction(expected, v.den**2)
+                    assert pairing(v, v) == norm(v)
+                    # computed once, from the Gram image the vector caches
+                    assert computed == [v]
+                    assert v.vv == expected == sum(map(mul, v.nums, v.gv))
+                    assert v.gv == lattice.gram_times(v.nums)
 
 
 def assert_validated_ints(v):

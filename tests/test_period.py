@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import k3dh.lattice
 import k3dh.period
 from k3dh.exact_linalg import InvariantError, rat_det
-from k3dh.lattice import direct_sum, make_H, make_K3, k3_e, k3_f, norm, pairing, rescale
+from k3dh.lattice import RationalVector, direct_sum, make_H, make_K3, k3_e, k3_f, norm, pairing, rescale
 from k3dh.period import (
     OrientedPlane,
     PeriodPoint,
@@ -439,13 +440,110 @@ def test_period_point_keeps_its_self_pairings(monkeypatch):
     project_to_alpha_perp(kappa, point)
     assert len(calls) == 4  # (K, R), (K, I) and the two orthogonality checks
     assert is_in_ktilde_omega(kappa, point)
-    # (K, R), (K, I), (K, K), the projection's 4 and is_in_k_omega's 3
-    assert len(calls) == 4 + 10
+    # (K, R), (K, I), (K, K) and is_in_k_omega's 3; the projection is the
+    # one the point kept from the call above, so it makes no pairing
+    assert len(calls) == 4 + 6
     own = {id(point.re), id(point.im)}
     assert not any(id(a) in own and id(b) in own for a, b in calls)
     monkeypatch.undo()
     assert point.hermitian_norm() == oracle_hermitian_norm(point)
     assert point == PeriodPoint(re, im) and "rr" not in repr(point)
+
+
+def oracle_projection(kappa, point):
+    """Test-only oracle: the projection in Fraction coordinates, paired by a
+    dense double loop over the Gram rows."""
+    def dot(x, y):
+        return sum(a * g * b for a, row in zip(x, K3.gram.rows) for g, b in zip(row, y))
+
+    k = [Fraction(c) for c in kappa.coords]
+    re, im = point.re.coords, point.im.coords
+    a, b = dot(k, re) / dot(re, re), dot(k, im) / dot(im, im)
+    return tuple(x - a * y - b * z for x, y, z in zip(k, re, im))
+
+
+def tame_kappa(shift):
+    noise = K3.rational_vector([Fraction((i + shift) % 5 - 2, i % 4 + 1) for i in range(K3.rank)])
+    return hyperbolic(K3, 2, 3, 1) + noise.scale(Fraction(1, 40))
+
+
+def test_projection_memo_keys_on_the_kappa_object():
+    p = standard_point(K3)
+    q = rotated_point(hyperbolic(K3, 0, 2, 1), hyperbolic(K3, 1, 2, 1), 3, 4)
+    kappa, other = tame_kappa(0), tame_kappa(1)
+    twin = RationalVector(K3, kappa.nums, kappa.den)  # equal, another object
+    assert twin == kappa and twin is not kappa
+    cases = [
+        (kappa, p), (twin, p),  # an equal kappa that is a distinct object
+        (other, p), (kappa, p),  # another kappa on the same point, and back
+        (kappa, q), (kappa, p),  # two points that share one kappa
+    ]
+    for k, point in cases:
+        khat = project_to_alpha_perp(k, point)
+        assert khat.coords == oracle_projection(k, point)
+        assert project_to_alpha_perp(k, point) is khat
+        assert is_in_ktilde_omega(k, point) == is_in_k_omega(khat, point)
+    assert oracle_projection(kappa, p) != oracle_projection(kappa, q)
+    assert oracle_projection(kappa, p) != oracle_projection(other, p)
+
+
+def test_projection_memo_is_set_only_after_the_orthogonality_check(monkeypatch):
+    pt, kappa = standard_point(K3), tame_kappa(0)
+    monkeypatch.setattr(k3dh.period, "pairing_nums", lambda u, v: 1)
+    with pytest.raises(InvariantError, match="not orthogonal"):
+        project_to_alpha_perp(kappa, pt)
+    monkeypatch.undo()
+    assert project_to_alpha_perp(kappa, pt).coords == oracle_projection(kappa, pt)
+
+
+@pytest.mark.parametrize("tame", [True, False])
+def test_wrong_projection_still_raises(monkeypatch, tame):
+    # the cone re-check runs on every call, also after the point has kept
+    # the right projection: a wrong one is caught, whichever side it errs on
+    pt = standard_point(K3)
+    kappa = tame_kappa(0) if tame else k3_e(K3, 2) - k3_f(K3, 2)
+    khat = project_to_alpha_perp(kappa, pt)
+    assert is_in_ktilde_omega(kappa, pt) is tame
+    # not orthogonal to the line when kappa is tame, in the small cone when not
+    wrong = khat + pt.re if tame else hyperbolic(K3, 2, 1, 1).to_rational()
+    monkeypatch.setattr(k3dh.period, "project_to_alpha_perp", lambda k, p: wrong)
+    with pytest.raises(InvariantError, match="cone membership"):
+        is_in_ktilde_omega(kappa, pt)
+
+
+def test_one_period_record_pairs_each_vector_once(monkeypatch):
+    # the op sequence of the period-sampling benchmark on one record: one
+    # projection is built, and each self-pairing is computed once
+    u, v = hyperbolic(K3, 0, 2, 1), hyperbolic(K3, 1, 2, 1)
+    re_coords = [Fraction(3, 5) * a + Fraction(4, 7) * b for a, b in zip(u.coords, v.coords)]
+    im_coords = [Fraction(-4, 7) * a + Fraction(3, 5) * b for a, b in zip(u.coords, v.coords)]
+    kappa_coords = tame_kappa(0).coords
+    built, self_paired = [], []
+    check = RationalVector.__post_init__
+    compute = k3dh.lattice._self_pairing
+
+    def counted_check(vector):
+        built.append(vector)
+        check(vector)
+
+    def counted_compute(vector):
+        self_paired.append(vector)
+        return compute(vector)
+
+    monkeypatch.setattr(RationalVector, "__post_init__", counted_check)
+    monkeypatch.setattr(k3dh.lattice, "_self_pairing", counted_compute)
+    kappa = K3.rational_vector(kappa_coords)
+    point = PeriodPoint(K3.rational_vector(re_coords), K3.rational_vector(im_coords))
+    khat = project_to_alpha_perp(kappa, point)
+    lhs = norm(khat)
+    rhs = norm(kappa) - 2 * point.pairing_square(kappa) / point.hermitian_norm()
+    tame = is_in_ktilde_omega(kappa, point)
+    cone = is_in_k_omega(khat, point)
+    assert len(built) == 1 and built[0] is khat
+    assert [id(w) for w in self_paired] == [id(point.re), id(point.im), id(khat), id(kappa)]
+    monkeypatch.undo()
+    assert khat.coords == oracle_projection(kappa, point)
+    assert lhs == rhs and tame and cone
 
 
 def oracle_is_positive_plane(basis):
