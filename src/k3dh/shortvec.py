@@ -45,6 +45,17 @@ Schnorr-Euchner, Math. Programming 66, 1994):
   Then B = isqrt(R // W_0) = y, so both candidates lie in the range of
   the full walk: the closed form keeps exactly the x_0 that its loop over
   the range would keep.
+- Decoupled tail.  DefiniteGram.split[i] records that rows 0, ..., i have
+  no entry beyond column i, so y_0, ..., y_i depend on x_0, ..., x_i
+  alone.  A budget R = 0 at level i forces y_k = 0 for every k <= i, as
+  every W_k > 0; with split[i] the system y_k = sum_{k<=j<=i} a[k][j] x_j,
+  k <= i, is triangular with diagonal p_k > 0, so x_0 = ... = x_i = 0 is
+  its one solution.  Then x as it stands (zeros at i and below) is the
+  one solution in the subtree, and the walk appends it without
+  descending.  Such a leaf never has top set, since R = M t > 0 while
+  every higher coordinate is 0, so x != 0 and its highest nonzero
+  coordinate is the positive one the walk chose.  On E8+E8 this ends at
+  level 7 every zero-budget branch above the block of x_0, ..., x_7.
 
 A brute-force box search (naive_enumerate) and the rational enumerator
 kept in the tests are independent oracles.
@@ -71,7 +82,8 @@ class DefiniteGram:
 
     `negated` records whether the input was negative definite, in which
     case target norms are negated on the way in.  `rows`, `weights` and
-    `scale` are the Bareiss rows, W_k and M of the normalized matrix (see
+    `scale` are the Bareiss rows, W_k and M of the normalized matrix, and
+    `split[i]` says that rows 0, ..., i have no entry beyond column i (see
     the module docstring).
     """
 
@@ -80,6 +92,7 @@ class DefiniteGram:
     rows: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
     weights: tuple[int, ...] = field(repr=False, compare=False)
     scale: int = field(repr=False, compare=False)
+    split: tuple[bool, ...] = field(repr=False, compare=False)
 
     def __init__(self, matrix: IntMatrix):
         if not matrix.is_symmetric():
@@ -104,11 +117,18 @@ class DefiniteGram:
             pivots = [abs(p) for p in pivots]
         dens = [p * q for p, q in zip([1] + pivots, pivots)]
         scale = lcm(*dens)
+        # reach = the last column with a nonzero entry in rows 0..i; row k
+        # holds columns k..n-1 and its diagonal p_k is nonzero
+        split, reach = [], 0
+        for k, row in enumerate(rows):
+            reach = max(reach, k + max(j for j, a in enumerate(row) if a))
+            split.append(reach == k)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "negated", negated)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "weights", tuple(scale // d for d in dens))
         object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "split", tuple(split))
 
     @property
     def rank(self) -> int:
@@ -123,10 +143,14 @@ def _enumerate_level(
     x: list[int],
     out: list[tuple[int, ...]],
     top: bool,
+    split: tuple[bool, ...],
 ) -> None:
     # x holds the chosen x_j for j > i and zeros below, so the dot product
     # with rows[i] is S = sum_{j>i} a[i][j] x_j; r is the scaled budget R;
     # top is set while every x_j, j > i, is 0 (see the module docstring)
+    if not r and split[i]:
+        out.append(tuple(x))
+        return
     row = rows[i]
     p, w = row[0], weights[i]
     s = sum(map(mul, row, x[i:]))
@@ -146,7 +170,9 @@ def _enumerate_level(
     for xi in range(0 if top else -((s + b) // p), (b - s) // p + 1):
         y = p * xi + s
         x[i] = xi
-        _enumerate_level(rows, weights, i - 1, r - w * y * y, x, out, top and not xi)
+        _enumerate_level(
+            rows, weights, i - 1, r - w * y * y, x, out, top and not xi, split
+        )
     x[i] = 0
 
 
@@ -162,7 +188,9 @@ def enumerate_norm(gram: DefiniteGram, target: int) -> tuple[tuple[int, ...], ..
         raise ValueError("target norm must be nonzero with the sign of the form")
     n = gram.rank
     out: list[tuple[int, ...]] = []
-    _enumerate_level(gram.rows, gram.weights, n - 1, gram.scale * t, [0] * n, out, True)
+    _enumerate_level(
+        gram.rows, gram.weights, n - 1, gram.scale * t, [0] * n, out, True, gram.split
+    )
     out += [tuple(map(neg, v)) for v in out]
     return tuple(sorted(out))
 
@@ -232,6 +260,14 @@ def roots_orthogonal_to(
     The plane must span a positive definite subspace; its orthogonal
     complement in a lattice of signature (p, q) with p = dim(plane) is then
     negative definite and the root search is a finite enumeration.
+
+    Only the first half of the roots is lifted and checked.  The sorted
+    coefficient tuple of enumerate_norm is closed under negation and holds
+    no 0, and negation reverses lexicographic order, so its k-th entry
+    from the end is the negation of its k-th entry.  The lift is linear
+    and (-r, -r) = (r, r), so the second half is the first half negated,
+    in reverse order, each of norm -2: the same tuple as lifting and
+    checking every root.
     """
     plane = list(plane)
     if plane:
@@ -246,11 +282,11 @@ def roots_orthogonal_to(
     if not dg.negated:
         raise IndefiniteGramError("orthogonal complement is not negative definite")
     coords = enumerate_norm(dg, -2)
-    roots = tuple(comp.member_from_coefficients(c) for c in coords)
-    for r in roots:
+    low = tuple(comp.member_from_coefficients(c) for c in coords[: len(coords) // 2])
+    for r in low:
         if pairing_nums(r, r) != -2:
             raise InvariantError("enumerated root does not have norm -2")
-    return roots
+    return low + tuple(-r for r in reversed(low))
 
 
 def is_generic_plane(

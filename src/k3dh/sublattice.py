@@ -56,10 +56,15 @@ class Sublattice:
 
     @cached_property
     def restricted_gram(self) -> IntMatrix:
-        # __post_init__ checked that the basis lives in the ambient lattice
-        return IntMatrix(
-            [[pairing_nums(u, v) for v in self.basis] for u in self.basis]
-        )
+        # __post_init__ checked that the basis lives in the ambient lattice,
+        # whose Gram matrix is symmetric (Lattice.__post_init__), so each
+        # unordered pair is paired once and mirrored
+        basis = self.basis
+        rows = [[0] * len(basis) for _ in basis]
+        for i, u in enumerate(basis):
+            for j in range(i, len(basis)):
+                rows[i][j] = rows[j][i] = pairing_nums(u, basis[j])
+        return IntMatrix(rows)
 
     @cached_property
     def sparse_basis(self) -> tuple[tuple[tuple[int, int], ...], ...]:

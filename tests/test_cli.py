@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from k3dh import cli
 from k3dh.cli import InputError, main, run_verify_paper
 from k3dh.isometry import StandardizationError
-from k3dh.lattice import make_K3
+from k3dh.lattice import make_E8, make_K3
 
 
 def run(capsys, *argv):
@@ -95,6 +95,35 @@ def test_shortvec_counts(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["count"] == 4
     assert [1, 0] in doc["vectors"]
+
+
+# sha256 of `k3dh shortvec` stdout on E8+E8 and on diag(1, 2, 1, 3, 2), plain
+# and --json, pinned so that a change of the walk cannot change a byte
+SHORTVEC_DIGESTS = {
+    ("e8+e8", 2, False): "11b21d317124e80f696a6b45771c63648ecf8658016e561cd75c77c7886ccf7f",
+    ("e8+e8", 2, True): "51fa5c4d68e69fd6d77606430fc3dad9811d0fad5988252bbc12822053f06b37",
+    ("e8+e8", 4, False): "a2bda74f6081a17e361b795db40b22632e6846d7b92b7ce0d085febcf88f0820",
+    ("e8+e8", 4, True): "f2154e585689269c4bdd9f37bb77ff0f64beac7176c86a5afea93b0947e95c06",
+    ("diag", 2, False): "b3234d146b9f59ff0b8012e95a0a44328d6db70a3a46c811d2fbed1304443f55",
+    ("diag", 2, True): "c4f355f5a255f7b0ec26e1629ffd37dbc9d64459877a8001dd15340650d8aa74",
+    ("diag", 4, False): "e189dffc154b59b02ed9574bb8910e8a35753aea1b23ed40a44e225c10c6b7d5",
+    ("diag", 4, True): "bf6de9d4ebd8707929f013f5a23d45f050a54872fd0ba13d8f77713318dae4ea",
+}
+
+
+def test_shortvec_output_is_pinned(capsys, tmp_path):
+    e8 = make_E8().gram.rows
+    ee = [list(r) + [0] * 8 for r in e8] + [[0] * 8 + list(r) for r in e8]
+    diag = [[d if i == j else 0 for j in range(5)] for i, d in enumerate((1, 2, 1, 3, 2))]
+    paths = {
+        "e8+e8": write_json(tmp_path, "ee.json", {"rank": 16, "gram": ee}),
+        "diag": write_json(tmp_path, "diag.json", {"rank": 5, "gram": diag}),
+    }
+    for (name, norm, as_json), digest in SHORTVEC_DIGESTS.items():
+        argv = ["shortvec", "--gram", paths[name], "--norm", str(norm)]
+        code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, norm, as_json)
 
 
 def test_shortvec_rejects_bad_input(capsys, tmp_path):

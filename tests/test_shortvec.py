@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from k3dh import shortvec
 from k3dh.exact_linalg import IntMatrix, InvariantError, det, symmetric_bareiss
-from k3dh.lattice import direct_sum, make_E8, make_H, make_K3, k3_e, k3_f, pairing
+from k3dh.lattice import direct_sum, make_E8, make_H, make_K3, k3_e, k3_f, norm, pairing
 from k3dh.shortvec import (
     DefiniteGram,
     IndefiniteGramError,
@@ -449,7 +449,7 @@ def random_definite_large(rng: random.Random, n: int) -> DefiniteGram:
          for i in range(n)]
     for i in range(n):
         g[i][i] += rng.randint(0, 1)
-    for _ in range(rng.randint(0, 3)):
+    for _ in range(rng.randint(0, 3) if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
         c = rng.choice([-1, 1])
         for r in range(n):
@@ -474,16 +474,62 @@ def test_half_tree_matches_full_tree_on_random_forms():
     assert signs == {False, True}
 
 
-# _enumerate_level calls at the parent of the half tree, which walked the
-# full tree and looped over the last level
-FULL_TREE_CALLS = {"E8": 510, "E8+E8": 2940, "complement": 4389}
+def direct_sum_gram(rng: random.Random, blocks: list[IntMatrix]) -> IntMatrix:
+    # block-diagonal, then half the time a seeded coordinate permutation
+    # (P^T G P), so the blocks no longer sit in contiguous coordinates
+    n = sum(b.nrows for b in blocks)
+    g = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b.rows):
+            g[at + i][at:at + len(row)] = row
+        at += b.nrows
+    if rng.random() < 0.5:
+        perm = rng.sample(range(n), n)
+        g = [[g[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    return IntMatrix(g)
 
 
-def test_half_tree_halves_the_calls(monkeypatch):
-    # wrapped through the module global, as bench/tracer.py counts it; more
-    # than one call each shows the recursion still goes through that name
+def test_decoupled_tail_matches_the_oracles_on_direct_sums():
+    # targets of 4 or more put vectors on two blocks at once; the diagonal
+    # form splits at every level
+    rng = random.Random(20261019)
+    forms = [IntMatrix([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]])]
+    for _ in range(24):
+        ranks = [rng.randint(1, 4) for _ in range(rng.randint(2, 3))]
+        blocks = [random_definite_large(rng, k).matrix for k in ranks]
+        forms.append(direct_sum_gram(rng, blocks))
+    seen = {"split": False, "negated": False, "naive": 0}
+    for g in forms:
+        if rng.random() < 0.5:
+            g = IntMatrix([[-x for x in row] for row in g.rows])
+        dg = DefiniteGram(g)
+        # split[i] iff rows 0..i of the Bareiss data have no entry beyond column i
+        n = dg.rank
+        full = [[0] * k + list(row) for k, row in enumerate(dg.rows)]
+        assert dg.split == tuple(
+            all(full[k][j] == 0 for k in range(i + 1) for j in range(i + 1, n))
+            for i in range(n)
+        )
+        seen["split"] |= any(dg.split[:-1])
+        seen["negated"] |= dg.negated
+        small = dg.rank <= 6 and box_points(dg, 8) <= 20000
+        for target in range(1, 9):
+            t = -target if dg.negated else target
+            found = enumerate_norm(dg, t)
+            assert found == former_enumerate(dg, t)
+            if small:
+                assert found == naive_enumerate(dg, t)
+                seen["naive"] += 1
+    assert DefiniteGram(forms[0]).split == (True,) * 4
+    assert seen["split"] and seen["negated"] and seen["naive"] >= 40
+
+
+def level_calls(monkeypatch) -> dict[str, list[int]]:
+    """The levels of the _enumerate_level calls of the three root counts,
+    wrapped through the module global, as bench/tracer.py counts them."""
     level = shortvec._enumerate_level
-    calls = []
+    calls: list[int] = []
 
     def counted(*args):
         calls.append(args[2])
@@ -496,8 +542,71 @@ def test_half_tree_halves_the_calls(monkeypatch):
         "E8+E8": lambda: enumerate_norm(DefiniteGram(direct_sum("E8+E8", E8, E8).gram), 2),
         "complement": lambda: roots_orthogonal_to(K3, plane),
     }
+    out = {}
     for name, run in runs.items():
         calls.clear()
         run()
+        out[name] = calls[:]
+    return out
+
+
+# _enumerate_level calls at the parent of the half tree, which walked the
+# full tree and looped over the last level
+FULL_TREE_CALLS = {"E8": 510, "E8+E8": 2940, "complement": 4389}
+# and those of the half tree before the decoupled-tail leaf
+HALF_TREE_CALLS = {"E8": 259, "E8+E8": 1478, "complement": 2204}
+
+
+def test_half_tree_halves_the_calls(monkeypatch):
+    # more than one call each shows the recursion still goes through the
+    # module global
+    for name, calls in level_calls(monkeypatch).items():
         assert 1 < len(calls) <= 0.55 * FULL_TREE_CALLS[name], name
         assert 0 in calls
+
+
+def test_decoupled_tail_halves_the_half_tree(monkeypatch):
+    # E8 splits only at its last level, so its walk is unchanged
+    calls = level_calls(monkeypatch)
+    assert len(calls["E8"]) == HALF_TREE_CALLS["E8"]
+    for name in ("E8+E8", "complement"):
+        assert 1 < len(calls[name]) <= 0.5 * HALF_TREE_CALLS[name], name
+    assert all(0 in c for c in calls.values())
+
+
+def criterion_03_planes(rng: random.Random, count: int):
+    """Positive 3-planes shaped like the criterion-03 samples: a rotated
+    period point in the first two hyperbolic pairs, and kappa on the third
+    pair plus a few small E8 coordinates, so the root counts vary.  The
+    three vectors are pairwise orthogonal, so the plane is positive when
+    kappa is."""
+    while count:
+        c = rng.randint(1, 3)
+        u = k3_e(K3, 0) + c * k3_f(K3, 0)
+        v = k3_e(K3, 1) + c * k3_f(K3, 1)
+        a, b = rng.randint(1, 5), rng.randint(-5, 5)
+        coords = [0] * K3.rank
+        for j in rng.sample(range(6, 22), 3):
+            coords[j] = rng.randint(-1, 1)
+        kappa = rng.randint(1, 4) * k3_e(K3, 2) + rng.randint(1, 4) * k3_f(K3, 2)
+        kappa = kappa + K3.vector(coords)
+        if norm(kappa) > 0:
+            count -= 1
+            yield [kappa, a * u + b * v, -b * u + a * v]
+
+
+def test_half_lift_matches_the_full_lift():
+    # roots_orthogonal_to lifts half the coefficient vectors and negates
+    # them; the oracle lifts every coefficient vector and checks each norm
+    planes = [[k3_e(K3, i) + k3_f(K3, i) for i in range(3)]]
+    planes += criterion_03_planes(random.Random(3), 8)
+    counts = set()
+    for plane in planes:
+        comp = orthogonal_complement(K3, plane)
+        coords = enumerate_norm(DefiniteGram(comp.restricted_gram), -2)
+        full = tuple(comp.member_from_coefficients(c) for c in coords)
+        assert all(norm(r) == -2 for r in full)
+        assert all(pairing(r, p) == 0 for r in full for p in plane)
+        assert roots_orthogonal_to(K3, plane) == full
+        counts.add(len(full))
+    assert 486 in counts and len(counts) >= 4

@@ -170,3 +170,32 @@ def test_orthogonal_complement_check_raises(monkeypatch):
     monkeypatch.setattr(sublattice, "smith_normal_form", faulty)
     with pytest.raises(InvariantError, match="orthogonal complement"):
         orthogonal_complement(K3, [k3_e(K3, 0)])
+
+
+def test_restricted_gram_pairs_each_unordered_pair_once(monkeypatch):
+    # the mirrored upper triangle against the dense matrix of all ordered
+    # pairs, with the pairings counted through the module global
+    fold = sublattice.pairing_nums
+    calls = []
+
+    def counted(u, v):
+        calls.append((u, v))
+        return fold(u, v)
+
+    monkeypatch.setattr(sublattice, "pairing_nums", counted)
+    rng = random.Random(19)
+    planes = [[k3_e(K3, i) + k3_f(K3, i) for i in range(3)], [k3_e(K3, 0)], []]
+    for _ in range(4):
+        planes.append(
+            [K3.vector([rng.randint(-2, 2) for _ in range(22)]) for _ in range(rng.randint(1, 3))]
+        )
+    for plane in planes:
+        comp = orthogonal_complement(K3, plane)
+        calls.clear()
+        gram = comp.restricted_gram
+        r = comp.rank
+        assert len(calls) == r * (r + 1) // 2
+        assert gram.rows == tuple(
+            tuple(pairing(u, v) for v in comp.basis) for u in comp.basis
+        )
+        assert comp.restricted_gram is gram
