@@ -39,7 +39,12 @@ from .kummer import (
     wedge_integrate,
 )
 from .lattice import (
+    E1,
+    E2,
+    F1,
+    F2,
     Lattice,
+    RationalVector,
     direct_sum,
     k3_e,
     k3_f,
@@ -49,6 +54,7 @@ from .lattice import (
     make_K3,
     norm,
     pairing,
+    pairing_nums,
 )
 from .moment import (
     Check,
@@ -198,7 +204,19 @@ def _period_checks(kappa, re, im) -> list[Check]:
     )
     if point is not None:
         khat = project_to_alpha_perp(kappa, point)
-        rhs = norm(kappa) - 2 * point.pairing_square(kappa) / point.hermitian_norm()
+        # The right-hand side is one Fraction.  With kappa = K/k, re = R/r
+        # and im = I/i the point's integer numerators are
+        #   hn = (R,R) i^2 + (I,I) r^2,   the hermitian norm times (r i)^2,
+        #   ps = (K,R)^2 i^2 + (K,I)^2 r^2, the pairing square times (k r i)^2,
+        # and hn > 0 at a period point.  So
+        #   (k,k) - 2 (ps / (k r i)^2) / (hn / (r i)^2)
+        #     = (K,K) / k^2 - 2 ps / (k^2 hn) = ((K,K) hn - 2 ps) / (k^2 hn);
+        # a Fraction is kept in lowest terms, so its text is that of the value
+        hn = point._norm_num()
+        rhs = Fraction(
+            pairing_nums(kappa, kappa) * hn - 2 * point._pairing_square_num(kappa),
+            kappa.den**2 * hn,
+        )
         checks.append(
             make_check(
                 "period:projection-identity",
@@ -466,6 +484,32 @@ _PERIOD_SAMPLES = 50
 _SEED = 52706
 
 
+def _period_samples(K3: Lattice):
+    """The battery's seeded period records (kappa, re, im), built from ints.
+
+    re = a (e1 + f1) + b (e2 + f2) and im = a (e2 + f2) - b (e1 + f1), with
+    a in 1..5 and b in 0..5, span a period point: (re, im) = 0 and
+    (re, re) = (im, im) = 2 (a^2 + b^2) > 0.  Each coordinate of kappa is
+    n / d, n in -8..8 and d in {1, 2, 3}, given as the numerator n * (6 // d)
+    over 6; RationalVector reduces it to lowest terms, the vector that
+    K3.rational_vector builds from the Fractions n / d.
+    """
+    rng = random.Random(_SEED)
+    n = K3.rank
+    for _ in range(_PERIOD_SAMPLES):
+        a, b = rng.randint(1, 5), rng.randint(0, 5)
+        re, im = [0] * n, [0] * n
+        re[E1] = re[F1] = im[E2] = im[F2] = a
+        re[E2] = re[F2] = b
+        im[E1] = im[F1] = -b
+        nums = tuple(rng.randint(-8, 8) * (6 // rng.choice((1, 2, 3))) for _ in range(n))
+        yield (
+            RationalVector(K3, nums, 6),
+            RationalVector(K3, tuple(re)),
+            RationalVector(K3, tuple(im)),
+        )
+
+
 def run_verify_paper(perturb: str | None = None) -> Report:
     """The consolidated battery of every reference value in the package.
 
@@ -521,16 +565,10 @@ def run_verify_paper(perturb: str | None = None) -> Report:
         )
     )
 
-    rng = random.Random(_SEED)
-    good = 0
-    for _ in range(_PERIOD_SAMPLES):
-        a, b = rng.randint(1, 5), rng.randint(0, 5)
-        u = a * (k3_e(K3, 0) + k3_f(K3, 0)) + b * (k3_e(K3, 1) + k3_f(K3, 1))
-        v = a * (k3_e(K3, 1) + k3_f(K3, 1)) - b * (k3_e(K3, 0) + k3_f(K3, 0))
-        kappa = K3.rational_vector(
-            [Fraction(rng.randint(-8, 8), rng.choice((1, 2, 3))) for _ in range(K3.rank)]
-        )
-        good += all(c.passed for c in _period_checks(kappa, u.to_rational(), v.to_rational()))
+    good = sum(
+        all(c.passed for c in _period_checks(kappa, re, im))
+        for kappa, re, im in _period_samples(K3)
+    )
     checks.append(
         make_check(
             "period:identity-sample",

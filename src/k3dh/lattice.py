@@ -15,7 +15,10 @@ Every pairing goes through one kernel: Lattice.gram_times computes G v once
 per vector and caches it on the vector as `gv`, and a pairing is then one
 dot product of the other side's numerators with that image.  A vector also
 caches its self-pairing `vv`, that dot product with its own image, so
-pairing a vector with itself again is a lookup.
+pairing a vector with itself again is a lookup.  One self-pairing does not
+use the kernel: Lattice._support_self_pairing sums over the Gram rows in
+the support of v alone, builds no G v and caches nothing; it is the norm
+check of each lifted root in shortvec.roots_orthogonal_to.
 """
 from __future__ import annotations
 
@@ -63,6 +66,20 @@ class Lattice:
                 for j, g in row:
                     out[j] += g * c
         return tuple(out)
+
+    def _support_self_pairing(self, v: Sequence[int]) -> int:
+        """v^T G v from the Gram rows in supp(v) alone, without building G v:
+        the sum over the i with v_i != 0 of v_i * sum_j G_ij v_j.  A root
+        lifted to the ambient lattice has a few nonzero coordinates, and a
+        Gram row of the standard lattices a few nonzero entries."""
+        total = 0
+        for c, row in zip(v, self._gram_entries):
+            if c:
+                s = 0
+                for j, g in row:
+                    s += g * v[j]
+                total += c * s
+        return total
 
     @cached_property
     def _basis(self) -> tuple["LatticeVector", ...]:

@@ -268,6 +268,12 @@ def roots_orthogonal_to(
     and (-r, -r) = (r, r), so the second half is the first half negated,
     in reverse order, each of norm -2: the same tuple as lifting and
     checking every root.
+
+    Each lifted root r is checked to have (r, r) = -2 by its self-pairing
+    over its support (Lattice._support_self_pairing): the ambient
+    coordinates of r against the ambient Gram rows, so the check depends
+    neither on the enumeration nor on the restricted Gram it ran on, and
+    it builds no dense image G r for the few nonzero coordinates of r.
     """
     plane = list(plane)
     if plane:
@@ -284,7 +290,7 @@ def roots_orthogonal_to(
     coords = enumerate_norm(dg, -2)
     low = tuple(comp.member_from_coefficients(c) for c in coords[: len(coords) // 2])
     for r in low:
-        if pairing_nums(r, r) != -2:
+        if lattice._support_self_pairing(r.coords) != -2:
             raise InvariantError("enumerated root does not have norm -2")
     return low + tuple(-r for r in reversed(low))
 

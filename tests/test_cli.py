@@ -3,20 +3,24 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from k3dh import cli
 from k3dh.cli import InputError, main, run_verify_paper
 from k3dh.isometry import StandardizationError
-from k3dh.lattice import make_E8, make_K3
+from k3dh.lattice import RationalVector, k3_e, k3_f, make_E8, make_K3, norm
+from k3dh.moment import rational_to_str
+from k3dh.period import PeriodPoint
 
 
 def run(capsys, *argv):
@@ -177,6 +181,106 @@ def test_period_check_input_errors(capsys, tmp_path):
     assert run(capsys, "period-check", short)[0] == 2
 
     assert run(capsys, "period-check", write_json(tmp_path, "l.json", [1, 2]))[0] == 2
+
+
+# a record whose kappa has denominators 2, 3 and 6 and whose im has
+# denominator 5; its stdout was recorded from the three-Fraction right-hand
+# side of the projected-norm identity
+PINNED_RECORD = {
+    "kappa": ["1/2", 0, "-2/3", 1, 3, "5/2", 1, "1/3", *[0] * 8, "-1/2", *[0] * 5],
+    "re": [1, 1, *[0] * 20],
+    "im": [0, 0, "3/5", "3/5", "4/5", "4/5", *[0] * 16],
+}
+PINNED_RECORD_DIGESTS = {
+    False: "d37152fe8388a080a83b487cb305ae94fb78627574447da16c2c9d00609d2ee3",
+    True: "010e904fea873adb5d42f5ad073ef6126931d6819eace652673724574b8c1138",
+}
+
+
+def test_period_check_output_is_pinned(capsys, tmp_path):
+    path = write_json(tmp_path, "p.json", PINNED_RECORD)
+    for as_json, digest in PINNED_RECORD_DIGESTS.items():
+        code, out, err = run(capsys, "period-check", path, *(["--json"] if as_json else []))
+        assert (code, err) == (0, "")
+        assert out.count("431/1800") == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, as_json
+
+
+K3 = make_K3()
+DIAGONALS = [(k3_e(K3, i) + k3_f(K3, i)).to_rational() for i in range(3)]
+
+
+def former_period_samples():
+    """Test-only oracle: the battery's former sample law, with Fraction
+    coordinates through Lattice.rational_vector, LatticeVector arithmetic
+    and to_rational."""
+    rng = random.Random(cli._SEED)
+    out = []
+    for _ in range(cli._PERIOD_SAMPLES):
+        a, b = rng.randint(1, 5), rng.randint(0, 5)
+        u = a * (k3_e(K3, 0) + k3_f(K3, 0)) + b * (k3_e(K3, 1) + k3_f(K3, 1))
+        v = a * (k3_e(K3, 1) + k3_f(K3, 1)) - b * (k3_e(K3, 0) + k3_f(K3, 0))
+        kappa = K3.rational_vector(
+            [Fraction(rng.randint(-8, 8), rng.choice((1, 2, 3))) for _ in range(K3.rank)]
+        )
+        out.append((kappa, u.to_rational(), v.to_rational()))
+    return out
+
+
+def test_period_samples_follow_the_former_law():
+    # the verify digest records only "50/50", so it cannot see a changed
+    # sample law; each triple must equal the former one, numerators and
+    # denominator alike (equality of RationalVector is structural)
+    samples = list(cli._period_samples(K3))
+    former = former_period_samples()
+    assert len(samples) == len(former) == 50
+    for got, want in zip(samples, former):
+        assert all(type(v) is RationalVector for v in got)
+        assert got == want
+    # the law reaches a kappa whose numerators over 6 reduce, and b = 0
+    assert {k.den for k, _, _ in samples} == {3, 6}
+    assert any(not re.nums[2] for _, re, _ in samples)
+
+
+@st.composite
+def rotated_period_records(draw):
+    """(kappa, re, im): kappa with denominators 1, 2 and 3, and a period
+    point on the diagonals x, y, z of the hyperbolic blocks, turned by the
+    rational angle (c, s) = ((p^2 - q^2) / h, 2pq / h), h = p^2 + q^2, and
+    scaled by 1/m.  Either the point a x + b y, a y - b x is turned in its
+    own plane, or re = a x stays and only im = a (c y + s z) turns, so that
+    re and im have different denominators."""
+    x, y, z = (DIAGONALS[i] for i in draw(st.permutations(range(3))))
+    a, b = draw(st.integers(1, 6)), draw(st.integers(-6, 6))
+    p, q = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    assume((p, q) != (0, 0))
+    h = p * p + q * q
+    c, s = Fraction(p * p - q * q, h), Fraction(2 * p * q, h)
+    if draw(st.booleans()):
+        re0, im0 = x.scale(a) + y.scale(b), y.scale(a) - x.scale(b)
+        re, im = re0.scale(c) - im0.scale(s), re0.scale(s) + im0.scale(c)
+    else:
+        re, im = x.scale(a), (y.scale(c) + z.scale(s)).scale(a)
+    m = Fraction(1, draw(st.integers(1, 4)))
+    re, im = re.scale(m), im.scale(m)
+    coords = draw(st.lists(
+        st.builds(Fraction, st.integers(-30, 30), st.sampled_from((1, 2, 3))),
+        min_size=K3.rank, max_size=K3.rank,
+    ))
+    return K3.rational_vector(coords), re, im
+
+
+@settings(max_examples=150, deadline=None)
+@given(rotated_period_records())
+def test_projection_identity_rhs_matches_the_former_expression(record):
+    kappa, re, im = record
+    point = PeriodPoint(re, im)
+    former = norm(kappa) - 2 * point.pairing_square(kappa) / point.hermitian_norm()
+    checks = {c.check_id: c for c in cli._period_checks(kappa, re, im)}
+    identity = checks["period:projection-identity"]
+    assert identity.computed == rational_to_str(former)
+    assert identity.expected == rational_to_str(former)
+    assert identity.passed and len(checks) == 3
 
 
 def quadratic_pairs_doc():

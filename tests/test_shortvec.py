@@ -9,7 +9,18 @@ from hypothesis import strategies as st
 
 from k3dh import shortvec
 from k3dh.exact_linalg import IntMatrix, InvariantError, det, symmetric_bareiss
-from k3dh.lattice import direct_sum, make_E8, make_H, make_K3, k3_e, k3_f, norm, pairing
+from k3dh.lattice import (
+    Lattice,
+    direct_sum,
+    make_E8,
+    make_H,
+    make_K3,
+    k3_e,
+    k3_f,
+    norm,
+    pairing,
+    pairing_nums,
+)
 from k3dh.shortvec import (
     DefiniteGram,
     IndefiniteGramError,
@@ -397,6 +408,79 @@ def test_root_norm_check_raises(monkeypatch):
     plane = [k3_e(K3, i) + k3_f(K3, i) for i in range(3)]
     with pytest.raises(InvariantError, match="norm -2"):
         roots_orthogonal_to(K3, plane)
+
+
+def dense_self_pairing(lattice: Lattice, x) -> int:
+    """Test-only oracle: x^T G x as the double sum over every Gram entry."""
+    n = lattice.rank
+    return sum(lattice.gram[i, j] * x[i] * x[j] for i in range(n) for j in range(n))
+
+
+def spy_root_checks(monkeypatch) -> list[tuple[Lattice, tuple[int, ...], int]]:
+    """Record each Lattice._support_self_pairing call as (lattice, v, value)."""
+    calls = []
+    support = Lattice._support_self_pairing
+
+    def spy(self, v):
+        out = support(self, v)
+        calls.append((self, tuple(v), out))
+        return out
+
+    monkeypatch.setattr(Lattice, "_support_self_pairing", spy)
+    return calls
+
+
+def test_root_check_matches_the_kernel_on_the_standard_roots(monkeypatch):
+    # roots_orthogonal_to checks each lifted root by its self-pairing over
+    # its support; on all 486 roots orthogonal to the standard plane that
+    # equals the kernel's self-pairing of a fresh vector and the dense sum
+    calls = spy_root_checks(monkeypatch)
+    plane = [k3_e(K3, i) + k3_f(K3, i) for i in range(3)]
+    roots = roots_orthogonal_to(K3, plane)
+    assert len(roots) == 486
+    assert [(lat, v) for lat, v, _ in calls] == [(K3, r.coords) for r in roots[:243]]
+    assert {value for _, _, value in calls} == {-2}
+    for r in roots:
+        fresh = K3.vector(r.coords)
+        assert K3._support_self_pairing(r.coords) == pairing_nums(fresh, fresh) == -2
+        assert dense_self_pairing(K3, r.coords) == -2
+    # and on vectors that are not roots, with supports of every size
+    rng = random.Random(21)
+    for size in range(K3.rank + 1):
+        coords = [0] * K3.rank
+        for j in rng.sample(range(K3.rank), size):
+            coords[j] = rng.randint(-9, 9)
+        fresh = K3.vector(coords)
+        assert K3._support_self_pairing(coords) == pairing_nums(fresh, fresh)
+        assert pairing_nums(fresh, fresh) == dense_self_pairing(K3, coords)
+
+
+def test_root_check_matches_the_kernel_on_a_dense_gram(monkeypatch):
+    # H + (-A2) in the basis of the columns of a unimodular U: the Gram
+    # U^T G0 U has no zero entry, so each Gram row is dense and a root's
+    # support is all of it.  The plane vector w has norm 2; its complement
+    # is -A1 + -A2, with 2 + 6 roots
+    g0 = IntMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -2, 1], [0, 0, 1, -2]])
+    u = IntMatrix([[0, 0, -1, 0], [-1, 0, -2, 1], [1, 1, 2, 0], [-1, -1, 1, -1]])
+    assert abs(det(u)) == 1
+    lattice = Lattice("dense", u.transpose().mul(g0).mul(u))
+    assert all(all(row) for row in lattice.gram.rows)
+    w = lattice.vector([1, -2, 2, 0])
+    assert norm(w) == 2
+    calls = spy_root_checks(monkeypatch)
+    assert not is_generic_plane(lattice, [w])
+    assert len(calls) == 4
+    for lat, v, value in calls:
+        fresh = lattice.vector(v)
+        assert lat is lattice and value == -2
+        assert value == pairing_nums(fresh, fresh) == dense_self_pairing(lattice, v)
+        assert pairing(fresh, w) == 0
+    rng = random.Random(8)
+    for _ in range(50):
+        coords = [rng.randint(-5, 5) for _ in range(lattice.rank)]
+        fresh = lattice.vector(coords)
+        assert lattice._support_self_pairing(coords) == pairing_nums(fresh, fresh)
+        assert pairing_nums(fresh, fresh) == dense_self_pairing(lattice, coords)
 
 
 def former_level(rows, weights, i, r, x, out):
