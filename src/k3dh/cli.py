@@ -150,12 +150,13 @@ def cmd_lattice_info(args) -> int:
     }
     if args.json:
         print(json.dumps(info, indent=2))
-    else:
-        print(f"name: {lattice.name}")
-        print(f"rank: {lattice.rank}")
-        print(f"even: {str(lattice.is_even()).lower()}")
-        print(f"unimodular: {str(lattice.is_unimodular()).lower()}")
-        print(f"signature: ({sig[0]}, {sig[1]})")
+        return 0
+    for key, value in info.items():
+        if isinstance(value, bool):
+            value = str(value).lower()
+        elif isinstance(value, list):
+            value = tuple(value)
+        print(f"{key}: {value}")
     return 0
 
 

@@ -15,27 +15,22 @@ kept without re-checking intermediate products:
   an InvariantError instead of a wrong answer.  The identity is not: it
   is an isometry by construction, and map_pair_to_standard returns it
   for a pair in reference position.  gp, the product of lemma_iso's
-  source moves, never leaves the module and is built unchecked: g was
-  checked when it left map_pair_to_standard, and phi = g^-1 gp is an
-  isometry that hits the target pair exactly when gp is one that hits
-  the reference pair.  So the images, orientation and full checks on phi
-  cover gp, and a faulty compose or inverse still meets them.
+  source moves and the flip when it is needed, never leaves the module
+  and is built unchecked: g was checked when it left
+  map_pair_to_standard, and phi = g^-1 gp is an isometry that hits the
+  target pair exactly when gp is one that hits the reference pair.  So
+  the images, orientation and full checks on phi cover gp, and a faulty
+  compose or inverse still meets them.
 
-lemma_iso decides the flip of the third hyperbolic summand before it builds
-a matrix.  The orientation character of an isometry, +1 when it keeps the
-two components of positive 3-planes and -1 when it swaps them, is
-multiplicative, so char(g^-1) = char(g).  An Eichler transvection has
-character +1: for real t in [0, 1], E(e, t a) is a real isometry (the
-proof in eichler_transvection holds for real h), so t |-> E(e, t a) is a
-path from the identity, and the character, the sign of a determinant that
-never vanishes (same_component), is constant along it.  A merged run is a
-transvection too.  So the character of gp is the product of the fixed
-characters of its signed permutations, and phi = g^-1 gp has char(g) times
-that (Huybrechts, Lectures on K3 Surfaces, CUP 2016, Ch. 14;
-Gritsenko-Hulek-Sankaran, J. Algebra 322, 2009).  When the product
-disagrees with the requested orientation, the flip, which fixes the
-reference pair, becomes gp's last move, and gp is built once.
-preserves_components(phi) stays as the exit check, so a wrong prediction
+lemma_iso reads the orientation off the matrices it builds.  The
+orientation character of an isometry, +1 when it keeps the two components
+of positive 3-planes and -1 when it swaps them, is multiplicative, so
+char(g^-1) = char(g) and phi = g^-1 gp has character char(g) char(gp)
+(Huybrechts, Lectures on K3 Surfaces, CUP 2016, Ch. 14).  When that product
+disagrees with the requested orientation, gp is replaced by flip gp: the
+flip negates the third hyperbolic summand, has character -1 and fixes the
+reference pair, so phi still hits the target pair.
+preserves_components(phi) stays as the exit check, so a wrong character
 raises InvariantError instead of returning a wrong answer.
 
 map_pair_to_standard moves a primitive pair (kappa, eta) onto the
@@ -75,6 +70,7 @@ from .lattice import (
     _check_same_lattice,
     norm,
     pairing,
+    reference_pair,
 )
 from .period import OrientedPlane, same_component, standard_plane
 from .sublattice import is_primitive_embedding
@@ -210,17 +206,14 @@ def eichler_transvection(e: LatticeVector, a: LatticeVector) -> Isometry:
     return Isometry._unchecked(e.lattice, IntMatrix._trusted(tuple(rows)))
 
 
-# the signed permutation that negates the third hyperbolic summand; it fixes
-# the reference pair, which has no e3 or f3 part
-_FLIP = {E3: (E3, -1), F3: (F3, -1)}
-
-
 @cache
 def flip_third_H(lattice: Lattice) -> Isometry:
-    """Negate the third hyperbolic summand; reverses plane orientation.
+    """Negate the third hyperbolic summand; reverses plane orientation and
+    fixes the reference pair, which has no e3 or f3 part.
 
     Built and checked once per lattice."""
-    return Isometry(lattice, IntMatrix(_permuted(_identity_rows(lattice.rank), _FLIP)))
+    flip = {E3: (E3, -1), F3: (F3, -1)}
+    return Isometry(lattice, IntMatrix(_permuted(_identity_rows(lattice.rank), flip)))
 
 
 def preserves_components(phi: Isometry) -> bool:
@@ -244,12 +237,6 @@ def _character(rows) -> int:
         [rows[r][t] + rows[r][u] + rows[s][t] + rows[s][u] for t, u in _PLANES]
         for r, s in _PLANES]
     return 1 if a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g) > 0 else -1
-
-
-@cache
-def _perm_character(rank: int, perm: tuple) -> int:
-    """_character of a signed permutation, given as its items, once each."""
-    return _character(_permuted(_identity_rows(rank), dict(perm)))
 
 
 # ---------------------------------------------------------------------------
@@ -533,24 +520,11 @@ def map_pair_to_standard(kappa: LatticeVector, eta: LatticeVector) -> Isometry:
     its matrix by the exit check.
     """
     g = _standardized(kappa, eta).isometry()
-    l0 = norm(kappa) // 2
-    e1, f1, e2, f2 = (kappa.lattice.basis_vector(i) for i in (E1, F1, E2, F2))
-    target_k, target_e = e1 + l0 * f1, pairing(kappa, eta) * f1 + e2 + norm(eta) // 2 * f2
+    target_k, target_e = reference_pair(
+        kappa.lattice, norm(kappa) // 2, pairing(kappa, eta), norm(eta) // 2)
     if g.apply(kappa) != target_k or g.apply(eta) != target_e:
         raise InvariantError("standardization missed the reference pair")
     return _exit_check(g)
-
-
-def _predicted_character(g: Isometry, m: _Mover) -> int:
-    """The orientation character of g^-1 gp, where gp is the product of m's
-    moves: char(g) times the characters of m's signed permutations, since
-    the character is multiplicative, char(g^-1) = char(g), and every
-    transvection has character +1 (module docstring)."""
-    sign = _character(g.matrix.rows)
-    for mv in m.moves:
-        if isinstance(mv, dict):
-            sign *= _perm_character(m.lattice.rank, tuple(mv.items()))
-    return sign
 
 
 def lemma_iso(kappa: LatticeVector, eta: LatticeVector, kappa_p: LatticeVector,
@@ -561,10 +535,10 @@ def lemma_iso(kappa: LatticeVector, eta: LatticeVector, kappa_p: LatticeVector,
             norm(kappa_p), norm(eta_p), pairing(kappa_p, eta_p)):
         raise ValueError("pairs have different Gram data")
     g = map_pair_to_standard(kappa, eta)
-    m = _standardized(kappa_p, eta_p)
-    if (_predicted_character(g, m) == 1) != preserve:
-        m.move(_FLIP)
-    phi = g.inverse().compose(m.isometry())
+    gp = _standardized(kappa_p, eta_p).isometry()
+    if (_character(g.matrix.rows) * _character(gp.matrix.rows) == 1) != preserve:
+        gp = flip_third_H(gp.lattice).compose(gp)
+    phi = g.inverse().compose(gp)
     if preserves_components(phi) != preserve:
         raise InvariantError("lemma_iso: the predicted orientation character is wrong")
     if phi.apply(kappa_p) != kappa or phi.apply(eta_p) != eta:

@@ -425,6 +425,15 @@ def k3_f(l: Lattice, i: int) -> LatticeVector:
     return l.basis_vector((F1, F2, F3)[i])
 
 
+def reference_pair(l: Lattice, l0: int, m: int, l2: int) -> tuple[LatticeVector, LatticeVector]:
+    """The pair in reference position (e1 + l0 f1, m f1 + e2 + l2 f2): norms
+    2 l0 and 2 l2, mutual pairing m."""
+    kappa, eta = [0] * l.rank, [0] * l.rank
+    kappa[E1], kappa[F1] = 1, l0
+    eta[F1], eta[E2], eta[F2] = m, 1, l2
+    return l.vector(kappa), l.vector(eta)
+
+
 # -- JSON interchange -------------------------------------------------------
 
 

@@ -23,7 +23,7 @@ from importlib import resources
 from .exact_linalg import clip_repr, int_tuple
 from .kummer import KummerClass
 from .kummer import pairing as kummer_pairing
-from .lattice import LatticeVector, k3_e, k3_f, make_K3, pairing
+from .lattice import LatticeVector, make_K3, pairing, reference_pair
 from .sublattice import is_primitive_embedding
 
 REPORT_SCHEMA_VERSION = 1
@@ -135,9 +135,7 @@ def pair_from_polynomial(p: DHPolynomial) -> tuple[LatticeVector, LatticeVector]
     if not p.is_even_integral():
         raise ValueError("coefficients must be even integers")
     l0, l1, l2 = (c.numerator // 2 for c in p.coefficients)
-    kappa = k3_e(_K3, 0) + l0 * k3_f(_K3, 0)
-    eta = -l1 * k3_f(_K3, 0) + k3_e(_K3, 1) + l2 * k3_f(_K3, 1)
-    return kappa, eta
+    return reference_pair(_K3, l0, -l1, l2)
 
 
 def is_positive_on(p: DHPolynomial, a, b) -> bool:
@@ -227,6 +225,13 @@ class Piece:
             pair = tuple(self.class_pair)
             if len(pair) != 2:
                 raise ValueError("class pair must have two members")
+            kappa, eta = pair
+            lattice_pair = (isinstance(kappa, LatticeVector) and isinstance(eta, LatticeVector)
+                            and kappa.lattice == eta.lattice)
+            if not lattice_pair and not (isinstance(kappa, KummerClass)
+                                         and isinstance(eta, KummerClass)):
+                raise ValueError(
+                    "class pair must be two vectors of one lattice or two blowup classes")
             object.__setattr__(self, "class_pair", pair)
 
     def interval_str(self) -> str:

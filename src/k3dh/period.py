@@ -186,7 +186,8 @@ def is_in_k_omega_generic(kappa: Vec, point: PeriodPoint) -> bool:
 
 
 def is_in_ktilde_omega_generic(kappa: Vec, point: PeriodPoint) -> bool:
-    """Membership plus no -2-vector orthogonal to span(kappa, re, im)."""
+    """Tame (K~_Omega) membership plus no -2-vector orthogonal to
+    span(kappa, re, im)."""
     if not is_in_ktilde_omega(kappa, point):
         return False
     return is_generic_plane(kappa.lattice, [kappa, point.re, point.im])

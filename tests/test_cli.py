@@ -86,6 +86,26 @@ def test_lattice_info_from_file(capsys, tmp_path):
         assert err.startswith("error:") and "'rank' must be an integer" in err
 
 
+def test_lattice_info_output_is_pinned(capsys, tmp_path):
+    # both outputs byte for byte; the text lines are rendered from the
+    # --json document
+    odd = write_json(tmp_path, "odd.json", {"gram": [[1, 0], [0, -3]]})
+    cases = (
+        (["--standard", "k3"], "K3", 22, "true", "true", (3, 19)),
+        (["--file", odd], "lattice", 2, "false", "false", (1, 1)),
+    )
+    for argv, name, rank, even, unimodular, (p, n) in cases:
+        code, out, err = run(capsys, "lattice-info", *argv)
+        assert (code, err) == (0, "")
+        assert out == (f"name: {name}\nrank: {rank}\neven: {even}\n"
+                       f"unimodular: {unimodular}\nsignature: ({p}, {n})\n")
+        code, out, err = run(capsys, "lattice-info", *argv, "--json")
+        assert (code, err) == (0, "")
+        assert out == (f'{{\n  "name": "{name}",\n  "rank": {rank},\n  "even": {even},\n'
+                       f'  "unimodular": {unimodular},\n  "signature": [\n    {p},\n    {n}\n'
+                       f'  ]\n}}\n')
+
+
 def test_shortvec_counts(capsys, tmp_path):
     code, out, _ = run(capsys, "shortvec", "--standard", "e8", "--norm", "2")
     assert code == 0

@@ -172,10 +172,8 @@ def test_map_pair_fixes_reference_pairs(monkeypatch):
         assert lemma_iso(*ref, *ref, preserve=True).matrix == ident
         assert lemma_iso(*ref, *ref, preserve=False).matrix == flip_third_H(K3).matrix
     assert len(movers) == 19 ** 3 + 7 ** 3 + 4 * 4 ** 3
-    # the one recorded move is the flip that a reversing lemma_iso appends
-    flipped = [mover for mover in movers if mover.moves]
-    assert len(flipped) == 4 ** 3
-    assert all(mover.moves == [isometry._FLIP] for mover in flipped)
+    # a reversing lemma_iso composes the flip after the build, not as a move
+    assert all(mover.moves == [] for mover in movers)
     assert built == []
 
 
@@ -649,39 +647,27 @@ def former_lemma_iso(kappa, eta, kappa_p, eta_p, preserve=True):
 
 
 def test_lemma_iso_matches_the_former_formula():
-    # the flip decided from the move list gives the matrix of the flip
-    # composed after the build, on pairs of the isometry-pairs law sent to
-    # their model pair (g is the identity) and to a moved copy of it (g
-    # moves too), in both modes
+    # the flip decided from the characters of g and gp gives the matrix of
+    # the former formula, on pairs of the isometry-pairs law sent to their
+    # model pair (g is the identity) and to a moved copy of it (g moves
+    # too), in both modes; all four sign pairs (char g, char gp) occur
     rng = random.Random(1)
     ident = IntMatrix.identity(K3.rank).rows
+    signs = set()
     for _ in range(40):
         kp, ep = bench_law_pair(rng)
         ref = standard_pair(norm(kp) // 2, pairing(kp, ep), norm(ep) // 2)
         assert map_pair_to_standard(*ref).matrix.rows == ident
+        gp_sign = preserves_components(map_pair_to_standard(kp, ep))
         for target in (ref, transvected_pair(rng, *ref, 2)):
+            signs.add((preserves_components(map_pair_to_standard(*target)), gp_sign))
             for preserve in (True, False):
                 phi = lemma_iso(*target, kp, ep, preserve=preserve)
                 assert phi.matrix == former_lemma_iso(*target, kp, ep, preserve).matrix
+    assert signs == set(product((True, False), repeat=2))
 
 
 def test_perm_characters_match_preserves_components():
-    # every distinct signed permutation that the mover records on the law
-    # pairs, and the flip, has the orientation character of its matrix
-    rng = random.Random(7919)
-    perms = {tuple(isometry._FLIP.items())}
-    for _ in range(40):
-        perms.update(tuple(mv.items()) for mv in recorded_mover(*bench_law_pair(rng)).moves
-                     if isinstance(mv, dict))
-    assert len(perms) > 2
-    characters = set()
-    for perm in perms:
-        mover = EagerMover(E[0])
-        mover.move(dict(perm))  # builds the matrix and checks it in full
-        expected = 1 if preserves_components(mover.isometry()) else -1
-        assert isometry._perm_character(K3.rank, perm) == expected, perm
-        characters.add(expected)
-    assert characters == {1, -1}
     # the character of the matrix itself: transvections +1, the rest by sign
     rng = random.Random(5)
     for g in (random_transvection(rng), minus_identity(), flip_third_H(K3),
@@ -691,15 +677,24 @@ def test_perm_characters_match_preserves_components():
 
 @pytest.mark.parametrize("preserve", [True, False])
 def test_wrong_character_is_caught(monkeypatch, preserve):
-    # a wrong prediction puts the flip where it does not belong; the
-    # orientation exit check on phi refuses the result
-    predicted = isometry._predicted_character
-    monkeypatch.setattr(isometry, "_predicted_character", lambda g, m: -predicted(g, m))
+    # a wrong character of gp puts the flip where it does not belong; the
+    # orientation exit check on phi refuses the result.  Negating every
+    # call would cancel in the product char(g) char(gp), so only the second
+    # call of each lemma_iso, gp's factor, is negated
+    calls = []
+    character = isometry._character
+
+    def wrong(rows):
+        calls.append(rows)
+        return -character(rows) if len(calls) % 2 == 0 else character(rows)
+
+    monkeypatch.setattr(isometry, "_character", wrong)
     ref = standard_pair(2, 1, -1)
     moved = transvected_pair(random.Random(29), *ref, 3)
     for target, source in ((ref, ref), (ref, moved), (moved, ref)):
         with pytest.raises(InvariantError, match="predicted orientation"):
             lemma_iso(*target, *source, preserve=preserve)
+    assert len(calls) == 6
 
 
 @settings(max_examples=25, deadline=None)

@@ -25,6 +25,7 @@ from k3dh.lattice import (
     norm,
     pairing,
     pairing_nums,
+    reference_pair,
     rescale,
 )
 from k3dh.isometry import eichler_transvection
@@ -105,6 +106,18 @@ def test_standard_kappa_norm():
     for l0 in (-3, -2, 0, 1, 5, 41):
         kappa = k3_e(K3, 0) + l0 * k3_f(K3, 0)
         assert norm(kappa) == 2 * l0
+
+
+def test_reference_pair_is_the_basis_combination():
+    # the one builder of the reference position, against basis arithmetic;
+    # its Gram data are 2 l0, m and 2 l2
+    e, f = [k3_e(K3, i) for i in range(2)], [k3_f(K3, i) for i in range(2)]
+    for l0, m, l2 in ((0, 0, 0), (-3, 2, 5), (41, -7, -1)):
+        kappa, eta = reference_pair(K3, l0, m, l2)
+        assert (kappa, eta) == (e[0] + l0 * f[0], m * f[0] + e[1] + l2 * f[1])
+        assert (norm(kappa), pairing(kappa, eta), norm(eta)) == (2 * l0, m, 2 * l2)
+    with pytest.raises(TypeError):
+        reference_pair(K3, 1.0, 0, 0)
 
 
 def test_pairing_matches_dense_oracle():

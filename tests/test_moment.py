@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3dh.kummer import eta_hat, kappa_hat
-from k3dh.lattice import k3_e, k3_f, make_H, make_K3, norm, pairing
+from k3dh.lattice import k3_e, k3_f, make_E8, make_H, make_K3, norm, pairing
 from k3dh.moment import (
     DHPolynomial,
     GluedModel,
@@ -220,6 +220,21 @@ def test_structural_errors_of_periods_and_pieces():
     kappa, eta = pair_from_polynomial(DHPolynomial(2, 0, 0))
     with pytest.raises(ValueError, match="two members"):
         Piece(0, 1, DHPolynomial(2, 0, 0), class_pair=(kappa, eta, kappa))
+
+
+def test_malformed_class_pairs_are_structural_errors():
+    # a pair that is neither two vectors of one lattice nor two blowup
+    # classes is refused when the piece is built, with the ValueError of the
+    # other structural checks (the model parser maps it to ModelError), so
+    # validate never meets it
+    kappa, _ = pair_from_polynomial(DHPolynomial(2, 0, 0))
+    e8 = make_E8().basis_vector(0)
+    for pair in ((1, 2), (kappa, e8), (e8, kappa), (kappa, kappa_hat()), (kappa_hat(), 1)):
+        with pytest.raises(ValueError, match="two vectors of one lattice or two blowup"):
+            Piece(0, 1, DHPolynomial(2, 0, 2), class_pair=pair)
+    # both kinds of well-formed pair are accepted
+    Piece(0, 1, DHPolynomial(2, 0, 2), class_pair=(e8, 2 * e8))
+    Piece(0, 1, PLUS_BRANCH, class_pair=(kappa_hat(), eta_hat(1)))
 
 
 def test_validate_reports_negative_endpoints_and_dependent_pairs():
