@@ -18,7 +18,9 @@ as S * m, each row times the lcm of its denominators.  symmetric_bareiss is
 the same recurrence on the upper triangle of a symmetric matrix, and the one
 symmetric elimination: it gives the fraction-free LDL^T data of a quadratic
 form, whose pivot signs are its inertia.  Smith normal form is the one other
-elimination, over the integers by division with remainder.
+elimination, over the integers by division with remainder; it carries its
+column transform V as the rows of V^T, so a column operation on V is one
+row operation.
 """
 from __future__ import annotations
 
@@ -304,11 +306,17 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     each stage is the least-|value| nonzero entry of the working submatrix,
     ties broken by lowest row index then lowest column index, which makes
     the full output deterministic.
+
+    V is carried as its transpose vt, so each column operation on V is one
+    row operation on vt (a column swap is a swap of two row references);
+    on a wide m, such as the 2 x 22 pair matrices, V is most of the work.
     """
     R, C = m.nrows, m.ncols
     a = [list(row) for row in m.rows]
-    v = [[int(i == j) for j in range(C)] for i in range(C)]
-    # invariant: u * m * v == a for the product u of the row operations
+    vt = [[0] * C for _ in range(C)]
+    for i in range(C):
+        vt[i][i] = 1
+    # invariant: u * m * vt^T == a for the product u of the row operations
     k = 0
     while k < min(R, C):
         piv = None
@@ -323,7 +331,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             _row_swap(a, k, piv[0])
         if piv[1] != k:
             _col_swap(a, k, piv[1])
-            _col_swap(v, k, piv[1])
+            _row_swap(vt, k, piv[1])
         while True:
             moved = False
             for i in range(R):
@@ -337,10 +345,10 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 if j != k and a[k][j]:
                     q = a[k][j] // a[k][k]
                     _col_addmul(a, j, k, -q)
-                    _col_addmul(v, j, k, -q)
+                    _row_addmul(vt, j, k, -q)
                     if a[k][j]:
                         _col_swap(a, k, j)
-                        _col_swap(v, k, j)
+                        _row_swap(vt, k, j)
                         moved = True
             if not moved and all(a[i][k] == 0 for i in range(R) if i != k) and all(
                 a[k][j] == 0 for j in range(C) if j != k
@@ -361,7 +369,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     for i in range(min(R, C)):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
-    return tuple(IntMatrix._trusted(tuple(map(tuple, x))) for x in (a, v))
+    return IntMatrix._trusted(tuple(map(tuple, a))), IntMatrix._trusted(tuple(zip(*vt)))
 
 
 def elementary_divisors(m: IntMatrix) -> tuple[int, ...]:

@@ -44,11 +44,14 @@ vectors.  Each stage drives the coefficient of its reference slot, e1 for
 kappa and e2 for eta, to 1 and then clears the rest, so a pair already in
 reference position takes no move and maps by the identity: standardizing
 is idempotent.  The moves act on a working vector and are recorded; the
-matrix of their product is built once.  Consecutive transvections with one
-isotropic base e merge into one factor: for a, b in e^⊥,
-E(e, a) E(e, b) = E(e, a + b) (Eichler; Gritsenko-Hulek-Sankaran,
-J. Algebra 322, 2009), so a run of them costs one product, and none when
-its arguments sum to 0.  The core is a euclidean reduction on the
+matrix of their product is built once, each factor acting on the rows
+built so far.  Consecutive transvections with one isotropic base e merge
+into one factor: for a, b in e^⊥, E(e, a) E(e, b) = E(e, a + b) (Eichler;
+Gritsenko-Hulek-Sankaran, J. Algebra 322, 2009), so a run of them costs
+one factor, and none when its arguments sum to 0.  A factor E(e, a) is
+the rank-two update E(e, a) A = A + a (G e)^T A - e w^T A of the rows of A,
+w = G a + (a,a)/2 G e: two sparse row combinations, then the rows in
+supp(a) ∪ supp(e); a signed permutation moves rows.  The core is a euclidean reduction on the
 hyperbolic coefficients (isotropic transvection arguments shift them with
 no quadratic correction), with the definite blocks as content reservoirs
 when the hyperbolic gcd bottoms out above 1.  One pass either reaches the
@@ -185,11 +188,36 @@ def _transvection_data(e: LatticeVector, a: LatticeVector):
     return ge, [y + (na // 2) * x for x, y in zip(ge, ga)]
 
 
+def _combination(coeffs, rows) -> list:
+    """The row vector coeffs^T A: the sum of c * rows[k] over nonzero c."""
+    terms = [row if c == 1 else [c * x for x in row] for c, row in zip(coeffs, rows) if c]
+    if len(terms) == 1:
+        return terms[0]
+    return list(map(sum, zip(*terms))) if terms else [0] * len(rows[0])
+
+
+def _transvected(rows, e: LatticeVector, a: LatticeVector, ge, w) -> tuple:
+    """The rows of E(e, a) A = A + a (ge^T A) - e (w^T A) for the rows of A,
+    with ge and w from _transvection_data: two sparse row combinations of A,
+    then an update of the rows in supp(a) ∪ supp(e); the others are shared."""
+    x, y = _combination(ge, rows), _combination(w, rows)
+    out = list(rows)
+    for i, (ai, ei) in enumerate(zip(a.coords, e.coords)):
+        if ai and ei:
+            out[i] = tuple([r + ai * p - ei * q for r, p, q in zip(rows[i], x, y)])
+        elif ai:
+            out[i] = tuple([r + ai * p for r, p in zip(rows[i], x)])
+        elif ei:
+            out[i] = tuple([r - ei * q for r, q in zip(rows[i], y)])
+    return tuple(out)
+
+
 def eichler_transvection(e: LatticeVector, a: LatticeVector) -> Isometry:
     """x |-> x + (x,e)a - ((x,a) + (a,a)/2 (x,e))e for isotropic e with e ⊥ a.
 
     With ge = G e and w = G a + (a,a)/2 G e the matrix is the rank-2 update
-    I + a ge^T - e w^T; only its rows in supp(a) ∪ supp(e) differ from I.
+    I + a ge^T - e w^T, _transvected applied to I; only its rows in
+    supp(a) ∪ supp(e) differ from I.
     Only the preconditions are checked, because they make T an isometry:
     h = (a,a)/2 is an integer, so T is integral, and with s = (x,e),
     t = (x,a), s' = (y,e), t' = (y,a), and (e,e) = (e,a) = 0, (a,a) = 2h,
@@ -197,13 +225,8 @@ def eichler_transvection(e: LatticeVector, a: LatticeVector) -> Isometry:
                  = (x,y),
     so M^T G M = G."""
     ge, w = _transvection_data(e, a)
-    rows = list(_identity_rows(len(ge)))
-    for i, (ai, ei) in enumerate(zip(a.coords, e.coords)):
-        if ai or ei:
-            row = [ai * x - ei * y for x, y in zip(ge, w)]
-            row[i] += 1
-            rows[i] = tuple(row)
-    return Isometry._unchecked(e.lattice, IntMatrix._trusted(tuple(rows)))
+    rows = _transvected(_identity_rows(len(ge)), e, a, ge, w)
+    return Isometry._unchecked(e.lattice, IntMatrix._trusted(rows))
 
 
 @cache
@@ -283,23 +306,31 @@ class _Mover:
         """The product of the recorded moves; unchecked, since every factor
         is an isometry (module docstring).
 
-        A run of consecutive transvections with one base e is built as the
-        single factor E(e, a_1 + ... + a_k), which eichler_transvection
-        checks again, and as no factor when the arguments sum to 0."""
-        acc = None
+        A run of consecutive transvections with one base e is the single
+        factor E(e, a_1 + ... + a_k), whose preconditions
+        _transvection_data checks again, and no factor when the arguments
+        sum to 0.  Each factor acts on the rows built so far: a signed
+        permutation moves rows, a transvection is the rank-two row update
+        of _transvected.  A first factor is the product itself, so it is
+        the permuted identity or eichler_transvection's matrix."""
+        rows = None
         for base, run in groupby(self.moves, key=_run_key):
             if isinstance(base, dict):
                 for perm in run:
-                    rows = _identity_rows(self.lattice.rank) if acc is None else acc.matrix.rows
-                    acc = Isometry._unchecked(self.lattice, IntMatrix._trusted(_permuted(rows, perm)))
+                    rows = _permuted(_identity_rows(self.lattice.rank) if rows is None else rows, perm)
                 continue
             (e, a, *_), *rest = run
             for mv in rest:
                 a = a + mv[1]
-            if any(a.coords):
-                t = eichler_transvection(e, a)
-                acc = t if acc is None else t.compose(acc)
-        return identity_isometry(self.lattice) if acc is None else acc
+            if not any(a.coords):
+                continue
+            if rows is None:
+                rows = eichler_transvection(e, a).matrix.rows
+            else:
+                rows = _transvected(rows, e, a, *_transvection_data(e, a))
+        if rows is None:
+            return identity_isometry(self.lattice)
+        return Isometry._unchecked(self.lattice, IntMatrix._trusted(rows))
 
     def basis(self, i: int) -> LatticeVector:
         return self.lattice.basis_vector(i)

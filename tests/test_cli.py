@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from k3dh import cli
 from k3dh.cli import InputError, main, run_verify_paper
-from k3dh.isometry import StandardizationError
+from k3dh.isometry import StandardizationError, eichler_transvection
 from k3dh.lattice import RationalVector, k3_e, k3_f, make_E8, make_K3, norm
-from k3dh.moment import rational_to_str
+from k3dh.moment import DHPolynomial, pair_from_polynomial, rational_to_str
 from k3dh.period import PeriodPoint
 
 
@@ -347,6 +347,68 @@ def test_isometry_of_a_model_pair_onto_itself_is_the_identity(capsys, tmp_path):
     assert code == 0
     assert report["summary"]["failed"] == 0
     assert report["matrix"] == [[int(i == j) for j in range(22)] for i in range(22)]
+
+
+def moved_pairs_doc(kappa, eta, target_moves, source_moves):
+    """An isometry request on images of one pair (kappa, eta): the target
+    moved by target_moves, the source by source_moves, each a sequence of
+    transvections (e, a) applied in order."""
+    def move(pair, moves):
+        for e, a in moves:
+            t = eichler_transvection(e, a)
+            pair = tuple(t.apply(v) for v in pair)
+        return [list(v.coords) for v in pair]
+
+    (k, e), (kp, ep) = move((kappa, eta), target_moves), move((kappa, eta), source_moves)
+    return {"kappa": k, "eta": e, "kappa_p": kp, "eta_p": ep}
+
+
+def pinned_isometry_docs():
+    """The battery's transvected model pair, and two requests whose target and
+    source are both moved: inside H^3, and with E8 parts in the arguments."""
+    e1, f1, e2, f2, e3, f3 = (K3.basis_vector(i) for i in range(6))
+    b = [K3.basis_vector(i) for i in range(K3.rank)]
+    kappa0, eta0 = pair_from_polynomial(DHPolynomial(-4, 16, -4))
+    return {
+        "battery": moved_pairs_doc(
+            kappa0, eta0, [], [(f3, 3 * e1 - e2), (e3, f1 - 2 * e2 + f2)]),
+        "both-moved-h": moved_pairs_doc(
+            e1 + 2 * f1, -3 * f1 + e2 - f2, [(e2, 2 * e3 - f1), (f3, e1 + 3 * f2)],
+            [(f1, e2 - 2 * e3 + f3)]),
+        "both-moved-e8": moved_pairs_doc(
+            kappa0, eta0, [(e2, 2 * f3 + b[6] - b[9])],
+            [(f3, e1 + b[14] + 2 * b[20]), (e1, -1 * e2 + b[7])]),
+    }
+
+
+# stdout of `k3dh isometry` on pinned_isometry_docs(), recorded before the
+# mover built its product with rank-two row updates and the Smith normal
+# form carried its transform as rows
+ISOMETRY_DIGESTS = {
+    ('battery', False, False): "839bb1cb99538eafa36a1e94020cbdaa68356e1cd56697204ff65f480a7913de",
+    ('battery', False, True): "9909433da99c51b0551006087346dbc3c33e854d511b411db8737e3091de704e",
+    ('battery', True, False): "c2b6d8dc33b5aa7750ce518c91dcc06b46ac15bc43e03607e8f13e1c1ab0c527",
+    ('battery', True, True): "a0712d399eda6dcf6985aebd5fde13d21400d0a9d41f07e158bef6a300c3fac5",
+    ('both-moved-h', False, False): "eb036be560adc967d8705db856363c6496a327cd6ea2016db750e0e8580fc232",
+    ('both-moved-h', False, True): "def292a1a25e7ad26d1233f23a1e7d625ba0220b93a3565db14f6866115bdcf0",
+    ('both-moved-h', True, False): "812faedc9a96c1f48615265706c8be8257b4197a9193f0f21442ae9212b5c240",
+    ('both-moved-h', True, True): "2324cdec2b8267ababc268eaff1c69232a6239873f248969b62ddabde15bafe8",
+    ('both-moved-e8', False, False): "4c883532c815f81d48ef4dc32f3fa5996acf3421aab5df83bcfab4974ed97b14",
+    ('both-moved-e8', False, True): "694f6dbbf2d6736d140ad58b17de9c27d3fa068a1b8a575288909317cf9dfea9",
+    ('both-moved-e8', True, False): "484bd4200db46012549101b28a6997d8bffea8fc3ccdde0eb29fa5a60c3827e1",
+    ('both-moved-e8', True, True): "96d56fc89c147ccac833cc6d36604790254b329c18e20a41e0e05eae8c9365f9",
+}
+
+
+def test_isometry_output_is_pinned(capsys, tmp_path):
+    docs = pinned_isometry_docs()
+    for (name, as_json, reverse), digest in ISOMETRY_DIGESTS.items():
+        path = write_json(tmp_path, f"{name}.json", docs[name])
+        flags = (["--json"] if as_json else []) + (["--reverse"] if reverse else [])
+        code, out, err = run(capsys, "isometry", "--pairs", path, *flags)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, as_json, reverse)
+    assert len(ISOMETRY_DIGESTS) == 4 * len(docs)
 
 
 def test_isometry_gram_mismatch_fails(capsys, tmp_path):

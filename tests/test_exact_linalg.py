@@ -20,6 +20,7 @@ from k3dh.exact_linalg import (
     symmetric_bareiss,
     xgcd_vector,
 )
+from k3dh.isometry import eichler_transvection
 from k3dh.lattice import RationalVector, make_K3
 from k3dh.moment import GluedModel, ModelError, Wall, rational_from_json
 from k3dh.sublattice import Sublattice
@@ -120,6 +121,120 @@ def test_snf_rectangular_and_seeded_random():
 )
 def test_snf_property(rows):
     assert_snf_contract(IntMatrix(rows))
+
+
+def former_smith_normal_form(m):
+    """Test-only oracle: the former smith_normal_form, which carried V itself
+    and applied each column operation to every row of V."""
+    def row_addmul(a, dst, src, q):
+        if q:
+            a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+
+    def col_swap(a, i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    def col_addmul(a, dst, src, q):
+        if q:
+            for row in a:
+                row[dst] += q * row[src]
+
+    R, C = m.nrows, m.ncols
+    a = [list(row) for row in m.rows]
+    v = [[int(i == j) for j in range(C)] for i in range(C)]
+    k = 0
+    while k < min(R, C):
+        piv = None
+        for i in range(k, R):
+            for j in range(k, C):
+                if a[i][j] and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        a[k], a[piv[0]] = a[piv[0]], a[k]
+        if piv[1] != k:
+            col_swap(a, k, piv[1])
+            col_swap(v, k, piv[1])
+        while True:
+            moved = False
+            for i in range(R):
+                if i != k and a[i][k]:
+                    row_addmul(a, i, k, -(a[i][k] // a[k][k]))
+                    if a[i][k]:
+                        a[k], a[i] = a[i], a[k]
+                        moved = True
+            for j in range(C):
+                if j != k and a[k][j]:
+                    q = a[k][j] // a[k][k]
+                    col_addmul(a, j, k, -q)
+                    col_addmul(v, j, k, -q)
+                    if a[k][j]:
+                        col_swap(a, k, j)
+                        col_swap(v, k, j)
+                        moved = True
+            if not moved and not any(a[i][k] for i in range(R) if i != k) and not any(
+                    a[k][j] for j in range(C) if j != k):
+                break
+        bad = next(((i, j) for i in range(k + 1, R) for j in range(k + 1, C)
+                    if a[i][j] % a[k][k]), None)
+        if bad is None:
+            k += 1
+        else:
+            row_addmul(a, k, bad[0], 1)
+    for i in range(min(R, C)):
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
+    return IntMatrix(a), IntMatrix(v)
+
+
+K3 = make_K3()
+_PARTNER = {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4}
+SPARSE_ENTRY = st.one_of(st.just(0), st.just(0), st.integers(-30, 30))
+
+
+@st.composite
+def snf_operands(draw):
+    """Rows of a wide, tall or square matrix; the rows of a pair drawn by
+    the isometry-pairs law (e1 + l0 f1 and -l1 f1 + e2 + l2 f2, moved by
+    1-4 transvections with a hyperbolic base and three bumps of the
+    argument off the base's partner), as is_primitive_embedding passes
+    them; or three pairing functionals G v, as orthogonal_complement
+    passes them for a 3-plane."""
+    kind = draw(st.sampled_from(["wide", "tall", "square", "pair", "functionals"]))
+    if kind == "pair":
+        l0, l1, l2 = (draw(st.integers(-9, 9)) for _ in range(3))
+        e1, f1, e2, f2 = (K3.basis_vector(i) for i in range(4))
+        kap, eta = e1 + l0 * f1, -l1 * f1 + e2 + l2 * f2
+        for _ in range(draw(st.integers(1, 4))):
+            base_i = draw(st.integers(0, 5))
+            arg = [0] * K3.rank
+            for _ in range(3):
+                j = draw(st.integers(0, K3.rank - 1))
+                if j != _PARTNER[base_i]:
+                    arg[j] += draw(st.integers(-2, 2))
+            t = eichler_transvection(K3.basis_vector(base_i), K3.vector(arg))
+            kap, eta = t.apply(kap), t.apply(eta)
+        return [kap.coords, eta.coords]
+    if kind == "functionals":
+        vectors = draw(st.lists(st.lists(SPARSE_ENTRY, min_size=22, max_size=22),
+                                min_size=3, max_size=3))
+        return [K3.vector(v).gv for v in vectors]
+    nrows, ncols = {
+        "wide": (draw(st.integers(1, 3)), draw(st.integers(4, 22))),
+        "tall": (draw(st.integers(4, 22)), draw(st.integers(1, 3))),
+        "square": (draw(st.integers(1, 4)),) * 2,
+    }[kind]
+    row = st.lists(SPARSE_ENTRY, min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(snf_operands())
+def test_snf_matches_the_former_column_operations(rows):
+    # V carried as its transpose takes the same pivots: D and V are the
+    # former ones, and V fixes the complement bases, hence root order
+    m = IntMatrix(rows)
+    assert smith_normal_form(m) == former_smith_normal_form(m)
 
 
 def test_det_known_values():

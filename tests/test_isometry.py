@@ -285,27 +285,40 @@ def test_apply_and_compose_reject_foreign_lattices():
         identity_isometry(e8).compose(g)
 
 
-@pytest.mark.parametrize("method", ["compose", "inverse"])
+@pytest.mark.parametrize("method", ["compose", "inverse", "_transvected"])
 def test_exit_check_catches_faulty_products(monkeypatch, method):
     # the fault adds e1 to the image of the last E8 basis vector; the pairs
     # have no E8 part, so their images stay right and only M^T G M = G sees
     # it.  A reference pair takes no move, so the pair is moved off it by
     # transvections inside H^3 to make its standardization build a product.
-    # Only lemma_iso inverts, so a faulty inverse reaches its own exit check
-    exact = getattr(Isometry, method)
-
-    def faulty(self, *other):
-        rows = [list(r) for r in exact(self, *other).matrix.rows]
+    # The mover builds its product with the row-update kernel _transvected,
+    # so a faulty kernel reaches both exit checks; only lemma_iso inverts
+    # and composes (phi = g^-1 gp), so a faulty inverse or compose reaches
+    # its exit check alone
+    def faulty_rows(rows):
+        rows = [list(r) for r in rows]
         rows[0][-1] += 1
-        return Isometry._unchecked(self.lattice, IntMatrix(rows))
+        return tuple(map(tuple, rows))
+
+    if method == "_transvected":
+        owner, kernel = isometry, isometry._transvected
+
+        def faulty(*args):
+            return faulty_rows(kernel(*args))
+    else:
+        owner, exact = Isometry, getattr(Isometry, method)
+
+        def faulty(self, *other):
+            rows = faulty_rows(exact(self, *other).matrix.rows)
+            return Isometry._unchecked(self.lattice, IntMatrix(rows))
 
     kap, eta = standard_pair(2, 1, -1)
     kp, ep = kap, eta
     for t in (eichler_transvection(E[1], 2 * E[2] - F[0]),
               eichler_transvection(F[2], E[0] + 3 * F[1])):
         kp, ep = t.apply(kp), t.apply(ep)
-    monkeypatch.setattr(Isometry, method, faulty)
-    if method == "compose":
+    monkeypatch.setattr(owner, method, faulty)
+    if method == "_transvected":
         with pytest.raises(InvariantError, match="exit check"):
             map_pair_to_standard(kp, ep)
     with pytest.raises(InvariantError, match="exit check"):
@@ -592,9 +605,12 @@ def test_merged_runs_match_per_move_oracle():
 
 
 def test_zero_sum_run_adds_no_factor(monkeypatch):
+    # every factor passes the row-update kernel once: the first through
+    # eichler_transvection (the kernel on I), each later one directly
     built = []
-    monkeypatch.setattr(isometry, "eichler_transvection",
-                        lambda e, a: built.append(a) or eichler_transvection(e, a))
+    kernel = isometry._transvected
+    monkeypatch.setattr(isometry, "_transvected",
+                        lambda rows, e, a, ge, w: built.append(a) or kernel(rows, e, a, ge, w))
     a = K3.vector(sparse_coords({2: 1, 6: 1, 7: -1}))
     m = isometry._Mover(E[1] + 3 * F[1])
     m.transvect(E[0], a)
