@@ -8,6 +8,12 @@ this module.  A torus class is a RationalVector of TORUS_LATTICE.  Blowup
 classes consist of a rational torus pullback plus a RationalVector of
 EXCEPTIONAL_LATTICE, one coefficient per sphere; pullbacks pair at half the
 torus value and the exceptional spheres pair as -2 times the identity.
+
+Every part is held as integer numerators over one denominator.
+wedge_integrate and pairing take the integer pairings of the numerators
+(lattice.pairing_nums) and build a single Fraction from them at the end,
+and from_terms sums int coefficients as ints, so a Fraction is built only
+for a returned rational or a non-int input value.
 """
 from __future__ import annotations
 
@@ -16,8 +22,7 @@ from fractions import Fraction
 from operator import mul
 
 from .exact_linalg import IntMatrix, InvariantError
-from .lattice import Lattice, RationalVector
-from .lattice import pairing as lattice_pairing
+from .lattice import Lattice, RationalVector, pairing_nums
 
 # slots 0..3 are dz1, dz1bar, dz2, dz2bar
 MONOMIALS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -81,7 +86,7 @@ def _permuted(v: RationalVector, sign: int) -> RationalVector:
 
 
 def _check_part(v, lattice: Lattice) -> None:
-    if not isinstance(v, RationalVector) or v.lattice != lattice:
+    if not isinstance(v, RationalVector) or (v.lattice is not lattice and v.lattice != lattice):
         raise ValueError(f"expected a RationalVector of the {lattice.name} lattice")
 
 
@@ -101,16 +106,18 @@ class InvariantForm:
         """Build from {(slot, slot): coefficient} with rational or (re, im) values.
 
         Reversed slot order is accepted and contributes with a sign flip.
+        Int values are summed as ints; any other value is read exactly as
+        Fraction(value), so a float term is never summed as a float.
         """
-        re = [Fraction(0)] * len(MONOMIALS)
-        im = [Fraction(0)] * len(MONOMIALS)
+        re = [0] * len(MONOMIALS)
+        im = [0] * len(MONOMIALS)
         for (i, j), val in terms.items():
             if not 0 <= min(i, j) < max(i, j) <= 3:
                 raise ValueError(f"not a wedge monomial: ({i}, {j})")
             sign, k = _fold(i, j, _MONO_INDEX)
             x, y = val if isinstance(val, tuple) else (val, 0)
-            re[k] += sign * Fraction(x)
-            im[k] += sign * Fraction(y)
+            re[k] += sign * (x if type(x) is int else Fraction(x))
+            im[k] += sign * (y if type(y) is int else Fraction(y))
         return InvariantForm(
             WEDGE_LATTICE.rational_vector(re), WEDGE_LATTICE.rational_vector(im)
         )
@@ -165,11 +172,14 @@ def wedge_integrate(a: InvariantForm, b: InvariantForm) -> Fraction:
     Gram G of WEDGE_LATTICE.  dz_j ^ dzbar_j = -2i dx_j ^ dy_j, so the top
     monomial in slot order carries (-2i)^2 = -4 against
     int dx1 dy1 dx2 dy2 = 1.  The return type is a plain rational; a nonzero
-    imaginary part (R_a, I_b) + (I_a, R_b) raises.
+    imaginary part (R_a, I_b) + (I_a, R_b) raises.  Each part is r / d, so
+    both sums are taken on numerators over the product of the denominators.
     """
-    if lattice_pairing(a.re, b.im) + lattice_pairing(a.im, b.re) != 0:
+    ra, ia, rb, ib = a.re, a.im, b.re, b.im
+    if pairing_nums(ra, ib) * ia.den * rb.den + pairing_nums(ia, rb) * ra.den * ib.den:
         raise ValueError("wedge integral is not real")
-    return -4 * (lattice_pairing(a.re, b.re) - lattice_pairing(a.im, b.im))
+    real = pairing_nums(ra, rb) * ia.den * ib.den - pairing_nums(ia, ib) * ra.den * rb.den
+    return Fraction(-4 * real, ra.den * rb.den * ia.den * ib.den)
 
 
 # dz1 = dx1 + i dy1 and friends: (real slot, power of i) for each term
@@ -243,9 +253,13 @@ class KummerClass:
 
 
 def pairing(a: KummerClass, b: KummerClass) -> Fraction:
-    """Half the torus pairing of the pullback parts, plus -2 per matched sphere."""
-    torus = lattice_pairing(a.torus_part, b.torus_part)
-    return Fraction(torus, 2) + lattice_pairing(a.exc, b.exc)
+    """Half the torus pairing of the pullback parts, plus -2 per matched sphere,
+    on numerators: t / (2 dt) + e / de = (t de + 2 e dt) / (2 dt de)."""
+    ta, tb, ea, eb = a.torus_part, b.torus_part, a.exc, b.exc
+    dt, de = ta.den * tb.den, ea.den * eb.den
+    return Fraction(
+        pairing_nums(ta, tb) * de + 2 * pairing_nums(ea, eb) * dt, 2 * dt * de
+    )
 
 
 _ZERO_TORUS = TORUS_LATTICE.rational_vector((0,) * len(TORUS_BASIS))
@@ -263,14 +277,14 @@ def exceptional(i: int) -> KummerClass:
         raise ValueError("exceptional index out of range")
     exc = [0] * NUM_EXCEPTIONAL
     exc[i] = 1
-    return KummerClass(_ZERO_TORUS, EXCEPTIONAL_LATTICE.rational_vector(exc))
+    return KummerClass(_ZERO_TORUS, RationalVector(EXCEPTIONAL_LATTICE, tuple(exc)))
 
 
 def kappa_hat() -> KummerClass:
     """Pullback of the volume real part plus half the sum of the spheres."""
     return KummerClass(
         form_to_torus_class(volume_real_form()),
-        EXCEPTIONAL_LATTICE.rational_vector((Fraction(1, 2),) * NUM_EXCEPTIONAL),
+        RationalVector(EXCEPTIONAL_LATTICE, (1,) * NUM_EXCEPTIONAL, 2),
     )
 
 
@@ -279,7 +293,7 @@ def eta_hat(sign: int) -> KummerClass:
     _check_sign(sign)
     return KummerClass(
         -form_to_torus_class(area_sum_form()),
-        EXCEPTIONAL_LATTICE.rational_vector((Fraction(sign, 2),) * NUM_EXCEPTIONAL),
+        RationalVector(EXCEPTIONAL_LATTICE, (sign,) * NUM_EXCEPTIONAL, 2),
     )
 
 

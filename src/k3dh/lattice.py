@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
+from operator import mul, neg
 from typing import ClassVar, Iterable, Sequence, Union
 
-from .exact_linalg import IntMatrix, clip_repr, det, int_tuple, symmetric_bareiss
+from .exact_linalg import IntMatrix, clip_repr, int_tuple, symmetric_bareiss
 
 Coord = Union[int, Fraction]
 
@@ -45,7 +45,7 @@ class Lattice:
         if not self.gram.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return self.gram.nrows
 
@@ -116,8 +116,20 @@ class Lattice:
     def is_even(self) -> bool:
         return all(self.gram[i, i] % 2 == 0 for i in range(self.rank))
 
+    @cached_property
+    def _pivots(self) -> tuple[int, ...] | None:
+        """The pivots p_0, ..., p_{n-1} of symmetric_bareiss, computed once,
+        or None when the elimination finds the form degenerate."""
+        try:
+            return tuple(row[0] for row in symmetric_bareiss(self.gram))
+        except ValueError:
+            return None
+
     def is_unimodular(self) -> bool:
-        return abs(det(self.gram)) == 1
+        """|det G| = 1: the last pivot p_{n-1} is det G (see symmetric_bareiss),
+        and a degenerate form has det G = 0."""
+        pivots = self._pivots
+        return pivots is not None and abs(pivots[-1] if pivots else 1) == 1
 
     def signature(self) -> tuple[int, int]:
         """(positive, negative) inertia indices; ValueError if degenerate.
@@ -125,9 +137,12 @@ class Lattice:
         The negative index is the number of sign changes in 1, p_0, p_1, ...
         for the pivots p_k of symmetric_bareiss (Jacobi's rule; see there).
         """
-        signs = [1] + [1 if row[0] > 0 else -1 for row in symmetric_bareiss(self.gram)]
-        neg = sum(a != b for a, b in zip(signs, signs[1:]))
-        return self.rank - neg, neg
+        pivots = self._pivots
+        if pivots is None:
+            raise ValueError("degenerate form")
+        signs = [1] + [1 if p > 0 else -1 for p in pivots]
+        negative = sum(a != b for a, b in zip(signs, signs[1:]))
+        return self.rank - negative, negative
 
     def __eq__(self, other) -> bool:
         return (
@@ -229,7 +244,8 @@ class RationalVector:
         return (-self)._combine(other, 1)
 
     def __neg__(self):
-        return RationalVector(self.lattice, tuple(-c for c in self.nums), self.den)
+        # negation keeps den > 0 and gcd(den, *nums) == 1
+        return RationalVector._trusted(self.lattice, tuple(map(neg, self.nums)), self.den)
 
     def scale(self, c) -> "RationalVector":
         c = Fraction(c)
@@ -303,7 +319,7 @@ class LatticeVector:
         )
 
     def __neg__(self):
-        return LatticeVector._trusted(self.lattice, tuple(-a for a in self.coords))
+        return LatticeVector._trusted(self.lattice, tuple(map(neg, self.coords)))
 
     def __mul__(self, c: int):
         # the one integer rule of exact_linalg.int_tuple: no bool, no IntEnum

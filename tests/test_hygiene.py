@@ -1,4 +1,5 @@
-"""Source-level rules: no library assert, no runtime dependency, unchecked
+"""Source-level rules: no library assert, no runtime dependency, package
+data and console script declared for the installed package, unchecked
 constructors only in the core modules, unchecked isometries only in the
 isometry module, one call site per verified claim, one pairing kernel on
 integers, one symmetric elimination, every library name called outside the
@@ -36,6 +37,21 @@ def test_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project.get("dependencies", []) == []
+
+
+def test_packaging_ships_the_data_and_the_script():
+    # the suite imports k3dh from src, so an installed package missing its
+    # JSON fixtures or console script would pass every other test
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert config["tool"]["setuptools"]["packages"]["find"]["where"] == ["src"]
+    package = ROOT / "src" / "k3dh"
+    patterns = config["tool"]["setuptools"]["package-data"]["k3dh"]
+    shipped = {path for pattern in patterns for path in package.glob(pattern)}
+    data = {path for path in (package / "data").rglob("*") if path.is_file()}
+    assert data and data <= shipped
+    module, _, attr = config["project"]["scripts"]["k3dh"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 # the unchecked constructors skip input validation, so they are called only

@@ -428,3 +428,90 @@ def test_forms_match_the_former_complex_fractions(ta, tb, x, y):
                 form_to_torus_class(form)
         else:
             assert form_to_torus_class(form).coords == expected
+
+
+# -- exact reading of every value type, and the builders on integers ----------
+
+DECIMAL_STRINGS = st.sampled_from(("0.25", "-1.5", "3", " 2/7 ", "1e-3", "-0.125"))
+FLOATS = st.floats(-8, 8, allow_nan=False, allow_infinity=False, width=64)
+ANY_VALUE = st.one_of(
+    st.integers(-9, 9), FRAC, FLOATS, st.booleans(), FRAC.map(str), DECIMAL_STRINGS
+)
+any_terms = st.dictionaries(
+    st.sampled_from(SLOT_PAIRS), st.one_of(ANY_VALUE, st.tuples(ANY_VALUE, ANY_VALUE)),
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_terms)
+def test_from_terms_reads_every_value_type_exactly(terms):
+    # floats, strings, bools and Fractions, alone or as (re, im), give the
+    # forms of the former complex-Fraction builder
+    assert as_pairs(InvariantForm.from_terms(terms)) == former_from_terms(terms)
+
+
+def test_from_terms_never_sums_floats():
+    # 0.1 + 0.2 rounds as a float sum; (0, 1) and (1, 0) fold onto one
+    # monomial, so the exact sum of the two binary values must come out
+    form = InvariantForm.from_terms({(0, 1): 0.1, (1, 0): (-0.2, True)})
+    exact = Fraction(0.1) + Fraction(0.2)
+    assert exact != Fraction(0.1 + 0.2)
+    assert as_pairs(form)[0] == (exact, Fraction(-1))
+    assert all(type(c) is int for c in (*form.re.nums, *form.im.nums))
+
+
+def former_class(torus_fractions, exc_fractions) -> KummerClass:
+    """A blowup class built as before, from Fraction coordinates."""
+    return KummerClass(
+        TORUS_LATTICE.rational_vector(torus_fractions),
+        EXCEPTIONAL_LATTICE.rational_vector(exc_fractions),
+    )
+
+
+def test_kummer_builders_match_the_former_fraction_built_classes():
+    zero = [Fraction(0)] * 6
+    built = {f"E{i}": exceptional(i) for i in range(NUM_EXCEPTIONAL)}
+    former = {
+        f"E{i}": former_class(zero, [Fraction(int(j == i)) for j in range(NUM_EXCEPTIONAL)])
+        for i in range(NUM_EXCEPTIONAL)
+    }
+    vol = former_torus_class(former_from_terms({(0, 2): 1, (1, 3): 1}))
+    area = former_torus_class(former_from_terms({(0, 1): (0, 1), (2, 3): (0, 1)}))
+    built["kappa"] = kappa_hat()
+    former["kappa"] = former_class(vol, [HALF] * NUM_EXCEPTIONAL)
+    for sign in (1, -1):
+        built[f"eta{sign}"] = eta_hat(sign)
+        former[f"eta{sign}"] = former_class([-x for x in area], [sign * HALF] * NUM_EXCEPTIONAL)
+    for name, c in built.items():
+        f = former[name]
+        assert c == f, name
+        for part, fpart in ((c.torus_part, f.torus_part), (c.exc, f.exc)):
+            assert part.lattice is fpart.lattice
+            assert (part.nums, part.den) == (fpart.nums, fpart.den)
+            assert all(type(x) is int for x in (*part.nums, part.den))
+    # every pairing of the builders, self-pairings included, is the former one
+    coords = {name: (f.torus_part.coords, f.exc.coords) for name, f in former.items()}
+    for a in ("kappa", "eta1", "eta-1", "E0", "E15"):
+        for b in ("kappa", "eta1", "eta-1", "E0", "E15"):
+            assert pairing(built[a], built[b]) == former_pairing(coords[a], coords[b])
+
+
+def test_wedge_integrate_on_mixed_denominators():
+    # (x + iy) dz1 dz2 against (u + iv) dz1bar dz2bar: the imaginary part
+    # x v + y u vanishes for these four denominators, and the integral is the
+    # former one, -4 * (-1) (x u - y v) since dz1 dz2 dz1bar dz2bar is minus
+    # the top monomial; shifting v leaves a non-real pair, which still raises
+    x, y, u = Fraction(1, 3), Fraction(1, 2), Fraction(3, 5)
+    a = InvariantForm.from_terms({(0, 2): (x, y)})
+    for v, real in ((Fraction(-9, 10), True), (Fraction(-9, 11), False)):
+        b = InvariantForm.from_terms({(1, 3): (u, v)})
+        fa, fb = former_from_terms({(0, 2): (x, y)}), former_from_terms({(1, 3): (u, v)})
+        if real:
+            assert wedge_integrate(a, b) == former_wedge(fa, fb) == 4 * (x * u - y * v)
+            assert type(wedge_integrate(a, b)) is Fraction
+        else:
+            with pytest.raises(ValueError, match="wedge integral is not real"):
+                former_wedge(fa, fb)
+            with pytest.raises(ValueError, match="wedge integral is not real"):
+                wedge_integrate(a, b)

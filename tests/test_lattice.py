@@ -198,6 +198,17 @@ def test_degenerate_signature_rejected():
     bad = Lattice("bad", IntMatrix([[0, 0], [0, 2]]))
     with pytest.raises(ValueError):
         bad.signature()
+    # det G = 0: the elimination raises "degenerate form", which makes
+    # is_unimodular False, before or after signature raises
+    for rows in ([[0, 0], [0, 2]], [[2, 2], [2, 2]]):
+        dup = Lattice("dup", IntMatrix(rows))
+        assert dup.is_unimodular() is False
+        with pytest.raises(ValueError, match="degenerate form"):
+            dup.signature()
+        assert dup.is_unimodular() is False
+    # rank 0: the empty Gram has det 1 and signature (0, 0)
+    empty = Lattice("empty", IntMatrix([]))
+    assert empty.is_unimodular() and empty.signature() == (0, 0)
     with pytest.raises(ValueError):
         Lattice("asym", IntMatrix([[0, 1], [2, 0]]))
 
@@ -268,6 +279,83 @@ def test_signature_matches_fraction_oracle(rows):
             lattice.signature()
         return
     assert lattice.signature() == expected
+
+
+@st.composite
+def gram_rows(draw):
+    """Symmetric integer rows of rank 1-6: random, unimodular (P^T D P for an
+    upper unitriangular P, so P e_0 = e_0, and D a diagonal of +-1 or H plus
+    one), or degenerate (the last basis vector repeats the first, so
+    e_0 - e_{n-1} is in the kernel).  The leading entry is zero in about half
+    of them, and then the congruence repair of symmetric_bareiss runs."""
+    kind = draw(st.sampled_from(("random", "unimodular", "degenerate")))
+    n = draw(st.integers(1, 6))
+    zero_lead = draw(st.booleans())
+    if kind == "unimodular":
+        d = [[0] * n for _ in range(n)]
+        for i in range(n):
+            d[i][i] = draw(st.sampled_from((1, -1)))
+        if zero_lead and n >= 2:
+            d[0][0] = d[1][1] = 0
+            d[0][1] = d[1][0] = 1
+        p = [[int(i == j) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                p[i][j] = draw(st.integers(-2, 2))
+        pt = list(zip(*p))
+        return [[sum(pt[i][a] * d[a][b] * p[b][j] for a in range(n) for b in range(n))
+                 for j in range(n)] for i in range(n)]
+    m = n - 1 if kind == "degenerate" and n >= 2 else n
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            rows[i][j] = rows[j][i] = draw(st.integers(-4, 4))
+    if zero_lead:
+        rows[0][0] = 0
+    if kind == "degenerate":
+        if n == 1:
+            return [[0]]
+        for row in rows:
+            row.append(row[0])
+        rows.append(list(rows[0]))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(gram_rows())
+def test_one_elimination_gives_signature_and_unimodularity(rows):
+    # is_unimodular reads |det G| off the last symmetric_bareiss pivot, which
+    # signature shares; both agree with their independent oracles
+    lattice = Lattice("sym", IntMatrix(rows))
+    assert lattice.is_unimodular() == (abs(det(IntMatrix(rows))) == 1)
+    try:
+        expected = fraction_signature(rows)
+    except ValueError:
+        with pytest.raises(ValueError, match="degenerate form"):
+            lattice.signature()
+        return
+    assert lattice.signature() == expected
+    assert Lattice("sym", IntMatrix(rows)).signature() == expected
+
+
+def test_each_lattice_eliminates_once(monkeypatch):
+    # the pivots are cached on the lattice object, not across objects
+    calls = []
+    kernel = k3dh.lattice.symmetric_bareiss
+
+    def counted(m):
+        calls.append(m.nrows)
+        return kernel(m)
+
+    monkeypatch.setattr(k3dh.lattice, "symmetric_bareiss", counted)
+    k3 = make_K3()
+    assert k3.signature() == (3, 19) and k3.is_unimodular() and k3.signature() == (3, 19)
+    assert calls == [22]
+    assert make_K3().is_unimodular()
+    assert calls == [22, 22]
+    bad = Lattice("dup", IntMatrix([[2, 2], [2, 2]]))
+    assert not bad.is_unimodular() and not bad.is_unimodular()
+    assert calls == [22, 22, 2]
 
 
 def test_json_round_trip():
