@@ -350,9 +350,11 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                         _col_swap(a, k, j)
                         _row_swap(vt, k, j)
                         moved = True
-            if not moved and all(a[i][k] == 0 for i in range(R) if i != k) and all(
-                a[k][j] == 0 for j in range(C) if j != k
-            ):
+            # without a swap the row pass left every a[i][k] (i != k) at
+            # zero, and the column pass then subtracted multiples of that
+            # column, changing only row k, whose entries it left at zero
+            # too: the pivot's row and column are clear
+            if not moved:
                 break
         # divisibility: d_k must divide every remaining entry
         fixed = True

@@ -94,7 +94,10 @@ class Isometry:
         n = self.lattice.rank
         if self.matrix.nrows != n or self.matrix.ncols != n:
             raise ValueError("matrix shape does not match the lattice rank")
-        if not preserves_pairing(self):
+        # M^T G M = G on the full Gram matrix, computed from scratch; G is
+        # sparse and the row-sparse product makes a near-identity M cheap
+        g = self.lattice.gram
+        if self.matrix.transpose().mul(g.mul(self.matrix)) != g:
             raise ValueError("matrix does not preserve the pairing")
 
     @classmethod
@@ -123,14 +126,6 @@ class Isometry:
 
     def inverse(self) -> "Isometry":
         return Isometry._unchecked(self.lattice, int_inverse(self.matrix))
-
-
-def preserves_pairing(phi: Isometry) -> bool:
-    """M^T G M = G on the full Gram matrix, computed from scratch."""
-    g = phi.lattice.gram
-    # M^T (G M): G is sparse and the row-sparse product makes a
-    # near-identity M cheap
-    return phi.matrix.transpose().mul(g.mul(phi.matrix)) == g
 
 
 def _exit_check(phi: Isometry) -> Isometry:

@@ -40,21 +40,6 @@ class Sublattice:
         return len(self.basis)
 
     @cached_property
-    def coordinate_matrix(self) -> IntMatrix:
-        return IntMatrix([v.coords for v in self.basis])
-
-    @cached_property
-    def divisors(self) -> tuple[int, ...]:
-        """Nonzero elementary divisors of the coordinate matrix (cached)."""
-        return elementary_divisors(self.coordinate_matrix)
-
-    def is_independent(self) -> bool:
-        return len(self.divisors) == self.rank
-
-    def is_saturated(self) -> bool:
-        return all(x == 1 for x in self.divisors)
-
-    @cached_property
     def restricted_gram(self) -> IntMatrix:
         # __post_init__ checked that the basis lives in the ambient lattice,
         # whose Gram matrix is symmetric (Lattice.__post_init__), so each
@@ -102,10 +87,13 @@ def is_primitive_embedding(vectors: Sequence[LatticeVector]) -> bool:
     """
     if not vectors:
         return True
-    sub = Sublattice(vectors[0].lattice, tuple(vectors))
-    if not sub.is_independent():
+    for v in vectors:
+        if v.lattice != vectors[0].lattice:
+            raise ValueError("basis vector does not live in the ambient lattice")
+    divisors = elementary_divisors(IntMatrix([v.coords for v in vectors]))
+    if len(divisors) != len(vectors):
         raise ValueError("vectors are linearly dependent")
-    return sub.is_saturated()
+    return all(x == 1 for x in divisors)
 
 
 def orthogonal_complement(
@@ -135,7 +123,6 @@ def orthogonal_complement(
     r = sum(1 for i in range(min(d.nrows, d.ncols)) if d[i, i] != 0)
     cols = v_trans.transpose().rows  # columns of the transform
     basis = tuple(ambient.vector(cols[j]) for j in range(r, ambient.rank))
-    out = Sublattice(ambient, basis)
-    if not out.is_saturated():
+    if any(x != 1 for x in elementary_divisors(IntMatrix([b.coords for b in basis]))):
         raise InvariantError("orthogonal complement basis is not saturated")
-    return out
+    return Sublattice(ambient, basis)

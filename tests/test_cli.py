@@ -15,9 +15,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from k3dh import cli
+from k3dh import cli, isometry, period
 from k3dh.cli import InputError, main, run_verify_paper
-from k3dh.isometry import StandardizationError, eichler_transvection
+from k3dh.exact_linalg import IntMatrix
+from k3dh.isometry import StandardizationError, eichler_transvection, flip_third_H
 from k3dh.lattice import RationalVector, k3_e, k3_f, make_E8, make_K3, norm
 from k3dh.moment import DHPolynomial, pair_from_polynomial, rational_to_str
 from k3dh.period import PeriodPoint
@@ -604,6 +605,85 @@ def test_verify_reports_a_failed_lemma_construction(monkeypatch, capsys):
     code, out, _ = run(capsys, "verify", "--json")
     assert code == 1
     assert json.loads(out)["summary"]["failed"] == 2
+
+
+def test_isometry_reports_a_library_fault_as_a_failed_construction(
+        monkeypatch, capsys, tmp_path):
+    # lemma_iso's orientation exit check fails: the isometry module's
+    # preserves_components answers wrong.  cli binds its own, so the
+    # calibration of the reference isometries still sees the right answer
+    real = isometry.preserves_components
+    monkeypatch.setattr(isometry, "preserves_components", lambda phi: not real(phi))
+    path = write_json(tmp_path, "pairs.json", quadratic_pairs_doc())
+    for flags in ([], ["--reverse"]):
+        code, out, err = run(capsys, "isometry", "--pairs", path, *flags)
+        assert (code, err) == (1, "")
+        assert "[FAIL] isometry:construction" in out
+        assert "orientation character is wrong" in out
+        assert "matrix:" not in out
+    failed = {c.check_id for c in run_verify_paper().checks if not c.passed}
+    assert failed == {"isometry:lemma-preserve", "isometry:lemma-reverse"}
+
+
+def spy(monkeypatch, fn):
+    """The list of calls of fn, recorded through every k3dh module that
+    binds it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("k3dh."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_each_isometry_claim_is_evaluated_once(monkeypatch, capsys, tmp_path):
+    # the flip of the third hyperbolic summand is built and checked once per
+    # lattice, not once per request
+    flip_third_H(make_K3())
+    orientations = spy(monkeypatch, isometry.preserves_components)
+    # each M^T G M = G evaluation multiplies the Gram matrix by M once
+    gram, mul = make_K3().gram, IntMatrix.mul
+    full_checks = []
+
+    def counted_mul(self, other):
+        if self == gram:
+            full_checks.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(IntMatrix, "mul", counted_mul)
+    # the target is the model pair: g is the identity and only phi takes the
+    # full check, which lemma_iso's exit check still makes
+    path = write_json(tmp_path, "pairs.json", quadratic_pairs_doc())
+    for flags in ([], ["--reverse"]):
+        orientations.clear()
+        full_checks.clear()
+        code, out, _ = run(capsys, "isometry", "--pairs", path, *flags)
+        assert code == 0 and "4/4 checks passed" in out
+        assert len(orientations) == 1
+        assert len(full_checks) == 1
+
+
+def test_each_period_record_tests_the_cone_once(monkeypatch, capsys, tmp_path):
+    memberships = spy(monkeypatch, period.is_in_k_omega)
+    k = [0] * 22
+    k[0], k[1], k[4], k[5] = 2, 3, 1, 1
+    re, im = [0] * 22, [0] * 22
+    re[0] = re[1] = 1
+    im[2] = im[3] = 1
+    outside = [0] * 22
+    outside[0], outside[1] = 1, -1
+    for kappa, member in ((k, "true"), (outside, "false")):
+        memberships.clear()
+        path = write_json(tmp_path, "p.json", {"kappa": kappa, "re": re, "im": im})
+        code, out, _ = run(capsys, "period-check", path)
+        assert code == 0 and f"in tame cone: {member}" in out
+        assert len(memberships) == 1
 
 
 def test_unknown_subcommand_exits_2():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3dh import sublattice
-from k3dh.exact_linalg import IntMatrix, InvariantError
+from k3dh.exact_linalg import IntMatrix, InvariantError, elementary_divisors
 from k3dh.lattice import Lattice, make_H, make_K3, k3_e, k3_f, norm, pairing
 from k3dh.sublattice import (
     Sublattice,
@@ -46,6 +46,8 @@ def test_dependent_input_rejected():
         is_primitive_embedding([e1, 2 * e1])
     with pytest.raises(ValueError, match="ambient"):
         Sublattice(K3, (e1, H.basis_vector(0)))
+    with pytest.raises(ValueError, match="ambient"):
+        is_primitive_embedding([e1, H.basis_vector(0)])
 
 
 def test_complement_of_e1_in_h():
@@ -61,14 +63,14 @@ def test_complement_of_empty_set_is_everything():
     for vectors in ([], [K3.vector([0] * 22), K3.rational_vector([0] * 22)]):
         comp = orthogonal_complement(K3, vectors)
         assert comp.rank == 22
-        assert comp.is_saturated()
+        assert is_primitive_embedding(comp.basis)
 
 
 def test_complement_of_positive_three_plane():
     plane = [k3_e(K3, i) + k3_f(K3, i) for i in range(3)]
     comp = orthogonal_complement(K3, plane)
     assert comp.rank == 19
-    assert comp.is_saturated()
+    assert is_primitive_embedding(comp.basis)
     lat = Lattice("comp", comp.restricted_gram)
     assert lat.signature() == (0, 19)
     # e_i - f_i and both E8 blocks produce vectors of self-pairing -2 inside
@@ -93,10 +95,10 @@ def test_complement_orthogonality_random():
         for b in comp.basis:
             for v in vecs:
                 assert pairing(b, v) == 0
-        assert comp.is_saturated()
+        assert is_primitive_embedding(comp.basis)
         nonzero = [v for v in vecs if not v.is_zero()]
         if nonzero:
-            span_rank = Sublattice(K3, tuple(nonzero)).divisors
+            span_rank = elementary_divisors(IntMatrix([v.coords for v in nonzero]))
             assert comp.rank == 22 - len(span_rank)
 
 
