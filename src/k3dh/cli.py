@@ -475,6 +475,28 @@ _PERIOD_SAMPLES = 50
 _SEED = 52706
 
 
+def _kappa_numerators(rng: random.Random, n: int) -> tuple[int, ...]:
+    """n numerators over 6, the draws of
+    rng.randint(-8, 8) * (6 // rng.choice((1, 2, 3))) repeated n times.
+
+    Both calls reduce to CPython's Random._randbelow(w): getrandbits(k) for
+    the bit length k of the width w (17 and 3), drawn again while it is not
+    below w.  Making those draws here consumes the same stream and yields
+    the same values without the overhead of the two calls.
+    """
+    bits = rng.getrandbits
+    nums = []
+    for _ in range(n):
+        r = bits(5)
+        while r >= 17:
+            r = bits(5)
+        s = bits(2)
+        while s == 3:
+            s = bits(2)
+        nums.append((r - 8) * (6, 3, 2)[s])
+    return tuple(nums)
+
+
 def _period_samples(K3: Lattice):
     """The battery's seeded period records (kappa, re, im), built from ints.
 
@@ -493,9 +515,8 @@ def _period_samples(K3: Lattice):
         re[E1] = re[F1] = im[E2] = im[F2] = a
         re[E2] = re[F2] = b
         im[E1] = im[F1] = -b
-        nums = tuple(rng.randint(-8, 8) * (6 // rng.choice((1, 2, 3))) for _ in range(n))
         yield (
-            RationalVector(K3, nums, 6),
+            RationalVector(K3, _kappa_numerators(rng, n), 6),
             RationalVector(K3, tuple(re)),
             RationalVector(K3, tuple(im)),
         )

@@ -13,7 +13,9 @@ garbage.
 
 Every pairing goes through one kernel: Lattice.gram_times computes G v once
 per vector and caches it on the vector as `gv`, and a pairing is then one
-dot product of the other side's numerators with that image.  A vector also
+dot product of the other side's numerators with that image.  The kernel is
+compiled once per distinct Gram matrix, on its first pairing, into one
+straight-line tuple expression over the nonzero Gram entries.  A vector also
 caches its self-pairing `vv`, that dot product with its own image, so
 pairing a vector with itself again is a lookup.  One self-pairing does not
 use the kernel: Lattice._support_self_pairing sums over the Gram rows in
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul, neg
 from typing import ClassVar, Iterable, Sequence, Union
@@ -32,6 +34,53 @@ from typing import ClassVar, Iterable, Sequence, Union
 from .exact_linalg import IntMatrix, clip_repr, int_tuple, symmetric_bareiss
 
 Coord = Union[int, Fraction]
+
+
+class memoized:
+    """An attribute computed on first access and stored in the instance
+    __dict__, where later lookups find it without calling the descriptor.
+    Unlike functools.cached_property on Python < 3.12 it takes no lock: two
+    threads racing on a miss both compute the same value."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+# terms per left-deep sum in a compiled kernel; longer rows nest sums of
+# sums, so the expression depth grows with the log of the row length
+_KERNEL_GROUP = 16
+
+
+@lru_cache(maxsize=64)
+def _gram_kernel(entries: tuple[tuple[tuple[int, int], ...], ...]):
+    """v -> G v for the sparse Gram rows `entries`, compiled to one tuple
+    expression such as (v[1], v[0], ..., c0 * v[6] + v[8], ...).  A Gram
+    entry other than +-1 enters as a closure variable, never as a literal,
+    so no coefficient is converted to a string."""
+    names: dict[int, str] = {}
+    rows = []
+    for row in entries:
+        terms = [
+            f"v[{j}]" if g == 1 else f"-v[{j}]" if g == -1
+            else f"{names.setdefault(g, f'c{len(names)}')} * v[{j}]"
+            for j, g in row
+        ]
+        while len(terms) > _KERNEL_GROUP:
+            terms = [
+                "(" + " + ".join(terms[i:i + _KERNEL_GROUP]) + ")"
+                for i in range(0, len(terms), _KERNEL_GROUP)
+            ]
+        rows.append(" + ".join(terms) or "0")
+    source = f"lambda {', '.join(names.values())}: lambda v: ({''.join(r + ', ' for r in rows)})"
+    return eval(source, {"__builtins__": {}})(*names)
 
 
 @dataclass(frozen=True)
@@ -45,27 +94,26 @@ class Lattice:
         if not self.gram.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
 
-    @cached_property
+    @memoized
     def rank(self) -> int:
         return self.gram.nrows
 
-    @cached_property
+    @memoized
     def _gram_entries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         # sparse rows of the Gram matrix: row i holds (j, G_ij) for G_ij != 0
         return tuple(
             tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram.rows
         )
 
+    @memoized
+    def _kernel(self):
+        # shared by every lattice with the same Gram matrix
+        return _gram_kernel(self._gram_entries)
+
     def gram_times(self, v: Sequence[int]) -> tuple[int, ...]:
-        """G v for integer coordinates or numerators, the one pairing kernel.
-        G is symmetric, so G v is the sum of the Gram rows in supp(v), each
-        scaled by its coordinate."""
-        out = [0] * self.rank
-        for c, row in zip(v, self._gram_entries):
-            if c:
-                for j, g in row:
-                    out[j] += g * c
-        return tuple(out)
+        """G v for integer coordinates or numerators, the one pairing kernel:
+        row i of G dotted with v, for a sequence v of the lattice's rank."""
+        return self._kernel(v)
 
     def _support_self_pairing(self, v: Sequence[int]) -> int:
         """v^T G v from the Gram rows in supp(v) alone, without building G v:
@@ -81,7 +129,7 @@ class Lattice:
                 total += c * s
         return total
 
-    @cached_property
+    @memoized
     def _basis(self) -> tuple["LatticeVector", ...]:
         # built once per lattice, so each basis vector caches its gv once
         n = self.rank
@@ -116,7 +164,7 @@ class Lattice:
     def is_even(self) -> bool:
         return all(self.gram[i, i] % 2 == 0 for i in range(self.rank))
 
-    @cached_property
+    @memoized
     def _pivots(self) -> tuple[int, ...] | None:
         """The pivots p_0, ..., p_{n-1} of symmetric_bareiss, computed once,
         or None when the elimination finds the form degenerate."""
@@ -206,17 +254,17 @@ class RationalVector:
         object.__setattr__(v, "den", den)
         return v
 
-    @cached_property
+    @memoized
     def coords(self) -> tuple[Fraction, ...]:
         den = self.den
         return tuple(Fraction(c, den) for c in self.nums)
 
-    @cached_property
+    @memoized
     def gv(self) -> tuple[int, ...]:
         """G times the numerators, computed once."""
         return self.lattice.gram_times(self.nums)
 
-    @cached_property
+    @memoized
     def vv(self) -> int:
         """Self-pairing of the numerators, computed once."""
         return _self_pairing(self)
@@ -292,12 +340,12 @@ class LatticeVector:
     def nums(self) -> tuple[int, ...]:
         return self.coords
 
-    @cached_property
+    @memoized
     def gv(self) -> tuple[int, ...]:
         """G times the coordinates, computed once."""
         return self.lattice.gram_times(self.coords)
 
-    @cached_property
+    @memoized
     def vv(self) -> int:
         """Self-pairing of the coordinates, computed once."""
         return _self_pairing(self)

@@ -9,7 +9,6 @@ all 1; orthogonal complements are always returned with a primitive
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 from typing import Sequence
 
@@ -20,7 +19,7 @@ from .exact_linalg import (
     int_tuple,
     smith_normal_form,
 )
-from .lattice import Lattice, LatticeVector, RationalVector, pairing_nums
+from .lattice import Lattice, LatticeVector, RationalVector, memoized, pairing_nums
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,7 @@ class Sublattice:
     def rank(self) -> int:
         return len(self.basis)
 
-    @cached_property
+    @memoized
     def restricted_gram(self) -> IntMatrix:
         # __post_init__ checked that the basis lives in the ambient lattice,
         # whose Gram matrix is symmetric (Lattice.__post_init__), so each
@@ -51,7 +50,7 @@ class Sublattice:
                 rows[i][j] = rows[j][i] = pairing_nums(u, basis[j])
         return IntMatrix(rows)
 
-    @cached_property
+    @memoized
     def sparse_basis(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The basis rows as their nonzero entries (j, b_j) (cached)."""
         return tuple(

@@ -263,6 +263,32 @@ def test_period_samples_follow_the_former_law():
     assert any(not re.nums[2] for _, re, _ in samples)
 
 
+def test_kappa_draws_match_randint_and_choice():
+    # the stdlib is the oracle: the getrandbits draws consume the same
+    # stream as randint(-8, 8) and choice((1, 2, 3)) and return the same
+    # values, on every seed, leaving the generator in the same state
+    for seed in range(300):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        got = cli._kappa_numerators(ours, 22)
+        want = tuple(stdlib.randint(-8, 8) * (6 // stdlib.choice((1, 2, 3))) for _ in range(22))
+        assert got == want
+        assert ours.getstate() == stdlib.getstate()
+    assert cli._kappa_numerators(random.Random(0), 0) == ()
+
+
+# sha256 of the 50 samples as JSON: for each of kappa, re and im, its
+# numerators followed by its denominator
+PERIOD_SAMPLES_DIGEST = "16c5ea68d588c20b2762e5b763fa8f6d1f27b5d25573d1a250df2c62a09aa14a"
+
+
+def test_period_samples_are_pinned():
+    # pinned apart from the stdlib oracle above, so the battery's law stays
+    # fixed even if an interpreter changes how randint draws
+    rows = [[[*v.nums, v.den] for v in sample] for sample in cli._period_samples(K3)]
+    assert len(rows) == 50
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == PERIOD_SAMPLES_DIGEST
+
+
 @st.composite
 def rotated_period_records(draw):
     """(kappa, re, im): kappa with denominators 1, 2 and 3, and a period

@@ -2,8 +2,9 @@
 data and console script declared for the installed package, unchecked
 constructors only in the core modules, unchecked isometries only in the
 isometry module, one evaluation per verified claim, one pairing kernel on
-integers, one symmetric elimination, every library name called outside the
-unit tests, and every benchmark tracer entry bound in the library."""
+integers and one place that compiles code, no locking cached_property, one
+symmetric elimination, every library name called outside the unit tests, and
+every benchmark tracer entry bound in the library."""
 import ast
 import importlib
 import importlib.util
@@ -170,6 +171,44 @@ def test_one_pairing_kernel():
         for site in attribute_uses(module, source, "_gram_entries")
     ]
     assert found == []
+
+
+def dynamic_code_sites(sources: dict[str, str]) -> list[str]:
+    """module.function:builtin for each call of eval, exec or compile."""
+    return sorted(
+        f"{module}.{scope}:{name}"
+        for module, source in sources.items()
+        for name in ("eval", "exec", "compile")
+        for scope in call_sites(source, name)
+    )
+
+
+def test_only_the_gram_kernel_compiles_code():
+    # the compiled pairing kernel is source text built from Gram indices,
+    # with every coefficient bound as a closure variable; no other library
+    # code builds and runs source
+    sources = dict(library_sources())
+    assert dynamic_code_sites(sources) == ["lattice._gram_kernel:eval"]
+    # the scan does flag a call planted in another module
+    planted = dict(sources, period=sources["period"] + "\ndef f(s):\n    return exec(s)\n")
+    assert dynamic_code_sites(planted) == ["lattice._gram_kernel:eval", "period.f:exec"]
+
+
+def test_no_functools_cached_property():
+    # on Python < 3.12 every first access of a cached_property takes a lock;
+    # the library memoizes with lattice.memoized instead
+    def uses(source):
+        return [
+            node.lineno
+            for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.alias) and node.name == "cached_property")
+            or (isinstance(node, ast.Attribute) and node.attr == "cached_property")
+        ]
+
+    found = [f"{module}:{line}" for module, source in library_sources() for line in uses(source)]
+    assert found == []
+    assert uses("from functools import cached_property") == [1]
+    assert uses("import functools\nx = functools.cached_property") == [2]
 
 
 def test_pairing_kernel_sees_only_integers(monkeypatch, capsys, tmp_path):

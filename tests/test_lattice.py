@@ -1,8 +1,12 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +33,7 @@ from k3dh.lattice import (
     rescale,
 )
 from k3dh.isometry import eichler_transvection
+from k3dh.kummer import EXCEPTIONAL_LATTICE, TORUS_LATTICE, WEDGE_LATTICE
 from k3dh.period import PeriodPoint, project_to_alpha_perp
 from k3dh.sublattice import Sublattice, integral_primitive
 
@@ -554,6 +559,114 @@ def random_symmetric_lattice(rng, n):
         i, j = others[:2]
         rows[i][j] = rows[j][i] = -rng.randint(1, 9)
     return Lattice(f"random{n}", IntMatrix(rows))
+
+
+def former_gram_times(l, v):
+    """Test-only oracle: the former body of Lattice.gram_times, the sum of
+    the sparse Gram rows in supp(v), each scaled by its coordinate."""
+    out = [0] * l.rank
+    for c, row in zip(v, l._gram_entries):
+        if c:
+            for j, g in row:
+                out[j] += g * c
+    return tuple(out)
+
+
+def test_compiled_kernel_matches_the_former_loop():
+    rng = random.Random(23)
+    randoms = [random_symmetric_lattice(rng, n) for n in (1, 2, 3, 6, 13, 22)]
+    lattices = (
+        K3, make_E8(), make_H(), Lattice("odd", IntMatrix([[3, 1], [1, -5]])),
+        WEDGE_LATTICE, TORUS_LATTICE, EXCEPTIONAL_LATTICE,
+        Lattice("empty", IntMatrix([])), *randoms,
+    )
+    for lattice in lattices:
+        basis = [[int(i == j) for j in range(lattice.rank)] for i in range(lattice.rank)]
+        draws = [
+            [rng.randint(-9, 9) if rng.random() < p else 0 for _ in range(lattice.rank)]
+            for p in (0.0, 0.2, 0.6, 1.0) for _ in range(5)
+        ]
+        for x in basis + draws:
+            expected = former_gram_times(lattice, x)
+            assert lattice.gram_times(x) == lattice.gram_times(tuple(x)) == expected
+            assert type(lattice.gram_times(x)) is tuple
+    assert Lattice("empty", IntMatrix([])).gram_times(()) == ()
+    # one kernel per distinct Gram matrix, shared by equal lattices
+    assert make_K3()._kernel is K3._kernel
+    assert make_E8()._kernel is not K3._kernel
+
+
+def test_compiled_kernel_takes_long_rows_and_huge_entries():
+    # a row of 5,000 nonzero entries nests its sums instead of chaining
+    # them, so the compiler does not run out of recursion depth
+    n = 5000
+    row = tuple((j, (-1) ** j * (j % 5)) for j in range(n) if j % 5) + tuple(
+        (j, (-1) ** (j // 5)) for j in range(0, n, 5)
+    )
+    row = tuple(sorted(row))
+    assert len(row) == n
+    v = tuple((j * 7919) % 23 - 11 for j in range(n))
+    kernel = k3dh.lattice._gram_kernel((row, ((0, 3),), ()))
+    assert kernel(v) == (sum(g * v[j] for j, g in row), 3 * v[0], 0)
+    assert kernel(list(v)) == kernel(v)
+    # an entry with more digits than int -> str allows: no coefficient
+    # reaches the kernel as a literal
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300
+    huge = 10 ** (limit + 1) + 7
+    lattice = Lattice("huge", IntMatrix([[huge, -huge, 0], [-huge, 2, 1], [0, 1, huge]]))
+    for x in ([1, 0, 0], [3, -2, 5], (0, 7, -1)):
+        assert lattice.gram_times(x) == former_gram_times(lattice, x)
+    assert lattice.vector([1, 1, 1]).vv == huge + 2 * -huge + 2 + 2 + huge
+
+
+def test_no_kernel_is_compiled_before_the_first_pairing():
+    # a fresh interpreter imports every module and builds the standard
+    # lattices and the packaged model without compiling a kernel
+    code = (
+        "import k3dh.cli, k3dh.lattice as l\n"
+        "from k3dh.moment import packaged_model\n"
+        "l.make_K3(); l.make_E8(); packaged_model()\n"
+        "print(l._gram_kernel.cache_info().currsize)\n"
+        "l.make_H().basis_vector(0).vv\n"
+        "print(l._gram_kernel.cache_info().currsize)\n"
+    )
+    src = str(Path(k3dh.lattice.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == ["0", "1"]
+
+
+def test_memoized_attributes_are_computed_once_and_stored(monkeypatch):
+    sub_basis = (k3_e(K3, 0), k3_f(K3, 1))
+    cases = (
+        (Lattice, "_gram_entries", lambda: Lattice("H", IntMatrix([[0, 1], [1, 0]]))),
+        (LatticeVector, "gv", lambda: K3.vector([1, 2] + [0] * 20)),
+        (RationalVector, "vv", lambda: K3.rational_vector([Fraction(1, 3)] * 22)),
+        (Sublattice, "restricted_gram", lambda: Sublattice(K3, sub_basis)),
+    )
+    for cls, name, build in cases:
+        descriptor = vars(cls)[name]
+        assert isinstance(descriptor, k3dh.lattice.memoized)
+        assert getattr(cls, name) is descriptor  # class access
+        calls = []
+        compute = descriptor.fn
+
+        def counted(obj, compute=compute):
+            calls.append(obj)
+            return compute(obj)
+
+        monkeypatch.setattr(descriptor, "fn", counted)
+        obj = build()
+        assert name not in obj.__dict__
+        first = getattr(obj, name)
+        assert obj.__dict__[name] is first and getattr(obj, name) is first
+        assert calls == [obj]
+        # frozen: the stored value is read-only
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, first)
+        monkeypatch.undo()
 
 
 def test_self_pairing_matches_dense_oracle(monkeypatch):
