@@ -58,6 +58,15 @@ def int_tuple(values: Iterable, what: str) -> tuple[int, ...]:
     return t
 
 
+def row_combination(coeffs: Sequence[int], rows: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """coeffs^T A for the row tuples of A: the sum of c * rows[k] over the
+    nonzero c, or rows[k] itself when that is the one term and c = 1."""
+    terms = [row if c == 1 else [c * x for x in row] for c, row in zip(coeffs, rows) if c]
+    if len(terms) == 1:
+        return tuple(terms[0])
+    return tuple(map(sum, zip(*terms))) if terms else (0,) * len(rows[0])
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix, stored as a tuple of row tuples."""
@@ -99,12 +108,12 @@ class IntMatrix:
         return IntMatrix._trusted(tuple(zip(*self.rows)))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
-        """Row-sparse product: output row i is the sum of a * other.rows[k]
-        over the nonzero entries a = self[i, k], so the cost is
-        nnz(self) * other.ncols.  A zero row or a unit row (one entry 1,
-        the rest 0) is found by C-level scans and gives a shared row of the
-        result without a Python loop, so a transvection-shaped left factor
-        (identity plus one row and one column) costs O(n * nnz)."""
+        """Row-sparse product: output row i is row_combination(self.rows[i],
+        other.rows), at a cost of nnz(self) * other.ncols.  A zero row or a
+        unit row (one entry 1, the rest 0) is found by C-level scans and
+        gives a shared row of the result without a Python loop, so a
+        transvection-shaped left factor (identity plus one row and one column)
+        costs O(n * nnz)."""
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
         last = self.ncols - 1
@@ -117,13 +126,7 @@ class IntMatrix:
             elif zeros > last:
                 out.append(zero)
             else:
-                terms = [(a, orow) for a, orow in zip(row, other.rows) if a]
-                if len(terms) == 1:
-                    a, orow = terms[0]
-                    out.append(tuple([a * x for x in orow]))
-                else:
-                    scaled = [orow if a == 1 else [a * x for x in orow] for a, orow in terms]
-                    out.append(tuple(map(sum, zip(*scaled))))
+                out.append(row_combination(row, other.rows))
         return IntMatrix._trusted(tuple(out))
 
     def is_symmetric(self) -> bool:

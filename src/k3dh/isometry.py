@@ -64,7 +64,7 @@ from functools import cache
 from itertools import groupby
 from operator import mul
 
-from .exact_linalg import IntMatrix, InvariantError, int_inverse, xgcd_vector
+from .exact_linalg import IntMatrix, InvariantError, int_inverse, row_combination, xgcd_vector
 from .lattice import (
     E1, E2, E3, F1, F2, F3, K3_BLOCKS,
     Lattice,
@@ -183,19 +183,11 @@ def _transvection_data(e: LatticeVector, a: LatticeVector):
     return ge, [y + (na // 2) * x for x, y in zip(ge, ga)]
 
 
-def _combination(coeffs, rows) -> list:
-    """The row vector coeffs^T A: the sum of c * rows[k] over nonzero c."""
-    terms = [row if c == 1 else [c * x for x in row] for c, row in zip(coeffs, rows) if c]
-    if len(terms) == 1:
-        return terms[0]
-    return list(map(sum, zip(*terms))) if terms else [0] * len(rows[0])
-
-
 def _transvected(rows, e: LatticeVector, a: LatticeVector, ge, w) -> tuple:
     """The rows of E(e, a) A = A + a (ge^T A) - e (w^T A) for the rows of A,
     with ge and w from _transvection_data: two sparse row combinations of A,
     then an update of the rows in supp(a) ∪ supp(e); the others are shared."""
-    x, y = _combination(ge, rows), _combination(w, rows)
+    x, y = row_combination(ge, rows), row_combination(w, rows)
     out = list(rows)
     for i, (ai, ei) in enumerate(zip(a.coords, e.coords)):
         if ai and ei:

@@ -17,10 +17,7 @@ dot product of the other side's numerators with that image.  The kernel is
 compiled once per distinct Gram matrix, on its first pairing, into one
 straight-line tuple expression over the nonzero Gram entries.  A vector also
 caches its self-pairing `vv`, that dot product with its own image, so
-pairing a vector with itself again is a lookup.  One self-pairing does not
-use the kernel: Lattice._support_self_pairing sums over the Gram rows in
-the support of v alone, builds no G v and caches nothing; it is the norm
-check of each lifted root in shortvec.roots_orthogonal_to.
+pairing a vector with itself again is a lookup.
 """
 from __future__ import annotations
 
@@ -115,20 +112,6 @@ class Lattice:
         row i of G dotted with v, for a sequence v of the lattice's rank."""
         return self._kernel(v)
 
-    def _support_self_pairing(self, v: Sequence[int]) -> int:
-        """v^T G v from the Gram rows in supp(v) alone, without building G v:
-        the sum over the i with v_i != 0 of v_i * sum_j G_ij v_j.  A root
-        lifted to the ambient lattice has a few nonzero coordinates, and a
-        Gram row of the standard lattices a few nonzero entries."""
-        total = 0
-        for c, row in zip(v, self._gram_entries):
-            if c:
-                s = 0
-                for j, g in row:
-                    s += g * v[j]
-                total += c * s
-        return total
-
     @memoized
     def _basis(self) -> tuple["LatticeVector", ...]:
         # built once per lattice, so each basis vector caches its gv once
@@ -191,16 +174,6 @@ class Lattice:
         signs = [1] + [1 if p > 0 else -1 for p in pivots]
         negative = sum(a != b for a, b in zip(signs, signs[1:]))
         return self.rank - negative, negative
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Lattice)
-            and self.name == other.name
-            and self.gram.rows == other.gram.rows
-        )
-
-    def __hash__(self):
-        return hash((self.name, self.gram.rows))
 
     def __repr__(self):
         return f"Lattice({self.name!r}, rank={self.rank})"

@@ -44,25 +44,24 @@ def is_in_omega(re: Vec, im: Vec) -> bool:
     (R, R) i^2 = (I, I) r^2.
     """
     _check_same_lattice(re, im)
-    return _in_omega(re, im, pairing_nums(re, re), pairing_nums(im, im))
+    return _in_omega(re, im)
 
 
-def _in_omega(re: Vec, im: Vec, rr: int, ii: int) -> bool:
-    # is_in_omega given the self-pairings rr = (R, R) and ii = (I, I)
+def _in_omega(re: Vec, im: Vec) -> bool:
+    # is_in_omega for vectors of one lattice
+    rr, ii = pairing_nums(re, re), pairing_nums(im, im)
     return rr > 0 and pairing_nums(re, im) == 0 and rr * im.den**2 == ii * re.den**2
 
 
 @dataclass(frozen=True)
 class PeriodPoint:
-    """A period point; rr = (R, R) and ii = (I, I), the self-pairings of the
-    numerators, are computed once, at construction.  `_projection` holds the
-    last kappa that project_to_alpha_perp projected away from this point,
-    with its projection, or None."""
+    """A period point; the self-pairings (R, R) and (I, I) of the numerators
+    are computed at construction and cached on re and im as `vv`.
+    `_projection` holds the last kappa that project_to_alpha_perp projected
+    away from this point, with its projection, or None."""
 
     re: RationalVector
     im: RationalVector
-    rr: int = field(init=False, repr=False, compare=False)
-    ii: int = field(init=False, repr=False, compare=False)
     _projection: tuple[Vec, RationalVector] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -70,13 +69,12 @@ class PeriodPoint:
     def __post_init__(self):
         re, im = _rational(self.re), _rational(self.im)
         _check_same_lattice(re, im)
-        rr, ii = pairing_nums(re, re), pairing_nums(im, im)
-        if not _in_omega(re, im, rr, ii):
+        if not _in_omega(re, im):
             raise ValueError(
                 "not a period point: need (re,im) = 0 and (re,re) = (im,im) > 0"
             )
-        for name, value in (("re", re), ("im", im), ("rr", rr), ("ii", ii)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     @property
     def lattice(self) -> Lattice:
@@ -96,7 +94,7 @@ class PeriodPoint:
 
     def _norm_num(self) -> int:
         """(R, R) i^2 + (I, I) r^2."""
-        return self.rr * self.im.den**2 + self.ii * self.re.den**2
+        return self.re.vv * self.im.den**2 + self.im.vv * self.re.den**2
 
     def _pairing_square_num(self, kappa: Vec) -> int:
         """(K, R)^2 i^2 + (K, I)^2 r^2."""
@@ -126,8 +124,8 @@ def project_to_alpha_perp(kappa: Vec, point: PeriodPoint) -> RationalVector:
     if kappa.lattice != point.lattice:
         raise ValueError("kappa and the period point live in different lattices")
     re, im = point.re, point.im
-    pr, qr = pairing_nums(kappa, re), point.rr
-    pi, qi = pairing_nums(kappa, im), point.ii
+    pr, qr = pairing_nums(kappa, re), re.vv
+    pi, qi = pairing_nums(kappa, im), im.vv
     g, h = gcd(pr, qr), gcd(pi, qi)
     pr, qr, pi, qi = pr // g, qr // g, pi // h, qi // h
     q = qr * qi

@@ -57,8 +57,8 @@ Schnorr-Euchner, Math. Programming 66, 1994):
   coordinate is the positive one the walk chose.  On E8+E8 this ends at
   level 7 every zero-budget branch above the block of x_0, ..., x_7.
 
-A brute-force box search (naive_enumerate) and the rational enumerator
-kept in the tests are independent oracles.
+A brute-force box search and the rational enumerator, both kept in the
+tests, are independent oracles.
 """
 from __future__ import annotations
 
@@ -67,7 +67,7 @@ from math import isqrt, lcm
 from operator import mul, neg
 from typing import Sequence
 
-from .exact_linalg import IntMatrix, InvariantError, det, symmetric_bareiss
+from .exact_linalg import IntMatrix, InvariantError, int_tuple, symmetric_bareiss
 from .lattice import Lattice, LatticeVector, RationalVector, pairing_nums
 from .sublattice import integral_primitive, orthogonal_complement
 
@@ -183,6 +183,7 @@ def enumerate_norm(gram: DefiniteGram, target: int) -> tuple[tuple[int, ...], ..
     (so -2 for a negative definite Gram).  The normalized target must be
     positive.
     """
+    (target,) = int_tuple((target,), "target norm")
     t = -target if gram.negated else target
     if t <= 0:
         raise ValueError("target norm must be nonzero with the sign of the form")
@@ -192,63 +193,6 @@ def enumerate_norm(gram: DefiniteGram, target: int) -> tuple[tuple[int, ...], ..
         gram.rows, gram.weights, n - 1, gram.scale * t, [0] * n, out, True, gram.split
     )
     out += [tuple(map(neg, v)) for v in out]
-    return tuple(sorted(out))
-
-
-def _box_radii(matrix: IntMatrix, t: int) -> list[int]:
-    """isqrt(t * C_ii // det G) for each i, C_ii the principal minor of the
-    positive definite G without row and column i.
-
-    Every x with x^T G x <= t has x_i^2 <= t * (G^{-1})_ii, and
-    (G^{-1})_ii = C_ii / det G with C_ii > 0 and det G > 0 (principal minors
-    of a positive definite matrix).  x_i^2 is an integer, so
-    x_i^2 <= t * C_ii / det G iff x_i^2 <= t * C_ii // det G iff
-    |x_i| <= isqrt(t * C_ii // det G): the box of the rational bound
-    isqrt(floor(t * (G^{-1})_ii)), from integer minors (Bareiss, Math. Comp.
-    22, 1968).
-    """
-    rows = matrix.rows
-    n = len(rows)
-    d = det(matrix)
-    minors = (
-        det(IntMatrix([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != i]))
-        for i in range(n)
-    )
-    return [isqrt(t * c // d) for c in minors]
-
-
-def naive_enumerate(gram: DefiniteGram, target: int) -> tuple[tuple[int, ...], ...]:
-    """Brute-force box search; independent oracle for enumerate_norm.
-
-    The box radii are those of _box_radii, from the exact bound
-    x_i^2 <= target * (G^{-1})_ii, which holds for every x with
-    x^T G x <= target when G is positive definite.
-    """
-    t = -target if gram.negated else target
-    if t <= 0:
-        raise ValueError("target norm must be nonzero with the sign of the form")
-    n = gram.rank
-    radii = _box_radii(gram.matrix, t)
-    out = []
-    x = [-r for r in radii]
-
-    def q_of(x):
-        return sum(
-            gram.matrix[i, j] * x[i] * x[j] for i in range(n) for j in range(n)
-        )
-
-    while True:
-        if q_of(x) == t:
-            out.append(tuple(x))
-        i = 0
-        while i < n:
-            x[i] += 1
-            if x[i] <= radii[i]:
-                break
-            x[i] = -radii[i]
-            i += 1
-        if i == n:
-            break
     return tuple(sorted(out))
 
 
@@ -269,11 +213,9 @@ def roots_orthogonal_to(
     in reverse order, each of norm -2: the same tuple as lifting and
     checking every root.
 
-    Each lifted root r is checked to have (r, r) = -2 by its self-pairing
-    over its support (Lattice._support_self_pairing): the ambient
-    coordinates of r against the ambient Gram rows, so the check depends
-    neither on the enumeration nor on the restricted Gram it ran on, and
-    it builds no dense image G r for the few nonzero coordinates of r.
+    Each lifted root r is checked to have (r, r) = -2 on the ambient Gram,
+    so the check depends neither on the enumeration nor on the restricted
+    Gram it ran on.
     """
     plane = list(plane)
     if plane:
@@ -290,7 +232,7 @@ def roots_orthogonal_to(
     coords = enumerate_norm(dg, -2)
     low = tuple(comp.member_from_coefficients(c) for c in coords[: len(coords) // 2])
     for r in low:
-        if lattice._support_self_pairing(r.coords) != -2:
+        if sum(map(mul, r.coords, lattice.gram_times(r.coords))) != -2:
             raise InvariantError("enumerated root does not have norm -2")
     return low + tuple(-r for r in reversed(low))
 

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .exact_linalg import (
     IntMatrix,
     InvariantError,
+    det,
     elementary_divisors,
     int_tuple,
     smith_normal_form,
@@ -122,6 +124,12 @@ def orthogonal_complement(
     r = sum(1 for i in range(min(d.nrows, d.ncols)) if d[i, i] != 0)
     cols = v_trans.transpose().rows  # columns of the transform
     basis = tuple(ambient.vector(cols[j]) for j in range(r, ambient.rank))
-    if any(x != 1 for x in elementary_divisors(IntMatrix([b.coords for b in basis]))):
+    # exit check: the n - r basis vectors are orthogonal to every v_i, and
+    # columns of a unimodular V are independent and span a saturated
+    # sublattice, so they span the whole complement, of rank n - r for the
+    # rank r of m
+    if any(sum(map(mul, row, b.coords)) for row in m.rows for b in basis):
+        raise InvariantError("orthogonal complement basis is not orthogonal")
+    if det(v_trans) not in (1, -1):
         raise InvariantError("orthogonal complement basis is not saturated")
     return Sublattice(ambient, basis)

@@ -56,10 +56,10 @@ from k3dh.shortvec import (
     DefiniteGram,
     IndefiniteGramError,
     enumerate_norm,
-    naive_enumerate,
     roots_orthogonal_to,
 )
 from k3dh.sublattice import is_primitive_embedding
+from oracles import naive_enumerate
 
 K3 = make_K3()
 

@@ -433,7 +433,7 @@ def test_period_point_keeps_its_self_pairings(monkeypatch):
     calls = count_pairings(monkeypatch)
     point = PeriodPoint(re, im)
     assert len(calls) == 3  # (R, R), (I, I) and (R, I), once each
-    assert (point.rr, point.ii) == (pairing(re, re) * 35**2, pairing(im, im) * 35**2)
+    assert (point.re.vv, point.im.vv) == (pairing(re, re) * 35**2, pairing(im, im) * 35**2)
     del calls[:]
     point.hermitian_norm()
     assert calls == []

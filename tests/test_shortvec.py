@@ -24,13 +24,12 @@ from k3dh.lattice import (
 from k3dh.shortvec import (
     DefiniteGram,
     IndefiniteGramError,
-    _box_radii,
     enumerate_norm,
     is_generic_plane,
-    naive_enumerate,
     roots_orthogonal_to,
 )
 from k3dh.sublattice import Sublattice, orthogonal_complement
+from oracles import _box_radii, naive_enumerate
 
 K3 = make_K3()
 E8 = make_E8()
@@ -288,6 +287,21 @@ def test_wrong_sign_target_rejected():
             naive_enumerate(dg, bad)
 
 
+def test_target_must_be_an_int():
+    # the one integer rule: no bool or IntEnum read as a number, and no float
+    # or string passed on to the enumeration
+    from enum import IntEnum
+
+    class Norm(IntEnum):
+        TWO = 2
+
+    dg = DefiniteGram(IntMatrix([[2, 1], [1, 2]]))
+    assert len(enumerate_norm(dg, 2)) == 6
+    for bad in (True, Norm.TWO, 2.0, "2"):
+        with pytest.raises(TypeError, match="integer target norm"):
+            enumerate_norm(dg, bad)
+
+
 def test_plane_spanning_a_definite_lattice_has_no_complement():
     # a full basis of E8 leaves the zero complement, so there is no root
     basis = [E8.basis_vector(i) for i in range(8)]
@@ -417,23 +431,31 @@ def dense_self_pairing(lattice: Lattice, x) -> int:
 
 
 def spy_root_checks(monkeypatch) -> list[tuple[Lattice, tuple[int, ...], int]]:
-    """Record each Lattice._support_self_pairing call as (lattice, v, value)."""
+    """Record each Lattice.gram_times call made after the last enumerate_norm
+    as (lattice, v, v^T G v): the root checks of roots_orthogonal_to."""
     calls = []
-    support = Lattice._support_self_pairing
+    kernel, enumerate_ = Lattice.gram_times, shortvec.enumerate_norm
 
     def spy(self, v):
-        out = support(self, v)
-        calls.append((self, tuple(v), out))
+        out = kernel(self, v)
+        calls.append((self, tuple(v), sum(map(mul, v, out))))
         return out
 
-    monkeypatch.setattr(Lattice, "_support_self_pairing", spy)
+    def enumerated(gram, target):
+        out = enumerate_(gram, target)
+        calls.clear()
+        return out
+
+    monkeypatch.setattr(Lattice, "gram_times", spy)
+    monkeypatch.setattr(shortvec, "enumerate_norm", enumerated)
     return calls
 
 
 def test_root_check_matches_the_kernel_on_the_standard_roots(monkeypatch):
-    # roots_orthogonal_to checks each lifted root by its self-pairing over
-    # its support; on all 486 roots orthogonal to the standard plane that
-    # equals the kernel's self-pairing of a fresh vector and the dense sum
+    # roots_orthogonal_to checks each lifted root by pairing its ambient
+    # coordinates on the ambient lattice; on all 486 roots orthogonal to the
+    # standard plane that equals the self-pairing of a fresh vector and the
+    # dense sum
     calls = spy_root_checks(monkeypatch)
     plane = [k3_e(K3, i) + k3_f(K3, i) for i in range(3)]
     roots = roots_orthogonal_to(K3, plane)
@@ -442,7 +464,7 @@ def test_root_check_matches_the_kernel_on_the_standard_roots(monkeypatch):
     assert {value for _, _, value in calls} == {-2}
     for r in roots:
         fresh = K3.vector(r.coords)
-        assert K3._support_self_pairing(r.coords) == pairing_nums(fresh, fresh) == -2
+        assert sum(map(mul, r.coords, K3.gram_times(r.coords))) == pairing_nums(fresh, fresh) == -2
         assert dense_self_pairing(K3, r.coords) == -2
     # and on vectors that are not roots, with supports of every size
     rng = random.Random(21)
@@ -451,7 +473,7 @@ def test_root_check_matches_the_kernel_on_the_standard_roots(monkeypatch):
         for j in rng.sample(range(K3.rank), size):
             coords[j] = rng.randint(-9, 9)
         fresh = K3.vector(coords)
-        assert K3._support_self_pairing(coords) == pairing_nums(fresh, fresh)
+        assert sum(map(mul, coords, K3.gram_times(coords))) == pairing_nums(fresh, fresh)
         assert pairing_nums(fresh, fresh) == dense_self_pairing(K3, coords)
 
 
@@ -470,7 +492,7 @@ def test_root_check_matches_the_kernel_on_a_dense_gram(monkeypatch):
     calls = spy_root_checks(monkeypatch)
     assert not is_generic_plane(lattice, [w])
     assert len(calls) == 4
-    for lat, v, value in calls:
+    for lat, v, value in list(calls):  # the pairings below add calls
         fresh = lattice.vector(v)
         assert lat is lattice and value == -2
         assert value == pairing_nums(fresh, fresh) == dense_self_pairing(lattice, v)
@@ -479,7 +501,7 @@ def test_root_check_matches_the_kernel_on_a_dense_gram(monkeypatch):
     for _ in range(50):
         coords = [rng.randint(-5, 5) for _ in range(lattice.rank)]
         fresh = lattice.vector(coords)
-        assert lattice._support_self_pairing(coords) == pairing_nums(fresh, fresh)
+        assert sum(map(mul, coords, lattice.gram_times(coords))) == pairing_nums(fresh, fresh)
         assert pairing_nums(fresh, fresh) == dense_self_pairing(lattice, coords)
 
 

@@ -174,6 +174,65 @@ def test_orthogonal_complement_check_raises(monkeypatch):
         orthogonal_complement(K3, [k3_e(K3, 0)])
 
 
+def _shear(cols):
+    # the trailing column plus a leading one: V stays unimodular, but that
+    # basis vector no longer pairs to zero with the plane
+    cols[-1] = [x + y for x, y in zip(cols[-1], cols[0])]
+
+
+def _double_last(cols):
+    # a trailing column doubled: still orthogonal, but det V = +-2
+    cols[-1] = [2 * x for x in cols[-1]]
+
+
+@pytest.mark.parametrize("change, message", [(_shear, "not orthogonal"), (_double_last, "not saturated")])
+def test_complement_exit_check_catches_a_faulty_transform(monkeypatch, change, message):
+    snf = sublattice.smith_normal_form
+
+    def faulty(m):
+        d, v = snf(m)
+        cols = [list(c) for c in v.transpose().rows]
+        change(cols)
+        return d, IntMatrix(cols).transpose()
+
+    monkeypatch.setattr(sublattice, "smith_normal_form", faulty)
+    plane = [k3_e(K3, i) + k3_f(K3, i) for i in range(3)]
+    with pytest.raises(InvariantError, match=message):
+        orthogonal_complement(K3, plane)
+
+
+def test_complement_basis_is_the_trailing_snf_columns():
+    # the exit check changes no basis: it is the columns r, ..., n - 1 of
+    # the SNF transform, and the former full-SNF saturation test holds
+    rng = random.Random(27)
+    planes = [[k3_e(K3, i) + k3_f(K3, i) for i in range(3)]]
+    for _ in range(12):
+        planes.append(
+            [K3.vector([rng.randint(-3, 3) for _ in range(22)]) for _ in range(rng.randint(1, 3))]
+        )
+    for plane in planes:
+        m = IntMatrix([v.gv for v in plane])
+        _, v = sublattice.smith_normal_form(m)
+        r = len(elementary_divisors(m))
+        comp = orthogonal_complement(K3, plane)
+        assert [b.coords for b in comp.basis] == list(v.transpose().rows[r:])
+        assert elementary_divisors(IntMatrix([b.coords for b in comp.basis])) == (1,) * (22 - r)
+
+
+def test_complement_of_a_dense_plane_runs_no_second_snf():
+    # three dense vectors with entries in [-4, 4]: a full SNF of the 19 x 22
+    # basis, the former saturation check, did not finish within 20 s on this
+    # plane, while the exit check is one Bareiss elimination of V
+    plane = [K3.vector(c) for c in (
+        (-3, -4, 3, -2, 4, -3, 1, -1, 3, 2, -1, 3, -3, -4, -1, -2, -3, -3, 1, -2, 1, -3),
+        (3, 1, -2, 4, -3, 1, -3, -3, -1, -1, 1, 1, -2, 3, -3, -1, 2, 4, 3, 2, -4, -3),
+        (1, -2, -4, 3, 2, 1, -3, 3, 0, -4, -3, 3, 1, -1, 1, 2, -2, 0, 3, -3, -3, 0),
+    )]
+    comp = orthogonal_complement(K3, plane)
+    assert comp.rank == 19
+    assert all(pairing(b, v) == 0 for b in comp.basis for v in plane)
+
+
 def test_restricted_gram_pairs_each_unordered_pair_once(monkeypatch):
     # the mirrored upper triangle against the dense matrix of all ordered
     # pairs, with the pairings counted through the module global
