@@ -130,11 +130,8 @@ class IntMatrix:
         return IntMatrix._trusted(tuple(out))
 
     def is_symmetric(self) -> bool:
-        return self.nrows == self.ncols and all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i)
-        )
+        # rows and zip's columns are both tuples, so == compares G with G^T
+        return self.nrows == self.ncols and self.rows == tuple(zip(*self.rows))
 
 
 # -- fraction-free elimination ----------------------------------------------

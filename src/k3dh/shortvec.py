@@ -82,7 +82,8 @@ class DefiniteGram:
 
     `negated` records whether the input was negative definite, in which
     case target norms are negated on the way in.  `rows`, `weights` and
-    `scale` are the Bareiss rows, W_k and M of the normalized matrix, and
+    `scale` are the Bareiss rows, W_k and M of the normalized matrix,
+    `tails[k]` holds the nonzero a[k][j], j > k, as pairs (j, a[k][j]), and
     `split[i]` says that rows 0, ..., i have no entry beyond column i (see
     the module docstring).
     """
@@ -93,6 +94,7 @@ class DefiniteGram:
     weights: tuple[int, ...] = field(repr=False, compare=False)
     scale: int = field(repr=False, compare=False)
     split: tuple[bool, ...] = field(repr=False, compare=False)
+    tails: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, compare=False)
 
     def __init__(self, matrix: IntMatrix):
         if not matrix.is_symmetric():
@@ -109,19 +111,25 @@ class DefiniteGram:
         if any((p < 0) != (negated and k % 2 == 0) for k, p in enumerate(pivots)):
             raise IndefiniteGramError("Gram matrix is not definite")
         if negated:
-            matrix = IntMatrix([[-x for x in row] for row in matrix.rows])
+            # negations of validated ints, in equal-length rows
+            matrix = IntMatrix._trusted(tuple(tuple(map(neg, row)) for row in matrix.rows))
             rows = tuple(
-                tuple(-x for x in row) if k % 2 == 0 else row
+                tuple(map(neg, row)) if k % 2 == 0 else row
                 for k, row in enumerate(rows)
             )
             pivots = [abs(p) for p in pivots]
         dens = [p * q for p, q in zip([1] + pivots, pivots)]
         scale = lcm(*dens)
-        # reach = the last column with a nonzero entry in rows 0..i; row k
-        # holds columns k..n-1 and its diagonal p_k is nonzero
+        # row k holds columns k..n-1, so its entry at offset j is a[k][k + j]
+        tails = tuple(
+            tuple((k + j, a) for j, a in enumerate(row[1:], 1) if a)
+            for k, row in enumerate(rows)
+        )
+        # reach = the last column with a nonzero entry in rows 0..i; the
+        # diagonal p_k is nonzero, and tails[k] is sorted by column
         split, reach = [], 0
-        for k, row in enumerate(rows):
-            reach = max(reach, k + max(j for j, a in enumerate(row) if a))
+        for k, tail in enumerate(tails):
+            reach = max(reach, tail[-1][0] if tail else k)
             split.append(reach == k)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "negated", negated)
@@ -129,6 +137,7 @@ class DefiniteGram:
         object.__setattr__(self, "weights", tuple(scale // d for d in dens))
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "split", tuple(split))
+        object.__setattr__(self, "tails", tails)
 
     @property
     def rank(self) -> int:
@@ -144,16 +153,18 @@ def _enumerate_level(
     out: list[tuple[int, ...]],
     top: bool,
     split: tuple[bool, ...],
+    tails: tuple[tuple[tuple[int, int], ...], ...],
 ) -> None:
-    # x holds the chosen x_j for j > i and zeros below, so the dot product
-    # with rows[i] is S = sum_{j>i} a[i][j] x_j; r is the scaled budget R;
-    # top is set while every x_j, j > i, is 0 (see the module docstring)
+    # x holds the chosen x_j for j > i, so S = sum_{j>i} a[i][j] x_j reads
+    # the nonzero entries tails[i] only; r is the scaled budget R; top is
+    # set while every x_j, j > i, is 0 (see the module docstring)
     if not r and split[i]:
         out.append(tuple(x))
         return
-    row = rows[i]
-    p, w = row[0], weights[i]
-    s = sum(map(mul, row, x[i:]))
+    p, w = rows[i][0], weights[i]
+    s = 0
+    for j, a in tails[i]:
+        s += a * x[j]
     if i == 0:
         q, rest = divmod(r, w)
         y = isqrt(q)
@@ -171,7 +182,7 @@ def _enumerate_level(
         y = p * xi + s
         x[i] = xi
         _enumerate_level(
-            rows, weights, i - 1, r - w * y * y, x, out, top and not xi, split
+            rows, weights, i - 1, r - w * y * y, x, out, top and not xi, split, tails
         )
     x[i] = 0
 
@@ -190,7 +201,8 @@ def enumerate_norm(gram: DefiniteGram, target: int) -> tuple[tuple[int, ...], ..
     n = gram.rank
     out: list[tuple[int, ...]] = []
     _enumerate_level(
-        gram.rows, gram.weights, n - 1, gram.scale * t, [0] * n, out, True, gram.split
+        gram.rows, gram.weights, n - 1, gram.scale * t, [0] * n, out, True,
+        gram.split, gram.tails,
     )
     out += [tuple(map(neg, v)) for v in out]
     return tuple(sorted(out))

@@ -21,7 +21,14 @@ from .exact_linalg import (
     int_tuple,
     smith_normal_form,
 )
-from .lattice import Lattice, LatticeVector, RationalVector, memoized, pairing_nums
+from .lattice import (
+    Lattice,
+    LatticeVector,
+    RationalVector,
+    _gram_kernel,
+    memoized,
+    pairing_nums,
+)
 
 
 @dataclass(frozen=True)
@@ -53,23 +60,22 @@ class Sublattice:
         return IntMatrix(rows)
 
     @memoized
-    def sparse_basis(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The basis rows as their nonzero entries (j, b_j) (cached)."""
-        return tuple(
-            tuple((j, x) for j, x in enumerate(v.coords) if x) for v in self.basis
-        )
+    def _lift(self):
+        """c -> sum_k c_k b_k for the basis b_k, compiled once per sublattice:
+        the sparse rows of the transposed basis, one per ambient coordinate
+        j holding (k, b_k[j]) for b_k[j] != 0, through the Gram kernel."""
+        coords = [v.coords for v in self.basis]
+        return _gram_kernel(tuple(
+            tuple((k, b[j]) for k, b in enumerate(coords) if b[j])
+            for j in range(self.ambient.rank)
+        ))
 
     def member_from_coefficients(self, coeffs: Sequence[int]) -> LatticeVector:
         """Ambient vector with the given coefficients in this basis."""
         if len(coeffs) != self.rank:
             raise ValueError("coefficient length does not match sublattice rank")
-        int_tuple(coeffs, "coefficient")
-        out = [0] * self.ambient.rank
-        for c, row in zip(coeffs, self.sparse_basis):
-            if c:
-                for j, x in row:
-                    out[j] += c * x
-        return LatticeVector._trusted(self.ambient, tuple(out))
+        coeffs = int_tuple(coeffs, "coefficient")
+        return LatticeVector._trusted(self.ambient, self._lift(coeffs))
 
 
 def integral_primitive(v: RationalVector | LatticeVector) -> LatticeVector:

@@ -330,6 +330,35 @@ def test_int_matrix_validation():
     assert IntMatrix(H_GRAM).is_symmetric() is True
 
 
+def former_is_symmetric(m: IntMatrix) -> bool:
+    """Test-only oracle: the former IntMatrix.is_symmetric double loop."""
+    return m.nrows == m.ncols and all(
+        m.rows[i][j] == m.rows[j][i] for i in range(m.nrows) for j in range(i)
+    )
+
+
+def test_is_symmetric_matches_the_former_loop():
+    # random square matrices, half of them symmetrized and some of those
+    # with one entry broken, non-square matrices and the empty matrix
+    rng = random.Random(28)
+    cases = [IntMatrix([]), IntMatrix([[5]]), IntMatrix([[1, 2, 3]]), IntMatrix([[1], [2]])]
+    for _ in range(300):
+        n, k = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+        if n == k and rng.random() < 0.5:
+            rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+            if n > 1 and rng.random() < 0.5:
+                i, j = rng.sample(range(n), 2)
+                rows[i][j] += rng.choice([-1, 1])
+        cases.append(IntMatrix(rows))
+    seen = set()
+    for m in cases:
+        assert m.is_symmetric() is former_is_symmetric(m)
+        seen.add((m.nrows == m.ncols, m.is_symmetric()))
+    assert seen == {(True, True), (True, False), (False, False)}
+    assert IntMatrix([]).is_symmetric() is True
+
+
 class Flag(IntEnum):
     ONE = 1
 

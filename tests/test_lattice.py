@@ -645,6 +645,7 @@ def test_memoized_attributes_are_computed_once_and_stored(monkeypatch):
         (LatticeVector, "gv", lambda: K3.vector([1, 2] + [0] * 20)),
         (RationalVector, "vv", lambda: K3.rational_vector([Fraction(1, 3)] * 22)),
         (Sublattice, "restricted_gram", lambda: Sublattice(K3, sub_basis)),
+        (Sublattice, "_lift", lambda: Sublattice(K3, sub_basis)),
     )
     for cls, name, build in cases:
         descriptor = vars(cls)[name]

@@ -507,7 +507,8 @@ def test_root_check_matches_the_kernel_on_a_dense_gram(monkeypatch):
 
 def former_level(rows, weights, i, r, x, out):
     """Test-only oracle: the former shortvec._enumerate_level, which walks
-    the full tree and loops over the whole range at level 0 too."""
+    the full tree, loops over the whole range at level 0 too, and sums
+    S over the whole row, zero entries included."""
     row = rows[i]
     p, w = row[0], weights[i]
     s = sum(map(mul, row, x[i:]))
@@ -678,6 +679,79 @@ def test_decoupled_tail_halves_the_half_tree(monkeypatch):
     for name in ("E8+E8", "complement"):
         assert 1 < len(calls[name]) <= 0.5 * HALF_TREE_CALLS[name], name
     assert all(0 in c for c in calls.values())
+
+
+# _enumerate_level calls of the three root counts since the decoupled-tail
+# leaf; reading S from the sparse tails walks the same tree
+LEVEL_CALLS = {"E8": 259, "E8+E8": 638, "complement": 763}
+
+
+def test_sparse_tails_walk_the_same_tree(monkeypatch):
+    calls = level_calls(monkeypatch)
+    assert {name: len(c) for name, c in calls.items()} == LEVEL_CALLS
+
+
+def random_sparse_form(rng: random.Random, n: int, density: float) -> IntMatrix:
+    """A strictly diagonally dominant, hence positive definite, form: each
+    off-diagonal entry is +-1 with probability `density`, and each diagonal
+    entry exceeds its row's off-diagonal absolute sum by 1 or 2.  Half the
+    time it is conjugated by a few elementary unimodular moves, which fill
+    in the Bareiss rows, and half the time negated."""
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            if rng.random() < density:
+                g[i][j] = g[j][i] = rng.choice([-1, 1])
+    for i in range(n):
+        g[i][i] = sum(map(abs, g[i])) + rng.randint(1, 2)
+    if n > 1 and rng.random() < 0.5:
+        for _ in range(rng.randint(1, 2)):
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice([-1, 1])
+            for r in range(n):
+                g[r][j] += c * g[r][i]
+            for r in range(n):
+                g[j][r] += c * g[i][r]
+    if rng.random() < 0.5:
+        g = [[-x for x in row] for row in g]
+    return IntMatrix(g)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    density=st.sampled_from([0.0, 0.15, 0.5, 1.0]),
+    rng=st.randoms(use_true_random=False),
+)
+def test_tails_are_the_nonzero_off_diagonal_entries(n, density, rng):
+    dg = DefiniteGram(random_sparse_form(rng, n, density))
+    full = [[0] * k + list(row) for k, row in enumerate(dg.rows)]
+    assert dg.tails == tuple(
+        tuple((j, full[k][j]) for j in range(k + 1, n) if full[k][j]) for k in range(n)
+    )
+    assert all(full[k][k] == dg.rows[k][0] > 0 for k in range(n))
+    # split reads the same sparse data: no row 0..i reaches past column i
+    assert dg.split == tuple(
+        all(j <= i for k in range(i + 1) for j, _ in dg.tails[k]) for i in range(n)
+    )
+
+
+def test_sparse_walk_matches_the_dense_walk_on_random_forms():
+    # sparse and dense definite forms of both signs and ranks 1-9; each
+    # target runs up to past the largest diagonal entry, so e_i is found
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(40):
+        n, density = rng.randint(1, 9), rng.choice([0.0, 0.15, 0.5, 1.0])
+        dg = DefiniteGram(random_sparse_form(rng, n, density))
+        filled = sum(map(len, dg.tails)) / max(1, n * (n - 1) // 2)
+        seen.add((n == 1, dg.negated, filled > 0.5))
+        top = max(abs(dg.matrix[i, i]) for i in range(n)) + 1
+        for target in range(1, min(top, 9) + 1):
+            t = -target if dg.negated else target
+            assert enumerate_norm(dg, t) == former_enumerate(dg, t)
+    assert {(s, d) for _, s, d in seen} == {(s, d) for s in (False, True) for d in (False, True)}
+    assert any(rank_one for rank_one, _, _ in seen)
 
 
 def criterion_03_planes(rng: random.Random, count: int):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -15,6 +16,7 @@ from k3dh.sublattice import (
     is_primitive_embedding,
     orthogonal_complement,
 )
+from oracles import sparse_row_lift
 
 K3 = make_K3()
 H = make_H()
@@ -156,6 +158,65 @@ def test_member_from_coefficients_matches_vector_fold(coeffs):
     for c, b in zip(coeffs, plane.basis):
         fold = fold + c * b
     assert plane.member_from_coefficients(coeffs) == fold
+
+
+def random_sublattice(rng: random.Random, ambient: Lattice, rank: int, untouched=()):
+    """`rank` random basis vectors of varying support, with coordinates in
+    `untouched` left 0 in all of them (they need not be independent)."""
+    basis = []
+    for _ in range(rank):
+        p = rng.choice([0.1, 0.4, 1.0])
+        basis.append(ambient.vector([
+            0 if j in untouched or rng.random() > p else rng.randint(-7, 7)
+            for j in range(ambient.rank)
+        ]))
+    return Sublattice(ambient, tuple(basis))
+
+
+def test_compiled_lift_matches_the_sparse_row_loop():
+    rng = random.Random(28)
+    diag = Lattice("diag", IntMatrix([[(i + 1) * (i == j) for j in range(5)] for i in range(5)]))
+    subs = [random_sublattice(rng, K3, rng.randint(1, 22)) for _ in range(12)]
+    subs += [random_sublattice(rng, diag, k) for k in (1, 3, 5, 7)]
+    subs.append(orthogonal_complement(K3, [k3_e(K3, i) + k3_f(K3, i) for i in range(3)]))
+    # ambient coordinates that no basis vector touches lift to 0
+    untouched = set(rng.sample(range(22), 6))
+    subs.append(random_sublattice(rng, K3, 9, untouched))
+    for sub in subs:
+        lift = sub._lift
+        for p in (0.0, 0.3, 1.0):
+            for _ in range(6):
+                coeffs = [rng.randint(-9, 9) if rng.random() < p else 0 for _ in range(sub.rank)]
+                v = sub.member_from_coefficients(coeffs)
+                assert v.coords == sparse_row_lift(sub, coeffs)
+                assert type(v.coords) is tuple and len(v.coords) == sub.ambient.rank
+        assert sub._lift is lift  # compiled once per sublattice
+    lifted = subs[-1].member_from_coefficients([5] * 9)
+    assert all(lifted.coords[j] == 0 for j in untouched)
+    assert any(lifted.coords[j] for j in range(22) if j not in untouched)
+
+
+def test_rank_zero_sublattice_lifts_to_the_zero_vector():
+    for ambient in (K3, H):
+        sub = Sublattice(ambient, ())
+        v = sub.member_from_coefficients(())
+        assert v.coords == (0,) * ambient.rank == sparse_row_lift(sub, ())
+        with pytest.raises(ValueError, match="rank"):
+            sub.member_from_coefficients((1,))
+
+
+def test_compiled_lift_takes_entries_past_the_digit_limit():
+    # a basis entry with more digits than int -> str allows enters the
+    # kernel as a closure variable, never as a literal
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300
+    huge = 10 ** (limit + 1) + 3
+    b0 = [0] * 22
+    b0[0], b0[7], b0[21] = huge, -huge, 1
+    b1 = [0] * 22
+    b1[7], b1[8] = -1, 2 * huge
+    sub = Sublattice(K3, (K3.vector(b0), K3.vector(b1)))
+    for coeffs in ((1, 0), (0, 1), (3, -huge), (-huge, huge)):
+        assert sub.member_from_coefficients(coeffs).coords == sparse_row_lift(sub, coeffs)
 
 
 def _doubled(m: IntMatrix) -> IntMatrix:
