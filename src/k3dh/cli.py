@@ -54,7 +54,6 @@ from .lattice import (
     make_K3,
     norm,
     pairing,
-    pairing_nums,
 )
 from .moment import (
     Check,
@@ -189,10 +188,12 @@ def _rational_vector(lattice: Lattice, raw, what: str):
 def _period_checks(kappa, re, im) -> list[Check]:
     """The checks of one period record: re + i*im spans a period point, and
     then the projected-norm identity and the tame-cone equivalence.  The
-    identity's right-hand side is computed here, independently of the
-    projection; the equivalence row records the exit check of
-    is_in_ktilde_omega, which raises InvariantError unless its membership
-    agrees with the positive-cone test on the projection."""
+    identity's right-hand side is PeriodPoint.projected_norm, computed from
+    pairings, independently of the projection; the equivalence row records
+    the exit check of is_in_ktilde_omega, which raises InvariantError unless
+    its membership agrees with the positive-cone test on the projection.  An
+    InvariantError of either library call is a fault in the period layer,
+    reported as a failed projection row in place of those two rows."""
     checks = []
     try:
         point = PeriodPoint(re, im)
@@ -207,40 +208,41 @@ def _period_checks(kappa, re, im) -> list[Check]:
             "true" if point is not None else "false",
         )
     )
-    if point is not None:
+    if point is None:
+        return checks
+    try:
         khat = project_to_alpha_perp(kappa, point)
-        # The right-hand side is one Fraction.  With kappa = K/k, re = R/r
-        # and im = I/i the point's integer numerators are
-        #   hn = (R,R) i^2 + (I,I) r^2,   the hermitian norm times (r i)^2,
-        #   ps = (K,R)^2 i^2 + (K,I)^2 r^2, the pairing square times (k r i)^2,
-        # and hn > 0 at a period point.  So
-        #   (k,k) - 2 (ps / (k r i)^2) / (hn / (r i)^2)
-        #     = (K,K) / k^2 - 2 ps / (k^2 hn) = ((K,K) hn - 2 ps) / (k^2 hn);
-        # a Fraction is kept in lowest terms, so its text is that of the value
-        hn = point._norm_num()
-        rhs = Fraction(
-            pairing_nums(kappa, kappa) * hn - 2 * point._pairing_square_num(kappa),
-            kappa.den**2 * hn,
-        )
-        checks.append(
-            make_check(
-                "period:projection-identity",
-                "projected norm identity",
-                "(proj k, proj k) = (k,k) - 2((k,re)^2 + (k,im)^2)/(re,re)",
-                rational_to_str(norm(khat)),
-                rational_to_str(rhs),
-            )
-        )
+        lhs, rhs = norm(khat), point.projected_norm(kappa)
         member = "true" if is_in_ktilde_omega(kappa, point) else "false"
+    except InvariantError as exc:
         checks.append(
             make_check(
-                "period:cone-equivalence",
-                "tame membership matches projecting then testing the positive cone",
-                "the two membership tests agree on this record",
-                member,
-                member,
+                "period:projection",
+                "kappa projects away from the period line",
+                "the projection is orthogonal to the line and agrees with the tame-cone test",
+                "projected",
+                f"failed: {exc}",
             )
         )
+        return checks
+    checks.append(
+        make_check(
+            "period:projection-identity",
+            "projected norm identity",
+            "(proj k, proj k) = (k,k) - 2((k,re)^2 + (k,im)^2)/(re,re)",
+            rational_to_str(lhs),
+            rational_to_str(rhs),
+        )
+    )
+    checks.append(
+        make_check(
+            "period:cone-equivalence",
+            "tame membership matches projecting then testing the positive cone",
+            "the two membership tests agree on this record",
+            member,
+            member,
+        )
+    )
     return checks
 
 

@@ -109,8 +109,7 @@ class Isometry:
         return iso
 
     def apply(self, v):
-        if v.lattice is not self.lattice and v.lattice != self.lattice:
-            raise ValueError("vector does not live in the isometry's lattice")
+        _check_same_lattice(self, v)
         nums = v.nums
         image = tuple([sum(map(mul, row, nums)) for row in self.matrix.rows])
         if isinstance(v, LatticeVector):
@@ -120,8 +119,7 @@ class Isometry:
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other (matrix product, column action)."""
-        if other.lattice is not self.lattice and other.lattice != self.lattice:
-            raise ValueError("isometries of different lattices do not compose")
+        _check_same_lattice(self, other)
         return Isometry._unchecked(self.lattice, self.matrix.mul(other.matrix))
 
     def inverse(self) -> "Isometry":
@@ -319,12 +317,6 @@ class _Mover:
             return identity_isometry(self.lattice)
         return Isometry._unchecked(self.lattice, IntMatrix._trusted(rows))
 
-    def basis(self, i: int) -> LatticeVector:
-        return self.lattice.basis_vector(i)
-
-    def coeff(self, i: int) -> int:
-        return self.coords[i]
-
     def block_part(self, b: int) -> LatticeVector:
         block = K3_BLOCKS[b]
         return LatticeVector._trusted(
@@ -352,23 +344,22 @@ class _Roles:
     """Index bookkeeping for the unitizer.
 
     h1 is the hyperbolic pair whose second coordinate gets driven to 1,
-    spares are the free hyperbolic pairs, blocks index the definite
-    summands, and extra is an optional vector orthogonal to all of the
-    above that acts as a rank-one content reservoir.  Stage two passes
-    the vector that must stay fixed alongside the first target as extra;
-    every move the engine emits is then automatically orthogonal to it.
+    spares are the free hyperbolic pairs, and extra is an optional vector
+    orthogonal to them and to the two definite blocks that acts as a
+    rank-one content reservoir.  Stage two passes the vector that must
+    stay fixed alongside the first target as extra; every move the engine
+    emits is then automatically orthogonal to it.
     """
 
     h1: tuple
     spares: tuple
-    blocks: tuple
     extra: LatticeVector | None = None
 
 
 def _channels(m: _Mover, roles: _Roles):
     """Available content channels as (value, u) with (v, u) = value > 0."""
     out = []
-    for b in roles.blocks:
+    for b in range(len(K3_BLOCKS)):
         c, u = _block_functional(m, b)
         if u is not None:
             out.append((c, u))
@@ -391,11 +382,11 @@ def _pull_content(m: _Mover, roles: _Roles):
     _, coeffs = xgcd_vector([val for val, u in chans])
     for (val, u), co in zip(chans, coeffs):
         if co:
-            m.transvect(m.basis(ei), (-co) * u)
+            m.transvect(m.lattice.basis_vector(ei), (-co) * u)
 
 
 def _unitize(m: _Mover, roles: _Roles) -> bool:
-    """Drive m.coeff(roles.h1[1]) to exactly 1.
+    """Drive m.coords[roles.h1[1]] to exactly 1.
 
     Euclidean strategy: transvections with isotropic arguments shift one
     hyperbolic coefficient by an integer multiple of another with no
@@ -413,11 +404,12 @@ def _unitize(m: _Mover, roles: _Roles) -> bool:
     base and argument lie inside the role summands, so whatever is
     orthogonal to all of them stays fixed.
     """
+    basis = m.lattice.basis_vector
     e1i, f1i = roles.h1
-    e1, f1 = m.basis(e1i), m.basis(f1i)
+    e1, f1 = basis(e1i), basis(f1i)
     slots = [idx for pair in roles.spares for idx in pair]
     for _ in range(_STEP_BUDGET):
-        q = m.coeff(f1i)
+        q = m.coords[f1i]
         if q == 1:
             return True
         if q == -1:
@@ -426,21 +418,21 @@ def _unitize(m: _Mover, roles: _Roles) -> bool:
         # a unit spare coefficient finishes in one anchor transvection:
         # E(f_sp, λ f1) adds λ * a to q, E(e_sp, λ f1) adds λ * b
         units = [(i, j) for ei, fi in roles.spares for i, j in ((ei, fi), (fi, ei))
-                 if m.coeff(i) in (1, -1)]
+                 if m.coords[i] in (1, -1)]
         if units:
             i, j = units[0]
-            m.transvect(m.basis(j), ((1 - q) * m.coeff(i)) * f1)
+            m.transvect(basis(j), ((1 - q) * m.coords[i]) * f1)
             continue
         if q == 0:
-            if m.coeff(e1i) != 0:
+            if m.coords[e1i] != 0:
                 m.move({e1i: (f1i, 1), f1i: (e1i, 1)})
                 continue
             for ei, fi in roles.spares:
-                if m.coeff(ei) != 0:
-                    m.transvect(m.basis(fi), f1)  # q += a, clean: p = 0
+                if m.coords[ei] != 0:
+                    m.transvect(basis(fi), f1)  # q += a, clean: p = 0
                     break
-                if m.coeff(fi) != 0:
-                    m.transvect(m.basis(ei), f1)
+                if m.coords[fi] != 0:
+                    m.transvect(basis(ei), f1)
                     break
             else:
                 _pull_content(m, roles)
@@ -449,20 +441,20 @@ def _unitize(m: _Mover, roles: _Roles) -> bool:
         # adds t q to a, polluting only p), then swap the smallest
         # nonzero remainder into the q slot
         for idx in slots:
-            quo = m.coeff(idx) // q
+            quo = m.coords[idx] // q
             if quo:
-                m.transvect(e1, -quo * m.basis(idx))
-        best = min((idx for idx in slots if m.coeff(idx)), key=lambda idx: abs(m.coeff(idx)),
+                m.transvect(e1, -quo * basis(idx))
+        best = min((idx for idx in slots if m.coords[idx]), key=lambda idx: abs(m.coords[idx]),
                    default=None)
         if best is None:
             # hyperbolic part is p e1 + q f1; euclid on (p, q) rides in
             # a spare slot (the write is clean because the plane is empty)
             ei, fi = roles.spares[0]
-            m.transvect(f1, m.basis(ei))  # a += p
-            quo = m.coeff(ei) // q
+            m.transvect(f1, basis(ei))  # a += p
+            quo = m.coords[ei] // q
             if quo:
-                m.transvect(e1, -quo * m.basis(ei))
-            if m.coeff(ei) == 0:
+                m.transvect(e1, -quo * basis(ei))
+            if m.coords[ei] == 0:
                 # q divides the whole hyperbolic part; bring in the
                 # reservoir gcd, coprime to q by primitivity
                 _pull_content(m, roles)
@@ -478,7 +470,7 @@ def _unitize(m: _Mover, roles: _Roles) -> bool:
     raise StandardizationError(f"no move sequence found in {_STEP_BUDGET} steps")
 
 
-_FIRST_ROLES = _Roles(h1=(F1, E1), spares=((E2, F2), (E3, F3)), blocks=(0, 1))
+_FIRST_ROLES = _Roles(h1=(F1, E1), spares=((E2, F2), (E3, F3)))
 
 
 def _standardize_vector(m: _Mover):
@@ -490,9 +482,10 @@ def _standardize_vector(m: _Mover):
     _unitize(m, _FIRST_ROLES)
     # v = e1 + q f1 + w; E(f1, -w) empties w, then the norm pins q
     # (map_pair_to_standard checks the image of kappa)
+    basis = m.lattice.basis_vector
     v = LatticeVector._trusted(m.lattice, tuple(m.coords))
-    w = v - m.basis(E1) - m.coeff(F1) * m.basis(F1)
-    m.transvect(m.basis(F1), -1 * w)
+    w = v - basis(E1) - m.coords[F1] * basis(F1)
+    m.transvect(basis(F1), -1 * w)
 
 
 def _standardize_partner(m: _Mover, l0: int):
@@ -504,19 +497,20 @@ def _standardize_partner(m: _Mover, l0: int):
     channel.  Primitivity of the pair makes the reservoir gcd coprime to
     whatever the hyperbolic reduction bottoms out at, so the content
     pull inside _unitize always restarts it."""
-    c = m.basis(E1) - l0 * m.basis(F1)  # orthogonal to e1 + l0 f1
-    roles = _Roles(h1=(F2, E2), spares=((E3, F3),), blocks=(0, 1), extra=c)
+    basis = m.lattice.basis_vector
+    c = basis(E1) - l0 * basis(F1)  # orthogonal to e1 + l0 f1
+    roles = _Roles(h1=(F2, E2), spares=((E3, F3),), extra=c)
     _unitize(m, roles)
     # kill order matters: each step must not disturb what is already clean;
     # a zero coefficient needs no move, so its argument is never built
-    f2 = m.basis(F2)
+    f2 = basis(F2)
     for i in (F3, E3):
-        if m.coeff(i):
-            m.transvect(f2, -m.coeff(i) * m.basis(i))
+        if m.coords[i]:
+            m.transvect(f2, -m.coords[i] * basis(i))
     m.transvect(f2, -1 * m.block_part(0))
     m.transvect(f2, -1 * m.block_part(1))
-    if m.coeff(E1):
-        m.transvect(f2, -m.coeff(E1) * c)
+    if m.coords[E1]:
+        m.transvect(f2, -m.coords[E1] * c)
 
 
 def _standardized(kappa: LatticeVector, eta: LatticeVector) -> _Mover:

@@ -182,14 +182,32 @@ class Lattice:
 
 
 def _check_same_lattice(u, v):
+    """Refuse two vectors or isometries that do not share a lattice."""
     if u.lattice is not v.lattice and u.lattice != v.lattice:
         raise ValueError(
-            f"vectors from different lattices: {u.lattice.name} vs {v.lattice.name}"
+            f"operands from different lattices: {u.lattice.name} vs {v.lattice.name}"
         )
 
 
+class _Vector:
+    """The caches and tests of both vector flavors, read from `nums`."""
+
+    @memoized
+    def gv(self) -> tuple[int, ...]:
+        """G times the numerators, computed once."""
+        return self.lattice.gram_times(self.nums)
+
+    @memoized
+    def vv(self) -> int:
+        """Self-pairing of the numerators, computed once."""
+        return _self_pairing(self)
+
+    def is_zero(self) -> bool:
+        return not any(self.nums)
+
+
 @dataclass(frozen=True)
-class RationalVector:
+class RationalVector(_Vector):
     """Vector nums / den in the rational span of a lattice.
 
     Stored fraction-free: integer numerators over one common denominator,
@@ -234,16 +252,6 @@ class RationalVector:
         den = self.den
         return tuple(Fraction(c, den) for c in self.nums)
 
-    @memoized
-    def gv(self) -> tuple[int, ...]:
-        """G times the numerators, computed once."""
-        return self.lattice.gram_times(self.nums)
-
-    @memoized
-    def vv(self) -> int:
-        """Self-pairing of the numerators, computed once."""
-        return _self_pairing(self)
-
     def _combine(self, other, sign: int) -> "RationalVector":
         _check_same_lattice(self, other)
         a, b = self.den, other.den
@@ -277,9 +285,6 @@ class RationalVector:
             self.lattice, tuple(p * x for x in self.nums), c.denominator * self.den
         )
 
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
     def is_integral(self) -> bool:
         return self.den == 1
 
@@ -290,7 +295,7 @@ class RationalVector:
 
 
 @dataclass(frozen=True)
-class LatticeVector:
+class LatticeVector(_Vector):
     """Vector with integer coordinates in its lattice basis."""
 
     lattice: Lattice
@@ -314,16 +319,6 @@ class LatticeVector:
     @property
     def nums(self) -> tuple[int, ...]:
         return self.coords
-
-    @memoized
-    def gv(self) -> tuple[int, ...]:
-        """G times the coordinates, computed once."""
-        return self.lattice.gram_times(self.coords)
-
-    @memoized
-    def vv(self) -> int:
-        """Self-pairing of the coordinates, computed once."""
-        return _self_pairing(self)
 
     def __add__(self, other):
         if not isinstance(other, LatticeVector):
@@ -353,9 +348,6 @@ class LatticeVector:
         return LatticeVector._trusted(self.lattice, tuple([c * a for a in self.coords]))
 
     __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
     def to_rational(self) -> RationalVector:
         return RationalVector(self.lattice, self.coords)

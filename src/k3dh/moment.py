@@ -257,6 +257,8 @@ class GluedModel:
             object.__setattr__(self, "period", Fraction(self.period))
         if self.fixed_points is not None:
             int_tuple((self.fixed_points,), "fixed point count")
+            if self.fixed_points < 0:
+                raise ValueError("negative fixed point count")
 
 
 @dataclass(frozen=True)
@@ -505,7 +507,7 @@ def model_from_json_dict(data: dict) -> GluedModel:
         raise ModelError(f"'name' must be a string, got {clip_repr(name)}")
     try:
         pieces = []
-        for raw in data["pieces"]:
+        for raw in _json_list(data, "pieces"):
             lo, hi = _json_list(raw, "interval")
             coeffs = [rational_from_json(c) for c in _json_list(raw, "dh")]
             if len(coeffs) != 3:
@@ -526,7 +528,7 @@ def model_from_json_dict(data: dict) -> GluedModel:
             )
         walls = [
             Wall(rational_from_json(w["level"]), w["count"], tuple(_json_list(w, "weights")))
-            for w in data["walls"]
+            for w in _json_list(data, "walls")
         ]
         period = data.get("period")
         return GluedModel(

@@ -19,6 +19,7 @@ from math import gcd
 
 from .exact_linalg import InvariantError, rat_det
 from .lattice import (
+    AnyVector,
     Lattice,
     LatticeVector,
     RationalVector,
@@ -30,25 +31,18 @@ from .lattice import (
 )
 from .shortvec import is_generic_plane
 
-Vec = LatticeVector | RationalVector
 
-
-def _rational(v: Vec) -> RationalVector:
+def _rational(v: AnyVector) -> RationalVector:
     return v.to_rational() if isinstance(v, LatticeVector) else v
 
 
-def is_in_omega(re: Vec, im: Vec) -> bool:
+def is_in_omega(re: AnyVector, im: AnyVector) -> bool:
     """True iff re + i*im spans a positive isotropic complex line.
 
     With re = R/r and im = I/i: (R, I) = 0, (R, R) > 0 and
     (R, R) i^2 = (I, I) r^2.
     """
     _check_same_lattice(re, im)
-    return _in_omega(re, im)
-
-
-def _in_omega(re: Vec, im: Vec) -> bool:
-    # is_in_omega for vectors of one lattice
     rr, ii = pairing_nums(re, re), pairing_nums(im, im)
     return rr > 0 and pairing_nums(re, im) == 0 and rr * im.den**2 == ii * re.den**2
 
@@ -62,14 +56,13 @@ class PeriodPoint:
 
     re: RationalVector
     im: RationalVector
-    _projection: tuple[Vec, RationalVector] | None = field(
+    _projection: tuple[AnyVector, RationalVector] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
         re, im = _rational(self.re), _rational(self.im)
-        _check_same_lattice(re, im)
-        if not _in_omega(re, im):
+        if not is_in_omega(re, im):
             raise ValueError(
                 "not a period point: need (re,im) = 0 and (re,re) = (im,im) > 0"
             )
@@ -84,7 +77,7 @@ class PeriodPoint:
         """(re, re) + (im, im)."""
         return Fraction(self._norm_num(), (self.re.den * self.im.den) ** 2)
 
-    def pairing_square(self, kappa: Vec) -> Fraction:
+    def pairing_square(self, kappa: AnyVector) -> Fraction:
         """Squared modulus of the pairing of kappa with the complex line."""
         den = kappa.den * self.re.den * self.im.den
         return Fraction(self._pairing_square_num(kappa), den * den)
@@ -96,15 +89,30 @@ class PeriodPoint:
         """(R, R) i^2 + (I, I) r^2."""
         return self.re.vv * self.im.den**2 + self.im.vv * self.re.den**2
 
-    def _pairing_square_num(self, kappa: Vec) -> int:
+    def _pairing_square_num(self, kappa: AnyVector) -> int:
         """(K, R)^2 i^2 + (K, I)^2 r^2."""
         _check_same_lattice(kappa, self.re)
         re, im = self.re, self.im
         kr, ki = pairing_nums(kappa, re), pairing_nums(kappa, im)
         return kr * kr * im.den**2 + ki * ki * re.den**2
 
+    def projected_norm(self, kappa: AnyVector) -> Fraction:
+        """(kappa, kappa) - 2 pairing_square(kappa) / hermitian_norm(): the
+        norm of the projection of kappa away from the line, computed from
+        pairings, not from the projection.
 
-def project_to_alpha_perp(kappa: Vec, point: PeriodPoint) -> RationalVector:
+        With kappa = K/k, hn = _norm_num() and ps = _pairing_square_num(kappa),
+        hn > 0 at a period point, and
+          (k,k) - 2 (ps / (k r i)^2) / (hn / (r i)^2)
+            = (K,K) / k^2 - 2 ps / (k^2 hn) = ((K,K) hn - 2 ps) / (k^2 hn);
+        a Fraction is kept in lowest terms, so its text is that of the value.
+        """
+        ps = self._pairing_square_num(kappa)  # checks the lattice
+        hn = self._norm_num()
+        return Fraction(pairing_nums(kappa, kappa) * hn - 2 * ps, kappa.den**2 * hn)
+
+
+def project_to_alpha_perp(kappa: AnyVector, point: PeriodPoint) -> RationalVector:
     """Orthogonal projection of kappa away from span(re, im), exactly.
 
     With kappa = K/d, re = R/r and im = I/i the projection is
@@ -121,8 +129,7 @@ def project_to_alpha_perp(kappa: Vec, point: PeriodPoint) -> RationalVector:
     memo = point._projection
     if memo is not None and memo[0] is kappa:
         return memo[1]
-    if kappa.lattice != point.lattice:
-        raise ValueError("kappa and the period point live in different lattices")
+    _check_same_lattice(kappa, point.re)
     re, im = point.re, point.im
     pr, qr = pairing_nums(kappa, re), re.vv
     pi, qi = pairing_nums(kappa, im), im.vv
@@ -141,7 +148,7 @@ def project_to_alpha_perp(kappa: Vec, point: PeriodPoint) -> RationalVector:
     return out
 
 
-def is_in_k_omega(kappa: Vec, point: PeriodPoint) -> bool:
+def is_in_k_omega(kappa: AnyVector, point: PeriodPoint) -> bool:
     """Positive vector orthogonal to the period line.
 
     With kappa = K/k: (K, K) > 0, (K, R) = 0 and (K, I) = 0.
@@ -154,7 +161,7 @@ def is_in_k_omega(kappa: Vec, point: PeriodPoint) -> bool:
     )
 
 
-def is_in_ktilde_omega(kappa: Vec, point: PeriodPoint) -> bool:
+def is_in_ktilde_omega(kappa: AnyVector, point: PeriodPoint) -> bool:
     """Positive projection: (k,k) * hermitian_norm > 2 * |(k, line)|^2.
 
     With kappa = K/k, re = R/r and im = I/i this is decided on integers as
@@ -176,14 +183,14 @@ def is_in_ktilde_omega(kappa: Vec, point: PeriodPoint) -> bool:
     return member
 
 
-def is_in_k_omega_generic(kappa: Vec, point: PeriodPoint) -> bool:
+def is_in_k_omega_generic(kappa: AnyVector, point: PeriodPoint) -> bool:
     """Membership plus no -2-vector orthogonal to span(kappa, re, im)."""
     if not is_in_k_omega(kappa, point):
         return False
     return is_generic_plane(kappa.lattice, [kappa, point.re, point.im])
 
 
-def is_in_ktilde_omega_generic(kappa: Vec, point: PeriodPoint) -> bool:
+def is_in_ktilde_omega_generic(kappa: AnyVector, point: PeriodPoint) -> bool:
     """Tame (K~_Omega) membership plus no -2-vector orthogonal to
     span(kappa, re, im)."""
     if not is_in_ktilde_omega(kappa, point):

@@ -712,6 +712,100 @@ def test_each_period_record_tests_the_cone_once(monkeypatch, capsys, tmp_path):
         assert len(memberships) == 1
 
 
+def projection_off_by_e1(lattice, nums, den):
+    # project_to_alpha_perp builds its output with this constructor; adding
+    # e1 / den breaks the orthogonality its exit check tests
+    return RationalVector(lattice, (nums[0] + 1, *nums[1:]), den)
+
+
+def zero_projection(kappa, point):
+    return RationalVector(point.lattice, (0,) * point.lattice.rank)
+
+
+def positive_projection(kappa, point):
+    # e3 + f3: positive and orthogonal to every period line in the records
+    return (k3_e(point.lattice, 2) + k3_f(point.lattice, 2)).to_rational()
+
+
+@pytest.mark.parametrize(
+    "attr, fault, member, message",
+    [
+        ("RationalVector", projection_off_by_e1, True,
+         "projection is not orthogonal to the period line"),
+        ("project_to_alpha_perp", zero_projection, True,
+         "cone membership disagrees with its projected form"),
+        ("project_to_alpha_perp", positive_projection, False,
+         "cone membership disagrees with its projected form"),
+    ],
+    ids=["projection", "zero-cone", "positive-cone"],
+)
+def test_period_layer_fault_is_a_failed_row(monkeypatch, capsys, tmp_path, attr, fault,
+                                            member, message):
+    # a fault that project_to_alpha_perp's exit check catches, or one that
+    # is_in_ktilde_omega's does (it projects through the period module's
+    # binding, cli through its own), fails the record's projection row
+    # instead of ending the command with a traceback
+    samples = list(cli._period_samples(make_K3()))
+    members = sum(period.is_in_ktilde_omega(k, PeriodPoint(re, im)) for k, re, im in samples)
+    monkeypatch.setattr(period, attr, fault)
+    k, re, im = [0] * 22, [0] * 22, [0] * 22
+    if member:
+        k[0], k[1], k[4], k[5] = 2, 3, 1, 1
+    else:
+        k[0], k[1] = 1, -1
+    re[0] = re[1] = 1
+    im[2] = im[3] = 1
+    path = write_json(tmp_path, "p.json", {"kappa": k, "re": re, "im": im})
+    code, out, err = run(capsys, "period-check", path)
+    assert (code, err) == (1, "")
+    assert f"[FAIL] period:projection: " in out and message in out
+    assert "in tame cone:" not in out
+    code, out, err = run(capsys, "period-check", path, "--json")
+    assert (code, err) == (1, "")
+    rows = json.loads(out)["checks"]
+    assert [(c["id"], c["passed"]) for c in rows] == [
+        ("period:point", True), ("period:projection", False)]
+    assert rows[1]["computed"] == f"failed: {message}"
+    # the battery counts each sample the fault reaches as failed: the zero
+    # projection reaches the members, e3 + f3 the others
+    good = {projection_off_by_e1: 0, zero_projection: len(samples) - members,
+            positive_projection: members}[fault]
+    report = run_verify_paper()
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.check_id for c in failed] == (
+        ["period:identity-sample"] if good < len(samples) else [])
+    sample_row = next(c for c in report.checks if c.check_id == "period:identity-sample")
+    assert sample_row.computed == f"{good}/{len(samples)}"
+
+
+@pytest.mark.parametrize("walls", [{}, ""], ids=["object", "string"])
+def test_validate_model_refuses_walls_that_are_not_a_list(capsys, tmp_path, walls):
+    # iterating "walls" directly read {} and "" as a model without walls
+    doc = json.loads(open(THEOREM1).read())
+    doc["pieces"], doc["walls"] = doc["pieces"][:1], walls
+    code, out, err = run(capsys, "validate-model", write_json(tmp_path, "m.json", doc))
+    assert (code, out) == (2, "")
+    assert f"'walls' must be a list, got {walls!r}" in err
+
+
+def test_validate_model_refuses_pieces_that_are_not_a_list(capsys, tmp_path):
+    # a dict of pieces was iterated by its keys
+    doc = json.loads(open(THEOREM1).read())
+    doc["pieces"] = {"first": doc["pieces"][0]}
+    code, out, err = run(capsys, "validate-model", write_json(tmp_path, "m.json", doc))
+    assert (code, out) == (2, "")
+    assert "'pieces' must be a list, got {'first':" in err
+
+
+def test_validate_model_refuses_a_negative_fixed_point_count(capsys, tmp_path):
+    # refused as Wall refuses a negative count, not reported as a failed total
+    doc = json.loads(open(THEOREM1).read())
+    doc["fixed_points"] = -1
+    code, out, err = run(capsys, "validate-model", write_json(tmp_path, "m.json", doc))
+    assert (code, out) == (2, "")
+    assert "negative fixed point count" in err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -788,6 +882,7 @@ MODEL_EDITS = (
     ("fixed_points",), ("period",), ("name",), ("walls", 0, "count"),
     ("walls", 1, "weights"), ("walls", 0, "level"), ("pieces", 0, "interval"),
     ("pieces", 1, "dh"), ("pieces", 0, "reduced_space"), ("pieces", 1, "class_pair", "eta"),
+    ("pieces",), ("walls",),
 )
 
 

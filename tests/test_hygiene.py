@@ -258,11 +258,7 @@ def test_one_symmetric_elimination(monkeypatch):
 
 # library names kept without a caller in the library, the benchmark or the
 # acceptance gate, each with the reason it stays
-UNCALLED_ALLOWED = {
-    # the public predicate for the period domain: re + i*im spans a positive
-    # isotropic line; tests/test_period.py checks it against a Fraction oracle
-    "is_in_omega",
-}
+UNCALLED_ALLOWED = set()
 
 
 def uncalled_names(library: dict[str, str], callers: dict[str, str]) -> list[str]:

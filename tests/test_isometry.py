@@ -20,6 +20,7 @@ from k3dh.isometry import (
     map_pair_to_standard,
     preserves_components,
 )
+from k3dh.period import PeriodPoint, project_to_alpha_perp
 from k3dh.sublattice import is_primitive_embedding
 
 K3 = make_K3()
@@ -283,6 +284,22 @@ def test_apply_and_compose_reject_foreign_lattices():
         g.compose(identity_isometry(copy))
     with pytest.raises(ValueError, match="lattices"):
         identity_isometry(e8).compose(g)
+
+
+@pytest.mark.parametrize("call", ["apply", "compose", "project_to_alpha_perp"])
+def test_operands_of_two_lattices_are_refused_by_the_one_check(call):
+    # each call refuses through lattice._check_same_lattice, and so with its
+    # message, also for a lattice equal to K3 in rank and Gram matrix
+    copy = Lattice("K3 copy", K3.gram)
+    g = identity_isometry(K3)
+    point = PeriodPoint(E[0] + F[0], E[1] + F[1])
+    refused = {
+        "apply": lambda: g.apply(copy.basis_vector(0)),
+        "compose": lambda: g.compose(identity_isometry(copy)),
+        "project_to_alpha_perp": lambda: project_to_alpha_perp(copy.basis_vector(4), point),
+    }[call]
+    with pytest.raises(ValueError, match="different lattices"):
+        refused()
 
 
 @pytest.mark.parametrize("method", ["compose", "inverse", "_transvected"])
