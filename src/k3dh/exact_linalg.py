@@ -20,18 +20,68 @@ symmetric elimination: it gives the fraction-free LDL^T data of a quadratic
 form, whose pivot signs are its inertia.  Smith normal form is the one other
 elimination, over the integers by division with remainder; it carries its
 column transform V as the rows of V^T, so a column operation on V is one
-row operation.
+row operation.  Frozen, the immutable-value base of the package's classes,
+lives here because every other module imports this one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 
 class InvariantError(RuntimeError):
     """An exact identity the construction guarantees has failed: a bug."""
+
+
+class FrozenError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a Frozen value."""
+
+
+class Frozen:
+    """Immutable value, compared, hashed and shown by its class's `_fields`.
+
+    A subclass's __init__ stores its attributes with object.__setattr__;
+    assignment and deletion through the instance raise FrozenError.  An
+    attribute not named in `_fields`, such as a memoized value or a cache,
+    takes no part in ==, hash or repr.  Values of two different classes are
+    never equal: __eq__ returns NotImplemented.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    @staticmethod
+    def _key(obj) -> tuple:
+        """The field tuple of obj; a subclass with fields reads it in C."""
+        return ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields) if cls._fields else None
+        if len(cls._fields) == 1:  # attrgetter of one name returns the bare value
+            cls._key = staticmethod(lambda obj: (get(obj),))
+        elif get is not None:
+            cls._key = staticmethod(get)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenError(f"cannot delete field {name!r}")
 
 
 def clip_repr(value) -> str:
@@ -67,11 +117,10 @@ def row_combination(coeffs: Sequence[int], rows: Sequence[tuple[int, ...]]) -> t
     return tuple(map(sum, zip(*terms))) if terms else (0,) * len(rows[0])
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Frozen):
     """Immutable integer matrix, stored as a tuple of row tuples."""
 
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         object.__setattr__(self, "rows", tuple(int_tuple(row, "entry") for row in rows))

@@ -59,12 +59,11 @@ reference pair or raises StandardizationError, from the one failure site:
 the step budget of _unitize.  It never returns a wrong answer.
 """
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import groupby
 from operator import mul
 
-from .exact_linalg import IntMatrix, InvariantError, int_inverse, row_combination, xgcd_vector
+from .exact_linalg import Frozen, IntMatrix, InvariantError, int_inverse, row_combination, xgcd_vector
 from .lattice import (
     E1, E2, E3, F1, F2, F3, K3_BLOCKS,
     Lattice,
@@ -85,10 +84,13 @@ class StandardizationError(Exception):
     """No move sequence was found; the input is outside the certified range."""
 
 
-@dataclass(frozen=True)
-class Isometry:
-    lattice: Lattice
-    matrix: IntMatrix
+class Isometry(Frozen):
+    _fields = ("lattice", "matrix")
+
+    def __init__(self, lattice: Lattice, matrix: IntMatrix):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "matrix", matrix)
+        self.__post_init__()
 
     def __post_init__(self):
         n = self.lattice.rank
@@ -339,8 +341,7 @@ def _block_functional(m: _Mover, b: int):
     return c, m.lattice.vector(coords)
 
 
-@dataclass(frozen=True)
-class _Roles:
+class _Roles(Frozen):
     """Index bookkeeping for the unitizer.
 
     h1 is the hyperbolic pair whose second coordinate gets driven to 1,
@@ -351,9 +352,12 @@ class _Roles:
     emits is then automatically orthogonal to it.
     """
 
-    h1: tuple
-    spares: tuple
-    extra: LatticeVector | None = None
+    _fields = ("h1", "spares", "extra")
+
+    def __init__(self, h1: tuple, spares: tuple, extra: LatticeVector | None = None):
+        object.__setattr__(self, "h1", h1)
+        object.__setattr__(self, "spares", spares)
+        object.__setattr__(self, "extra", extra)
 
 
 def _channels(m: _Mover, roles: _Roles):

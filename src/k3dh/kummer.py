@@ -17,11 +17,10 @@ for a returned rational or a non-int input value.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .exact_linalg import IntMatrix, InvariantError
+from .exact_linalg import Frozen, IntMatrix, InvariantError
 from .lattice import Lattice, RationalVector, pairing_nums
 
 # slots 0..3 are dz1, dz1bar, dz2, dz2bar
@@ -90,16 +89,16 @@ def _check_part(v, lattice: Lattice) -> None:
         raise ValueError(f"expected a RationalVector of the {lattice.name} lattice")
 
 
-@dataclass(frozen=True)
-class InvariantForm:
+class InvariantForm(Frozen):
     """Translation-invariant 2-form re + i * im on MONOMIALS."""
 
-    re: RationalVector
-    im: RationalVector
+    _fields = ("re", "im")
 
-    def __post_init__(self):
-        _check_part(self.re, WEDGE_LATTICE)
-        _check_part(self.im, WEDGE_LATTICE)
+    def __init__(self, re: RationalVector, im: RationalVector):
+        _check_part(re, WEDGE_LATTICE)
+        _check_part(im, WEDGE_LATTICE)
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     @staticmethod
     def from_terms(terms: dict) -> "InvariantForm":
@@ -222,8 +221,7 @@ def form_to_torus_class(a: InvariantForm) -> RationalVector:
     return RationalVector(TORUS_LATTICE, nums, dr * di)
 
 
-@dataclass(frozen=True)
-class KummerClass:
+class KummerClass(Frozen):
     """Blowup class: a torus pullback plus 16 exceptional coefficients.
 
     torus_part records the pullback to the torus of the downstairs class,
@@ -232,12 +230,13 @@ class KummerClass:
     EXCEPTIONAL_LATTICE.
     """
 
-    torus_part: RationalVector
-    exc: RationalVector
+    _fields = ("torus_part", "exc")
 
-    def __post_init__(self):
-        _check_part(self.torus_part, TORUS_LATTICE)
-        _check_part(self.exc, EXCEPTIONAL_LATTICE)
+    def __init__(self, torus_part: RationalVector, exc: RationalVector):
+        _check_part(torus_part, TORUS_LATTICE)
+        _check_part(exc, EXCEPTIONAL_LATTICE)
+        object.__setattr__(self, "torus_part", torus_part)
+        object.__setattr__(self, "exc", exc)
 
     def __add__(self, other: "KummerClass") -> "KummerClass":
         return KummerClass(self.torus_part + other.torus_part, self.exc + other.exc)

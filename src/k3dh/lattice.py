@@ -21,14 +21,13 @@ pairing a vector with itself again is a lookup.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul, neg
 from typing import ClassVar, Iterable, Sequence, Union
 
-from .exact_linalg import IntMatrix, clip_repr, int_tuple, symmetric_bareiss
+from .exact_linalg import Frozen, IntMatrix, clip_repr, int_tuple, symmetric_bareiss
 
 Coord = Union[int, Fraction]
 
@@ -82,16 +81,16 @@ def _gram_kernel(entries: tuple[tuple[tuple[int, int], ...], ...]):
     return eval(source, {"__builtins__": {}})(*names)
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Frozen):
     """Free Z-module of finite rank with an integer-valued pairing."""
 
-    name: str
-    gram: IntMatrix
+    _fields = ("name", "gram")
 
-    def __post_init__(self):
-        if not self.gram.is_symmetric():
+    def __init__(self, name: str, gram: IntMatrix):
+        if not gram.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "gram", gram)
 
     @memoized
     def rank(self) -> int:
@@ -189,7 +188,7 @@ def _check_same_lattice(u, v):
         )
 
 
-class _Vector:
+class _Vector(Frozen):
     """The caches and tests of both vector flavors, read from `nums`."""
 
     @memoized
@@ -206,7 +205,6 @@ class _Vector:
         return not any(self.nums)
 
 
-@dataclass(frozen=True)
 class RationalVector(_Vector):
     """Vector nums / den in the rational span of a lattice.
 
@@ -215,9 +213,13 @@ class RationalVector(_Vector):
     hashing stay structural.
     """
 
-    lattice: Lattice
-    nums: tuple[int, ...]
-    den: int = 1
+    _fields = ("lattice", "nums", "den")
+
+    def __init__(self, lattice: Lattice, nums: Iterable[int], den: int = 1):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        self.__post_init__()
 
     def __post_init__(self):
         nums = tuple(self.nums)
@@ -294,23 +296,23 @@ class RationalVector(_Vector):
         return self.den == 1 and gcd(*self.nums) == 1
 
 
-@dataclass(frozen=True)
 class LatticeVector(_Vector):
     """Vector with integer coordinates in its lattice basis."""
 
-    lattice: Lattice
-    coords: tuple[int, ...]
+    _fields = ("lattice", "coords")
     den: ClassVar[int] = 1  # as an operand of rational arithmetic
 
-    def __post_init__(self):
-        if len(self.coords) != self.lattice.rank:
+    def __init__(self, lattice: Lattice, coords: tuple[int, ...]):
+        if len(coords) != lattice.rank:
             raise ValueError("coordinate length does not match lattice rank")
-        int_tuple(self.coords, "coordinate")
+        int_tuple(coords, "coordinate")
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "coords", coords)
 
     @classmethod
     def _trusted(cls, lattice: Lattice, coords: tuple[int, ...]) -> "LatticeVector":
         # coords already is a tuple of ints of the lattice's rank computed
-        # from validated ints, so the checks of __post_init__ are skipped
+        # from validated ints, so the checks of __init__ are skipped
         v = object.__new__(cls)
         object.__setattr__(v, "lattice", lattice)
         object.__setattr__(v, "coords", coords)

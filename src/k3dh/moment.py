@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .exact_linalg import clip_repr, int_tuple
+from .exact_linalg import Frozen, clip_repr, int_tuple
 from .kummer import KummerClass
 from .kummer import pairing as kummer_pairing
 from .lattice import LatticeVector, make_K3, pairing, reference_pair
@@ -54,17 +53,15 @@ def rational_from_json(v) -> Fraction:
     raise ModelError(f"not an exact rational: {clip_repr(v)}")
 
 
-@dataclass(frozen=True)
-class DHPolynomial:
+class DHPolynomial(Frozen):
     """c0 + c1 t + c2 t^2 with exact rational coefficients."""
 
-    c0: Fraction
-    c1: Fraction
-    c2: Fraction
+    _fields = ("c0", "c1", "c2")
 
-    def __post_init__(self):
-        for name in ("c0", "c1", "c2"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, c0, c1, c2):
+        object.__setattr__(self, "c0", Fraction(c0))
+        object.__setattr__(self, "c1", Fraction(c1))
+        object.__setattr__(self, "c2", Fraction(c2))
 
     @property
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -171,24 +168,23 @@ def _positive_on_open(p: DHPolynomial, lo, hi) -> bool:
     return lo is not None and hi is not None
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(Frozen):
     """Isolated fixed points at one moment level, crossed in increasing t."""
 
-    level: Fraction
-    count: int
-    weights: tuple
+    _fields = ("level", "count", "weights")
 
-    def __post_init__(self):
-        object.__setattr__(self, "level", Fraction(self.level))
-        object.__setattr__(self, "weights", tuple(self.weights))
-        int_tuple((self.count, *self.weights), "count and weights")
-        if len(self.weights) != 3:
+    def __init__(self, level, count: int, weights):
+        level, weights = Fraction(level), tuple(weights)
+        int_tuple((count, *weights), "count and weights")
+        if len(weights) != 3:
             raise ValueError("expected three weights")  # dimension 6 throughout
-        if any(w == 0 for w in self.weights):
+        if any(w == 0 for w in weights):
             raise ValueError("weights must be nonzero")
-        if self.count < 0:
+        if count < 0:
             raise ValueError("negative fixed point count")
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "weights", weights)
 
 
 def wall_crossing_delta(w: Wall) -> DHPolynomial:
@@ -197,8 +193,7 @@ def wall_crossing_delta(w: Wall) -> DHPolynomial:
     return DHPolynomial(c * w.level * w.level, -2 * c * w.level, c)
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(Frozen):
     """One open interval of regular values with its reduced-space data.
 
     Endpoints are rational, or None on an unbounded side.  When a class
@@ -206,33 +201,32 @@ class Piece:
     bundle over the reduced space.
     """
 
-    lo: object
-    hi: object
-    dh: DHPolynomial
-    class_pair: tuple | None = None
-    reduced_space: str = "K3"
+    _fields = ("lo", "hi", "dh", "class_pair", "reduced_space")
 
-    def __post_init__(self):
-        lo = None if self.lo is None else Fraction(self.lo)
-        hi = None if self.hi is None else Fraction(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    def __init__(self, lo, hi, dh: DHPolynomial, class_pair: tuple | None = None,
+                 reduced_space: str = "K3"):
+        lo = None if lo is None else Fraction(lo)
+        hi = None if hi is None else Fraction(hi)
         if lo is not None and hi is not None and lo >= hi:
             raise ValueError("empty interval")
-        if self.reduced_space not in ("K3", "Kummer"):
+        if reduced_space not in ("K3", "Kummer"):
             raise ValueError("unknown reduced space tag")
-        if self.class_pair is not None:
-            pair = tuple(self.class_pair)
-            if len(pair) != 2:
+        if class_pair is not None:
+            class_pair = tuple(class_pair)
+            if len(class_pair) != 2:
                 raise ValueError("class pair must have two members")
-            kappa, eta = pair
+            kappa, eta = class_pair
             lattice_pair = (isinstance(kappa, LatticeVector) and isinstance(eta, LatticeVector)
                             and kappa.lattice == eta.lattice)
             if not lattice_pair and not (isinstance(kappa, KummerClass)
                                          and isinstance(eta, KummerClass)):
                 raise ValueError(
                     "class pair must be two vectors of one lattice or two blowup classes")
-            object.__setattr__(self, "class_pair", pair)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "dh", dh)
+        object.__setattr__(self, "class_pair", class_pair)
+        object.__setattr__(self, "reduced_space", reduced_space)
 
     def interval_str(self) -> str:
         lo = "-inf" if self.lo is None else rational_to_str(self.lo)
@@ -240,37 +234,40 @@ class Piece:
         return f"({lo}, {hi})"
 
 
-@dataclass(frozen=True)
-class GluedModel:
+class GluedModel(Frozen):
     """Pieces separated by walls, on a line or (with period set) a circle."""
 
-    pieces: tuple
-    walls: tuple
-    period: Fraction | None = None
-    fixed_points: int | None = None
-    name: str = "model"
+    _fields = ("pieces", "walls", "period", "fixed_points", "name")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        object.__setattr__(self, "walls", tuple(self.walls))
-        if self.period is not None:
-            object.__setattr__(self, "period", Fraction(self.period))
-        if self.fixed_points is not None:
-            int_tuple((self.fixed_points,), "fixed point count")
-            if self.fixed_points < 0:
+    def __init__(self, pieces, walls, period: Fraction | None = None,
+                 fixed_points: int | None = None, name: str = "model"):
+        pieces, walls = tuple(pieces), tuple(walls)
+        if period is not None:
+            period = Fraction(period)
+        if fixed_points is not None:
+            int_tuple((fixed_points,), "fixed point count")
+            if fixed_points < 0:
                 raise ValueError("negative fixed point count")
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "walls", walls)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "fixed_points", fixed_points)
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Frozen):
     """One verified statement; passed is exactly `expected == computed`."""
 
-    check_id: str
-    description: str
-    claim: str
-    expected: str
-    computed: str
-    passed: bool
+    _fields = ("check_id", "description", "claim", "expected", "computed", "passed")
+
+    def __init__(self, check_id: str, description: str, claim: str, expected: str,
+                 computed: str, passed: bool):
+        object.__setattr__(self, "check_id", check_id)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "computed", computed)
+        object.__setattr__(self, "passed", passed)
 
 
 def make_check(check_id: str, description: str, claim: str, expected, computed) -> Check:
@@ -278,10 +275,12 @@ def make_check(check_id: str, description: str, claim: str, expected, computed) 
     return Check(check_id, description, claim, e, c, e == c)
 
 
-@dataclass(frozen=True)
-class Report:
-    title: str
-    checks: tuple
+class Report(Frozen):
+    _fields = ("title", "checks")
+
+    def __init__(self, title: str, checks: tuple):
+        object.__setattr__(self, "title", title)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def passed_count(self) -> int:

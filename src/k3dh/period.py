@@ -12,12 +12,11 @@ Fraction is built only for a value that a function returns.  All
 predicates below are exact; there is no epsilon anywhere.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from .exact_linalg import InvariantError, rat_det
+from .exact_linalg import Frozen, InvariantError, rat_det
 from .lattice import (
     AnyVector,
     Lattice,
@@ -47,18 +46,19 @@ def is_in_omega(re: AnyVector, im: AnyVector) -> bool:
     return rr > 0 and pairing_nums(re, im) == 0 and rr * im.den**2 == ii * re.den**2
 
 
-@dataclass(frozen=True)
-class PeriodPoint:
+class PeriodPoint(Frozen):
     """A period point; the self-pairings (R, R) and (I, I) of the numerators
     are computed at construction and cached on re and im as `vv`.
     `_projection` holds the last kappa that project_to_alpha_perp projected
-    away from this point, with its projection, or None."""
+    away from this point, with its projection, or None; it is not a field."""
 
-    re: RationalVector
-    im: RationalVector
-    _projection: tuple[AnyVector, RationalVector] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _fields = ("re", "im")
+
+    def __init__(self, re: AnyVector, im: AnyVector):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        object.__setattr__(self, "_projection", None)
+        self.__post_init__()
 
     def __post_init__(self):
         re, im = _rational(self.re), _rational(self.im)
@@ -198,13 +198,12 @@ def is_in_ktilde_omega_generic(kappa: AnyVector, point: PeriodPoint) -> bool:
     return is_generic_plane(kappa.lattice, [kappa, point.re, point.im])
 
 
-@dataclass(frozen=True)
-class OrientedPlane:
+class OrientedPlane(Frozen):
     """Ordered basis of a positive-definite 3-plane; order is orientation."""
 
-    basis: tuple[RationalVector, RationalVector, RationalVector]
+    _fields = ("basis",)
 
-    def __post_init__(self):
+    def __init__(self, basis: tuple[AnyVector, AnyVector, AnyVector]):
         """Sylvester's criterion on the numerator Gram matrix.
 
         With basis vectors u_i = U_i / d_i, N_ij = (U_i, U_j) is d_i d_j G_ij
@@ -213,7 +212,7 @@ class OrientedPlane:
         det N_k = (d_1 ... d_k)^2 det G_k: the same sign.  So the basis spans
         a positive 3-plane exactly when the three leading minors of N are
         positive."""
-        basis = tuple(_rational(v) for v in self.basis)
+        basis = tuple(_rational(v) for v in basis)
         if len(basis) != 3:
             raise ValueError("need exactly three spanning vectors")
         u, v, w = basis

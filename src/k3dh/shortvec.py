@@ -62,12 +62,11 @@ tests, are independent oracles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt, lcm
 from operator import mul, neg
 from typing import Sequence
 
-from .exact_linalg import IntMatrix, InvariantError, int_tuple, symmetric_bareiss
+from .exact_linalg import Frozen, IntMatrix, InvariantError, int_tuple, symmetric_bareiss
 from .lattice import Lattice, LatticeVector, RationalVector, pairing_nums
 from .sublattice import integral_primitive, orthogonal_complement
 
@@ -76,8 +75,7 @@ class IndefiniteGramError(ValueError):
     """Raised when a Gram matrix is not (positive or negative) definite."""
 
 
-@dataclass(frozen=True)
-class DefiniteGram:
+class DefiniteGram(Frozen):
     """Definite symmetric integer matrix, normalized to positive definite.
 
     `negated` records whether the input was negative definite, in which
@@ -88,13 +86,7 @@ class DefiniteGram:
     the module docstring).
     """
 
-    matrix: IntMatrix
-    negated: bool
-    rows: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
-    weights: tuple[int, ...] = field(repr=False, compare=False)
-    scale: int = field(repr=False, compare=False)
-    split: tuple[bool, ...] = field(repr=False, compare=False)
-    tails: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, compare=False)
+    _fields = ("matrix", "negated")  # the Bareiss data follow from these
 
     def __init__(self, matrix: IntMatrix):
         if not matrix.is_symmetric():

@@ -8,12 +8,12 @@ all 1; orthogonal complements are always returned with a primitive
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 from typing import Sequence
 
 from .exact_linalg import (
+    Frozen,
     IntMatrix,
     InvariantError,
     det,
@@ -31,17 +31,17 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(Frozen):
     """Sublattice of an ambient lattice, given by an ordered generator basis."""
 
-    ambient: Lattice
-    basis: tuple[LatticeVector, ...]
+    _fields = ("ambient", "basis")
 
-    def __post_init__(self):
-        for v in self.basis:
-            if v.lattice != self.ambient:
+    def __init__(self, ambient: Lattice, basis: tuple[LatticeVector, ...]):
+        for v in basis:
+            if v.lattice != ambient:
                 raise ValueError("basis vector does not live in the ambient lattice")
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "basis", basis)
 
     @property
     def rank(self) -> int:
@@ -49,8 +49,8 @@ class Sublattice:
 
     @memoized
     def restricted_gram(self) -> IntMatrix:
-        # __post_init__ checked that the basis lives in the ambient lattice,
-        # whose Gram matrix is symmetric (Lattice.__post_init__), so each
+        # __init__ checked that the basis lives in the ambient lattice,
+        # whose Gram matrix is symmetric (Lattice.__init__), so each
         # unordered pair is paired once and mirrored
         basis = self.basis
         rows = [[0] * len(basis) for _ in basis]

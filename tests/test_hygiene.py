@@ -2,13 +2,16 @@
 data and console script declared for the installed package, unchecked
 constructors only in the core modules, unchecked isometries only in the
 isometry module, one evaluation per verified claim, one pairing kernel on
-integers and one place that compiles code, no locking cached_property, one
-symmetric elimination, every library name called outside the unit tests, and
-every benchmark tracer entry bound in the library."""
+integers and one place that compiles code, no locking cached_property, no
+dataclasses in the source or at import, one symmetric elimination, every
+library name called outside the unit tests, and every benchmark tracer
+entry bound in the library."""
 import ast
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -209,6 +212,45 @@ def test_no_functools_cached_property():
     assert found == []
     assert uses("from functools import cached_property") == [1]
     assert uses("import functools\nx = functools.cached_property") == [2]
+
+
+def dataclasses_imports(source: str) -> list[int]:
+    """Lines that import dataclasses or a name from it."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+
+
+def test_library_does_not_import_dataclasses():
+    # dataclasses loads inspect and execs six methods per class at import;
+    # the value classes are built on exact_linalg.Frozen instead
+    found = [f"{module}:{line}" for module, source in library_sources()
+             for line in dataclasses_imports(source)]
+    assert found == []
+    assert dataclasses_imports("from dataclasses import dataclass, field") == [1]
+    assert dataclasses_imports("import os\nimport dataclasses as dc") == [2]
+
+
+@pytest.mark.parametrize("module", ["k3dh.cli", "k3dh.period", "k3dh.isometry"])
+def test_import_loads_neither_dataclasses_nor_inspect(module):
+    # a fresh interpreter without site, so that no .pth file preloads them,
+    # and without writing bytecode next to the sources; importlib.resources,
+    # which k3dh.moment reads its data with, imports inspect itself from
+    # Python 3.12 on, so it is imported first and what it loads not counted
+    code = (
+        "import sys, importlib.resources\n"
+        "before = set(sys.modules)\n"
+        f"import {module}\n"
+        "new = set(sys.modules) - before\n"
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in new))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-B", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.split() == []
 
 
 def test_pairing_kernel_sees_only_integers(monkeypatch, capsys, tmp_path):

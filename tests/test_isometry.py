@@ -417,12 +417,6 @@ class EagerMover:
     def isometry(self):
         return self.iso
 
-    def basis(self, i):
-        return self.lattice.basis_vector(i)
-
-    def coeff(self, i):
-        return self.vector.coords[i]
-
     def block_part(self, b):
         coords = [0] * self.lattice.rank
         for i in K3_BLOCKS[b]:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import k3dh.lattice
-from k3dh.exact_linalg import IntMatrix, det
+from k3dh.exact_linalg import FrozenError, IntMatrix, det
 from k3dh.lattice import (
     K3_BLOCKS,
     Lattice,
@@ -473,7 +473,7 @@ def test_rational_vector_is_immutable_and_validated():
     v = K3.rational_vector([Fraction(1, 2)] + [0] * 21)
     assert v.coords[0] == Fraction(1, 2)  # builds the cached coordinates
     for name, value in (("nums", (0,) * 22), ("den", 3), ("coords", ()), ("other", 1)):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenError):
             setattr(v, name, value)
     assert v.nums == (1,) + (0,) * 21 and v.den == 2
     with pytest.raises(TypeError):
@@ -666,7 +666,7 @@ def test_memoized_attributes_are_computed_once_and_stored(monkeypatch):
         assert obj.__dict__[name] is first and getattr(obj, name) is first
         assert calls == [obj]
         # frozen: the stored value is read-only
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenError):
             setattr(obj, name, first)
         monkeypatch.undo()
 
