@@ -26,6 +26,7 @@ lives here because every other module imports this one.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import lcm, prod
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -183,6 +184,12 @@ class IntMatrix(Frozen):
         return self.nrows == self.ncols and self.rows == tuple(zip(*self.rows))
 
 
+@cache
+def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The n x n identity rows, built once per size."""
+    return IntMatrix.identity(n).rows
+
+
 # -- fraction-free elimination ----------------------------------------------
 
 
@@ -256,11 +263,14 @@ def int_inverse(m: IntMatrix) -> IntMatrix:
 
     One elimination of [m | I] ends as [d * I | d * m^-1] with d = +-det m,
     so m is unimodular exactly when the rank is full and d = +-1, and then
-    the inverse is the right block times d.
+    the inverse is the right block times d.  An identity is returned as
+    it is, since eliminating [I | I] changes nothing.
     """
     if m.nrows != m.ncols:
         raise ValueError("inverse of a non-square matrix")
     n = m.nrows
+    if m.rows == _identity_rows(n):
+        return m
     rows = [[*row, *([0] * i), 1, *([0] * (n - 1 - i))] for i, row in enumerate(m.rows)]
     pivots, d, _ = _bareiss_rref(rows, n)
     if len(pivots) < n or d not in (1, -1):

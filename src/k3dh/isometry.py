@@ -13,14 +13,17 @@ kept without re-checking intermediate products:
 - each matrix that map_pair_to_standard or lemma_iso returns is checked
   once, in full (_exit_check), so a fault in the move engine surfaces as
   an InvariantError instead of a wrong answer.  The identity is not: it
-  is an isometry by construction, and map_pair_to_standard returns it
-  for a pair in reference position.  gp, the product of lemma_iso's
+  is an isometry by construction.  gp, the product of lemma_iso's
   source moves and the flip when it is needed, never leaves the module
   and is built unchecked: g was checked when it left
   map_pair_to_standard, and phi = g^-1 gp is an isometry that hits the
   target pair exactly when gp is one that hits the reference pair.  So
   the images, orientation and full checks on phi cover gp, and a faulty
   compose or inverse still meets them.
+
+A pair already in reference position, as every model pair is, maps by
+the identity without a primitivity test, a mover or a product; no check
+is lost (proof in _to_reference).
 
 lemma_iso reads the orientation off the matrices it builds.  The
 orientation character of an isometry, +1 when it keeps the two components
@@ -63,7 +66,9 @@ from functools import cache
 from itertools import groupby
 from operator import mul
 
-from .exact_linalg import Frozen, IntMatrix, InvariantError, int_inverse, row_combination, xgcd_vector
+from .exact_linalg import (
+    Frozen, IntMatrix, InvariantError, _identity_rows, int_inverse, row_combination, xgcd_vector,
+)
 from .lattice import (
     E1, E2, E3, F1, F2, F3, K3_BLOCKS,
     Lattice,
@@ -142,11 +147,6 @@ def _exit_check(phi: Isometry) -> Isometry:
 
 def identity_isometry(lattice: Lattice) -> Isometry:
     return Isometry._unchecked(lattice, IntMatrix._trusted(_identity_rows(lattice.rank)))
-
-
-@cache
-def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    return IntMatrix.identity(n).rows
 
 
 def _dot(u, v) -> int:
@@ -528,17 +528,31 @@ def _standardized(kappa: LatticeVector, eta: LatticeVector) -> _Mover:
     return m
 
 
+def _to_reference(kappa: LatticeVector, eta: LatticeVector, target: tuple) -> Isometry:
+    """An unchecked isometry taking (kappa, eta) to target, its reference pair.
+
+    The identity when the pair is target, which loses no check: target is
+    primitive, as the minor of its e1, e2 coordinates is 1, and the
+    identity is an isometry fixing it."""
+    if (kappa, eta) == target:
+        return identity_isometry(kappa.lattice)
+    return _standardized(kappa, eta).isometry()
+
+
 def map_pair_to_standard(kappa: LatticeVector, eta: LatticeVector) -> Isometry:
     """Isometry g with g(kappa), g(eta) in the reference position.
 
     Raises StandardizationError when the staged search exhausts its
     budget; the returned isometry is always verified: its images here, and
-    its matrix by the exit check.
+    its matrix by the exit check; an identity's images are the pair itself.
     """
-    g = _standardized(kappa, eta).isometry()
-    target_k, target_e = reference_pair(
-        kappa.lattice, norm(kappa) // 2, pairing(kappa, eta), norm(eta) // 2)
-    if g.apply(kappa) != target_k or g.apply(eta) != target_e:
+    target = reference_pair(kappa.lattice, norm(kappa) // 2, pairing(kappa, eta), norm(eta) // 2)
+    g = _to_reference(kappa, eta, target)
+    if g.matrix.rows == _identity_rows(g.lattice.rank):
+        images = (kappa, eta)
+    else:
+        images = (g.apply(kappa), g.apply(eta))
+    if images != target:
         raise InvariantError("standardization missed the reference pair")
     return _exit_check(g)
 
@@ -547,11 +561,12 @@ def lemma_iso(kappa: LatticeVector, eta: LatticeVector, kappa_p: LatticeVector,
               eta_p: LatticeVector, preserve: bool = True) -> Isometry:
     """Verified isometry taking (kappa_p, eta_p) to (kappa, eta) and
     preserving (or reversing) the orientation of positive 3-planes."""
-    if (norm(kappa), norm(eta), pairing(kappa, eta)) != (
-            norm(kappa_p), norm(eta_p), pairing(kappa_p, eta_p)):
+    nk, ne, m = norm(kappa), norm(eta), pairing(kappa, eta)
+    if (nk, ne, m) != (norm(kappa_p), norm(eta_p), pairing(kappa_p, eta_p)):
         raise ValueError("pairs have different Gram data")
     g = map_pair_to_standard(kappa, eta)
-    gp = _standardized(kappa_p, eta_p).isometry()
+    # equal Gram data, so the source pair has the target pair's reference pair
+    gp = _to_reference(kappa_p, eta_p, reference_pair(kappa.lattice, nk // 2, m, ne // 2))
     if (_character(g.matrix.rows) * _character(gp.matrix.rows) == 1) != preserve:
         gp = flip_third_H(gp.lattice).compose(gp)
     phi = g.inverse().compose(gp)

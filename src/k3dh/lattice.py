@@ -92,6 +92,14 @@ class Lattice(Frozen):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "gram", gram)
 
+    def __hash__(self):
+        # computed once: cached builders hash their lattice on every call
+        return self._hash
+
+    @memoized
+    def _hash(self) -> int:
+        return hash(self._key(self))
+
     @memoized
     def rank(self) -> int:
         return self.gram.nrows

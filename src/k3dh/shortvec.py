@@ -234,7 +234,9 @@ def roots_orthogonal_to(
     if not dg.negated:
         raise IndefiniteGramError("orthogonal complement is not negative definite")
     coords = enumerate_norm(dg, -2)
-    low = tuple(comp.member_from_coefficients(c) for c in coords[: len(coords) // 2])
+    # enumerate_norm's int tuples skip member_from_coefficients' checks
+    lift, ambient = comp._lift, comp.ambient
+    low = tuple(LatticeVector._trusted(ambient, lift(c)) for c in coords[: len(coords) // 2])
     for r in low:
         if sum(map(mul, r.coords, lattice.gram_times(r.coords))) != -2:
             raise InvariantError("enumerated root does not have norm -2")

@@ -572,6 +572,33 @@ def test_int_inverse_of_the_identity():
     assert int_inverse(ident).rows == ident.rows
 
 
+def test_int_inverse_returns_an_identity_without_elimination(monkeypatch):
+    # eliminating [I | I] changes nothing, so an identity comes back as it is
+    eliminations = []
+    rref = exact_linalg._bareiss_rref
+    monkeypatch.setattr(exact_linalg, "_bareiss_rref",
+                        lambda rows, n: eliminations.append(n) or rref(rows, n))
+    for n in (0, 1, 2, 5, 22):
+        for ident in (IntMatrix.identity(n), IntMatrix._trusted(exact_linalg._identity_rows(n))):
+            assert int_inverse(ident) is ident
+    assert eliminations == []
+    # a matrix one entry away from the identity is eliminated and inverted
+    # (test_int_inverse_unimodular inverts dense ones)
+    rng = random.Random(23)
+    for n in (1, 2, 5, 22):
+        rows = [[int(r == c) for c in range(n)] for r in range(n)]
+        i, j = rng.randrange(n), rng.randrange(n)
+        # an off-diagonal entry, or a sign change on the diagonal
+        rows[i][j] = rng.choice((-3, -1, 2)) if i != j else -1
+        m = IntMatrix(rows)
+        assert m.mul(int_inverse(m)).rows == exact_linalg._identity_rows(n)
+    assert eliminations == [1, 2, 5, 22]
+    # and a matrix that is not unimodular is still refused
+    for rows in ([[2]], [[1, 0], [0, 2]], [[1, 0, 0], [0, 1, 0], [0, 0, 0]]):
+        with pytest.raises(ValueError, match="not unimodular"):
+            int_inverse(IntMatrix(rows))
+
+
 # -- the fraction-free rat_det against the Fraction oracle -------------------
 
 RAT = st.one_of(

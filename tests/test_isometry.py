@@ -1,6 +1,10 @@
+import hashlib
+import importlib.util
 import json
 import random
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -151,7 +155,9 @@ def test_preserves_components_is_multiplicative():
 
 def test_map_pair_fixes_reference_pairs(monkeypatch):
     # both stages drive the coefficient of their reference slot to 1, so a
-    # pair already in reference position records no move and builds no factor
+    # pair already in reference position records no move and builds no
+    # factor; map_pair_to_standard and lemma_iso give such a pair the
+    # identity without a mover at all
     movers, built = [], []
 
     class Watched(isometry._Mover):
@@ -172,10 +178,60 @@ def test_map_pair_fixes_reference_pairs(monkeypatch):
         ref = standard_pair(l0, m, l2)
         assert lemma_iso(*ref, *ref, preserve=True).matrix == ident
         assert lemma_iso(*ref, *ref, preserve=False).matrix == flip_third_H(K3).matrix
-    assert len(movers) == 19 ** 3 + 7 ** 3 + 4 * 4 ** 3
+    assert len(movers) == 19 ** 3
     # a reversing lemma_iso composes the flip after the build, not as a move
     assert all(mover.moves == [] for mover in movers)
     assert built == []
+
+
+def standardizer_spies(monkeypatch):
+    """Counts of the movers created and the primitivity tests run by k3dh.isometry."""
+    counts = {"movers": 0, "primitivity": 0}
+    primitive = isometry.is_primitive_embedding
+
+    class Watched(isometry._Mover):
+        def __init__(self, v):
+            counts["movers"] += 1
+            super().__init__(v)
+
+    def watched(vectors):
+        counts["primitivity"] += 1
+        return primitive(vectors)
+
+    monkeypatch.setattr(isometry, "_Mover", Watched)
+    monkeypatch.setattr(isometry, "is_primitive_embedding", watched)
+    return counts
+
+
+def test_reference_pairs_skip_the_standardizer(monkeypatch):
+    # a pair in reference position maps by the identity with no mover and
+    # no primitivity test, over the DH coefficient range of the battery
+    counts = standardizer_spies(monkeypatch)
+    ident = IntMatrix.identity(K3.rank)
+    for l0, m, l2 in product(range(-9, 10), repeat=3):
+        assert map_pair_to_standard(*standard_pair(l0, m, l2)).matrix == ident
+    assert counts == {"movers": 0, "primitivity": 0}
+    # a pair one transvection away still takes both, and is moved back
+    ref = standard_pair(3, -5, 2)
+    moved = transvected_pair(random.Random(37), *ref, 1)
+    assert moved != ref
+    g = map_pair_to_standard(*moved)
+    assert (g.apply(moved[0]), g.apply(moved[1])) == ref
+    assert counts["primitivity"] == 1 and counts["movers"] >= 1
+
+
+FAR = st.integers(10, 10**30) | st.integers(-10**30, -10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(l0=FAR, m=FAR, l2=FAR)
+@example(l0=10, m=-10, l2=10)
+def test_far_reference_pairs_skip_the_standardizer(l0, m, l2):
+    with pytest.MonkeyPatch.context() as patch:
+        counts = standardizer_spies(patch)
+        g = map_pair_to_standard(*standard_pair(l0, m, l2))
+    assert g.matrix == IntMatrix.identity(K3.rank)
+    assert counts == {"movers": 0, "primitivity": 0}
 
 
 def test_map_pair_round_trip_randomized():
@@ -570,7 +626,11 @@ def test_lemma_iso_checks_each_result_once(monkeypatch, preserve):
     # and is built unchecked, so its matrix meets a full check only as
     # phi's, which it is whenever g is the identity: the flip, when needed,
     # is gp's last move.  The orientation is decided before the build, so
-    # each call checks it once, on phi
+    # each call checks it once, on phi.  A pair in reference position builds
+    # nothing, so the mover builds g only for a moved target and gp only
+    # for a moved source.  The flip is built, and checked, on its first
+    # call, so it is built before the count starts
+    flip_third_H(K3)
     ref = standard_pair(-2, -8, -2)
     moved = transvected_pair(random.Random(29), *ref, 3)
     cases = {
@@ -598,8 +658,9 @@ def test_lemma_iso_checks_each_result_once(monkeypatch, preserve):
         phi = lemma_iso(*target, *source, preserve=preserve)
         assert len(calls) == len(set(calls)) == checks, case
         assert phi.matrix in calls or phi.matrix == IntMatrix.identity(K3.rank), case
-        _, gp = built  # g, then gp
-        assert gp.matrix not in calls or gp.matrix == phi.matrix, case
+        assert len(built) == {"model": 1, "moved": 2, "reference": 0}[case], case
+        for gp in built[-1:]:  # g when the target moved, then gp
+            assert gp.matrix not in calls or gp.matrix == phi.matrix, case
         assert oriented == [phi.matrix], case
 
 
@@ -744,3 +805,21 @@ def test_transvected_model_pairs_take_few_moves():
     rng = random.Random(1)
     pairs = [bench_law_pair(rng) for _ in range(40)]
     assert sum(len(recorded_mover(kap, eta).moves) for kap, eta in pairs) <= 413
+
+
+def test_lemma_iso_matrices_match_the_recorded_digest():
+    # sha256 over str(rows) of the first 300 isometry-pairs records of seeds
+    # 1 and 7919, the returned matrices every change to lemma_iso must keep
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "dont_write_bytecode", True)
+        patch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+    digest = hashlib.sha256()
+    for seed in (1, 7919):
+        records = workloads.Stream(seed, workloads.isometry_maker())
+        for i in range(300):
+            digest.update(str(workloads.run_isometry(isometry, K3, records[i])).encode())
+    assert digest.hexdigest() == "e3ad2e82ec4711b2319e8b6c9aa1e4814dd50cfdc08b6e7b65d4b8339c49ae6b"

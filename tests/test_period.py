@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import k3dh.lattice
 import k3dh.period
-from k3dh.exact_linalg import InvariantError, rat_det
+from k3dh.exact_linalg import IntMatrix, InvariantError, rat_det
+from k3dh.isometry import flip_third_H
 from k3dh.lattice import RationalVector, direct_sum, make_H, make_K3, k3_e, k3_f, norm, pairing, rescale
 from k3dh.period import (
     OrientedPlane,
@@ -215,6 +216,26 @@ def test_component_comparison():
     diagonals = [h6.basis_vector(2 * i) + h6.basis_vector(2 * i + 1) for i in range(6)]
     with pytest.raises(ValueError, match="singular"):
         same_component(OrientedPlane(diagonals[:3]), OrientedPlane(diagonals[3:]))
+
+
+def test_a_lattice_hashes_its_gram_matrix_once(monkeypatch):
+    # standard_plane and flip_third_H are functools.cache'd on their lattice,
+    # so every call hashes it; a lattice hashes its Gram matrix on its first
+    # hash only and keeps the value
+    lattices = [make_K3(), make_K3(), direct_sum("H+H+H", make_H(), make_H(), make_H())]
+    hashed = []
+    frozen_hash = IntMatrix.__hash__
+    monkeypatch.setattr(IntMatrix, "__hash__", lambda m: hashed.append(m) or frozen_hash(m))
+    for _ in range(5):
+        for lattice in lattices:
+            standard_plane(lattice)
+            flip_third_H(lattice)
+    assert len(hashed) == len(lattices)
+    assert all(any(m is lattice.gram for m in hashed) for lattice in lattices)
+    monkeypatch.undo()
+    for lattice in lattices:
+        assert hash(lattice) == hash((lattice.name, lattice.gram))
+    assert hash(lattices[0]) == hash(lattices[1])
 
 
 def test_component_comparison_is_an_equivalence():

@@ -415,9 +415,12 @@ def test_scaled_ldl_identity(n, rng, data):
 
 
 def test_root_norm_check_raises(monkeypatch):
-    fold = Sublattice.member_from_coefficients
+    # roots_orthogonal_to lifts enumerate_norm's tuples through the
+    # sublattice's compiled lift; a lift that doubles each root must fail
+    # the norm check
+    lift = Sublattice._lift.fn
     monkeypatch.setattr(
-        Sublattice, "member_from_coefficients", lambda self, c: 2 * fold(self, c)
+        Sublattice, "_lift", property(lambda self: lambda c: tuple(2 * x for x in lift(self)(c)))
     )
     plane = [k3_e(K3, i) + k3_f(K3, i) for i in range(3)]
     with pytest.raises(InvariantError, match="norm -2"):
