@@ -25,6 +25,7 @@ from .isometry import (
 )
 from .kummer import (
     NUM_EXCEPTIONAL,
+    NUM_TORUS,
     area_sum_form,
     eta_hat,
     exceptional,
@@ -389,10 +390,8 @@ def _kummer_checks() -> list[Check]:
         )
     )
     plus_spheres = [blowup_pairing(exceptional(i), ep) for i in range(NUM_EXCEPTIONAL)]
-    pull_spheres = [
-        blowup_pairing(pullback(khat.torus_part), exceptional(i))
-        for i in range(NUM_EXCEPTIONAL)
-    ]
+    pulled = pullback(form_to_torus_class(vol))
+    pull_spheres = [blowup_pairing(pulled, exceptional(i)) for i in range(NUM_EXCEPTIONAL)]
     checks.append(
         make_check(
             "blowup:sphere-pairings",
@@ -447,7 +446,7 @@ def _kummer_checks() -> list[Check]:
             "no exceptional part left; self-pairing 8",
             "exc 0, self 8",
             "exc {}, self {}".format(
-                max(abs(c) for c in wall_class.exc.coords),
+                max(abs(c) for c in wall_class.coords[NUM_TORUS:]),
                 rational_to_str(blowup_pairing(wall_class, wall_class)),
             ),
         )

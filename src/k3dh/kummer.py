@@ -4,12 +4,13 @@ A form is a complex-rational combination of the six degree-2 wedge
 monomials in dz1, dz1bar, dz2, dz2bar, held as its real and imaginary
 parts, two RationalVectors of WEDGE_LATTICE.  The torus has unit periods,
 so the single normalization int dx1 dy1 dx2 dy2 = 1 fixes every constant in
-this module.  A torus class is a RationalVector of TORUS_LATTICE.  Blowup
-classes consist of a rational torus pullback plus a RationalVector of
-EXCEPTIONAL_LATTICE, one coefficient per sphere; pullbacks pair at half the
-torus value and the exceptional spheres pair as -2 times the identity.
+this module.  A torus class is a RationalVector of TORUS_LATTICE.  A blowup
+class is a RationalVector of KUMMER_LATTICE, pi_* H^2(T, Z) + <E_1, ..., E_16>,
+of index 2^11 in H^2(Km A, Z) (Barth-Hulek-Peters-Van de Ven, Ch. VIII):
+x = y / 2 for the torus pullback y, then the 16 sphere coefficients, with
+Gram 2T + (-2) I_16, so a pullback pairs at (1/2) y^T T y = 2 x^T T x.
 
-Every part is held as integer numerators over one denominator.
+Every vector is held as integer numerators over one denominator.
 wedge_integrate and pairing take the integer pairings of the numerators
 (lattice.pairing_nums) and build a single Fraction from them at the end,
 and from_terms sums int coefficients as ints, so a Fraction is built only
@@ -21,7 +22,7 @@ from fractions import Fraction
 from operator import mul
 
 from .exact_linalg import Frozen, IntMatrix, InvariantError
-from .lattice import Lattice, RationalVector, pairing_nums
+from .lattice import Lattice, RationalVector, direct_sum, pairing_nums, rescale
 
 # slots 0..3 are dz1, dz1bar, dz2, dz2bar
 MONOMIALS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -33,6 +34,7 @@ _CONJ_SLOT = (1, 0, 3, 2)
 TORUS_BASIS = ((0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3))
 _TORUS_INDEX = {m: k for k, m in enumerate(TORUS_BASIS)}
 
+NUM_TORUS = len(TORUS_BASIS)
 NUM_EXCEPTIONAL = 16
 
 
@@ -72,6 +74,9 @@ EXCEPTIONAL_LATTICE = Lattice(
     "exceptional",
     IntMatrix([[-2 * (i == j) for j in range(NUM_EXCEPTIONAL)] for i in range(NUM_EXCEPTIONAL)]),
 )
+
+# blowup classes: halved torus pullbacks, then the sixteen spheres
+KUMMER_LATTICE = direct_sum("kummer", rescale(TORUS_LATTICE, 2), EXCEPTIONAL_LATTICE)
 
 # conjugation swaps dz_j and dzbar_j: MONOMIALS[k] goes to sign * MONOMIALS[kk]
 _CONJ = tuple(_fold(_CONJ_SLOT[i], _CONJ_SLOT[j], _MONO_INDEX) for i, j in MONOMIALS)
@@ -221,88 +226,53 @@ def form_to_torus_class(a: InvariantForm) -> RationalVector:
     return RationalVector(TORUS_LATTICE, nums, dr * di)
 
 
-class KummerClass(Frozen):
-    """Blowup class: a torus pullback plus 16 exceptional coefficients.
-
-    torus_part records the pullback to the torus of the downstairs class,
-    which is what makes all coordinates rational; the quotient-level pairing
-    is recovered by the factor 1/2 in pairing().  exc lies in
-    EXCEPTIONAL_LATTICE.
-    """
-
-    _fields = ("torus_part", "exc")
-
-    def __init__(self, torus_part: RationalVector, exc: RationalVector):
-        _check_part(torus_part, TORUS_LATTICE)
-        _check_part(exc, EXCEPTIONAL_LATTICE)
-        object.__setattr__(self, "torus_part", torus_part)
-        object.__setattr__(self, "exc", exc)
-
-    def __add__(self, other: "KummerClass") -> "KummerClass":
-        return KummerClass(self.torus_part + other.torus_part, self.exc + other.exc)
-
-    def __sub__(self, other: "KummerClass") -> "KummerClass":
-        return KummerClass(self.torus_part - other.torus_part, self.exc - other.exc)
-
-    def __neg__(self) -> "KummerClass":
-        return KummerClass(-self.torus_part, -self.exc)
-
-    def scale(self, c) -> "KummerClass":
-        return KummerClass(self.torus_part.scale(c), self.exc.scale(c))
+def pairing(a: RationalVector, b: RationalVector) -> Fraction:
+    """The pairing (a, b) of two RationalVectors of KUMMER_LATTICE: one
+    Fraction from the integer pairing of the numerators over the product
+    of the denominators."""
+    _check_part(a, KUMMER_LATTICE)
+    _check_part(b, KUMMER_LATTICE)
+    return Fraction(pairing_nums(a, b), a.den * b.den)
 
 
-def pairing(a: KummerClass, b: KummerClass) -> Fraction:
-    """Half the torus pairing of the pullback parts, plus -2 per matched sphere,
-    on numerators: t / (2 dt) + e / de = (t de + 2 e dt) / (2 dt de)."""
-    ta, tb, ea, eb = a.torus_part, b.torus_part, a.exc, b.exc
-    dt, de = ta.den * tb.den, ea.den * eb.den
-    return Fraction(
-        pairing_nums(ta, tb) * de + 2 * pairing_nums(ea, eb) * dt, 2 * dt * de
-    )
-
-
-_ZERO_TORUS = TORUS_LATTICE.rational_vector((0,) * len(TORUS_BASIS))
-_ZERO_EXC = EXCEPTIONAL_LATTICE.rational_vector((0,) * NUM_EXCEPTIONAL)
-
-
-def pullback(y: RationalVector) -> KummerClass:
+def pullback(y: RationalVector) -> RationalVector:
     """The blowup class of a downstairs class, given through its torus pullback."""
-    return KummerClass(y, _ZERO_EXC)
+    _check_part(y, TORUS_LATTICE)
+    return RationalVector(KUMMER_LATTICE, (*y.nums, *(0,) * NUM_EXCEPTIONAL), 2 * y.den)
 
 
-def exceptional(i: int) -> KummerClass:
+# built once, so each sphere caches its Gram image once
+_SPHERES = tuple(
+    KUMMER_LATTICE.basis_vector(NUM_TORUS + i).to_rational() for i in range(NUM_EXCEPTIONAL)
+)
+_HALF_SPHERES = RationalVector(KUMMER_LATTICE, (0,) * NUM_TORUS + (1,) * NUM_EXCEPTIONAL, 2)
+
+
+def exceptional(i: int) -> RationalVector:
     """The i-th exceptional sphere class, 0-indexed."""
     if not 0 <= i < NUM_EXCEPTIONAL:
         raise ValueError("exceptional index out of range")
-    exc = [0] * NUM_EXCEPTIONAL
-    exc[i] = 1
-    return KummerClass(_ZERO_TORUS, RationalVector(EXCEPTIONAL_LATTICE, tuple(exc)))
+    return _SPHERES[i]
 
 
-def kappa_hat() -> KummerClass:
+def kappa_hat() -> RationalVector:
     """Pullback of the volume real part plus half the sum of the spheres."""
-    return KummerClass(
-        form_to_torus_class(volume_real_form()),
-        RationalVector(EXCEPTIONAL_LATTICE, (1,) * NUM_EXCEPTIONAL, 2),
-    )
+    return pullback(form_to_torus_class(volume_real_form())) + _HALF_SPHERES
 
 
-def eta_hat(sign: int) -> KummerClass:
+def eta_hat(sign: int) -> RationalVector:
     """Minus the pullback of the area sum, with sign/2 times the sphere sum."""
     _check_sign(sign)
-    return KummerClass(
-        -form_to_torus_class(area_sum_form()),
-        RationalVector(EXCEPTIONAL_LATTICE, (sign,) * NUM_EXCEPTIONAL, 2),
-    )
+    return _HALF_SPHERES.scale(sign) - pullback(form_to_torus_class(area_sum_form()))
 
 
-def sigma_class(sign: int, t) -> KummerClass:
+def sigma_class(sign: int, t) -> RationalVector:
     """kappa_hat - t * eta_hat(sign); self-pairing -4 + sign*16t - 4t^2."""
     _check_sign(sign)
     return kappa_hat() - eta_hat(sign).scale(Fraction(t))
 
 
-def primitive_pair_check(y_torus_half: RationalVector, x: KummerClass) -> bool:
+def primitive_pair_check(y_torus_half: RationalVector, x: RationalVector) -> bool:
     """Sufficient condition for the pair (downstairs y, x) to span primitively.
 
     y_torus_half is the candidate pullback of y/2.  It must be an integral
@@ -311,6 +281,4 @@ def primitive_pair_check(y_torus_half: RationalVector, x: KummerClass) -> bool:
     """
     if not y_torus_half.is_primitive():
         return False
-    return any(
-        pairing(exceptional(i), x) in (1, -1) for i in range(NUM_EXCEPTIONAL)
-    )
+    return any(pairing(e, x) in (1, -1) for e in _SPHERES)

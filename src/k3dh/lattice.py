@@ -469,10 +469,11 @@ def k3_f(l: Lattice, i: int) -> LatticeVector:
 def reference_pair(l: Lattice, l0: int, m: int, l2: int) -> tuple[LatticeVector, LatticeVector]:
     """The pair in reference position (e1 + l0 f1, m f1 + e2 + l2 f2): norms
     2 l0 and 2 l2, mutual pairing m."""
+    int_tuple((l0, m, l2), "reference coefficient")
     kappa, eta = [0] * l.rank, [0] * l.rank
     kappa[E1], kappa[F1] = 1, l0
     eta[F1], eta[E2], eta[F2] = m, 1, l2
-    return l.vector(kappa), l.vector(eta)
+    return LatticeVector._trusted(l, tuple(kappa)), LatticeVector._trusted(l, tuple(eta))
 
 
 # -- JSON interchange -------------------------------------------------------

@@ -20,9 +20,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .exact_linalg import Frozen, clip_repr, int_tuple
-from .kummer import KummerClass
-from .kummer import pairing as kummer_pairing
-from .lattice import LatticeVector, make_K3, pairing, reference_pair
+from .lattice import LatticeVector, RationalVector, make_K3, pairing, reference_pair
 from .sublattice import is_primitive_embedding
 
 REPORT_SCHEMA_VERSION = 1
@@ -105,17 +103,11 @@ class DHPolynomial(Frozen):
 
 
 def dh_from_pair(kappa, eta) -> DHPolynomial:
-    """Exact coefficients ((kappa,kappa), -2(kappa,eta), (eta,eta)).
-
-    Accepts two lattice vectors or two blowup classes; a mixed pair or a
-    cross-lattice pair is rejected.
-    """
-    in_blowup = isinstance(kappa, KummerClass)
-    if in_blowup != isinstance(eta, KummerClass):
-        raise ValueError("class pair lives in two different spaces")
-    pair = kummer_pairing if in_blowup else pairing
+    """Exact coefficients ((kappa,kappa), -2(kappa,eta), (eta,eta)) of two
+    vectors of one lattice, blowup classes included; lattice.pairing
+    rejects a cross-lattice pair."""
     return DHPolynomial(
-        pair(kappa, kappa), -2 * pair(kappa, eta), pair(eta, eta)
+        pairing(kappa, kappa), -2 * pairing(kappa, eta), pairing(eta, eta)
     )
 
 
@@ -198,7 +190,8 @@ class Piece(Frozen):
 
     Endpoints are rational, or None on an unbounded side.  When a class
     pair is present, its second member is the Euler class of the circle
-    bundle over the reduced space.
+    bundle over the reduced space.  Blowup classes are the RationalVectors
+    of the lattice named "kummer", kummer.KUMMER_LATTICE.
     """
 
     _fields = ("lo", "hi", "dh", "class_pair", "reduced_space")
@@ -216,10 +209,10 @@ class Piece(Frozen):
             if len(class_pair) != 2:
                 raise ValueError("class pair must have two members")
             kappa, eta = class_pair
-            lattice_pair = (isinstance(kappa, LatticeVector) and isinstance(eta, LatticeVector)
-                            and kappa.lattice == eta.lattice)
-            if not lattice_pair and not (isinstance(kappa, KummerClass)
-                                         and isinstance(eta, KummerClass)):
+            integral = isinstance(kappa, LatticeVector) and isinstance(eta, LatticeVector)
+            blowup = (isinstance(kappa, RationalVector) and isinstance(eta, RationalVector)
+                      and kappa.lattice.name == "kummer")
+            if not (integral or blowup) or kappa.lattice != eta.lattice:
                 raise ValueError(
                     "class pair must be two vectors of one lattice or two blowup classes")
         object.__setattr__(self, "lo", lo)

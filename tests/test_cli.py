@@ -481,6 +481,14 @@ def test_isometry_non_primitive_pairs_fail_construction(capsys, tmp_path):
     assert "matrix:" not in out
 
 
+# sha256 of `k3dh kummer-report` stdout, plain and --json, pinned so that a
+# change of the blowup representation cannot change a byte
+KUMMER_REPORT_DIGESTS = {
+    False: "17132546acd976112a8796e06c5555aa287326366d07a030c8cb6a20d10ec235",
+    True: "59a362def0f577385f9688a3f1e62f6f8760ddfbac517b6f6a8aebfcf8daaef3",
+}
+
+
 def test_kummer_report(capsys):
     code, out, _ = run(capsys, "kummer-report")
     assert code == 0
@@ -489,6 +497,13 @@ def test_kummer_report(capsys):
     code, out, _ = run(capsys, "kummer-report", "--json")
     doc = json.loads(out)
     assert doc["summary"] == {"total": 8, "passed": 8, "failed": 0}
+
+
+def test_kummer_report_output_is_pinned(capsys):
+    for as_json, digest in KUMMER_REPORT_DIGESTS.items():
+        code, out, err = run(capsys, "kummer-report", *(["--json"] if as_json else []))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, as_json
 
 
 def test_validate_model_packaged_file(capsys, tmp_path):

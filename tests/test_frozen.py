@@ -39,7 +39,6 @@ FORMER_FIELDS = {
     Isometry: ["lattice", "matrix"],
     isometry._Roles: ["h1", "spares", ("extra", {"default": None})],
     kummer.InvariantForm: ["re", "im"],
-    kummer.KummerClass: ["torus_part", "exc"],
     DHPolynomial: ["c0", "c1", "c2"],
     Wall: ["level", "count", "weights"],
     Piece: ["lo", "hi", "dh", ("class_pair", {"default": None}), ("reduced_space", {"default": "K3"})],
@@ -111,7 +110,6 @@ def samples():
                           isometry._Roles(h1=(F2, E2), spares=((E3, F3),), extra=v)],
         kummer.InvariantForm: [kummer.volume_real_form(), kummer.volume_real_form(),
                                kummer.symplectic_family_form(1, 2)],
-        kummer.KummerClass: [kummer.kappa_hat(), kummer.kappa_hat(), kummer.exceptional(3)],
         DHPolynomial: [dh, DHPolynomial(Fraction(4), 0, 4), DHPolynomial(-4, 16, -4)],
         Wall: [wall, Wall(Fraction(1), 16, [1, 1, -1]), Wall(3, 16, (1, -1, -1))],
         Piece: [piece, Piece(lo=-1, hi=1, dh=dh, class_pair=None, reduced_space="Kummer"),
@@ -137,7 +135,7 @@ def test_every_library_value_class_is_sampled():
 
     library = {c for c in subclasses(Frozen) if c.__module__.startswith("k3dh.") and c._fields}
     assert library == set(FORMER_FIELDS) == set(SAMPLES)
-    assert len(library) == 18
+    assert len(library) == 17
 
 
 @pytest.mark.parametrize("cls", list(FORMER_FIELDS), ids=lambda c: c.__name__)

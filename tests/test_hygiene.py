@@ -256,8 +256,8 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
 def test_pairing_kernel_sees_only_integers(monkeypatch, capsys, tmp_path):
     # rational classes pair through their integer numerators, so the kernel
     # never receives a Fraction: not from the K3 lattice, not from the real
-    # and imaginary parts of invariant forms, not from the torus and
-    # exceptional parts of blowup classes, not from a period record
+    # and imaginary parts of invariant forms, not from blowup classes, not
+    # from a period record
     kernel = Lattice.gram_times
     seen = []
 
@@ -277,7 +277,7 @@ def test_pairing_kernel_sees_only_integers(monkeypatch, capsys, tmp_path):
     path.write_text(json.dumps({"kappa": k, "re": re, "im": im}))
     assert main(["period-check", str(path)]) == 0
     capsys.readouterr()
-    assert {"wedge", "torus", "exceptional", "K3"} <= set(seen)
+    assert {"wedge", "kummer", "K3"} <= set(seen)
 
 
 def test_one_symmetric_elimination(monkeypatch):

@@ -439,19 +439,16 @@ def test_step_budget_is_the_one_failure_site(monkeypatch, tmp_path, capsys, budg
 class EagerMover:
     """Test-only oracle: the former mover.  Every move is built as a matrix,
     checked in full (M^T G M = G) and composed into the running product at
-    once; the working vector is moved by that matrix."""
+    once; the working coordinates are moved by that matrix, in place in one
+    list, as _Mover keeps them."""
 
     def __init__(self, v):
         self.lattice = v.lattice
-        self.vector = v
+        self.coords = list(v.coords)
         self.iso = identity_isometry(v.lattice)
 
-    @property
-    def coords(self):
-        return self.vector.coords
-
     def push(self, g):
-        self.vector = g.apply(self.vector)
+        self.coords[:] = g.apply(self.lattice.vector(self.coords)).coords
         self.iso = g.compose(self.iso)
 
     def transvect(self, e, a):
@@ -468,7 +465,7 @@ class EagerMover:
         self.push(Isometry(self.lattice, IntMatrix(rows)))
 
     def restart(self, v):
-        self.vector = self.iso.apply(v)
+        self.coords[:] = self.iso.apply(v).coords
 
     def isometry(self):
         return self.iso
@@ -476,7 +473,7 @@ class EagerMover:
     def block_part(self, b):
         coords = [0] * self.lattice.rank
         for i in K3_BLOCKS[b]:
-            coords[i] = self.vector.coords[i]
+            coords[i] = self.coords[i]
         return self.lattice.vector(coords)
 
 

@@ -4,18 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3dh.exact_linalg import IntMatrix, InvariantError
-from k3dh.lattice import Lattice
+from k3dh.exact_linalg import IntMatrix, InvariantError, det
+from k3dh.lattice import Lattice, make_K3
 from k3dh.lattice import pairing as lattice_pairing
 from k3dh.kummer import (
     EXCEPTIONAL_LATTICE,
+    KUMMER_LATTICE,
     NUM_EXCEPTIONAL,
+    NUM_TORUS,
     MONOMIALS,
     TORUS_BASIS,
     TORUS_LATTICE,
     WEDGE_LATTICE,
     InvariantForm,
-    KummerClass,
     area_sum_form,
     eta_hat,
     exceptional,
@@ -155,13 +156,19 @@ def test_shapes_are_validated():
     zero_torus = TORUS_LATTICE.rational_vector((0,) * 6)
     with pytest.raises(ValueError, match="rank"):
         EXCEPTIONAL_LATTICE.rational_vector((0,) * 15)
-    # each part must be a RationalVector of its own lattice
-    with pytest.raises(ValueError, match="exceptional lattice"):
-        KummerClass(zero_torus, zero_torus)
-    with pytest.raises(ValueError, match="exceptional lattice"):
-        KummerClass(zero_torus, (0,) * NUM_EXCEPTIONAL)
-    with pytest.raises(ValueError, match="torus lattice"):
-        KummerClass(TORUS_LATTICE.vector((0,) * 6), exceptional(0).exc)
+    with pytest.raises(ValueError, match="rank"):
+        KUMMER_LATTICE.rational_vector((0,) * 21)
+    # a pullback takes a RationalVector of the torus lattice, and the blowup
+    # pairing two RationalVectors of the kummer lattice
+    zero_exc = EXCEPTIONAL_LATTICE.rational_vector((0,) * NUM_EXCEPTIONAL)
+    for y in (zero_exc, TORUS_LATTICE.vector((0,) * 6), (0,) * 6):
+        with pytest.raises(ValueError, match="torus lattice"):
+            pullback(y)
+    for other in (zero_torus, zero_exc, make_K3().rational_vector((0,) * 22),
+                  KUMMER_LATTICE.basis_vector(0), (0,) * 22):
+        for a, b in ((other, exceptional(0)), (exceptional(0), other)):
+            with pytest.raises(ValueError, match="kummer lattice"):
+                pairing(a, b)
 
 
 def test_intersection_table():
@@ -175,7 +182,7 @@ def test_intersection_table():
         assert pairing(exceptional(i), k) == -1
         assert pairing(exceptional(i), ep) == -1
         assert pairing(exceptional(i), em) == 1
-        assert pairing(pullback(k.torus_part), exceptional(i)) == 0
+        assert pairing(pullback(form_to_torus_class(volume_real_form())), exceptional(i)) == 0
         for j in range(NUM_EXCEPTIONAL):
             assert pairing(exceptional(i), exceptional(j)) == (-2 if i == j else 0)
 
@@ -199,11 +206,11 @@ def test_sigma_polynomials():
 
 def test_sigma_class_at_the_wall():
     s = sigma_class(1, 1)
-    assert s.exc.is_zero()
-    assert s.torus_part == form_to_torus_class(symplectic_family_form(1, 1))
+    assert not any(s.nums[NUM_TORUS:])
+    assert s == pullback(form_to_torus_class(symplectic_family_form(1, 1)))
     assert pairing(s, s) == 8
     m = sigma_class(-1, -1)
-    assert m.exc.is_zero()
+    assert not any(m.nums[NUM_TORUS:])
     assert pairing(m, m) == 8
 
 
@@ -251,6 +258,30 @@ def test_rank_bookkeeping_signature():
     assert blowup.signature() == (3, 19)
 
 
+def test_kummer_lattice_invariants():
+    """pi_* H^2(T, Z) + <E_1, ..., E_16>: even, rank 22, signature (3, 19),
+    |det| = 2^22, so of index 2^11 in the unimodular H^2(Km A, Z)."""
+    assert KUMMER_LATTICE.rank == NUM_TORUS + NUM_EXCEPTIONAL == 22
+    assert KUMMER_LATTICE.is_even()
+    assert KUMMER_LATTICE.signature() == (3, 19)
+    assert abs(det(KUMMER_LATTICE.gram)) == 2 ** 22
+    assert not KUMMER_LATTICE.is_unimodular()
+
+
+@settings(max_examples=40, deadline=None)
+@given(six_ints)
+def test_pushforward_of_an_integral_torus_class(x):
+    # the lattice vector with torus coordinates x is the class with pullback
+    # 2x, and pairs with itself at 2 x^T T x; the class with pullback x at half
+    # of x^T T x
+    y = TORUS_LATTICE.vector(x)
+    v = KUMMER_LATTICE.vector((*x, *(0,) * NUM_EXCEPTIONAL))
+    assert v.to_rational() == pullback(y.to_rational().scale(2))
+    assert lattice_pairing(v, v) == 2 * lattice_pairing(y, y)
+    assert pairing(pullback(y.to_rational()), pullback(y.to_rational())) == Fraction(
+        lattice_pairing(y, y), 2)
+
+
 def test_realness_check_raises(monkeypatch):
     # a form that slips past is_real must not lose its imaginary part
     monkeypatch.setattr(InvariantForm, "is_real", lambda self: True)
@@ -267,11 +298,12 @@ kummer_coords = st.tuples(
 )
 
 
-def kummer_class(coords) -> KummerClass:
+def kummer_class(coords):
+    """The blowup class of the former coordinates: the Fractions of its
+    torus pullback y, then of its sphere coefficients; the lattice holds
+    y / 2."""
     torus, exc = coords
-    return KummerClass(
-        TORUS_LATTICE.rational_vector(torus), EXCEPTIONAL_LATTICE.rational_vector(exc)
-    )
+    return KUMMER_LATTICE.rational_vector([Fraction(y) / 2 for y in torus] + list(exc))
 
 
 def former_pairing(a, b) -> Fraction:
@@ -292,7 +324,7 @@ def test_pairing_matches_the_former_fraction_formula(u, v, c):
     a, b = kummer_class(u), kummer_class(v)
     result = pairing(a, b)
     assert type(result) is Fraction and result == former_pairing(u, v)
-    # the arithmetic acts part by part, coordinate by coordinate
+    # the arithmetic acts coordinate by coordinate, in the former coordinates too
     assert a + b == kummer_class(tuple([x + y for x, y in zip(p, q)] for p, q in zip(u, v)))
     assert a - b == kummer_class(tuple([x - y for x, y in zip(p, q)] for p, q in zip(u, v)))
     assert -a == kummer_class(tuple([-x for x in p] for p in u))
@@ -461,40 +493,32 @@ def test_from_terms_never_sums_floats():
     assert all(type(c) is int for c in (*form.re.nums, *form.im.nums))
 
 
-def former_class(torus_fractions, exc_fractions) -> KummerClass:
-    """A blowup class built as before, from Fraction coordinates."""
-    return KummerClass(
-        TORUS_LATTICE.rational_vector(torus_fractions),
-        EXCEPTIONAL_LATTICE.rational_vector(exc_fractions),
-    )
-
-
 def test_kummer_builders_match_the_former_fraction_built_classes():
+    # the former coordinates of each class: its torus pullback and its
+    # sphere coefficients, as Fractions
     zero = [Fraction(0)] * 6
     built = {f"E{i}": exceptional(i) for i in range(NUM_EXCEPTIONAL)}
     former = {
-        f"E{i}": former_class(zero, [Fraction(int(j == i)) for j in range(NUM_EXCEPTIONAL)])
+        f"E{i}": (zero, [Fraction(int(j == i)) for j in range(NUM_EXCEPTIONAL)])
         for i in range(NUM_EXCEPTIONAL)
     }
     vol = former_torus_class(former_from_terms({(0, 2): 1, (1, 3): 1}))
     area = former_torus_class(former_from_terms({(0, 1): (0, 1), (2, 3): (0, 1)}))
     built["kappa"] = kappa_hat()
-    former["kappa"] = former_class(vol, [HALF] * NUM_EXCEPTIONAL)
+    former["kappa"] = (vol, [HALF] * NUM_EXCEPTIONAL)
     for sign in (1, -1):
         built[f"eta{sign}"] = eta_hat(sign)
-        former[f"eta{sign}"] = former_class([-x for x in area], [sign * HALF] * NUM_EXCEPTIONAL)
+        former[f"eta{sign}"] = ([-x for x in area], [sign * HALF] * NUM_EXCEPTIONAL)
     for name, c in built.items():
-        f = former[name]
+        f = kummer_class(former[name])
         assert c == f, name
-        for part, fpart in ((c.torus_part, f.torus_part), (c.exc, f.exc)):
-            assert part.lattice is fpart.lattice
-            assert (part.nums, part.den) == (fpart.nums, fpart.den)
-            assert all(type(x) is int for x in (*part.nums, part.den))
+        assert c.lattice is f.lattice is KUMMER_LATTICE
+        assert (c.nums, c.den) == (f.nums, f.den)
+        assert all(type(x) is int for x in (*c.nums, c.den))
     # every pairing of the builders, self-pairings included, is the former one
-    coords = {name: (f.torus_part.coords, f.exc.coords) for name, f in former.items()}
     for a in ("kappa", "eta1", "eta-1", "E0", "E15"):
         for b in ("kappa", "eta1", "eta-1", "E0", "E15"):
-            assert pairing(built[a], built[b]) == former_pairing(coords[a], coords[b])
+            assert pairing(built[a], built[b]) == former_pairing(former[a], former[b])
 
 
 def test_wedge_integrate_on_mixed_denominators():

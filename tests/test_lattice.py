@@ -33,7 +33,7 @@ from k3dh.lattice import (
     rescale,
 )
 from k3dh.isometry import eichler_transvection
-from k3dh.kummer import EXCEPTIONAL_LATTICE, TORUS_LATTICE, WEDGE_LATTICE
+from k3dh.kummer import EXCEPTIONAL_LATTICE, KUMMER_LATTICE, TORUS_LATTICE, WEDGE_LATTICE
 from k3dh.period import PeriodPoint, project_to_alpha_perp
 from k3dh.sublattice import Sublattice, integral_primitive
 
@@ -123,6 +123,8 @@ def test_reference_pair_is_the_basis_combination():
         assert (norm(kappa), pairing(kappa, eta), norm(eta)) == (2 * l0, m, 2 * l2)
     with pytest.raises(TypeError):
         reference_pair(K3, 1.0, 0, 0)
+    with pytest.raises(TypeError):
+        reference_pair(K3, 0, True, 0)
 
 
 def test_pairing_matches_dense_oracle():
@@ -577,7 +579,7 @@ def test_compiled_kernel_matches_the_former_loop():
     randoms = [random_symmetric_lattice(rng, n) for n in (1, 2, 3, 6, 13, 22)]
     lattices = (
         K3, make_E8(), make_H(), Lattice("odd", IntMatrix([[3, 1], [1, -5]])),
-        WEDGE_LATTICE, TORUS_LATTICE, EXCEPTIONAL_LATTICE,
+        WEDGE_LATTICE, TORUS_LATTICE, EXCEPTIONAL_LATTICE, KUMMER_LATTICE,
         Lattice("empty", IntMatrix([])), *randoms,
     )
     for lattice in lattices:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3dh.kummer import eta_hat, kappa_hat
+from k3dh.kummer import KUMMER_LATTICE, NUM_TORUS, eta_hat, kappa_hat
 from k3dh.lattice import k3_e, k3_f, make_E8, make_H, make_K3, norm, pairing
 from k3dh.moment import (
     DHPolynomial,
@@ -41,7 +41,7 @@ def test_dh_from_pair_examples():
     assert dh_from_pair(kappa, 0 * eta) == DHPolynomial(2, 0, 0)
     assert dh_from_pair(kappa_hat(), eta_hat(1)) == PLUS_BRANCH
     assert dh_from_pair(kappa_hat(), eta_hat(-1)) == MINUS_BRANCH
-    with pytest.raises(ValueError, match="different spaces"):
+    with pytest.raises(ValueError, match="different lattices: K3 vs kummer"):
         dh_from_pair(kappa, eta_hat(1))
     with pytest.raises(ValueError, match="different lattices"):
         dh_from_pair(kappa, make_H().basis_vector(0))
@@ -229,7 +229,14 @@ def test_malformed_class_pairs_are_structural_errors():
     # validate never meets it
     kappa, _ = pair_from_polynomial(DHPolynomial(2, 0, 0))
     e8 = make_E8().basis_vector(0)
-    for pair in ((1, 2), (kappa, e8), (e8, kappa), (kappa, kappa_hat()), (kappa_hat(), 1)):
+    # blowup classes are the RationalVectors of one lattice: rational vectors
+    # of another lattice, or a blowup class beside an integral vector of the
+    # blowup lattice, stay refused
+    rational = kappa.to_rational()
+    sphere = KUMMER_LATTICE.basis_vector(NUM_TORUS)
+    for pair in ((1, 2), (kappa, e8), (e8, kappa), (kappa, kappa_hat()), (kappa_hat(), 1),
+                 (rational, rational), (kappa_hat(), rational), (rational, kappa_hat()),
+                 (kappa_hat(), sphere), (sphere, kappa_hat())):
         with pytest.raises(ValueError, match="two vectors of one lattice or two blowup"):
             Piece(0, 1, DHPolynomial(2, 0, 2), class_pair=pair)
     # both kinds of well-formed pair are accepted
