@@ -21,6 +21,16 @@ kept without re-checking intermediate products:
   the images, orientation and full checks on phi cover gp, and a faulty
   compose or inverse still meets them.
 
+The checks read a matrix M by its columns, the images of the basis
+vectors, which an Isometry computes once (_cols).  The full check forms G M
+one column at a time with the compiled Gram kernel (Lattice.gram_times),
+then M^T (G M) with the row-sparse IntMatrix.mul on the columns of M, where
+a unit column shares a row of G M, and compares it with G entry by entry.
+apply takes M v as the combination of the columns at v's nonzero
+coordinates, and preserves_components the image of e_i + f_i as the sum of
+two columns.  A product after the shared identity, g^-1 for a target in
+reference position, is the other factor itself.
+
 A pair already in reference position, as every model pair is, maps by
 the identity without a primitivity test, a mover or a product; no check
 is lost (proof in _to_reference).
@@ -64,7 +74,7 @@ the step budget of _unitize.  It never returns a wrong answer.
 
 from functools import cache
 from itertools import groupby
-from operator import mul
+from operator import add, mul
 
 from .exact_linalg import (
     Frozen, IntMatrix, InvariantError, _identity_rows, int_inverse, row_combination, xgcd_vector,
@@ -75,6 +85,7 @@ from .lattice import (
     LatticeVector,
     RationalVector,
     _check_same_lattice,
+    memoized,
     norm,
     pairing,
     reference_pair,
@@ -90,6 +101,12 @@ class StandardizationError(Exception):
 
 
 class Isometry(Frozen):
+    """An integer matrix M with M^T G M = G, acting on column vectors.
+
+    The constructor checks M^T G M = G in full, from the columns of M; they
+    are computed once per isometry (_cols), and apply and
+    preserves_components read them too."""
+
     _fields = ("lattice", "matrix")
 
     def __init__(self, lattice: Lattice, matrix: IntMatrix):
@@ -98,13 +115,16 @@ class Isometry(Frozen):
         self.__post_init__()
 
     def __post_init__(self):
-        n = self.lattice.rank
+        lattice = self.lattice
+        n = lattice.rank
         if self.matrix.nrows != n or self.matrix.ncols != n:
             raise ValueError("matrix shape does not match the lattice rank")
-        # M^T G M = G on the full Gram matrix, computed from scratch; G is
-        # sparse and the row-sparse product makes a near-identity M cheap
-        g = self.lattice.gram
-        if self.matrix.transpose().mul(g.mul(self.matrix)) != g:
+        # M^T G M = G on the full Gram matrix, computed from scratch: G M
+        # column by column through the compiled Gram kernel, then M^T (G M)
+        # by the row-sparse product on the columns of M, where a unit column
+        # shares a row of G M
+        gm = IntMatrix._trusted(tuple(zip(*map(lattice.gram_times, self._cols))))
+        if IntMatrix._trusted(self._cols).mul(gm) != lattice.gram:
             raise ValueError("matrix does not preserve the pairing")
 
     @classmethod
@@ -115,18 +135,26 @@ class Isometry(Frozen):
         object.__setattr__(iso, "matrix", matrix)
         return iso
 
+    @memoized
+    def _cols(self) -> tuple[tuple[int, ...], ...]:
+        """The columns of the matrix, the images of the basis vectors."""
+        return tuple(zip(*self.matrix.rows))
+
     def apply(self, v):
+        """M v, the combination of the columns at v's nonzero coordinates."""
         _check_same_lattice(self, v)
-        nums = v.nums
-        image = tuple([sum(map(mul, row, nums)) for row in self.matrix.rows])
+        image = row_combination(v.nums, self._cols)
         if isinstance(v, LatticeVector):
             return LatticeVector._trusted(self.lattice, image)
         # an integral matrix acts on the numerators; the denominator is kept
         return RationalVector(self.lattice, image, v.den)
 
     def compose(self, other: "Isometry") -> "Isometry":
-        """self after other (matrix product, column action)."""
+        """self after other (matrix product, column action); other itself
+        when self is the shared identity, as g^-1 is for a reference target."""
         _check_same_lattice(self, other)
+        if self.matrix.rows is _identity_rows(self.lattice.rank):
+            return other
         return Isometry._unchecked(self.lattice, self.matrix.mul(other.matrix))
 
     def inverse(self) -> "Isometry":
@@ -226,13 +254,17 @@ def flip_third_H(lattice: Lattice) -> Isometry:
     return Isometry(lattice, IntMatrix(_permuted(_identity_rows(lattice.rank), flip)))
 
 
-def preserves_components(phi: Isometry) -> bool:
-    p = standard_plane(phi.lattice)
-    image = OrientedPlane(tuple(phi.apply(b) for b in p.basis))
-    return same_component(p, image)
-
-
 _PLANES = ((E1, F1), (E2, F2), (E3, F3))
+
+
+def preserves_components(phi: Isometry) -> bool:
+    """Whether phi keeps the component of the standard plane: the image of
+    its basis vector e_i + f_i is the sum of columns e_i and f_i."""
+    p = standard_plane(phi.lattice)
+    cols, lattice = phi._cols, phi.lattice
+    image = OrientedPlane(tuple(
+        LatticeVector._trusted(lattice, tuple(map(add, cols[e], cols[f]))) for e, f in _PLANES))
+    return same_component(p, image)
 
 
 def _character(rows) -> int:

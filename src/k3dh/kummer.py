@@ -246,6 +246,10 @@ _SPHERES = tuple(
     KUMMER_LATTICE.basis_vector(NUM_TORUS + i).to_rational() for i in range(NUM_EXCEPTIONAL)
 )
 _HALF_SPHERES = RationalVector(KUMMER_LATTICE, (0,) * NUM_TORUS + (1,) * NUM_EXCEPTIONAL, 2)
+# the torus classes of kappa_hat and eta_hat, built once; each call still
+# pulls back into a fresh vector, so its pairings are computed per call
+_VOLUME_CLASS = form_to_torus_class(volume_real_form())
+_AREA_CLASS = form_to_torus_class(area_sum_form())
 
 
 def exceptional(i: int) -> RationalVector:
@@ -257,13 +261,13 @@ def exceptional(i: int) -> RationalVector:
 
 def kappa_hat() -> RationalVector:
     """Pullback of the volume real part plus half the sum of the spheres."""
-    return pullback(form_to_torus_class(volume_real_form())) + _HALF_SPHERES
+    return pullback(_VOLUME_CLASS) + _HALF_SPHERES
 
 
 def eta_hat(sign: int) -> RationalVector:
     """Minus the pullback of the area sum, with sign/2 times the sphere sum."""
     _check_sign(sign)
-    return _HALF_SPHERES.scale(sign) - pullback(form_to_torus_class(area_sum_form()))
+    return _HALF_SPHERES.scale(sign) - pullback(_AREA_CLASS)
 
 
 def sigma_class(sign: int, t) -> RationalVector:

@@ -313,7 +313,9 @@ class LatticeVector(_Vector):
     def __init__(self, lattice: Lattice, coords: tuple[int, ...]):
         if len(coords) != lattice.rank:
             raise ValueError("coordinate length does not match lattice rank")
-        int_tuple(coords, "coordinate")
+        # stored as the checked tuple, so a list argument compares and hashes
+        # as its tuple, and to_rational may share it
+        coords = int_tuple(coords, "coordinate")
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "coords", coords)
 
@@ -360,7 +362,8 @@ class LatticeVector(_Vector):
     __rmul__ = __mul__
 
     def to_rational(self) -> RationalVector:
-        return RationalVector(self.lattice, self.coords)
+        # integers over the denominator 1 are always canonical
+        return RationalVector._trusted(self.lattice, self.coords, 1)
 
 
 AnyVector = Union[LatticeVector, RationalVector]

@@ -20,6 +20,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .exact_linalg import Frozen, clip_repr, int_tuple
+from .kummer import KUMMER_LATTICE
 from .lattice import LatticeVector, RationalVector, make_K3, pairing, reference_pair
 from .sublattice import is_primitive_embedding
 
@@ -191,7 +192,8 @@ class Piece(Frozen):
     Endpoints are rational, or None on an unbounded side.  When a class
     pair is present, its second member is the Euler class of the circle
     bundle over the reduced space.  Blowup classes are the RationalVectors
-    of the lattice named "kummer", kummer.KUMMER_LATTICE.
+    of kummer.KUMMER_LATTICE, recognized by the lattice itself, Gram matrix
+    included, not by its name.
     """
 
     _fields = ("lo", "hi", "dh", "class_pair", "reduced_space")
@@ -211,7 +213,7 @@ class Piece(Frozen):
             kappa, eta = class_pair
             integral = isinstance(kappa, LatticeVector) and isinstance(eta, LatticeVector)
             blowup = (isinstance(kappa, RationalVector) and isinstance(eta, RationalVector)
-                      and kappa.lattice.name == "kummer")
+                      and kappa.lattice == KUMMER_LATTICE)
             if not (integral or blowup) or kappa.lattice != eta.lattice:
                 raise ValueError(
                     "class pair must be two vectors of one lattice or two blowup classes")

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from k3dh import cli, isometry, period
 from k3dh.cli import InputError, main, run_verify_paper
-from k3dh.exact_linalg import IntMatrix
 from k3dh.isometry import StandardizationError, eichler_transvection, flip_third_H
 from k3dh.lattice import RationalVector, k3_e, k3_f, make_E8, make_K3, norm
 from k3dh.moment import DHPolynomial, pair_from_polynomial, rational_to_str
@@ -688,16 +687,15 @@ def test_each_isometry_claim_is_evaluated_once(monkeypatch, capsys, tmp_path):
     # lattice, not once per request
     flip_third_H(make_K3())
     orientations = spy(monkeypatch, isometry.preserves_components)
-    # each M^T G M = G evaluation multiplies the Gram matrix by M once
-    gram, mul = make_K3().gram, IntMatrix.mul
+    # Isometry.__post_init__ is the one place M^T G M = G is evaluated
+    full_check = isometry.Isometry.__post_init__
     full_checks = []
 
-    def counted_mul(self, other):
-        if self == gram:
-            full_checks.append(other)
-        return mul(self, other)
+    def counted(self):
+        full_checks.append(self.matrix)
+        full_check(self)
 
-    monkeypatch.setattr(IntMatrix, "mul", counted_mul)
+    monkeypatch.setattr(isometry.Isometry, "__post_init__", counted)
     # the target is the model pair: g is the identity and only phi takes the
     # full check, which lemma_iso's exit check still makes
     path = write_json(tmp_path, "pairs.json", quadratic_pairs_doc())

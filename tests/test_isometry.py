@@ -3,6 +3,7 @@ import importlib.util
 import json
 import random
 import sys
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 from k3dh import isometry
 from k3dh.cli import main
 from k3dh.exact_linalg import IntMatrix, InvariantError, det
-from k3dh.lattice import K3_BLOCKS, Lattice, make_E8, make_K3, k3_e, k3_f, norm, pairing
+from k3dh.lattice import (
+    K3_BLOCKS, Lattice, LatticeVector, RationalVector, make_E8, make_K3, k3_e, k3_f, norm, pairing,
+)
 from k3dh.isometry import (
     Isometry,
     StandardizationError,
@@ -24,7 +27,9 @@ from k3dh.isometry import (
     map_pair_to_standard,
     preserves_components,
 )
-from k3dh.period import PeriodPoint, project_to_alpha_perp
+from k3dh.period import (
+    OrientedPlane, PeriodPoint, project_to_alpha_perp, same_component, standard_plane,
+)
 from k3dh.sublattice import is_primitive_embedding
 
 K3 = make_K3()
@@ -820,3 +825,103 @@ def test_lemma_iso_matrices_match_the_recorded_digest():
         for i in range(300):
             digest.update(str(workloads.run_isometry(isometry, K3, records[i])).encode())
     assert digest.hexdigest() == "e3ad2e82ec4711b2319e8b6c9aa1e4814dd50cfdc08b6e7b65d4b8339c49ae6b"
+
+
+def former_apply(phi, v):
+    """Test-only oracle: the former apply, a dense dot product of each
+    matrix row with v's numerators over v's denominator."""
+    image = tuple(sum(a * b for a, b in zip(row, v.nums)) for row in phi.matrix.rows)
+    if isinstance(v, LatticeVector):
+        return LatticeVector(phi.lattice, image)
+    return RationalVector(phi.lattice, image, v.den)
+
+
+def lemma_iso_results(rng, count):
+    """count non-identity lemma_iso results: pairs of the isometry-pairs law
+    sent to a moved copy of their model pair, in a random mode."""
+    out = []
+    while len(out) < count:
+        kp, ep = bench_law_pair(rng)
+        ref = standard_pair(norm(kp) // 2, pairing(kp, ep), norm(ep) // 2)
+        phi = lemma_iso(*transvected_pair(rng, *ref, 2), kp, ep, preserve=rng.random() < 0.5)
+        if phi.matrix != IntMatrix.identity(K3.rank):
+            out.append(phi)
+    return out
+
+
+def test_full_check_refuses_every_single_entry_perturbation():
+    # the column-wise M^T (G M) of Isometry.__post_init__ against the dense
+    # oracle: three lemma_iso results pass, and each of the 484 entries of
+    # each, moved by +-1, gives a matrix that both refuse
+    rng = random.Random(43)
+    for phi in lemma_iso_results(rng, 3):
+        rows = phi.matrix.rows
+        assert gram_is_preserved(rows)
+        assert Isometry(K3, phi.matrix).matrix == phi.matrix
+        for i, j in product(range(K3.rank), repeat=2):
+            bumped = [list(r) for r in rows]
+            bumped[i][j] += rng.choice((1, -1))
+            with pytest.raises(ValueError, match="does not preserve the pairing"):
+                Isometry(K3, IntMatrix(bumped))
+            assert not gram_is_preserved(bumped), (i, j)
+
+
+def test_apply_matches_the_dense_row_oracle():
+    # the image is the combination of the columns at v's nonzero coordinates:
+    # the type of v, a rational image keeps v's denominator, and entries
+    # too long for str() are never converted
+    rng = random.Random(47)
+    huge = 7 ** (3 * getattr(sys, "get_int_max_str_digits", lambda: 4300)())
+    isometries = (*lemma_iso_results(rng, 3), minus_identity(), flip_third_H(K3),
+                  identity_isometry(K3))
+    for phi in isometries:
+        vectors = (
+            K3.vector([0] * K3.rank),
+            K3.rational_vector([0] * K3.rank),
+            K3.vector([rng.randint(-5, 5) for _ in range(K3.rank)]),
+            K3.vector(sparse_coords({rng.randrange(6): 1, rng.randrange(6, 22): -3})),
+            K3.rational_vector([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                for _ in range(K3.rank)]),
+            K3.vector(sparse_coords({0: huge, 7: -huge, 21: 1})),
+            K3.rational_vector(sparse_coords({1: Fraction(huge, 3), 14: 1})),
+        )
+        for v in vectors:
+            image = phi.apply(v)
+            assert type(image) is type(v) and image.den == v.den
+            assert image == former_apply(phi, v)
+
+
+def former_preserves_components(phi):
+    """Test-only oracle: the former route, the dense images of the rational
+    standard plane's basis, then same_component."""
+    p = standard_plane(K3)
+    return same_component(p, OrientedPlane(tuple(former_apply(phi, b) for b in p.basis)))
+
+
+def test_preserves_components_matches_the_former_route():
+    # the image of e_i + f_i is the sum of two columns; products of 1-3
+    # transvections with the flip or -1 on either side give both characters
+    rng = random.Random(53)
+    signs = (identity_isometry(K3), flip_third_H(K3), minus_identity())
+    seen = set()
+    for _ in range(200):
+        phi = rng.choice(signs)
+        for _ in range(rng.randint(1, 3)):
+            phi = random_transvection(rng).compose(phi)
+        phi = rng.choice(signs).compose(phi)
+        expected = former_preserves_components(phi)
+        assert preserves_components(phi) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_compose_after_the_shared_identity_is_the_other_factor():
+    # g^-1 of a target in reference position is the shared identity, which
+    # int_inverse returns unchanged; an identity built elsewhere multiplies
+    g = random_transvection(random.Random(59))
+    ident = identity_isometry(K3)
+    assert ident.compose(g) is g and ident.inverse().compose(g) is g
+    other = Isometry(K3, IntMatrix.identity(K3.rank))
+    assert other.matrix.rows is not ident.matrix.rows
+    product = other.compose(g)
+    assert product is not g and product.matrix == g.matrix

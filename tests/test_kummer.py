@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k3dh import kummer
 from k3dh.exact_linalg import IntMatrix, InvariantError, det
 from k3dh.lattice import Lattice, make_K3
 from k3dh.lattice import pairing as lattice_pairing
@@ -519,6 +520,21 @@ def test_kummer_builders_match_the_former_fraction_built_classes():
     for a in ("kappa", "eta1", "eta-1", "E0", "E15"):
         for b in ("kappa", "eta1", "eta-1", "E0", "E15"):
             assert pairing(built[a], built[b]) == former_pairing(former[a], former[b])
+
+
+def test_hat_torus_classes_are_built_once(monkeypatch):
+    # kappa_hat and eta_hat read two torus classes built at import, equal to
+    # a fresh build; each call still pulls back into a fresh vector, so no
+    # cached Gram image or self-pairing is shared between calls
+    assert kummer._VOLUME_CLASS == form_to_torus_class(volume_real_form())
+    assert kummer._AREA_CLASS == form_to_torus_class(area_sum_form())
+    expected = {"kappa": kappa_hat(), 1: eta_hat(1), -1: eta_hat(-1)}
+    monkeypatch.setattr(kummer, "form_to_torus_class", None)
+    for key, build in (("kappa", kappa_hat), (1, lambda: eta_hat(1)), (-1, lambda: eta_hat(-1))):
+        first, second = build(), build()
+        assert first == second == expected[key] and first is not second
+        pairing(first, first)
+        assert "vv" in first.__dict__ and "vv" not in second.__dict__
 
 
 def test_wedge_integrate_on_mixed_denominators():

@@ -32,7 +32,7 @@ from k3dh.lattice import (
     reference_pair,
     rescale,
 )
-from k3dh.isometry import eichler_transvection
+from k3dh.isometry import Isometry, eichler_transvection, identity_isometry
 from k3dh.kummer import EXCEPTIONAL_LATTICE, KUMMER_LATTICE, TORUS_LATTICE, WEDGE_LATTICE
 from k3dh.period import PeriodPoint, project_to_alpha_perp
 from k3dh.sublattice import Sublattice, integral_primitive
@@ -649,6 +649,8 @@ def test_memoized_attributes_are_computed_once_and_stored(monkeypatch):
         (k3dh.lattice._Vector, "vv", lambda: K3.rational_vector([Fraction(1, 3)] * 22)),
         (Sublattice, "restricted_gram", lambda: Sublattice(K3, sub_basis)),
         (Sublattice, "_lift", lambda: Sublattice(K3, sub_basis)),
+        # an unchecked isometry, as the full check reads the columns itself
+        (Isometry, "_cols", lambda: identity_isometry(K3)),
     )
     for cls, name, build in cases:
         descriptor = vars(cls)[name]
@@ -705,6 +707,17 @@ def test_self_pairing_matches_dense_oracle(monkeypatch):
                     assert computed == [v]
                     assert v.vv == expected == sum(map(mul, v.nums, v.gv))
                     assert v.gv == lattice.gram_times(v.nums)
+
+
+def test_lattice_vector_stores_its_coordinates_as_a_tuple():
+    # a list argument is stored as the checked tuple, so the vector equals
+    # and hashes as the tuple-built one, and to_rational, which shares the
+    # coordinates unchecked, gives canonical numerators over 1
+    coords = [3, -1] + [0] * 20
+    v, w = LatticeVector(K3, coords), K3.vector(coords)
+    assert type(v.coords) is tuple and v == w and hash(v) == hash(w)
+    r = v.to_rational()
+    assert r.nums is v.coords and r == RationalVector(K3, coords) and r.den == 1
 
 
 def assert_validated_ints(v):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k3dh.exact_linalg import IntMatrix
 from k3dh.kummer import KUMMER_LATTICE, NUM_TORUS, eta_hat, kappa_hat
-from k3dh.lattice import k3_e, k3_f, make_E8, make_H, make_K3, norm, pairing
+from k3dh.lattice import Lattice, RationalVector, k3_e, k3_f, make_E8, make_H, make_K3, norm, pairing
 from k3dh.moment import (
     DHPolynomial,
     GluedModel,
@@ -242,6 +243,20 @@ def test_malformed_class_pairs_are_structural_errors():
     # both kinds of well-formed pair are accepted
     Piece(0, 1, DHPolynomial(2, 0, 2), class_pair=(e8, 2 * e8))
     Piece(0, 1, PLUS_BRANCH, class_pair=(kappa_hat(), eta_hat(1)))
+
+
+def test_a_lattice_named_kummer_is_not_the_blowup_lattice():
+    # blowup classes are recognized by their lattice, Gram matrix included:
+    # rational vectors of another lattice that only shares the name are
+    # refused, so validate never skips the primitivity check of such a pair
+    impostor = Lattice("kummer", IntMatrix.identity(KUMMER_LATTICE.rank))
+    u, v = (impostor.basis_vector(i).to_rational() for i in range(2))
+    with pytest.raises(ValueError, match="two vectors of one lattice or two blowup"):
+        Piece(0, 1, DHPolynomial(2, 0, 2), class_pair=(u.scale(2), v))
+    # a lattice equal to the blowup lattice is the blowup lattice
+    copy = Lattice("kummer", KUMMER_LATTICE.gram)
+    k, e = (RationalVector(copy, c.nums, c.den) for c in (kappa_hat(), eta_hat(1)))
+    Piece(0, 1, PLUS_BRANCH, class_pair=(k, e))
 
 
 def test_validate_reports_negative_endpoints_and_dependent_pairs():
