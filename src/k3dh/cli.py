@@ -190,9 +190,10 @@ def _period_checks(kappa, re, im) -> list[Check]:
     """The checks of one period record: re + i*im spans a period point, and
     then the projected-norm identity and the tame-cone equivalence.  The
     identity's right-hand side is PeriodPoint.projected_norm, computed from
-    pairings, independently of the projection; the equivalence row records
-    the exit check of is_in_ktilde_omega, which raises InvariantError unless
-    its membership agrees with the positive-cone test on the projection.  An
+    kappa's pairings with the line (the ones the projection stored) and with
+    itself, not from the projected vector; the equivalence row records the
+    exit check of is_in_ktilde_omega, which raises InvariantError unless its
+    membership agrees with the positive-cone test on the projection.  An
     InvariantError of either library call is a fault in the period layer,
     reported as a failed projection row in place of those two rows."""
     checks = []

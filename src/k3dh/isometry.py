@@ -42,7 +42,8 @@ char(g^-1) = char(g) and phi = g^-1 gp has character char(g) char(gp)
 (Huybrechts, Lectures on K3 Surfaces, CUP 2016, Ch. 14).  When that product
 disagrees with the requested orientation, gp is replaced by flip gp: the
 flip negates the third hyperbolic summand, has character -1 and fixes the
-reference pair, so phi still hits the target pair.
+reference pair, so phi still hits the target pair.  It is a signed
+permutation, so flip gp is gp with its rows e3 and f3 negated.
 preserves_components(phi) stays as the exit check, so a wrong character
 raises InvariantError instead of returning a wrong answer.
 
@@ -168,9 +169,10 @@ def _exit_check(phi: Isometry) -> Isometry:
     if phi.matrix.rows == _identity_rows(phi.lattice.rank):
         return phi
     try:
-        return Isometry(phi.lattice, phi.matrix)
+        phi.__post_init__()  # in place, on the columns phi has computed
     except ValueError as exc:
         raise InvariantError(f"constructed isometry fails its exit check: {exc}") from None
+    return phi
 
 
 def identity_isometry(lattice: Lattice) -> Isometry:
@@ -244,14 +246,17 @@ def eichler_transvection(e: LatticeVector, a: LatticeVector) -> Isometry:
     return Isometry._unchecked(e.lattice, IntMatrix._trusted(rows))
 
 
+# the signed permutation negating the third hyperbolic summand
+_FLIP = {E3: (E3, -1), F3: (F3, -1)}
+
+
 @cache
 def flip_third_H(lattice: Lattice) -> Isometry:
     """Negate the third hyperbolic summand; reverses plane orientation and
     fixes the reference pair, which has no e3 or f3 part.
 
     Built and checked once per lattice."""
-    flip = {E3: (E3, -1), F3: (F3, -1)}
-    return Isometry(lattice, IntMatrix(_permuted(_identity_rows(lattice.rank), flip)))
+    return Isometry(lattice, IntMatrix(_permuted(_identity_rows(lattice.rank), _FLIP)))
 
 
 _PLANES = ((E1, F1), (E2, F2), (E3, F3))
@@ -328,17 +333,18 @@ class _Mover:
         A run of consecutive transvections with one base e is the single
         factor E(e, a_1 + ... + a_k), whose preconditions
         _transvection_data checks again, and no factor when the arguments
-        sum to 0.  Each factor acts on the rows built so far: a signed
-        permutation moves rows, a transvection is the rank-two row update
-        of _transvected.  A first factor is the product itself, so it is
-        the permuted identity or eichler_transvection's matrix."""
+        sum to 0; a run of one move is its recorded factor, with the G e and
+        w recorded with it.  Each factor acts on the rows built so far: a
+        signed permutation moves rows, a transvection is the rank-two row
+        update of _transvected.  A first factor is the product itself, so it
+        is the permuted identity or eichler_transvection's matrix."""
         rows = None
         for base, run in groupby(self.moves, key=_run_key):
             if isinstance(base, dict):
                 for perm in run:
                     rows = _permuted(_identity_rows(self.lattice.rank) if rows is None else rows, perm)
                 continue
-            (e, a, *_), *rest = run
+            (e, a, ge, w), *rest = run
             for mv in rest:
                 a = a + mv[1]
             if not any(a.coords):
@@ -346,7 +352,9 @@ class _Mover:
             if rows is None:
                 rows = eichler_transvection(e, a).matrix.rows
             else:
-                rows = _transvected(rows, e, a, *_transvection_data(e, a))
+                if rest:
+                    ge, w = _transvection_data(e, a)
+                rows = _transvected(rows, e, a, ge, w)
         if rows is None:
             return identity_isometry(self.lattice)
         return Isometry._unchecked(self.lattice, IntMatrix._trusted(rows))
@@ -600,7 +608,8 @@ def lemma_iso(kappa: LatticeVector, eta: LatticeVector, kappa_p: LatticeVector,
     # equal Gram data, so the source pair has the target pair's reference pair
     gp = _to_reference(kappa_p, eta_p, reference_pair(kappa.lattice, nk // 2, m, ne // 2))
     if (_character(g.matrix.rows) * _character(gp.matrix.rows) == 1) != preserve:
-        gp = flip_third_H(gp.lattice).compose(gp)
+        # the flip after gp: its rows e3 and f3 negated, no matrix product
+        gp = Isometry._unchecked(gp.lattice, IntMatrix._trusted(_permuted(gp.matrix.rows, _FLIP)))
     phi = g.inverse().compose(gp)
     if preserves_components(phi) != preserve:
         raise InvariantError("lemma_iso: the predicted orientation character is wrong")

@@ -150,8 +150,8 @@ class Lattice(Frozen):
         ]
         if len(ratios) != self.rank:
             raise ValueError("coordinate length does not match lattice rank")
-        den = lcm(*(d for _, d in ratios))
-        return RationalVector._trusted(self, tuple(n * (den // d) for n, d in ratios), den)
+        den = lcm(*[d for _, d in ratios])
+        return RationalVector._trusted(self, tuple([n * (den // d) for n, d in ratios]), den)
 
     def is_even(self) -> bool:
         return all(self.gram[i, i] % 2 == 0 for i in range(self.rank))

@@ -32,7 +32,8 @@ class ModelError(Exception):
 
 
 def rational_to_str(x) -> str:
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

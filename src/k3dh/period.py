@@ -10,6 +10,13 @@ integer numerators over one denominator, the predicates compare integer
 pairings of the numerators scaled by squares of the denominators, and a
 Fraction is built only for a value that a function returns.  All
 predicates below are exact; there is no epsilon anywhere.
+
+A point remembers the last kappa object projected away from it, with the
+pairings (K, R) and (K, I) of its numerators and the projection, once its
+orthogonality check has passed.  The pairing square, the projected norm and
+the tame-cone test read those two pairings when they are given that same
+object, and the positive-cone test reads that the stored projection is
+orthogonal to the line; any other vector, even an equal one, is paired.
 """
 
 from fractions import Fraction
@@ -49,8 +56,14 @@ def is_in_omega(re: AnyVector, im: AnyVector) -> bool:
 class PeriodPoint(Frozen):
     """A period point; the self-pairings (R, R) and (I, I) of the numerators
     are computed at construction and cached on re and im as `vv`.
-    `_projection` holds the last kappa that project_to_alpha_perp projected
-    away from this point, with its projection, or None; it is not a field."""
+
+    `_projection` is None or (kappa, kr, ki, projection): the last kappa
+    object that project_to_alpha_perp projected away from this point, its
+    numerator pairings kr = (K, R) and ki = (K, I), and its projection,
+    stored once the projection's orthogonality check has passed.  It is not
+    a field.  _pairing_square_num reads kr and ki when it is given that
+    kappa object, and is_in_k_omega reads that the projection object is
+    orthogonal to the line."""
 
     _fields = ("re", "im")
 
@@ -90,10 +103,15 @@ class PeriodPoint(Frozen):
         return self.re.vv * self.im.den**2 + self.im.vv * self.re.den**2
 
     def _pairing_square_num(self, kappa: AnyVector) -> int:
-        """(K, R)^2 i^2 + (K, I)^2 r^2."""
-        _check_same_lattice(kappa, self.re)
+        """(K, R)^2 i^2 + (K, I)^2 r^2; the pairings are the ones the point
+        stored with its projection when kappa is that memo's kappa object."""
         re, im = self.re, self.im
-        kr, ki = pairing_nums(kappa, re), pairing_nums(kappa, im)
+        memo = self._projection
+        if memo is not None and memo[0] is kappa:
+            kr, ki = memo[1], memo[2]
+        else:
+            _check_same_lattice(kappa, re)
+            kr, ki = pairing_nums(kappa, re), pairing_nums(kappa, im)
         return kr * kr * im.den**2 + ki * ki * re.den**2
 
     def projected_norm(self, kappa: AnyVector) -> Fraction:
@@ -121,38 +139,46 @@ def project_to_alpha_perp(kappa: AnyVector, point: PeriodPoint) -> RationalVecto
     d times the reduced denominators of the two coefficients.
 
     The point keeps one projection: that of the last kappa object it was
-    asked for, stored only once the orthogonality check has passed.  It is
-    keyed by identity and holds kappa itself, so the key cannot be reused
-    by another object; vectors and points are immutable, so a repeated
-    call on the same pair returns the same, already checked, vector.
+    asked for, with the pairings kr = (K, R) and ki = (K, I) it was built
+    from, stored only once the orthogonality check has passed (see
+    PeriodPoint).  It is keyed by identity and holds kappa itself, so the
+    key cannot be reused by another object; vectors and points are
+    immutable, so a repeated call on the same pair returns the same,
+    already checked, vector.
     """
     memo = point._projection
     if memo is not None and memo[0] is kappa:
-        return memo[1]
+        return memo[3]
     _check_same_lattice(kappa, point.re)
     re, im = point.re, point.im
-    pr, qr = pairing_nums(kappa, re), re.vv
-    pi, qi = pairing_nums(kappa, im), im.vv
-    g, h = gcd(pr, qr), gcd(pi, qi)
-    pr, qr, pi, qi = pr // g, qr // g, pi // h, qi // h
+    kr, qr = pairing_nums(kappa, re), re.vv
+    ki, qi = pairing_nums(kappa, im), im.vv
+    g, h = gcd(kr, qr), gcd(ki, qi)
+    pr, qr, pi, qi = kr // g, qr // g, ki // h, qi // h
     q = qr * qi
     a, b = pr * qi, pi * qr
     out = RationalVector(
         point.lattice,
-        tuple(q * x - a * y - b * z for x, y, z in zip(kappa.nums, re.nums, im.nums)),
+        [q * x - a * y - b * z for x, y, z in zip(kappa.nums, re.nums, im.nums)],
         kappa.den * q,
     )
     if pairing_nums(out, re) != 0 or pairing_nums(out, im) != 0:
         raise InvariantError("projection is not orthogonal to the period line")
-    object.__setattr__(point, "_projection", (kappa, out))
+    object.__setattr__(point, "_projection", (kappa, kr, ki, out))
     return out
 
 
 def is_in_k_omega(kappa: AnyVector, point: PeriodPoint) -> bool:
     """Positive vector orthogonal to the period line.
 
-    With kappa = K/k: (K, K) > 0, (K, R) = 0 and (K, I) = 0.
+    With kappa = K/k: (K, K) > 0, (K, R) = 0 and (K, I) = 0.  For the
+    projection object the point stored, only (K, K) > 0 is evaluated: its
+    orthogonality was checked before it was stored.  Any other vector, even
+    one equal to it, is paired with re and im.
     """
+    memo = point._projection
+    if memo is not None and memo[3] is kappa:
+        return pairing_nums(kappa, kappa) > 0
     _check_same_lattice(kappa, point.re)
     return (
         pairing_nums(kappa, kappa) > 0
@@ -171,14 +197,16 @@ def is_in_ktilde_omega(kappa: AnyVector, point: PeriodPoint) -> bool:
     Equivalent to the projection of kappa landing strictly inside the
     positive cone orthogonal to the line; the equivalence is re-checked on
     every call and a disagreement raises InvariantError.  The projection
-    comes from project_to_alpha_perp, so after a caller's own projection of
-    the same kappa it is the point's stored vector, checked orthogonal when
-    it was built: the re-check is the same comparison against the same
-    vector, without building a second, identical copy of it.
+    comes from project_to_alpha_perp first, so it is the point's stored
+    vector, checked orthogonal when it was built, and (K, R) and (K, I) are
+    the pairings stored with it: the integer inequality reads them, and the
+    re-check compares it with (V, V) > 0 for that projection V = K'/k',
+    which is all is_in_k_omega evaluates on the stored vector.
     """
-    square = point._pairing_square_num(kappa)  # checks the lattice
+    projection = project_to_alpha_perp(kappa, point)  # checks the lattice
+    square = point._pairing_square_num(kappa)
     member = pairing_nums(kappa, kappa) * point._norm_num() > 2 * square
-    if member != is_in_k_omega(project_to_alpha_perp(kappa, point), point):
+    if member != is_in_k_omega(projection, point):
         raise InvariantError("cone membership disagrees with its projected form")
     return member
 

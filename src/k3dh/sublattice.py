@@ -27,7 +27,6 @@ from .lattice import (
     RationalVector,
     _gram_kernel,
     memoized,
-    pairing_nums,
 )
 
 
@@ -49,15 +48,12 @@ class Sublattice(Frozen):
 
     @memoized
     def restricted_gram(self) -> IntMatrix:
-        # __init__ checked that the basis lives in the ambient lattice,
-        # whose Gram matrix is symmetric (Lattice.__init__), so each
-        # unordered pair is paired once and mirrored
+        # B^T (G B) for the basis columns b_k of B (__init__ checked that they
+        # live in the ambient lattice): one row-sparse product of the basis
+        # rows with the matrix whose columns are the cached images G b_k
         basis = self.basis
-        rows = [[0] * len(basis) for _ in basis]
-        for i, u in enumerate(basis):
-            for j in range(i, len(basis)):
-                rows[i][j] = rows[j][i] = pairing_nums(u, basis[j])
-        return IntMatrix(rows)
+        images = IntMatrix._trusted(tuple(zip(*[v.gv for v in basis])))
+        return IntMatrix._trusted(tuple([v.coords for v in basis])).mul(images)
 
     @memoized
     def _lift(self):

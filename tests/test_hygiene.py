@@ -138,8 +138,9 @@ def call_sites(source: str, name: str) -> list[str]:
 # in the calibration of the reference isometries, a claim of its own, tests
 # cone membership nowhere, and applies an isometry only to build the moved
 # pair.  In isometry, the checking constructor runs the full M^T G M = G
-# check, so it is called where a matrix leaves the module and on the one
-# matrix given as data
+# check, so it is called on the one matrix given as data; a matrix that
+# leaves the module meets that check in place, by __post_init__ on the
+# isometry already built, in _exit_check
 CALL_SITES = {
     "cli": {
         "lemma_iso": ["_isometry_checks"],
@@ -149,7 +150,7 @@ CALL_SITES = {
         "is_in_ktilde_omega": ["_period_checks"],
         "is_in_k_omega": [],
     },
-    "isometry": {"Isometry": ["_exit_check", "flip_third_H"]},
+    "isometry": {"Isometry": ["flip_third_H"], "__post_init__": ["__init__", "_exit_check"]},
 }
 
 

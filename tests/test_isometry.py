@@ -630,9 +630,8 @@ def test_lemma_iso_checks_each_result_once(monkeypatch, preserve):
     # is gp's last move.  The orientation is decided before the build, so
     # each call checks it once, on phi.  A pair in reference position builds
     # nothing, so the mover builds g only for a moved target and gp only
-    # for a moved source.  The flip is built, and checked, on its first
-    # call, so it is built before the count starts
-    flip_third_H(K3)
+    # for a moved source.  The flip negates two rows of gp and builds no
+    # checked isometry
     ref = standard_pair(-2, -8, -2)
     moved = transvected_pair(random.Random(29), *ref, 3)
     cases = {
@@ -699,6 +698,32 @@ def test_zero_sum_run_adds_no_factor(monkeypatch):
     g = m.isometry()
     assert [b.coords for b in built] == [(2 * a).coords, a.coords]
     assert g.matrix == per_move_product(m).matrix
+
+
+def test_a_run_of_one_move_reuses_its_recorded_data(monkeypatch):
+    # building the product checks the data of a first factor (through
+    # eichler_transvection) and of each merged run, by its summed argument;
+    # a later run of one move is applied with the data checked when it was
+    # recorded
+    a = K3.vector(sparse_coords({2: 1, 6: 1, 7: -1}))
+    b = K3.vector(sparse_coords({9: 2, 12: -1}))
+    data = isometry._transvection_data
+    checked = []
+    for moves, expected in (
+        ([(E[0], a), (F[2], b), (E[1], a)], [a]),
+        ([(E[0], a), (E[0], b), (F[2], b), (E[1], a), (E[1], b)], [a + b, a + b]),
+        ([(F[2], b), (E[0], a), (E[0], a), (F[2], a)], [b, 2 * a]),
+    ):
+        m = isometry._Mover(E[1] + 3 * F[1])
+        for e, arg in moves:
+            m.transvect(e, arg)
+        checked.clear()
+        monkeypatch.setattr(isometry, "_transvection_data",
+                            lambda e, arg: checked.append(arg) or data(e, arg))
+        g = m.isometry()
+        monkeypatch.undo()
+        assert checked == expected
+        assert g.matrix == per_move_product(m).matrix
 
 
 def test_replay_does_not_recheck_recorded_moves(monkeypatch):

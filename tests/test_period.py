@@ -445,6 +445,12 @@ def count_pairings(monkeypatch):
     return calls
 
 
+def operand_ids(calls):
+    """The pairs of operands as object identities, since equal vectors of
+    different identity compare equal."""
+    return [(id(u), id(v)) for u, v in calls]
+
+
 def test_period_point_keeps_its_self_pairings(monkeypatch):
     u, v = hyperbolic(K3, 0, 2, 1), hyperbolic(K3, 1, 2, 1)
     re = u.to_rational().scale(Fraction(3, 5)) + v.to_rational().scale(Fraction(4, 7))
@@ -461,9 +467,10 @@ def test_period_point_keeps_its_self_pairings(monkeypatch):
     project_to_alpha_perp(kappa, point)
     assert len(calls) == 4  # (K, R), (K, I) and the two orthogonality checks
     assert is_in_ktilde_omega(kappa, point)
-    # (K, R), (K, I), (K, K) and is_in_k_omega's 3; the projection is the
-    # one the point kept from the call above, so it makes no pairing
-    assert len(calls) == 4 + 6
+    # (K, K) and the projection's (V, V): the projection is the one the
+    # point kept from the call above, so it makes no pairing, (K, R) and
+    # (K, I) are read from it, and its orthogonality was checked there
+    assert len(calls) == 4 + 2
     own = {id(point.re), id(point.im)}
     assert not any(id(a) in own and id(b) in own for a, b in calls)
     monkeypatch.undo()
@@ -508,13 +515,68 @@ def test_projection_memo_keys_on_the_kappa_object():
     assert oracle_projection(kappa, p) != oracle_projection(other, p)
 
 
+def oracle_projected_norm(point, kappa):
+    return norm(kappa) - 2 * oracle_pairing_square(point, kappa) / oracle_hermitian_norm(point)
+
+
 def test_projection_memo_is_set_only_after_the_orthogonality_check(monkeypatch):
-    pt, kappa = standard_point(K3), tame_kappa(0)
-    monkeypatch.setattr(k3dh.period, "pairing_nums", lambda u, v: 1)
-    with pytest.raises(InvariantError, match="not orthogonal"):
-        project_to_alpha_perp(kappa, pt)
-    monkeypatch.undo()
+    # a faulted pairing fails the exit check, and neither the projection nor
+    # the faulted (K, R) = (K, I) = 1 is stored: the pairing square and the
+    # projected norm read none of them afterwards, nor a memo left by an
+    # earlier kappa
+    pt, kappa, earlier = standard_point(K3), tame_kappa(0), tame_kappa(1)
+    for before in (None, earlier):
+        if before is not None:
+            project_to_alpha_perp(before, pt)
+        memo = pt._projection
+        monkeypatch.setattr(k3dh.period, "pairing_nums", lambda u, v: 1)
+        with pytest.raises(InvariantError, match="not orthogonal"):
+            project_to_alpha_perp(kappa, pt)
+        assert pt._projection is memo and (memo is None or memo[0] is earlier)
+        monkeypatch.undo()
+        assert pt.pairing_square(kappa) == oracle_pairing_square(pt, kappa)
+        assert pt.projected_norm(kappa) == oracle_projected_norm(pt, kappa)
     assert project_to_alpha_perp(kappa, pt).coords == oracle_projection(kappa, pt)
+    assert pt.pairing_square(kappa) == oracle_pairing_square(pt, kappa)
+    assert pt.projected_norm(kappa) == oracle_projected_norm(pt, kappa)
+
+
+def test_an_equal_kappa_object_is_paired_again(monkeypatch):
+    # the stored (K, R) and (K, I) are read only for the memo's kappa object
+    pt, kappa = standard_point(K3), tame_kappa(0)
+    project_to_alpha_perp(kappa, pt)
+    twin = RationalVector(K3, kappa.nums, kappa.den)
+    assert twin == kappa and twin is not kappa
+    calls = count_pairings(monkeypatch)
+    assert pt.pairing_square(kappa) == oracle_pairing_square(pt, kappa)
+    assert calls == []
+    assert pt.pairing_square(twin) == oracle_pairing_square(pt, kappa)
+    assert operand_ids(calls) == operand_ids([(twin, pt.re), (twin, pt.im)])
+    del calls[:]
+    assert pt.projected_norm(twin) == oracle_projected_norm(pt, kappa)
+    assert operand_ids(calls) == operand_ids([(twin, pt.re), (twin, pt.im), (twin, twin)])
+    assert pt._projection[0] is kappa
+
+
+def test_an_equal_projection_object_is_paired_in_full(monkeypatch):
+    # only the stored projection object skips the two orthogonality pairings;
+    # a copy of it makes all three, and a vector that is not orthogonal to
+    # the line, however positive, is outside the cone
+    pt, kappa = standard_point(K3), tame_kappa(0)
+    khat = project_to_alpha_perp(kappa, pt)
+    copy = RationalVector(K3, khat.nums, khat.den)
+    tilted = khat + pt.re
+    assert copy == khat and copy is not khat and norm(tilted) > 0
+    calls = count_pairings(monkeypatch)
+    assert is_in_k_omega(khat, pt)
+    assert operand_ids(calls) == operand_ids([(khat, khat)])
+    del calls[:]
+    assert is_in_k_omega(copy, pt)
+    assert operand_ids(calls) == operand_ids([(copy, copy), (copy, pt.re), (copy, pt.im)])
+    del calls[:]
+    assert not is_in_k_omega(tilted, pt)
+    assert operand_ids(calls) == operand_ids([(tilted, tilted), (tilted, pt.re)])
+    assert not oracle_is_in_k_omega(tilted, pt)
 
 
 @pytest.mark.parametrize("tame", [True, False])
@@ -553,6 +615,7 @@ def test_one_period_record_pairs_each_vector_once(monkeypatch):
 
     monkeypatch.setattr(RationalVector, "__post_init__", counted_check)
     monkeypatch.setattr(k3dh.lattice, "_self_pairing", counted_compute)
+    paired = count_pairings(monkeypatch)
     kappa = K3.rational_vector(kappa_coords)
     point = PeriodPoint(K3.rational_vector(re_coords), K3.rational_vector(im_coords))
     khat = project_to_alpha_perp(kappa, point)
@@ -562,6 +625,15 @@ def test_one_period_record_pairs_each_vector_once(monkeypatch):
     cone = is_in_k_omega(khat, point)
     assert len(built) == 1 and built[0] is khat
     assert [id(w) for w in self_paired] == [id(point.re), id(point.im), id(khat), id(kappa)]
+    # every pairing the period module makes on the record: the point's three,
+    # the projection's (K, R), (K, I) and its two orthogonality checks, then
+    # only self-pairings, which read the cached vv: the pairing square and
+    # the tame-cone test read (K, R) and (K, I) from the projection, and the
+    # positive-cone tests on it read that it is orthogonal to the line
+    re, im = point.re, point.im
+    expected = [(re, re), (im, im), (re, im), (kappa, re), (kappa, im), (khat, re), (khat, im),
+                (kappa, kappa), (khat, khat), (khat, khat)]
+    assert operand_ids(paired) == operand_ids(expected)
     monkeypatch.undo()
     assert khat.coords == oracle_projection(kappa, point)
     assert lhs == rhs and tame and cone

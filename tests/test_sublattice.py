@@ -294,30 +294,39 @@ def test_complement_of_a_dense_plane_runs_no_second_snf():
     assert all(pairing(b, v) == 0 for b in comp.basis for v in plane)
 
 
-def test_restricted_gram_pairs_each_unordered_pair_once(monkeypatch):
-    # the mirrored upper triangle against the dense matrix of all ordered
-    # pairs, with the pairings counted through the module global
-    fold = sublattice.pairing_nums
-    calls = []
+def dense_pairing(u, v):
+    """Test-only oracle: u^T G v by a dense double loop over the Gram rows."""
+    return sum(a * g * b for a, row in zip(u.coords, K3.gram.rows) for g, b in zip(row, v.coords))
 
-    def counted(u, v):
-        calls.append((u, v))
-        return fold(u, v)
 
-    monkeypatch.setattr(sublattice, "pairing_nums", counted)
+def test_restricted_gram_matches_the_pairwise_oracle(monkeypatch):
+    # B^T (G B) as one row-sparse product against the matrix of all ordered
+    # pairwise pairings, on ranks 0, 1 and 19 and on seeded random bases;
+    # it makes one IntMatrix.mul and is computed once
+    products = []
+    mul = IntMatrix.mul
+    monkeypatch.setattr(IntMatrix, "mul", lambda a, b: products.append(a) or mul(a, b))
     rng = random.Random(19)
-    planes = [[k3_e(K3, i) + k3_f(K3, i) for i in range(3)], [k3_e(K3, 0)], []]
-    for _ in range(4):
-        planes.append(
-            [K3.vector([rng.randint(-2, 2) for _ in range(22)]) for _ in range(rng.randint(1, 3))]
-        )
-    for plane in planes:
+    standard = [k3_e(K3, i) + k3_f(K3, i) for i in range(3)]
+    subs = [
+        Sublattice(K3, ()),
+        Sublattice(K3, (k3_e(K3, 0),)),
+        Sublattice(K3, (K3.vector([rng.randint(-3, 3) for _ in range(22)]),)),
+        orthogonal_complement(K3, standard),
+    ]
+    for _ in range(6):
+        plane = [K3.vector([rng.randint(-2, 2) for _ in range(22)])
+                 for _ in range(rng.randint(1, 3))]
         comp = orthogonal_complement(K3, plane)
-        calls.clear()
-        gram = comp.restricted_gram
-        r = comp.rank
-        assert len(calls) == r * (r + 1) // 2
+        picked = rng.sample(comp.basis, rng.randint(0, comp.rank))
+        subs += [comp, Sublattice(K3, tuple(picked))]
+    assert {0, 1, 19} <= {sub.rank for sub in subs}
+    for sub in subs:
+        products.clear()
+        gram = sub.restricted_gram
+        assert len(products) == 1
         assert gram.rows == tuple(
-            tuple(pairing(u, v) for v in comp.basis) for u in comp.basis
+            tuple(dense_pairing(u, v) for v in sub.basis) for u in sub.basis
         )
-        assert comp.restricted_gram is gram
+        assert all(type(x) is int for row in gram.rows for x in row)
+        assert gram.is_symmetric() and sub.restricted_gram is gram
