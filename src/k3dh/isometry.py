@@ -381,8 +381,37 @@ def _block_functional(m: _Mover, b: int):
     return c, m.lattice.vector(coords)
 
 
-class _Roles(Frozen):
-    """Index bookkeeping for the unitizer.
+def _channels(m: _Mover, extra: LatticeVector | None):
+    """Available content channels as (value, u) with (v, u) = value > 0."""
+    out = []
+    for b in range(len(K3_BLOCKS)):
+        c, u = _block_functional(m, b)
+        if u is not None:
+            out.append((c, u))
+    if extra is not None:
+        r = _dot(m.coords, extra.gv)
+        if r:
+            out.append((abs(r), (1 if r > 0 else -1) * extra))
+    return out
+
+
+def _pull_content(m: _Mover, spares: tuple, extra: LatticeVector | None):
+    """Write the gcd of the content channels into the first spare slot.
+
+    The caller guarantees the spare plane is empty, which keeps every
+    pull linear: no quadratic correction, no write-back into the
+    reservoirs, and the channel values stay valid across pulls.  With no
+    channel it makes no move."""
+    chans = _channels(m, extra)
+    ei, _ = spares[0]
+    _, coeffs = xgcd_vector([val for val, u in chans])
+    for (val, u), co in zip(chans, coeffs):
+        if co:
+            m.transvect(m.lattice.basis_vector(ei), (-co) * u)
+
+
+def _unitize(m: _Mover, h1: tuple, spares: tuple, extra: LatticeVector | None = None) -> bool:
+    """Drive m.coords[h1[1]] to exactly 1.
 
     h1 is the hyperbolic pair whose second coordinate gets driven to 1,
     spares are the free hyperbolic pairs, and extra is an optional vector
@@ -390,47 +419,6 @@ class _Roles(Frozen):
     rank-one content reservoir.  Stage two passes the vector that must
     stay fixed alongside the first target as extra; every move the engine
     emits is then automatically orthogonal to it.
-    """
-
-    _fields = ("h1", "spares", "extra")
-
-    def __init__(self, h1: tuple, spares: tuple, extra: LatticeVector | None = None):
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "spares", spares)
-        object.__setattr__(self, "extra", extra)
-
-
-def _channels(m: _Mover, roles: _Roles):
-    """Available content channels as (value, u) with (v, u) = value > 0."""
-    out = []
-    for b in range(len(K3_BLOCKS)):
-        c, u = _block_functional(m, b)
-        if u is not None:
-            out.append((c, u))
-    if roles.extra is not None:
-        r = _dot(m.coords, roles.extra.gv)
-        if r:
-            out.append((abs(r), (1 if r > 0 else -1) * roles.extra))
-    return out
-
-
-def _pull_content(m: _Mover, roles: _Roles):
-    """Write the gcd of the content channels into the first spare slot.
-
-    The caller guarantees the spare plane is empty, which keeps every
-    pull linear: no quadratic correction, no write-back into the
-    reservoirs, and the channel values stay valid across pulls.  With no
-    channel it makes no move."""
-    chans = _channels(m, roles)
-    ei, _ = roles.spares[0]
-    _, coeffs = xgcd_vector([val for val, u in chans])
-    for (val, u), co in zip(chans, coeffs):
-        if co:
-            m.transvect(m.lattice.basis_vector(ei), (-co) * u)
-
-
-def _unitize(m: _Mover, roles: _Roles) -> bool:
-    """Drive m.coords[roles.h1[1]] to exactly 1.
 
     Euclidean strategy: transvections with isotropic arguments shift one
     hyperbolic coefficient by an integer multiple of another with no
@@ -449,9 +437,9 @@ def _unitize(m: _Mover, roles: _Roles) -> bool:
     orthogonal to all of them stays fixed.
     """
     basis = m.lattice.basis_vector
-    e1i, f1i = roles.h1
+    e1i, f1i = h1
     e1, f1 = basis(e1i), basis(f1i)
-    slots = [idx for pair in roles.spares for idx in pair]
+    slots = [idx for pair in spares for idx in pair]
     for _ in range(_STEP_BUDGET):
         q = m.coords[f1i]
         if q == 1:
@@ -461,7 +449,7 @@ def _unitize(m: _Mover, roles: _Roles) -> bool:
             continue
         # a unit spare coefficient finishes in one anchor transvection:
         # E(f_sp, λ f1) adds λ * a to q, E(e_sp, λ f1) adds λ * b
-        units = [(i, j) for ei, fi in roles.spares for i, j in ((ei, fi), (fi, ei))
+        units = [(i, j) for ei, fi in spares for i, j in ((ei, fi), (fi, ei))
                  if m.coords[i] in (1, -1)]
         if units:
             i, j = units[0]
@@ -471,7 +459,7 @@ def _unitize(m: _Mover, roles: _Roles) -> bool:
             if m.coords[e1i] != 0:
                 m.move({e1i: (f1i, 1), f1i: (e1i, 1)})
                 continue
-            for ei, fi in roles.spares:
+            for ei, fi in spares:
                 if m.coords[ei] != 0:
                     m.transvect(basis(fi), f1)  # q += a, clean: p = 0
                     break
@@ -479,7 +467,7 @@ def _unitize(m: _Mover, roles: _Roles) -> bool:
                     m.transvect(basis(ei), f1)
                     break
             else:
-                _pull_content(m, roles)
+                _pull_content(m, spares, extra)
             continue
         # |q| >= 2: reduce every spare coefficient mod q (E(e1, t e_sp)
         # adds t q to a, polluting only p), then swap the smallest
@@ -493,7 +481,7 @@ def _unitize(m: _Mover, roles: _Roles) -> bool:
         if best is None:
             # hyperbolic part is p e1 + q f1; euclid on (p, q) rides in
             # a spare slot (the write is clean because the plane is empty)
-            ei, fi = roles.spares[0]
+            ei, fi = spares[0]
             m.transvect(f1, basis(ei))  # a += p
             quo = m.coords[ei] // q
             if quo:
@@ -501,9 +489,9 @@ def _unitize(m: _Mover, roles: _Roles) -> bool:
             if m.coords[ei] == 0:
                 # q divides the whole hyperbolic part; bring in the
                 # reservoir gcd, coprime to q by primitivity
-                _pull_content(m, roles)
+                _pull_content(m, spares, extra)
             continue
-        for ei, fi in roles.spares:
+        for ei, fi in spares:
             if best == ei:
                 m.move({ei: (fi, 1), fi: (ei, 1)})
                 best = fi
@@ -514,16 +502,13 @@ def _unitize(m: _Mover, roles: _Roles) -> bool:
     raise StandardizationError(f"no move sequence found in {_STEP_BUDGET} steps")
 
 
-_FIRST_ROLES = _Roles(h1=(F1, E1), spares=((E2, F2), (E3, F3)))
-
-
 def _standardize_vector(m: _Mover):
     """Move the working vector kappa to e1 + (kappa,kappa)/2 f1.
 
     The unitizer drives the e1 coefficient, the reference slot, to 1, as
     stage two does for e2, so a vector already in reference position takes
     no move."""
-    _unitize(m, _FIRST_ROLES)
+    _unitize(m, (F1, E1), ((E2, F2), (E3, F3)))
     # v = e1 + q f1 + w; E(f1, -w) empties w, then the norm pins q
     # (map_pair_to_standard checks the image of kappa)
     basis = m.lattice.basis_vector
@@ -543,8 +528,7 @@ def _standardize_partner(m: _Mover, l0: int):
     pull inside _unitize always restarts it."""
     basis = m.lattice.basis_vector
     c = basis(E1) - l0 * basis(F1)  # orthogonal to e1 + l0 f1
-    roles = _Roles(h1=(F2, E2), spares=((E3, F3),), extra=c)
-    _unitize(m, roles)
+    _unitize(m, (F2, E2), ((E3, F3),), c)
     # kill order matters: each step must not disturb what is already clean;
     # a zero coefficient needs no move, so its argument is never built
     f2 = basis(F2)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .exact_linalg import Frozen, IntMatrix, InvariantError
+from .exact_linalg import Frozen, IntMatrix, InvariantError, int_tuple
 from .lattice import Lattice, RationalVector, direct_sum, pairing_nums, rescale
 
 # slots 0..3 are dz1, dz1bar, dz2, dz2bar
@@ -46,6 +46,7 @@ def _perm_sign(p) -> int:
 
 
 def _check_sign(sign: int) -> None:
+    int_tuple((sign,), "sign")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
 
@@ -254,6 +255,7 @@ _AREA_CLASS = form_to_torus_class(area_sum_form())
 
 def exceptional(i: int) -> RationalVector:
     """The i-th exceptional sphere class, 0-indexed."""
+    int_tuple((i,), "sphere index")
     if not 0 <= i < NUM_EXCEPTIONAL:
         raise ValueError("exceptional index out of range")
     return _SPHERES[i]

@@ -60,9 +60,10 @@ def _gram_kernel(entries: tuple[tuple[tuple[int, int], ...], ...]):
     """v -> G v for the sparse rows `entries` of an integer matrix G, row i
     holding (j, G_ij) for G_ij != 0, compiled to one tuple expression such
     as (v[1], v[0], ..., c0 * v[6] + v[8], ...).  G is a Gram matrix here,
-    or the transposed basis of a sublattice (Sublattice._lift).  An entry
-    other than +-1 enters as a closure variable, never as a literal, so no
-    coefficient is converted to a string."""
+    or the transposed basis of an orthogonal complement, the coefficient
+    lift of shortvec.roots_orthogonal_to.  An entry other than +-1 enters
+    as a closure variable, never as a literal, so no coefficient is
+    converted to a string."""
     names: dict[int, str] = {}
     rows = []
     for row in entries:

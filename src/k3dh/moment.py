@@ -20,8 +20,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .exact_linalg import Frozen, clip_repr, int_tuple
-from .kummer import KUMMER_LATTICE
-from .lattice import LatticeVector, RationalVector, make_K3, pairing, reference_pair
+from .lattice import LatticeVector, make_K3, pairing, reference_pair
 from .sublattice import is_primitive_embedding
 
 REPORT_SCHEMA_VERSION = 1
@@ -191,10 +190,9 @@ class Piece(Frozen):
     """One open interval of regular values with its reduced-space data.
 
     Endpoints are rational, or None on an unbounded side.  When a class
-    pair is present, its second member is the Euler class of the circle
-    bundle over the reduced space.  Blowup classes are the RationalVectors
-    of kummer.KUMMER_LATTICE, recognized by the lattice itself, Gram matrix
-    included, not by its name.
+    pair is present, it is two integral vectors of one lattice, and its
+    second member is the Euler class of the circle bundle over the reduced
+    space.
     """
 
     _fields = ("lo", "hi", "dh", "class_pair", "reduced_space")
@@ -212,12 +210,9 @@ class Piece(Frozen):
             if len(class_pair) != 2:
                 raise ValueError("class pair must have two members")
             kappa, eta = class_pair
-            integral = isinstance(kappa, LatticeVector) and isinstance(eta, LatticeVector)
-            blowup = (isinstance(kappa, RationalVector) and isinstance(eta, RationalVector)
-                      and kappa.lattice == KUMMER_LATTICE)
-            if not (integral or blowup) or kappa.lattice != eta.lattice:
-                raise ValueError(
-                    "class pair must be two vectors of one lattice or two blowup classes")
+            if not (isinstance(kappa, LatticeVector) and isinstance(eta, LatticeVector)
+                    and kappa.lattice == eta.lattice):
+                raise ValueError("class pair must be two integral vectors of one lattice")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "dh", dh)
@@ -429,20 +424,19 @@ def validate(model: GluedModel) -> Report:
                 dh_from_pair(kappa, eta),
             )
         )
-        if isinstance(kappa, LatticeVector):
-            try:
-                primitive = is_primitive_embedding([kappa, eta])
-            except ValueError:
-                primitive = False
-            checks.append(
-                make_check(
-                    f"primitive:piece{i}",
-                    f"class pair spans a saturated sublattice on {piece.interval_str()}",
-                    "the pair extends to no proper finite-index overlattice of its span",
-                    "true",
-                    "true" if primitive else "false",
-                )
+        try:
+            primitive = is_primitive_embedding([kappa, eta])
+        except ValueError:
+            primitive = False
+        checks.append(
+            make_check(
+                f"primitive:piece{i}",
+                f"class pair spans a saturated sublattice on {piece.interval_str()}",
+                "the pair extends to no proper finite-index overlattice of its span",
+                "true",
+                "true" if primitive else "false",
             )
+        )
 
     if periodic:
         level = walls[-1].level

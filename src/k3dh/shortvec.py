@@ -67,7 +67,7 @@ from operator import mul, neg
 from typing import Sequence
 
 from .exact_linalg import Frozen, IntMatrix, InvariantError, int_tuple, symmetric_bareiss
-from .lattice import Lattice, LatticeVector, RationalVector, pairing_nums
+from .lattice import Lattice, LatticeVector, RationalVector, _gram_kernel, pairing_nums
 from .sublattice import integral_primitive, orthogonal_complement
 
 
@@ -227,16 +227,24 @@ def roots_orthogonal_to(
         plane_gram = IntMatrix([[pairing_nums(u, v) for v in ints] for u in ints])
         if DefiniteGram(plane_gram).negated:
             raise IndefiniteGramError("plane is not positive definite")
-    comp = orthogonal_complement(lattice, plane)
-    if comp.rank == 0:
+    basis = orthogonal_complement(lattice, plane)
+    if not basis:
         return tuple()
-    dg = DefiniteGram(comp.restricted_gram)
+    # B^T (G B) for the basis columns b_k of B: one row-sparse product of the
+    # basis rows with the matrix whose columns are the cached images G b_k
+    rows = tuple([b.coords for b in basis])
+    images = IntMatrix._trusted(tuple(zip(*[b.gv for b in basis])))
+    dg = DefiniteGram(IntMatrix._trusted(rows).mul(images))
     if not dg.negated:
         raise IndefiniteGramError("orthogonal complement is not negative definite")
     coords = enumerate_norm(dg, -2)
-    # enumerate_norm's int tuples skip member_from_coefficients' checks
-    lift, ambient = comp._lift, comp.ambient
-    low = tuple(LatticeVector._trusted(ambient, lift(c)) for c in coords[: len(coords) // 2])
+    # c -> sum_k c_k b_k: the sparse rows of the transposed basis, one per
+    # lattice coordinate j holding (k, b_k[j]) for b_k[j] != 0, compiled by
+    # the Gram kernel compiler; enumerate_norm's int tuples need no check
+    lift = _gram_kernel(tuple(
+        tuple((k, b[j]) for k, b in enumerate(rows) if b[j]) for j in range(lattice.rank)
+    ))
+    low = tuple(LatticeVector._trusted(lattice, lift(c)) for c in coords[: len(coords) // 2])
     for r in low:
         if sum(map(mul, r.coords, lattice.gram_times(r.coords))) != -2:
             raise InvariantError("enumerated root does not have norm -2")

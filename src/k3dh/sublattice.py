@@ -3,8 +3,10 @@
 Both operations reduce to Smith normal form of small integer matrices,
 so they are exact and deterministic.  A set of vectors spans a primitive
 sublattice exactly when the elementary divisors of its coordinate matrix are
-all 1; orthogonal complements are always returned with a primitive
-(saturated) basis.
+all 1; an orthogonal complement is returned as a primitive (saturated)
+basis, a tuple of lattice vectors.  Its one consumer, the root search of
+shortvec.roots_orthogonal_to, forms the Gram matrix of that basis and lifts
+coefficients into the lattice itself.
 """
 from __future__ import annotations
 
@@ -12,66 +14,8 @@ from math import gcd
 from operator import mul
 from typing import Sequence
 
-from .exact_linalg import (
-    Frozen,
-    IntMatrix,
-    InvariantError,
-    det,
-    elementary_divisors,
-    int_tuple,
-    smith_normal_form,
-)
-from .lattice import (
-    Lattice,
-    LatticeVector,
-    RationalVector,
-    _gram_kernel,
-    memoized,
-)
-
-
-class Sublattice(Frozen):
-    """Sublattice of an ambient lattice, given by an ordered generator basis."""
-
-    _fields = ("ambient", "basis")
-
-    def __init__(self, ambient: Lattice, basis: tuple[LatticeVector, ...]):
-        for v in basis:
-            if v.lattice != ambient:
-                raise ValueError("basis vector does not live in the ambient lattice")
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", basis)
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-    @memoized
-    def restricted_gram(self) -> IntMatrix:
-        # B^T (G B) for the basis columns b_k of B (__init__ checked that they
-        # live in the ambient lattice): one row-sparse product of the basis
-        # rows with the matrix whose columns are the cached images G b_k
-        basis = self.basis
-        images = IntMatrix._trusted(tuple(zip(*[v.gv for v in basis])))
-        return IntMatrix._trusted(tuple([v.coords for v in basis])).mul(images)
-
-    @memoized
-    def _lift(self):
-        """c -> sum_k c_k b_k for the basis b_k, compiled once per sublattice:
-        the sparse rows of the transposed basis, one per ambient coordinate
-        j holding (k, b_k[j]) for b_k[j] != 0, through the Gram kernel."""
-        coords = [v.coords for v in self.basis]
-        return _gram_kernel(tuple(
-            tuple((k, b[j]) for k, b in enumerate(coords) if b[j])
-            for j in range(self.ambient.rank)
-        ))
-
-    def member_from_coefficients(self, coeffs: Sequence[int]) -> LatticeVector:
-        """Ambient vector with the given coefficients in this basis."""
-        if len(coeffs) != self.rank:
-            raise ValueError("coefficient length does not match sublattice rank")
-        coeffs = int_tuple(coeffs, "coefficient")
-        return LatticeVector._trusted(self.ambient, self._lift(coeffs))
+from .exact_linalg import IntMatrix, InvariantError, det, elementary_divisors, smith_normal_form
+from .lattice import Lattice, LatticeVector, RationalVector
 
 
 def integral_primitive(v: RationalVector | LatticeVector) -> LatticeVector:
@@ -101,16 +45,14 @@ def is_primitive_embedding(vectors: Sequence[LatticeVector]) -> bool:
 
 def orthogonal_complement(
     ambient: Lattice, vectors: Sequence[LatticeVector | RationalVector]
-) -> Sublattice:
-    """All x in the lattice with (x, v) = 0 for every given v.
+) -> tuple[LatticeVector, ...]:
+    """A basis of all x in the lattice with (x, v) = 0 for every given v.
 
     The complement of any set is saturated by construction.  Rational input
     vectors are allowed (orthogonality only depends on their line).
     """
     if not vectors:
-        return Sublattice(
-            ambient, tuple(ambient.basis_vector(i) for i in range(ambient.rank))
-        )
+        return tuple(ambient.basis_vector(i) for i in range(ambient.rank))
     ints = []
     for v in vectors:
         if v.lattice != ambient:
@@ -134,4 +76,4 @@ def orthogonal_complement(
         raise InvariantError("orthogonal complement basis is not orthogonal")
     if det(v_trans) not in (1, -1):
         raise InvariantError("orthogonal complement basis is not saturated")
-    return Sublattice(ambient, basis)
+    return basis

@@ -3,17 +3,18 @@ library does not call.
 
 naive_enumerate is a brute-force box search over the exact box of
 _box_radii, the oracle of shortvec.enumerate_norm in tests/test_shortvec.py
-and in the acceptance gate.  sparse_row_lift is the former loop of
-Sublattice.member_from_coefficients over the nonzero basis entries, the
-oracle of its compiled lift in tests/test_sublattice.py.
+and in the acceptance gate.  sparse_row_lift is a loop over the nonzero
+basis entries, the oracle of the compiled coefficient lift of
+shortvec.roots_orthogonal_to in tests/test_sublattice.py and
+tests/test_shortvec.py.
 """
 from __future__ import annotations
 
 from math import isqrt
 
 from k3dh.exact_linalg import IntMatrix, det
+from k3dh.lattice import Lattice, LatticeVector
 from k3dh.shortvec import DefiniteGram
-from k3dh.sublattice import Sublattice
 
 
 def _box_radii(matrix: IntMatrix, t: int) -> list[int]:
@@ -73,11 +74,13 @@ def naive_enumerate(gram: DefiniteGram, target: int) -> tuple[tuple[int, ...], .
     return tuple(sorted(out))
 
 
-def sparse_row_lift(sub: Sublattice, coeffs) -> tuple[int, ...]:
+def sparse_row_lift(
+    ambient: Lattice, basis: tuple[LatticeVector, ...], coeffs
+) -> tuple[int, ...]:
     """sum_k c_k b_k over the basis rows as their nonzero entries (j, b_j),
     skipping each zero coefficient."""
-    rows = [tuple((j, x) for j, x in enumerate(v.coords) if x) for v in sub.basis]
-    out = [0] * sub.ambient.rank
+    rows = [tuple((j, x) for j, x in enumerate(v.coords) if x) for v in basis]
+    out = [0] * ambient.rank
     for c, row in zip(coeffs, rows):
         if c:
             for j, x in row:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3dh import cli, exact_linalg
+from k3dh import cli, exact_linalg, kummer
 from k3dh.exact_linalg import (
     IntMatrix,
     clip_repr,
@@ -23,7 +23,6 @@ from k3dh.exact_linalg import (
 from k3dh.isometry import eichler_transvection
 from k3dh.lattice import RationalVector, make_K3
 from k3dh.moment import GluedModel, ModelError, Wall, rational_from_json
-from k3dh.sublattice import Sublattice
 
 H_GRAM = [[0, 1], [1, 0]]
 
@@ -374,7 +373,10 @@ def test_one_integer_rule(bad, monkeypatch, capsys):
         lambda: k3.vector(coords),
         lambda: RationalVector(k3, coords),
         lambda: RationalVector(k3, [1] + [0] * 21, bad),
-        lambda: Sublattice(k3, (k3.basis_vector(0),)).member_from_coefficients([bad]),
+        lambda: kummer.exceptional(bad),
+        lambda: kummer.eta_hat(bad),
+        lambda: kummer.sigma_class(bad, 1),
+        lambda: kummer.symplectic_family_form(bad, 1),
         lambda: Wall(1, bad, (-2, 1, 1)),
         lambda: Wall(1, 16, (-2, bad, 1)),
         lambda: GluedModel((), (), fixed_points=bad),

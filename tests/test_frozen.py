@@ -13,14 +13,13 @@ from functools import cache
 
 import pytest
 
-from k3dh import isometry, kummer
+from k3dh import kummer
 from k3dh.exact_linalg import Frozen, FrozenError, IntMatrix
-from k3dh.isometry import E1, E2, E3, F1, F2, F3, Isometry, flip_third_H, identity_isometry
+from k3dh.isometry import Isometry, flip_third_H, identity_isometry
 from k3dh.lattice import Lattice, LatticeVector, RationalVector, make_E8, make_H, make_K3
 from k3dh.moment import Check, DHPolynomial, GluedModel, Piece, Report, Wall, packaged_model
 from k3dh.period import OrientedPlane, PeriodPoint, project_to_alpha_perp, standard_plane
 from k3dh.shortvec import DefiniteGram
-from k3dh.sublattice import Sublattice
 
 K3 = make_K3()
 HIDDEN = {"repr": False, "compare": False}
@@ -31,13 +30,11 @@ FORMER_FIELDS = {
     Lattice: ["name", "gram"],
     RationalVector: ["lattice", "nums", ("den", {"default": 1})],
     LatticeVector: ["lattice", "coords"],
-    Sublattice: ["ambient", "basis"],
     DefiniteGram: ["matrix", "negated"]
     + [(name, HIDDEN) for name in ("rows", "weights", "scale", "split", "tails")],
     PeriodPoint: ["re", "im", ("_projection", {"default": None, "init": False, **HIDDEN})],
     OrientedPlane: ["basis"],
     Isometry: ["lattice", "matrix"],
-    isometry._Roles: ["h1", "spares", ("extra", {"default": None})],
     kummer.InvariantForm: ["re", "im"],
     DHPolynomial: ["c0", "c1", "c2"],
     Wall: ["level", "count", "weights"],
@@ -95,8 +92,6 @@ def samples():
         Lattice: [K3, make_K3(), e8, make_H()],
         RationalVector: [r, K3.rational_vector(r.coords), r.scale(2), RationalVector(K3, r.nums, den=r.den)],
         LatticeVector: [v, K3.vector(v.coords), -v],
-        Sublattice: [Sublattice(K3, (v,)), Sublattice(make_K3(), (K3.vector(v.coords),)),
-                     Sublattice(K3, (v, K3.basis_vector(3)))],
         DefiniteGram: [DefiniteGram(e8.gram), DefiniteGram(make_E8().gram),
                        DefiniteGram(IntMatrix([[2, -1], [-1, 2]])), DefiniteGram(IntMatrix([[-2]]))],
         PeriodPoint: [PeriodPoint(h_vector(K3, 0), h_vector(K3, 1)),
@@ -105,9 +100,6 @@ def samples():
         OrientedPlane: [standard_plane(K3), OrientedPlane(standard_plane(K3).basis),
                         OrientedPlane(tuple(h_vector(K3, i) for i in (1, 0, 2)))],
         Isometry: [identity_isometry(K3), Isometry(K3, IntMatrix.identity(22)), flip_third_H(K3)],
-        isometry._Roles: [isometry._Roles(h1=(F1, E1), spares=((E2, F2), (E3, F3))),
-                          isometry._Roles((F1, E1), ((E2, F2), (E3, F3)), None),
-                          isometry._Roles(h1=(F2, E2), spares=((E3, F3),), extra=v)],
         kummer.InvariantForm: [kummer.volume_real_form(), kummer.volume_real_form(),
                                kummer.symplectic_family_form(1, 2)],
         DHPolynomial: [dh, DHPolynomial(Fraction(4), 0, 4), DHPolynomial(-4, 16, -4)],
@@ -135,7 +127,7 @@ def test_every_library_value_class_is_sampled():
 
     library = {c for c in subclasses(Frozen) if c.__module__.startswith("k3dh.") and c._fields}
     assert library == set(FORMER_FIELDS) == set(SAMPLES)
-    assert len(library) == 17
+    assert len(library) == 15
 
 
 @pytest.mark.parametrize("cls", list(FORMER_FIELDS), ids=lambda c: c.__name__)
@@ -194,9 +186,6 @@ def test_cached_attributes_are_never_compared():
     lattice = make_K3()
     assert lattice.signature() == (3, 19) and lattice.rank == 22 and lattice._kernel
     assert lattice == make_K3() and hash(lattice) == hash(make_K3())
-    sub = Sublattice(K3, (K3.basis_vector(0),))
-    assert sub.restricted_gram == IntMatrix([[0]])
-    assert sub == Sublattice(K3, (K3.basis_vector(0),))
     # a projection kept on a period point is not a field
     point = PeriodPoint(h_vector(K3, 0), h_vector(K3, 1))
     plain = PeriodPoint(h_vector(K3, 0), h_vector(K3, 1))

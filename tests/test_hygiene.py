@@ -3,9 +3,9 @@ data and console script declared for the installed package, unchecked
 constructors only in the core modules, unchecked isometries only in the
 isometry module, one evaluation per verified claim, one pairing kernel on
 integers and one place that compiles code, no locking cached_property, no
-dataclasses in the source or at import, one symmetric elimination, every
-library name called outside the unit tests, and every benchmark tracer
-entry bound in the library."""
+dataclasses in the source or at import, no blowup module in the glued-model
+layer, one symmetric elimination, every library name called outside the
+unit tests, and every benchmark tracer entry bound in the library."""
 import ast
 import importlib
 import importlib.util
@@ -235,6 +235,36 @@ def test_library_does_not_import_dataclasses():
     assert dataclasses_imports("import os\nimport dataclasses as dc") == [2]
 
 
+def k3dh_imports(source: str) -> set[str]:
+    """The k3dh modules that a source imports, by relative or absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if node.level:  # relative to the k3dh package
+                name = f"k3dh.{name}".rstrip(".")
+            if name == "k3dh":
+                found |= {a.name for a in node.names}
+            elif name.startswith("k3dh."):
+                found.add(name.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("k3dh.")}
+    return found
+
+
+def test_moment_does_not_import_kummer():
+    # a piece's class pair is two integral vectors of one lattice, so the
+    # glued-model layer needs nothing of the blowup module; dh_from_pair
+    # pairs blowup classes through lattice.pairing alone
+    imported = k3dh_imports(dict(library_sources())["moment"])
+    assert "kummer" not in imported and "lattice" in imported
+    # the scan sees each form of the import
+    for line in ("from .kummer import KUMMER_LATTICE", "from . import kummer",
+                 "from k3dh.kummer import pairing", "from k3dh import kummer",
+                 "import k3dh.kummer as km"):
+        assert k3dh_imports(line) == {"kummer"}
+
+
 @pytest.mark.parametrize("module", ["k3dh.cli", "k3dh.period", "k3dh.isometry"])
 def test_import_loads_neither_dataclasses_nor_inspect(module):
     # a fresh interpreter without site, so that no .pth file preloads them,
@@ -299,16 +329,6 @@ def test_one_symmetric_elimination(monkeypatch):
     assert calls == ["k3dh.lattice", "k3dh.shortvec"]
 
 
-# library names kept without a caller in the library, the benchmark or the
-# acceptance gate, each with the reason it stays
-UNCALLED_ALLOWED = {
-    # the public lift of coefficients in a sublattice basis, which applies
-    # the integer rule to its input; the library lifts only tuples it
-    # computed (roots_orthogonal_to), through Sublattice._lift
-    "member_from_coefficients",
-}
-
-
 def uncalled_names(library: dict[str, str], callers: dict[str, str]) -> list[str]:
     """Functions and classes defined in `library` (module -> source) whose
     name no Name or Attribute node in `callers` reads.  Dunder methods are
@@ -336,9 +356,7 @@ def test_every_library_name_has_a_caller():
     callers = dict(library)
     for path in [*sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]:
         callers[str(path.relative_to(ROOT))] = path.read_text()
-    found = [site for site in uncalled_names(library, callers)
-             if site.split()[1] not in UNCALLED_ALLOWED]
-    assert found == []
+    assert uncalled_names(library, callers) == []
     # the scan does see a name nobody reads, and a method read as an attribute
     snippet = {"m": "class A:\n    def f(self): pass\n    def g(self): pass\ndef h(a): a.f()\nh(A())\n"}
     assert uncalled_names(snippet, snippet) == ["m:3 g"]

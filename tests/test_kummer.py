@@ -224,6 +224,13 @@ def test_sign_validation():
         symplectic_family_form(-2, 1)
     with pytest.raises(ValueError):
         exceptional(NUM_EXCEPTIONAL)
+    # a sign or sphere index that is not exactly an int is refused with the
+    # TypeError of exact_linalg.int_tuple, not taken as the int it equals
+    for bad in (True, 1.0, Fraction(1), "1"):
+        for make in (lambda: exceptional(bad), lambda: eta_hat(bad),
+                     lambda: sigma_class(bad, 1), lambda: symplectic_family_form(bad, 1)):
+            with pytest.raises(TypeError, match="integer (sign|sphere index) expected"):
+                make()
 
 
 def test_primitive_pair_check():

@@ -35,7 +35,7 @@ from k3dh.lattice import (
 from k3dh.isometry import Isometry, eichler_transvection, identity_isometry
 from k3dh.kummer import EXCEPTIONAL_LATTICE, KUMMER_LATTICE, TORUS_LATTICE, WEDGE_LATTICE
 from k3dh.period import PeriodPoint, project_to_alpha_perp
-from k3dh.sublattice import Sublattice, integral_primitive
+from k3dh.sublattice import integral_primitive
 
 K3 = make_K3()
 
@@ -641,14 +641,11 @@ def test_no_kernel_is_compiled_before_the_first_pairing():
 
 
 def test_memoized_attributes_are_computed_once_and_stored(monkeypatch):
-    sub_basis = (k3_e(K3, 0), k3_f(K3, 1))
     cases = (
         (Lattice, "_gram_entries", lambda: Lattice("H", IntMatrix([[0, 1], [1, 0]]))),
         # both vector flavors inherit their caches from one base class
         (k3dh.lattice._Vector, "gv", lambda: K3.vector([1, 2] + [0] * 20)),
         (k3dh.lattice._Vector, "vv", lambda: K3.rational_vector([Fraction(1, 3)] * 22)),
-        (Sublattice, "restricted_gram", lambda: Sublattice(K3, sub_basis)),
-        (Sublattice, "_lift", lambda: Sublattice(K3, sub_basis)),
         # an unchecked isometry, as the full check reads the columns itself
         (Isometry, "_cols", lambda: identity_isometry(K3)),
     )
@@ -738,12 +735,6 @@ def test_unchecked_constructions_match_validated_ones(u, v, c, i):
     ]
     t = eichler_transvection(k3_e(K3, 0), K3.vector([0, 0] + list(u.coords[2:])))
     sites.append((t.apply(v), [sum(r * x for r, x in zip(row, v.coords)) for row in t.matrix.rows]))
-    b0, b1 = k3_e(K3, 1), K3.basis_vector(i)
-    sub = Sublattice(K3, (b0, b1, u))
-    sites.append((
-        sub.member_from_coefficients((c, 2, -1)),
-        [c * x + 2 * y - z for x, y, z in zip(b0.coords, b1.coords, u.coords)],
-    ))
     if not u.is_zero():
         g = gcd(*u.coords)
         prim = [a // g for a in u.coords]
@@ -767,8 +758,6 @@ def test_unchecked_constructions_match_validated_ones(u, v, c, i):
         with pytest.raises(ValueError, match="rank"):
             K3.rational_vector(short_or_long)
     assert K3.basis_vector(i) is K3.basis_vector(i)  # built once per lattice
-    with pytest.raises(TypeError, match="integer coefficient"):
-        sub.member_from_coefficients((1, 0.0, 0))
 
 
 def former_rational_vector(lattice, coords):

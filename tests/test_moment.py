@@ -224,39 +224,39 @@ def test_structural_errors_of_periods_and_pieces():
 
 
 def test_malformed_class_pairs_are_structural_errors():
-    # a pair that is neither two vectors of one lattice nor two blowup
-    # classes is refused when the piece is built, with the ValueError of the
-    # other structural checks (the model parser maps it to ModelError), so
-    # validate never meets it
+    # a pair that is not two integral vectors of one lattice is refused when
+    # the piece is built, with the ValueError of the other structural checks
+    # (the model parser maps it to ModelError), so validate never meets it
     kappa, _ = pair_from_polynomial(DHPolynomial(2, 0, 0))
     e8 = make_E8().basis_vector(0)
-    # blowup classes are the RationalVectors of one lattice: rational vectors
-    # of another lattice, or a blowup class beside an integral vector of the
-    # blowup lattice, stay refused
+    # rational vectors of any lattice, blowup classes included, and a blowup
+    # class beside an integral vector of the blowup lattice are refused
     rational = kappa.to_rational()
     sphere = KUMMER_LATTICE.basis_vector(NUM_TORUS)
     for pair in ((1, 2), (kappa, e8), (e8, kappa), (kappa, kappa_hat()), (kappa_hat(), 1),
                  (rational, rational), (kappa_hat(), rational), (rational, kappa_hat()),
-                 (kappa_hat(), sphere), (sphere, kappa_hat())):
-        with pytest.raises(ValueError, match="two vectors of one lattice or two blowup"):
+                 (kappa_hat(), sphere), (sphere, kappa_hat()), (kappa_hat(), eta_hat(1))):
+        with pytest.raises(ValueError, match="two integral vectors of one lattice"):
             Piece(0, 1, DHPolynomial(2, 0, 2), class_pair=pair)
-    # both kinds of well-formed pair are accepted
+    # a well-formed pair is accepted
     Piece(0, 1, DHPolynomial(2, 0, 2), class_pair=(e8, 2 * e8))
-    Piece(0, 1, PLUS_BRANCH, class_pair=(kappa_hat(), eta_hat(1)))
 
 
 def test_a_lattice_named_kummer_is_not_the_blowup_lattice():
-    # blowup classes are recognized by their lattice, Gram matrix included:
-    # rational vectors of another lattice that only shares the name are
-    # refused, so validate never skips the primitivity check of such a pair
+    # no lattice is exempt from the integral rule, by its name or by its
+    # Gram matrix: rational vectors of a lattice named kummer, and of one
+    # equal to the blowup lattice, are refused, so validate never skips the
+    # primitivity check of a pair; integral vectors of either are accepted
     impostor = Lattice("kummer", IntMatrix.identity(KUMMER_LATTICE.rank))
-    u, v = (impostor.basis_vector(i).to_rational() for i in range(2))
-    with pytest.raises(ValueError, match="two vectors of one lattice or two blowup"):
-        Piece(0, 1, DHPolynomial(2, 0, 2), class_pair=(u.scale(2), v))
-    # a lattice equal to the blowup lattice is the blowup lattice
     copy = Lattice("kummer", KUMMER_LATTICE.gram)
+    u, v = (impostor.basis_vector(i).to_rational() for i in range(2))
     k, e = (RationalVector(copy, c.nums, c.den) for c in (kappa_hat(), eta_hat(1)))
-    Piece(0, 1, PLUS_BRANCH, class_pair=(k, e))
+    for pair in ((u.scale(2), v), (k, e)):
+        with pytest.raises(ValueError, match="two integral vectors of one lattice"):
+            Piece(0, 1, DHPolynomial(2, 0, 2), class_pair=pair)
+    for lattice in (impostor, copy):
+        Piece(0, 1, DHPolynomial(2, 0, 2),
+              class_pair=(lattice.basis_vector(0), lattice.basis_vector(1)))
 
 
 def test_validate_reports_negative_endpoints_and_dependent_pairs():

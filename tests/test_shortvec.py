@@ -28,8 +28,8 @@ from k3dh.shortvec import (
     is_generic_plane,
     roots_orthogonal_to,
 )
-from k3dh.sublattice import Sublattice, orthogonal_complement
-from oracles import _box_radii, naive_enumerate
+from k3dh.sublattice import orthogonal_complement
+from oracles import _box_radii, naive_enumerate, sparse_row_lift
 
 K3 = make_K3()
 E8 = make_E8()
@@ -416,11 +416,11 @@ def test_scaled_ldl_identity(n, rng, data):
 
 def test_root_norm_check_raises(monkeypatch):
     # roots_orthogonal_to lifts enumerate_norm's tuples through the
-    # sublattice's compiled lift; a lift that doubles each root must fail
-    # the norm check
-    lift = Sublattice._lift.fn
+    # compiled lift of the complement basis; a lift that doubles each root
+    # must fail the norm check
+    compile_ = shortvec._gram_kernel
     monkeypatch.setattr(
-        Sublattice, "_lift", property(lambda self: lambda c: tuple(2 * x for x in lift(self)(c)))
+        shortvec, "_gram_kernel", lambda rows: lambda c: tuple(2 * x for x in compile_(rows)(c))
     )
     plane = [k3_e(K3, i) + k3_f(K3, i) for i in range(3)]
     with pytest.raises(InvariantError, match="norm -2"):
@@ -536,9 +536,14 @@ def former_enumerate(gram: DefiniteGram, target: int):
     return tuple(sorted(out))
 
 
+def complement_gram(plane) -> DefiniteGram:
+    """The definite Gram of the plane's complement, from dense pairings."""
+    basis = orthogonal_complement(K3, plane)
+    return DefiniteGram(IntMatrix([[pairing(u, v) for v in basis] for u in basis]))
+
+
 def standard_plane_complement_gram() -> DefiniteGram:
-    plane = [k3_e(K3, i) + k3_f(K3, i) for i in range(3)]
-    return DefiniteGram(orthogonal_complement(K3, plane).restricted_gram)
+    return complement_gram([k3_e(K3, i) + k3_f(K3, i) for i in range(3)])
 
 
 def test_half_tree_matches_full_tree_on_the_root_systems():
@@ -785,11 +790,14 @@ def test_half_lift_matches_the_full_lift():
     planes += criterion_03_planes(random.Random(3), 8)
     counts = set()
     for plane in planes:
-        comp = orthogonal_complement(K3, plane)
-        coords = enumerate_norm(DefiniteGram(comp.restricted_gram), -2)
-        full = tuple(comp.member_from_coefficients(c) for c in coords)
+        basis = orthogonal_complement(K3, plane)
+        coords = enumerate_norm(complement_gram(plane), -2)
+        full = tuple(K3.vector(sparse_row_lift(K3, basis, c)) for c in coords)
         assert all(norm(r) == -2 for r in full)
         assert all(pairing(r, p) == 0 for r in full for p in plane)
-        assert roots_orthogonal_to(K3, plane) == full
+        roots = roots_orthogonal_to(K3, plane)
+        assert roots == full
+        assert all(type(r.coords) is tuple and all(type(x) is int for x in r.coords)
+                   for r in roots)
         counts.add(len(full))
     assert 486 in counts and len(counts) >= 4

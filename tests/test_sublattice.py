@@ -7,15 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3dh import sublattice
+from k3dh import shortvec, sublattice
 from k3dh.exact_linalg import IntMatrix, InvariantError, elementary_divisors
-from k3dh.lattice import Lattice, make_H, make_K3, k3_e, k3_f, norm, pairing
-from k3dh.sublattice import (
-    Sublattice,
-    integral_primitive,
-    is_primitive_embedding,
-    orthogonal_complement,
-)
+from k3dh.lattice import Lattice, _gram_kernel, make_H, make_K3, k3_e, k3_f, norm, pairing
+from k3dh.shortvec import IndefiniteGramError, roots_orthogonal_to
+from k3dh.sublattice import integral_primitive, is_primitive_embedding, orthogonal_complement
 from oracles import sparse_row_lift
 
 K3 = make_K3()
@@ -47,16 +43,14 @@ def test_dependent_input_rejected():
     with pytest.raises(ValueError):
         is_primitive_embedding([e1, 2 * e1])
     with pytest.raises(ValueError, match="ambient"):
-        Sublattice(K3, (e1, H.basis_vector(0)))
-    with pytest.raises(ValueError, match="ambient"):
         is_primitive_embedding([e1, H.basis_vector(0)])
 
 
 def test_complement_of_e1_in_h():
     comp = orthogonal_complement(H, [H.basis_vector(0)])
-    assert comp.rank == 1
-    assert tuple(map(abs, comp.basis[0].coords)) == (1, 0)
-    assert comp.restricted_gram.rows == ((0,),)
+    assert len(comp) == 1
+    assert tuple(map(abs, comp[0].coords)) == (1, 0)
+    assert norm(comp[0]) == 0
     with pytest.raises(ValueError, match="ambient"):
         orthogonal_complement(H, [K3.basis_vector(0)])
 
@@ -64,16 +58,16 @@ def test_complement_of_e1_in_h():
 def test_complement_of_empty_set_is_everything():
     for vectors in ([], [K3.vector([0] * 22), K3.rational_vector([0] * 22)]):
         comp = orthogonal_complement(K3, vectors)
-        assert comp.rank == 22
-        assert is_primitive_embedding(comp.basis)
+        assert comp == tuple(K3.basis_vector(i) for i in range(22))
+        assert is_primitive_embedding(comp)
 
 
 def test_complement_of_positive_three_plane():
     plane = [k3_e(K3, i) + k3_f(K3, i) for i in range(3)]
     comp = orthogonal_complement(K3, plane)
-    assert comp.rank == 19
-    assert is_primitive_embedding(comp.basis)
-    lat = Lattice("comp", comp.restricted_gram)
+    assert len(comp) == 19
+    assert is_primitive_embedding(comp)
+    lat = Lattice("comp", IntMatrix([[pairing(u, v) for v in comp] for u in comp]))
     assert lat.signature() == (0, 19)
     # e_i - f_i and both E8 blocks produce vectors of self-pairing -2 inside
     for i in range(3):
@@ -94,14 +88,14 @@ def test_complement_orthogonality_random():
             K3.vector([rng.randint(-3, 3) for _ in range(22)]) for _ in range(k)
         ]
         comp = orthogonal_complement(K3, vecs)
-        for b in comp.basis:
+        for b in comp:
             for v in vecs:
                 assert pairing(b, v) == 0
-        assert is_primitive_embedding(comp.basis)
+        assert is_primitive_embedding(comp)
         nonzero = [v for v in vecs if not v.is_zero()]
         if nonzero:
             span_rank = elementary_divisors(IntMatrix([v.coords for v in nonzero]))
-            assert comp.rank == 22 - len(span_rank)
+            assert len(comp) == 22 - len(span_rank)
 
 
 def test_complement_accepts_rational_vectors():
@@ -110,7 +104,7 @@ def test_complement_accepts_rational_vectors():
     v = K3.rational_vector([Fraction(1, 2)] + [0] * 21)
     comp = orthogonal_complement(K3, [v])
     comp_int = orthogonal_complement(K3, [K3.basis_vector(0)])
-    assert {b.coords for b in comp.basis} == {b.coords for b in comp_int.basis}
+    assert {b.coords for b in comp} == {b.coords for b in comp_int}
 
 
 def test_integral_primitive():
@@ -136,31 +130,27 @@ def test_scaled_vector_saturates_to_line(coords, c):
     assert gcd(*v.coords) * prim == v
 
 
-def test_member_from_coefficients():
-    plane = orthogonal_complement(K3, [k3_e(K3, i) + k3_f(K3, i) for i in range(3)])
-    v = plane.member_from_coefficients([1] + [0] * 18)
-    assert v.coords == plane.basis[0].coords
-    with pytest.raises(ValueError):
-        plane.member_from_coefficients([1, 2])
-    for bad in (True, 0.0, Fraction(1)):
-        for at in (0, 18):
-            coeffs = [1] * 19
-            coeffs[at] = bad
-            with pytest.raises(TypeError, match="integer coefficient"):
-                plane.member_from_coefficients(coeffs)
+def compiled_lift(ambient: Lattice, basis):
+    """c -> sum_k c_k b_k as roots_orthogonal_to compiles it: the sparse rows
+    of the transposed basis, one per ambient coordinate j holding (k, b_k[j])
+    for b_k[j] != 0, through the Gram kernel compiler."""
+    coords = [b.coords for b in basis]
+    return _gram_kernel(tuple(
+        tuple((k, b[j]) for k, b in enumerate(coords) if b[j]) for j in range(ambient.rank)
+    ))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(-4, 4), min_size=19, max_size=19))
-def test_member_from_coefficients_matches_vector_fold(coeffs):
-    plane = orthogonal_complement(K3, [k3_e(K3, i) + k3_f(K3, i) for i in range(3)])
+def test_compiled_lift_matches_vector_fold(coeffs):
+    basis = orthogonal_complement(K3, [k3_e(K3, i) + k3_f(K3, i) for i in range(3)])
     fold = K3.vector([0] * K3.rank)
-    for c, b in zip(coeffs, plane.basis):
+    for c, b in zip(coeffs, basis):
         fold = fold + c * b
-    assert plane.member_from_coefficients(coeffs) == fold
+    assert compiled_lift(K3, basis)(coeffs) == fold.coords
 
 
-def random_sublattice(rng: random.Random, ambient: Lattice, rank: int, untouched=()):
+def random_basis(rng: random.Random, ambient: Lattice, rank: int, untouched=()):
     """`rank` random basis vectors of varying support, with coordinates in
     `untouched` left 0 in all of them (they need not be independent)."""
     basis = []
@@ -170,39 +160,36 @@ def random_sublattice(rng: random.Random, ambient: Lattice, rank: int, untouched
             0 if j in untouched or rng.random() > p else rng.randint(-7, 7)
             for j in range(ambient.rank)
         ]))
-    return Sublattice(ambient, tuple(basis))
+    return tuple(basis)
 
 
 def test_compiled_lift_matches_the_sparse_row_loop():
     rng = random.Random(28)
     diag = Lattice("diag", IntMatrix([[(i + 1) * (i == j) for j in range(5)] for i in range(5)]))
-    subs = [random_sublattice(rng, K3, rng.randint(1, 22)) for _ in range(12)]
-    subs += [random_sublattice(rng, diag, k) for k in (1, 3, 5, 7)]
-    subs.append(orthogonal_complement(K3, [k3_e(K3, i) + k3_f(K3, i) for i in range(3)]))
+    bases = [(K3, random_basis(rng, K3, rng.randint(1, 22))) for _ in range(12)]
+    bases += [(diag, random_basis(rng, diag, k)) for k in (1, 3, 5, 7)]
+    bases.append((K3, orthogonal_complement(K3, [k3_e(K3, i) + k3_f(K3, i) for i in range(3)])))
     # ambient coordinates that no basis vector touches lift to 0
     untouched = set(rng.sample(range(22), 6))
-    subs.append(random_sublattice(rng, K3, 9, untouched))
-    for sub in subs:
-        lift = sub._lift
+    bases.append((K3, random_basis(rng, K3, 9, untouched)))
+    for ambient, basis in bases:
+        lift = compiled_lift(ambient, basis)
         for p in (0.0, 0.3, 1.0):
             for _ in range(6):
-                coeffs = [rng.randint(-9, 9) if rng.random() < p else 0 for _ in range(sub.rank)]
-                v = sub.member_from_coefficients(coeffs)
-                assert v.coords == sparse_row_lift(sub, coeffs)
-                assert type(v.coords) is tuple and len(v.coords) == sub.ambient.rank
-        assert sub._lift is lift  # compiled once per sublattice
-    lifted = subs[-1].member_from_coefficients([5] * 9)
-    assert all(lifted.coords[j] == 0 for j in untouched)
-    assert any(lifted.coords[j] for j in range(22) if j not in untouched)
+                coeffs = [rng.randint(-9, 9) if rng.random() < p else 0 for _ in range(len(basis))]
+                v = lift(coeffs)
+                assert v == sparse_row_lift(ambient, basis, coeffs)
+                assert type(v) is tuple and len(v) == ambient.rank
+        assert compiled_lift(ambient, basis) is lift  # compiled once per transposed basis
+    lifted = compiled_lift(K3, bases[-1][1])([5] * 9)
+    assert all(lifted[j] == 0 for j in untouched)
+    assert any(lifted[j] for j in range(22) if j not in untouched)
 
 
 def test_rank_zero_sublattice_lifts_to_the_zero_vector():
     for ambient in (K3, H):
-        sub = Sublattice(ambient, ())
-        v = sub.member_from_coefficients(())
-        assert v.coords == (0,) * ambient.rank == sparse_row_lift(sub, ())
-        with pytest.raises(ValueError, match="rank"):
-            sub.member_from_coefficients((1,))
+        lifted = compiled_lift(ambient, ())(())
+        assert lifted == (0,) * ambient.rank == sparse_row_lift(ambient, (), ())
 
 
 def test_compiled_lift_takes_entries_past_the_digit_limit():
@@ -214,9 +201,9 @@ def test_compiled_lift_takes_entries_past_the_digit_limit():
     b0[0], b0[7], b0[21] = huge, -huge, 1
     b1 = [0] * 22
     b1[7], b1[8] = -1, 2 * huge
-    sub = Sublattice(K3, (K3.vector(b0), K3.vector(b1)))
+    basis = (K3.vector(b0), K3.vector(b1))
     for coeffs in ((1, 0), (0, 1), (3, -huge), (-huge, huge)):
-        assert sub.member_from_coefficients(coeffs).coords == sparse_row_lift(sub, coeffs)
+        assert compiled_lift(K3, basis)(coeffs) == sparse_row_lift(K3, basis, coeffs)
 
 
 def _doubled(m: IntMatrix) -> IntMatrix:
@@ -276,8 +263,8 @@ def test_complement_basis_is_the_trailing_snf_columns():
         _, v = sublattice.smith_normal_form(m)
         r = len(elementary_divisors(m))
         comp = orthogonal_complement(K3, plane)
-        assert [b.coords for b in comp.basis] == list(v.transpose().rows[r:])
-        assert elementary_divisors(IntMatrix([b.coords for b in comp.basis])) == (1,) * (22 - r)
+        assert [b.coords for b in comp] == list(v.transpose().rows[r:])
+        assert elementary_divisors(IntMatrix([b.coords for b in comp])) == (1,) * (22 - r)
 
 
 def test_complement_of_a_dense_plane_runs_no_second_snf():
@@ -290,43 +277,63 @@ def test_complement_of_a_dense_plane_runs_no_second_snf():
         (1, -2, -4, 3, 2, 1, -3, 3, 0, -4, -3, 3, 1, -1, 1, 2, -2, 0, 3, -3, -3, 0),
     )]
     comp = orthogonal_complement(K3, plane)
-    assert comp.rank == 19
-    assert all(pairing(b, v) == 0 for b in comp.basis for v in plane)
+    assert len(comp) == 19
+    assert all(pairing(b, v) == 0 for b in comp for v in plane)
 
 
 def dense_pairing(u, v):
     """Test-only oracle: u^T G v by a dense double loop over the Gram rows."""
-    return sum(a * g * b for a, row in zip(u.coords, K3.gram.rows) for g, b in zip(row, v.coords))
+    rows = u.lattice.gram.rows
+    return sum(a * g * b for a, row in zip(u.coords, rows) for g, b in zip(row, v.coords))
 
 
 def test_restricted_gram_matches_the_pairwise_oracle(monkeypatch):
-    # B^T (G B) as one row-sparse product against the matrix of all ordered
-    # pairwise pairings, on ranks 0, 1 and 19 and on seeded random bases;
-    # it makes one IntMatrix.mul and is computed once
-    products = []
-    mul = IntMatrix.mul
+    # roots_orthogonal_to hands DefiniteGram B^T (G B) for the complement
+    # basis B, made by one IntMatrix.mul; it equals the matrix of all ordered
+    # pairwise pairings on complements of rank 0, 1, 19, 20 and 21, definite
+    # or not (an indefinite one raises after the spy has seen it)
+    grams, products = [], []
+    definite, mul = shortvec.DefiniteGram, IntMatrix.mul
+    monkeypatch.setattr(shortvec, "DefiniteGram", lambda m: grams.append(m) or definite(m))
     monkeypatch.setattr(IntMatrix, "mul", lambda a, b: products.append(a) or mul(a, b))
-    rng = random.Random(19)
-    standard = [k3_e(K3, i) + k3_f(K3, i) for i in range(3)]
-    subs = [
-        Sublattice(K3, ()),
-        Sublattice(K3, (k3_e(K3, 0),)),
-        Sublattice(K3, (K3.vector([rng.randint(-3, 3) for _ in range(22)]),)),
-        orthogonal_complement(K3, standard),
+    a1 = Lattice("A1", IntMatrix([[2]]))
+    e, f = H.basis_vector(0), H.basis_vector(1)
+    cases = [
+        (a1, [a1.basis_vector(0)]),
+        (H, [e + f]),
+        (K3, [k3_e(K3, i) + k3_f(K3, i) for i in range(3)]),
+        (K3, [k3_e(K3, 0) + k3_f(K3, 0)]),
     ]
-    for _ in range(6):
-        plane = [K3.vector([rng.randint(-2, 2) for _ in range(22)])
-                 for _ in range(rng.randint(1, 3))]
-        comp = orthogonal_complement(K3, plane)
-        picked = rng.sample(comp.basis, rng.randint(0, comp.rank))
-        subs += [comp, Sublattice(K3, tuple(picked))]
-    assert {0, 1, 19} <= {sub.rank for sub in subs}
-    for sub in subs:
+    rng = random.Random(19)
+    while len(cases) < 10:
+        # random hyperbolic coordinates and one E8 coordinate, so that a
+        # positive plane is drawn often; the complement is then indefinite
+        plane = []
+        for _ in range(rng.randint(1, 2)):
+            coords = [rng.randint(-2, 2) for _ in range(6)] + [0] * 16
+            coords[rng.randrange(6, 22)] = rng.randint(-1, 1)
+            plane.append(K3.vector(coords))
+        g = [[pairing(u, v) for v in plane] for u in plane]
+        if g[0][0] > 0 and (len(plane) == 1 or g[0][0] * g[1][1] > g[0][1] ** 2):
+            cases.append((K3, plane))
+    ranks = set()
+    for lattice, plane in cases:
+        grams.clear()
         products.clear()
-        gram = sub.restricted_gram
-        assert len(products) == 1
-        assert gram.rows == tuple(
-            tuple(dense_pairing(u, v) for v in sub.basis) for u in sub.basis
-        )
+        try:
+            roots = roots_orthogonal_to(lattice, plane)
+        except IndefiniteGramError:
+            roots = None
+        basis = orthogonal_complement(lattice, plane)
+        ranks.add(len(basis))
+        # the plane's Gram, then the complement's, unless it has rank 0
+        assert len(grams) == 1 + bool(basis) and len(products) == bool(basis)
+        if not basis:
+            assert roots == ()
+            continue
+        gram = grams[-1]
+        assert gram.rows == tuple(tuple(dense_pairing(u, v) for v in basis) for u in basis)
         assert all(type(x) is int for row in gram.rows for x in row)
-        assert gram.is_symmetric() and sub.restricted_gram is gram
+        assert gram.is_symmetric()
+    assert ranks == {0, 1, 19, 20, 21}
+    assert set(roots_orthogonal_to(H, [e + f])) == {e - f, f - e}
