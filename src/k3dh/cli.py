@@ -345,8 +345,9 @@ def cmd_isometry(args) -> int:
 def _branch_polynomial(sign: int) -> DHPolynomial:
     """Half the torus self-integral of the symplectic family, exactly.
 
-    Quadratic in t, so three sample values pin the coefficients; sampling
-    keeps this route independent of the pairing-based computation.
+    Quadratic in t, so three sample values pin the coefficients; the route
+    is the torus pairing of sampled family forms, independent of the
+    blowup pairing behind the other two branches.
     """
     values = {}
     for t in (0, 1, -1):

@@ -1,12 +1,14 @@
 """H^2 of the four-torus via translation-invariant forms, and its blowup.
 
-A form is a complex-rational combination of the six degree-2 wedge
-monomials in dz1, dz1bar, dz2, dz2bar, held as its real and imaginary
-parts, two RationalVectors of WEDGE_LATTICE.  The torus has unit periods,
-so the single normalization int dx1 dy1 dx2 dy2 = 1 fixes every constant in
-this module.  A torus class is a RationalVector of TORUS_LATTICE.  A blowup
-class is a RationalVector of KUMMER_LATTICE, pi_* H^2(T, Z) + <E_1, ..., E_16>,
-of index 2^11 in H^2(Km A, Z) (Barth-Hulek-Peters-Van de Ven, Ch. VIII):
+A form is a complex-rational combination of the six real wedge monomials
+TORUS_BASIS in dx1, dy1, dx2, dy2, held as its real and imaginary parts,
+two RationalVectors of TORUS_LATTICE; it is real when its imaginary part is
+zero, and a real form's torus class is its real part.  from_terms reads the
+paper's notation in dz1, dz1bar, dz2, dz2bar through dz_j = dx_j + i dy_j.
+The torus has unit periods, so int dx1 dy1 dx2 dy2 = 1 and the wedge
+integral of two forms is their TORUS_LATTICE pairing.  A blowup class is a
+RationalVector of KUMMER_LATTICE, pi_* H^2(T, Z) + <E_1, ..., E_16>, of
+index 2^11 in H^2(Km A, Z) (Barth-Hulek-Peters-Van de Ven, Ch. VIII):
 x = y / 2 for the torus pullback y, then the 16 sphere coefficients, with
 Gram 2T + (-2) I_16, so a pullback pairs at (1/2) y^T T y = 2 x^T T x.
 
@@ -19,23 +21,26 @@ for a returned rational or a non-int input value.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 
-from .exact_linalg import Frozen, IntMatrix, InvariantError, int_tuple
+from .exact_linalg import Frozen, IntMatrix, int_tuple
 from .lattice import Lattice, RationalVector, direct_sum, pairing_nums, rescale
 
-# slots 0..3 are dz1, dz1bar, dz2, dz2bar
-MONOMIALS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_MONO_INDEX = {m: k for k, m in enumerate(MONOMIALS)}
-_CONJ_SLOT = (1, 0, 3, 2)
-
 # real slots 0..3 are dx1, dy1, dx2, dy2; this ordering of the six real
-# monomials is the coordinate convention for torus classes throughout
+# monomials is the coordinate convention for forms and torus classes
 TORUS_BASIS = ((0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3))
 _TORUS_INDEX = {m: k for k, m in enumerate(TORUS_BASIS)}
 
 NUM_TORUS = len(TORUS_BASIS)
 NUM_EXCEPTIONAL = 16
+
+# complex slots 0..3 are dz1, dz1bar, dz2, dz2bar; dz1 = dx1 + i dy1,
+# dz1bar = dx1 - i dy1 and likewise for dz2, as (real slot, power of i) terms
+_DZ = (
+    ((0, 0), (1, 1)),
+    ((0, 0), (1, 3)),
+    ((2, 0), (3, 1)),
+    ((2, 0), (3, 3)),
+)
 
 
 def _perm_sign(p) -> int:
@@ -51,24 +56,16 @@ def _check_sign(sign: int) -> None:
         raise ValueError("sign must be +1 or -1")
 
 
-def _fold(i: int, j: int, index: dict) -> tuple[int, int]:
-    """slot_i ^ slot_j as (sign, k) with slot_i ^ slot_j = sign * basis[k]."""
-    return (1, index[(i, j)]) if i < j else (-1, index[(j, i)])
-
-
-def _wedge_gram(monomials) -> IntMatrix:
-    """Coefficient of the top slot monomial (0, 1, 2, 3) in m1 ^ m2."""
-    return IntMatrix(
+# u^T G v is the coefficient of dx1 dy1 dx2 dy2 in u ^ v
+TORUS_LATTICE = Lattice(
+    "torus",
+    IntMatrix(
         [
-            [_perm_sign(m1 + m2) if len(set(m1 + m2)) == 4 else 0 for m2 in monomials]
-            for m1 in monomials
+            [_perm_sign(m1 + m2) if len(set(m1 + m2)) == 4 else 0 for m2 in TORUS_BASIS]
+            for m1 in TORUS_BASIS
         ]
-    )
-
-
-# on either basis, u^T G v is the coefficient of the top monomial in u ^ v
-WEDGE_LATTICE = Lattice("wedge", _wedge_gram(MONOMIALS))
-TORUS_LATTICE = Lattice("torus", _wedge_gram(TORUS_BASIS))
+    ),
+)
 
 # the sixteen disjoint exceptional spheres, each of self-intersection -2
 EXCEPTIONAL_LATTICE = Lattice(
@@ -79,16 +76,6 @@ EXCEPTIONAL_LATTICE = Lattice(
 # blowup classes: halved torus pullbacks, then the sixteen spheres
 KUMMER_LATTICE = direct_sum("kummer", rescale(TORUS_LATTICE, 2), EXCEPTIONAL_LATTICE)
 
-# conjugation swaps dz_j and dzbar_j: MONOMIALS[k] goes to sign * MONOMIALS[kk]
-_CONJ = tuple(_fold(_CONJ_SLOT[i], _CONJ_SLOT[j], _MONO_INDEX) for i, j in MONOMIALS)
-
-
-def _permuted(v: RationalVector, sign: int) -> RationalVector:
-    nums = [0] * len(MONOMIALS)
-    for x, (s, kk) in zip(v.nums, _CONJ):
-        nums[kk] = sign * s * x
-    return RationalVector(WEDGE_LATTICE, tuple(nums), v.den)
-
 
 def _check_part(v, lattice: Lattice) -> None:
     if not isinstance(v, RationalVector) or (v.lattice is not lattice and v.lattice != lattice):
@@ -96,35 +83,48 @@ def _check_part(v, lattice: Lattice) -> None:
 
 
 class InvariantForm(Frozen):
-    """Translation-invariant 2-form re + i * im on MONOMIALS."""
+    """Translation-invariant 2-form re + i * im on TORUS_BASIS."""
 
     _fields = ("re", "im")
 
     def __init__(self, re: RationalVector, im: RationalVector):
-        _check_part(re, WEDGE_LATTICE)
-        _check_part(im, WEDGE_LATTICE)
+        _check_part(re, TORUS_LATTICE)
+        _check_part(im, TORUS_LATTICE)
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
 
     @staticmethod
     def from_terms(terms: dict) -> "InvariantForm":
-        """Build from {(slot, slot): coefficient} with rational or (re, im) values.
+        """Build from {(slot, slot): coefficient} in dz1, dz1bar, dz2, dz2bar,
+        with rational or (re, im) values.
 
         Reversed slot order is accepted and contributes with a sign flip.
         Int values are summed as ints; any other value is read exactly as
-        Fraction(value), so a float term is never summed as a float.
+        Fraction(value), so a float term is never summed as a float.  A term
+        c dz_i ^ dz_j adds i^e c to each real monomial dx ^ dx' it expands to,
+        and i^e (x + iy) has real part cycle[-e] and imaginary part
+        cycle[1 - e] on the cycle (x, y, -x, -y).
         """
-        re = [0] * len(MONOMIALS)
-        im = [0] * len(MONOMIALS)
+        re = [0] * NUM_TORUS
+        im = [0] * NUM_TORUS
         for (i, j), val in terms.items():
+            i, j = int_tuple((i, j), "slot")
             if not 0 <= min(i, j) < max(i, j) <= 3:
                 raise ValueError(f"not a wedge monomial: ({i}, {j})")
-            sign, k = _fold(i, j, _MONO_INDEX)
             x, y = val if isinstance(val, tuple) else (val, 0)
-            re[k] += sign * (x if type(x) is int else Fraction(x))
-            im[k] += sign * (y if type(y) is int else Fraction(y))
+            x = x if type(x) is int else Fraction(x)
+            y = y if type(y) is int else Fraction(y)
+            cycle = (x, y, -x, -y)
+            for ri, ei in _DZ[i]:
+                for rj, ej in _DZ[j]:
+                    if ri != rj:
+                        # dx_rj ^ dx_ri = i^2 dx_ri ^ dx_rj
+                        e = ei + ej + 2 * (ri > rj)
+                        k = _TORUS_INDEX[(min(ri, rj), max(ri, rj))]
+                        re[k] += cycle[-e % 4]
+                        im[k] += cycle[(1 - e) % 4]
         return InvariantForm(
-            WEDGE_LATTICE.rational_vector(re), WEDGE_LATTICE.rational_vector(im)
+            TORUS_LATTICE.rational_vector(re), TORUS_LATTICE.rational_vector(im)
         )
 
     def __add__(self, other: "InvariantForm") -> "InvariantForm":
@@ -141,14 +141,8 @@ class InvariantForm(Frozen):
         re, im = self.re, self.im
         return InvariantForm(re.scale(x) - im.scale(y), im.scale(x) + re.scale(y))
 
-    def conjugate(self) -> "InvariantForm":
-        return InvariantForm(_permuted(self.re, 1), _permuted(self.im, -1))
-
     def is_real(self) -> bool:
-        return self == self.conjugate()
-
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
+        return self.im.is_zero()
 
 
 def volume_real_form() -> InvariantForm:
@@ -173,58 +167,25 @@ def symplectic_family_form(sign: int, t) -> InvariantForm:
 def wedge_integrate(a: InvariantForm, b: InvariantForm) -> Fraction:
     """Integral of a wedge b over the unit-period torus.
 
-    The top coefficient of a ^ b is (R_a + i I_a)^T G (R_b + i I_b) for the
-    Gram G of WEDGE_LATTICE.  dz_j ^ dzbar_j = -2i dx_j ^ dy_j, so the top
-    monomial in slot order carries (-2i)^2 = -4 against
-    int dx1 dy1 dx2 dy2 = 1.  The return type is a plain rational; a nonzero
-    imaginary part (R_a, I_b) + (I_a, R_b) raises.  Each part is r / d, so
-    both sums are taken on numerators over the product of the denominators.
+    The coefficient of dx1 dy1 dx2 dy2 in a ^ b is
+    (R_a + i I_a)^T T (R_b + i I_b) for the Gram T of TORUS_LATTICE, and
+    int dx1 dy1 dx2 dy2 = 1.  The return type is a plain rational; a
+    nonzero imaginary part (R_a, I_b) + (I_a, R_b) raises.  Each part is
+    r / d, so both sums are taken on numerators over the product of the
+    denominators.
     """
     ra, ia, rb, ib = a.re, a.im, b.re, b.im
     if pairing_nums(ra, ib) * ia.den * rb.den + pairing_nums(ia, rb) * ra.den * ib.den:
         raise ValueError("wedge integral is not real")
     real = pairing_nums(ra, rb) * ia.den * ib.den - pairing_nums(ia, ib) * ra.den * rb.den
-    return Fraction(-4 * real, ra.den * rb.den * ia.den * ib.den)
-
-
-# dz1 = dx1 + i dy1 and friends: (real slot, power of i) for each term
-_DZ = (
-    ((0, 0), (1, 1)),
-    ((0, 0), (1, 3)),
-    ((2, 0), (3, 1)),
-    ((2, 0), (3, 3)),
-)
-_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^e as (re, im)
-
-
-def _expansion() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Integer X, Y with MONOMIALS[k] = sum_kk (X + i Y)[kk][k] TORUS_BASIS[kk]."""
-    x = [[0] * len(MONOMIALS) for _ in TORUS_BASIS]
-    y = [[0] * len(MONOMIALS) for _ in TORUS_BASIS]
-    for k, (i, j) in enumerate(MONOMIALS):
-        for ri, ei in _DZ[i]:
-            for rj, ej in _DZ[j]:
-                if ri != rj:
-                    sign, kk = _fold(ri, rj, _TORUS_INDEX)
-                    re, im = _I_POWERS[(ei + ej) % 4]
-                    x[kk][k] += sign * re
-                    y[kk][k] += sign * im
-    return tuple(map(tuple, x)), tuple(map(tuple, y))
-
-
-_X, _Y = _expansion()
+    return Fraction(real, ra.den * rb.den * ia.den * ib.den)
 
 
 def form_to_torus_class(a: InvariantForm) -> RationalVector:
-    """Coordinates X R - Y I of a real form R + i I in the integral torus
-    basis; the imaginary part Y R + X I vanishes by realness."""
+    """The torus class of a real form: its real part."""
     if not a.is_real():
         raise ValueError("form is not real")
-    (r, dr), (i, di) = (a.re.nums, a.re.den), (a.im.nums, a.im.den)
-    if any(di * sum(map(mul, y, r)) + dr * sum(map(mul, x, i)) for x, y in zip(_X, _Y)):
-        raise InvariantError("real form has a non-real torus coordinate")
-    nums = tuple(di * sum(map(mul, x, r)) - dr * sum(map(mul, y, i)) for x, y in zip(_X, _Y))
-    return RationalVector(TORUS_LATTICE, nums, dr * di)
+    return a.re
 
 
 def pairing(a: RationalVector, b: RationalVector) -> Fraction:

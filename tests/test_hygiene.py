@@ -308,7 +308,7 @@ def test_pairing_kernel_sees_only_integers(monkeypatch, capsys, tmp_path):
     path.write_text(json.dumps({"kappa": k, "re": re, "im": im}))
     assert main(["period-check", str(path)]) == 0
     capsys.readouterr()
-    assert {"wedge", "kummer", "K3"} <= set(seen)
+    assert {"torus", "kummer", "K3"} <= set(seen)
 
 
 def test_one_symmetric_elimination(monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3dh import kummer
-from k3dh.exact_linalg import IntMatrix, InvariantError, det
+from k3dh.exact_linalg import IntMatrix, det
 from k3dh.lattice import Lattice, make_K3
 from k3dh.lattice import pairing as lattice_pairing
 from k3dh.kummer import (
@@ -13,10 +13,8 @@ from k3dh.kummer import (
     KUMMER_LATTICE,
     NUM_EXCEPTIONAL,
     NUM_TORUS,
-    MONOMIALS,
     TORUS_BASIS,
     TORUS_LATTICE,
-    WEDGE_LATTICE,
     InvariantForm,
     area_sum_form,
     eta_hat,
@@ -35,18 +33,20 @@ from k3dh.kummer import (
 HALF = Fraction(1, 2)
 
 
-def real_form(a, b, c, d, e, f) -> InvariantForm:
-    """General real invariant 2-form from six rational parameters."""
-    return InvariantForm.from_terms(
-        {
-            (0, 1): (0, a),
-            (2, 3): (0, b),
-            (0, 2): (c, d),
-            (1, 3): (c, -d),
-            (0, 3): (e, f),
-            (1, 2): (e, -f),
-        }
-    )
+def real_terms(a, b, c, d, e, f) -> dict:
+    """Terms of the general real invariant 2-form from six rational parameters."""
+    return {
+        (0, 1): (0, a),
+        (2, 3): (0, b),
+        (0, 2): (c, d),
+        (1, 3): (c, -d),
+        (0, 3): (e, f),
+        (1, 2): (e, -f),
+    }
+
+
+def real_form(*params) -> InvariantForm:
+    return InvariantForm.from_terms(real_terms(*params))
 
 
 six_ints = st.tuples(*[st.integers(-5, 5)] * 6)
@@ -58,12 +58,6 @@ def test_torus_basis_gram():
     assert TORUS_LATTICE.is_even()
     assert TORUS_LATTICE.is_unimodular()
     assert TORUS_LATTICE.signature() == (3, 3)
-    # the wedge table of the dz monomials: the three complementary pairs
-    assert WEDGE_LATTICE.gram.rows == tuple(
-        tuple({(0, 5): 1, (5, 0): 1, (1, 4): -1, (4, 1): -1, (2, 3): 1, (3, 2): 1}.get((i, j), 0)
-              for j in range(6))
-        for i in range(6)
-    )
 
 
 def test_reference_integrals():
@@ -83,11 +77,22 @@ def test_realness_and_conjugation():
     holo = InvariantForm.from_terms({(0, 2): 1})
     assert not holo.is_real()
     assert not volume_real_form().scale(0, 1).is_real()
-    assert holo.conjugate().conjugate() == holo
+    # in the real basis, conjugation negates the imaginary part: the
+    # conjugate of dz1 dz2 is dz1bar dz2bar, and their sum is real
+    anti = InvariantForm.from_terms({(1, 3): 1})
+    assert InvariantForm(holo.re, -holo.im) == anti
+    assert holo + anti == volume_real_form()
     # reversed slot order folds in with a sign
     assert InvariantForm.from_terms({(2, 0): -1}) == holo
     with pytest.raises(ValueError):
         InvariantForm.from_terms({(1, 1): 1})
+    with pytest.raises(ValueError, match="not a wedge monomial"):
+        InvariantForm.from_terms({(0, 4): 1})
+    # a slot is exactly an int: 1.0 is not taken as slot 1, and 0.5 is
+    # refused by the integer rule rather than by a failed table lookup
+    for bad in (1.0, 0.5, True, "1"):
+        with pytest.raises(TypeError, match="integer slot expected"):
+            InvariantForm.from_terms({(bad, 2): 1})
 
 
 def test_non_real_integral_rejected():
@@ -117,7 +122,8 @@ def test_form_to_torus_class_examples():
 @settings(max_examples=60, deadline=None)
 @given(six_ints, six_ints, st.integers(-3, 3), st.integers(-3, 3))
 def test_integration_matches_torus_pairing(u, v, r, s):
-    """Two routes to the same number: wedge expansion vs Gram pairing."""
+    """Two routes to the same number: the former complex wedge expansion vs
+    the torus Gram pairing of the classes."""
     a, b = real_form(*u), real_form(*v)
     assert wedge_integrate(a, b) == wedge_integrate(b, a)
     combo = a.scale(r) + b.scale(s)
@@ -127,7 +133,8 @@ def test_integration_matches_torus_pairing(u, v, r, s):
         + s * s * wedge_integrate(b, b)
     )
     ya, yb = form_to_torus_class(a), form_to_torus_class(b)
-    assert wedge_integrate(a, b) == lattice_pairing(ya, yb)
+    expected = former_wedge(former_from_terms(real_terms(*u)), former_from_terms(real_terms(*v)))
+    assert wedge_integrate(a, b) == expected == lattice_pairing(ya, yb)
     assert pairing(pullback(ya), pullback(yb)) == lattice_pairing(ya, yb) / 2
 
 
@@ -136,32 +143,30 @@ def test_integration_matches_torus_pairing(u, v, r, s):
 def test_differences_of_forms_and_classes(u, v):
     a, b = real_form(*u), real_form(*v)
     assert (a - b) + b == a and -(-a) == a
-    assert (a - a).is_zero() and (a - b).is_zero() == (u == v)
-    assert a.is_zero() == (u == (0,) * 6)
+    zero = InvariantForm.from_terms({})
+    assert a - a == zero and (a - b == zero) == (u == v)
+    assert (a == zero) == (u == (0,) * 6)
     ya, yb = form_to_torus_class(a), form_to_torus_class(b)
     assert ya - yb == form_to_torus_class(a - b)
     assert lattice_pairing(ya - yb, ya - yb) == wedge_integrate(a - b, a - b)
 
 
 def test_shapes_are_validated():
-    # each part of a form must be a RationalVector of the wedge lattice
-    zero_wedge = WEDGE_LATTICE.rational_vector((0,) * 6)
-    with pytest.raises(ValueError, match="wedge lattice"):
-        InvariantForm(zero_wedge, TORUS_LATTICE.rational_vector((0,) * 6))
-    with pytest.raises(ValueError, match="wedge lattice"):
-        InvariantForm(((1, 0),) * 6, zero_wedge)
-    with pytest.raises(ValueError, match="rank"):
-        WEDGE_LATTICE.rational_vector((1,) * 5)
+    # each part of a form must be a RationalVector of the torus lattice
+    zero_torus = TORUS_LATTICE.rational_vector((0,) * 6)
+    zero_exc = EXCEPTIONAL_LATTICE.rational_vector((0,) * NUM_EXCEPTIONAL)
+    for re, im in ((zero_torus, zero_exc), (zero_exc, zero_torus),
+                   (((1, 0),) * 6, zero_torus), (zero_torus, TORUS_LATTICE.vector((0,) * 6))):
+        with pytest.raises(ValueError, match="torus lattice"):
+            InvariantForm(re, im)
     with pytest.raises(ValueError, match="rank"):
         TORUS_LATTICE.rational_vector((1,) * 7)
-    zero_torus = TORUS_LATTICE.rational_vector((0,) * 6)
     with pytest.raises(ValueError, match="rank"):
         EXCEPTIONAL_LATTICE.rational_vector((0,) * 15)
     with pytest.raises(ValueError, match="rank"):
         KUMMER_LATTICE.rational_vector((0,) * 21)
     # a pullback takes a RationalVector of the torus lattice, and the blowup
     # pairing two RationalVectors of the kummer lattice
-    zero_exc = EXCEPTIONAL_LATTICE.rational_vector((0,) * NUM_EXCEPTIONAL)
     for y in (zero_exc, TORUS_LATTICE.vector((0,) * 6), (0,) * 6):
         with pytest.raises(ValueError, match="torus lattice"):
             pullback(y)
@@ -290,13 +295,6 @@ def test_pushforward_of_an_integral_torus_class(x):
         lattice_pairing(y, y), 2)
 
 
-def test_realness_check_raises(monkeypatch):
-    # a form that slips past is_real must not lose its imaginary part
-    monkeypatch.setattr(InvariantForm, "is_real", lambda self: True)
-    with pytest.raises(InvariantError, match="non-real"):
-        form_to_torus_class(volume_real_form().scale(0, 1))
-
-
 # -- the former Fraction formula as oracle ------------------------------------
 
 FRAC = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
@@ -340,8 +338,11 @@ def test_pairing_matches_the_former_fraction_formula(u, v, c):
 
 
 # -- the former complex-Fraction forms as oracle ------------------------------
-# A form was six (re, im) pairs of Fractions, one per monomial, with its own
-# complex arithmetic; these are its operations, kept verbatim in substance.
+# A form was six (re, im) pairs of Fractions, one per monomial in dz1, dz1bar,
+# dz2, dz2bar, with its own complex arithmetic; these are its operations,
+# kept verbatim in substance.
+
+MONOMIALS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def _c(re, im=0):
@@ -414,9 +415,8 @@ _FORMER_DZ = (
 )
 
 
-def former_torus_class(a):
-    if a != former_conjugate(a):
-        raise ValueError("form is not real")
+def as_pairs(a):
+    """A former form in the real torus basis, as six (re, im) pairs."""
     out = [_C0] * 6
     for (i, j), c in zip(MONOMIALS, a):
         for ri, ci in _FORMER_DZ[i].items():
@@ -425,11 +425,18 @@ def former_torus_class(a):
                     kk, sign = _fold(ri, rj, TORUS_BASIS)
                     e = _cmul(ci, cj)
                     out[kk] = _cadd(out[kk], _cmul(c, (sign * e[0], sign * e[1])))
+    return tuple(out)
+
+
+def former_torus_class(a):
+    if a != former_conjugate(a):
+        raise ValueError("form is not real")
+    out = as_pairs(a)
     assert all(im == 0 for _, im in out)
     return tuple(re for re, _ in out)
 
 
-def as_pairs(form: InvariantForm):
+def form_pairs(form: InvariantForm):
     return tuple(zip(form.re.coords, form.im.coords))
 
 
@@ -444,12 +451,14 @@ complex_terms = st.dictionaries(
 def test_forms_match_the_former_complex_fractions(ta, tb, x, y):
     a, b = InvariantForm.from_terms(ta), InvariantForm.from_terms(tb)
     fa, fb = former_from_terms(ta), former_from_terms(tb)
-    assert as_pairs(a) == fa and as_pairs(b) == fb
-    assert as_pairs(a + b) == former_add(fa, fb)
-    assert as_pairs(a - b) == former_add(fa, former_scale(fb, -1))
-    assert as_pairs(-a) == former_scale(fa, -1)
-    assert as_pairs(a.scale(x, y)) == former_scale(fa, x, y)
-    assert as_pairs(a.conjugate()) == former_conjugate(fa)
+    assert form_pairs(a) == as_pairs(fa) and form_pairs(b) == as_pairs(fb)
+    assert form_pairs(a + b) == as_pairs(former_add(fa, fb))
+    assert form_pairs(a - b) == as_pairs(former_add(fa, former_scale(fb, -1)))
+    assert form_pairs(-a) == as_pairs(former_scale(fa, -1))
+    assert form_pairs(a.scale(x, y)) == as_pairs(former_scale(fa, x, y))
+    # in the real basis, conjugation conjugates each coefficient
+    conj = InvariantForm(a.re, -a.im)
+    assert form_pairs(conj) == as_pairs(former_conjugate(fa))
     assert a.is_real() == (fa == former_conjugate(fa))
     # a non-real integral raises on both sides
     try:
@@ -460,7 +469,7 @@ def test_forms_match_the_former_complex_fractions(ta, tb, x, y):
     else:
         assert wedge_integrate(a, b) == expected
     # a + conj(a) is real; a itself mostly is not
-    for form, former in ((a + a.conjugate(), former_add(fa, former_conjugate(fa))), (a, fa)):
+    for form, former in ((a + conj, former_add(fa, former_conjugate(fa))), (a, fa)):
         try:
             expected = former_torus_class(former)
         except ValueError:
@@ -488,16 +497,19 @@ any_terms = st.dictionaries(
 def test_from_terms_reads_every_value_type_exactly(terms):
     # floats, strings, bools and Fractions, alone or as (re, im), give the
     # forms of the former complex-Fraction builder
-    assert as_pairs(InvariantForm.from_terms(terms)) == former_from_terms(terms)
+    assert form_pairs(InvariantForm.from_terms(terms)) == as_pairs(former_from_terms(terms))
 
 
 def test_from_terms_never_sums_floats():
     # 0.1 + 0.2 rounds as a float sum; (0, 1) and (1, 0) fold onto one
-    # monomial, so the exact sum of the two binary values must come out
-    form = InvariantForm.from_terms({(0, 1): 0.1, (1, 0): (-0.2, True)})
+    # monomial, so the exact sum of the two binary values must come out:
+    # (exact - i) dz1 dz1bar = (exact - i)(-2i) dx1 dy1
+    terms = {(0, 1): 0.1, (1, 0): (-0.2, True)}
+    form = InvariantForm.from_terms(terms)
     exact = Fraction(0.1) + Fraction(0.2)
     assert exact != Fraction(0.1 + 0.2)
-    assert as_pairs(form)[0] == (exact, Fraction(-1))
+    assert form_pairs(form)[0] == (-2, -2 * exact)
+    assert form_pairs(form) == as_pairs(former_from_terms(terms))
     assert all(type(c) is int for c in (*form.re.nums, *form.im.nums))
 
 

@@ -33,7 +33,7 @@ from k3dh.lattice import (
     rescale,
 )
 from k3dh.isometry import Isometry, eichler_transvection, identity_isometry
-from k3dh.kummer import EXCEPTIONAL_LATTICE, KUMMER_LATTICE, TORUS_LATTICE, WEDGE_LATTICE
+from k3dh.kummer import EXCEPTIONAL_LATTICE, KUMMER_LATTICE, TORUS_LATTICE
 from k3dh.period import PeriodPoint, project_to_alpha_perp
 from k3dh.sublattice import integral_primitive
 
@@ -579,7 +579,7 @@ def test_compiled_kernel_matches_the_former_loop():
     randoms = [random_symmetric_lattice(rng, n) for n in (1, 2, 3, 6, 13, 22)]
     lattices = (
         K3, make_E8(), make_H(), Lattice("odd", IntMatrix([[3, 1], [1, -5]])),
-        WEDGE_LATTICE, TORUS_LATTICE, EXCEPTIONAL_LATTICE, KUMMER_LATTICE,
+        TORUS_LATTICE, EXCEPTIONAL_LATTICE, KUMMER_LATTICE,
         Lattice("empty", IntMatrix([])), *randoms,
     )
     for lattice in lattices:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k3dh.cli import main
 from k3dh.exact_linalg import IntMatrix
 from k3dh.kummer import KUMMER_LATTICE, NUM_TORUS, eta_hat, kappa_hat
 from k3dh.lattice import Lattice, RationalVector, k3_e, k3_f, make_E8, make_H, make_K3, norm, pairing
@@ -86,6 +87,11 @@ def test_is_positive_on():
     assert is_positive_on(DHPolynomial(2, 0, 0), 5, 5)
     with pytest.raises(ValueError, match="empty"):
         is_positive_on(ORBIFOLD_BRANCH, 1, 0)
+    # a zero at one end only: t on [0, 1] and -t on [-1, 0]; the interval
+    # is closed, so each is refused, while t on [1/2, 1] is positive
+    assert not is_positive_on(DHPolynomial(0, 1, 0), 0, 1)
+    assert not is_positive_on(DHPolynomial(0, -1, 0), -1, 0)
+    assert is_positive_on(DHPolynomial(0, 1, 0), Fraction(1, 2), 1)
 
 
 def test_positive_on_open_boundary_and_unbounded_cases():
@@ -184,6 +190,42 @@ def test_single_piece_model():
     assert {c.check_id for c in report.checks} == {
         "positivity:piece0", "even:piece0", "pair:piece0", "primitive:piece0",
     }
+
+
+# pieces (2, 0, 2), (2, 0, 0) and (4, -4, 2) with two walls of 4 points:
+# unlike in a 2-piece model, pieces i + 1 and i - 1 differ, so a wall check
+# that reads the wrong neighbour of wall i fails here
+THREE_PIECES = {
+    "name": "three pieces",
+    "pieces": [
+        {"interval": ["-1", "0"], "dh": ["2", "0", "2"]},
+        {"interval": ["0", "1"], "dh": ["2", "0", "0"]},
+        {"interval": ["1", "2"], "dh": ["4", "-4", "2"]},
+    ],
+    "walls": [
+        {"level": "0", "count": 4, "weights": [-2, 1, 1]},
+        {"level": "1", "count": 4, "weights": [2, -1, -1]},
+    ],
+    "fixed_points": 8,
+}
+
+
+def test_three_piece_model_validates(capsys, tmp_path):
+    report = validate(model_from_json_dict(THREE_PIECES))
+    assert report.all_passed()
+    ids = {c.check_id for c in report.checks}
+    assert {"continuity:wall1", "delta:wall0", "delta:wall1", "positivity:piece2"} <= ids
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(THREE_PIECES))
+    assert main(["validate-model", str(path)]) == 0
+    assert "11/11 checks passed" in capsys.readouterr().out
+
+
+def test_a_model_with_no_fixed_points_is_accepted():
+    model = GluedModel((Piece(None, None, DHPolynomial(2, 0, 0)),), (), fixed_points=0)
+    assert model.fixed_points == 0
+    report = validate(model)
+    assert report.all_passed() and "fixed-point-total" in {c.check_id for c in report.checks}
 
 
 def test_structural_errors():

@@ -9,7 +9,9 @@ import k3dh.lattice
 import k3dh.period
 from k3dh.exact_linalg import IntMatrix, InvariantError, rat_det
 from k3dh.isometry import flip_third_H
-from k3dh.lattice import RationalVector, direct_sum, make_H, make_K3, k3_e, k3_f, norm, pairing, rescale
+from k3dh.lattice import (
+    Lattice, RationalVector, direct_sum, make_H, make_K3, k3_e, k3_f, norm, pairing, rescale,
+)
 from k3dh.period import (
     OrientedPlane,
     PeriodPoint,
@@ -197,6 +199,15 @@ def test_oriented_plane_validation():
                 hyperbolic(K3, 2, 1, 1).to_rational(),
             )
         )
+
+
+def test_oriented_plane_reads_every_term_of_the_third_minor():
+    # Gram [[2, 2, 2], [2, 4, 0], [2, 0, 2]]: leading minors 2, 4 and
+    # 2 * 8 - 2 * (4 - 0) + 2 * (0 - 8) = -8, so the span is not positive,
+    # and the b(bf - ce) term is nonzero, so its sign decides the third minor
+    gram = Lattice("minors", IntMatrix([[2, 2, 2], [2, 4, 0], [2, 0, 2]]))
+    with pytest.raises(ValueError, match="positive 3-plane"):
+        OrientedPlane(tuple(gram.basis_vector(i) for i in range(3)))
 
 
 def test_component_comparison():
