@@ -1,4 +1,5 @@
-"""Integral isometries and the constructive standardization of pairs.
+"""Integral isometries, oriented positive 3-planes and the constructive
+standardization of pairs.
 
 An Isometry wraps an integer matrix M with M^T G M = G.  The invariant is
 kept without re-checking intermediate products:
@@ -20,6 +21,12 @@ kept without re-checking intermediate products:
   target pair exactly when gp is one that hits the reference pair.  So
   the images, orientation and full checks on phi cover gp, and a faulty
   compose or inverse still meets them.
+
+An OrientedPlane is an ordered basis of a positive 3-plane, accepted by
+Sylvester's criterion on the integer pairings of its numerators.
+same_component tells whether two maximal positive planes lie in one
+component of the oriented Grassmannian, and preserves_components asks it
+of standard_plane and its image.
 
 The checks read a matrix M by its columns, the images of the basis
 vectors, which an Isometry computes once (_cols).  The full check forms G M
@@ -78,10 +85,12 @@ from itertools import groupby
 from operator import add, mul
 
 from .exact_linalg import (
-    Frozen, IntMatrix, InvariantError, _identity_rows, int_inverse, row_combination, xgcd_vector,
+    Frozen, IntMatrix, InvariantError, _identity_rows, int_inverse, rat_det, row_combination,
+    xgcd_vector,
 )
 from .lattice import (
     E1, E2, E3, F1, F2, F3, K3_BLOCKS,
+    AnyVector,
     Lattice,
     LatticeVector,
     RationalVector,
@@ -89,9 +98,9 @@ from .lattice import (
     memoized,
     norm,
     pairing,
+    pairing_nums,
     reference_pair,
 )
-from .period import OrientedPlane, same_component, standard_plane
 from .sublattice import is_primitive_embedding
 
 _STEP_BUDGET = 60
@@ -260,6 +269,57 @@ def flip_third_H(lattice: Lattice) -> Isometry:
 
 
 _PLANES = ((E1, F1), (E2, F2), (E3, F3))
+
+
+class OrientedPlane(Frozen):
+    """Ordered basis of a positive-definite 3-plane; order is orientation."""
+
+    _fields = ("basis",)
+
+    def __init__(self, basis: tuple[AnyVector, AnyVector, AnyVector]):
+        """Sylvester's criterion on the numerator Gram matrix.
+
+        With basis vectors u_i = U_i / d_i, N_ij = (U_i, U_j) is d_i d_j G_ij
+        for the Gram matrix G_ij = (u_i, u_j), so N = D G D with
+        D = diag(d_i) > 0, and the leading minor of order k is
+        det N_k = (d_1 ... d_k)^2 det G_k: the same sign.  So the basis spans
+        a positive 3-plane exactly when the three leading minors of N are
+        positive."""
+        basis = tuple(v.to_rational() if isinstance(v, LatticeVector) else v for v in basis)
+        if len(basis) != 3:
+            raise ValueError("need exactly three spanning vectors")
+        u, v, w = basis
+        _check_same_lattice(u, v)
+        _check_same_lattice(u, w)
+        object.__setattr__(self, "basis", basis)
+        a, b, c = pairing_nums(u, u), pairing_nums(u, v), pairing_nums(u, w)
+        d, e, f = pairing_nums(v, v), pairing_nums(v, w), pairing_nums(w, w)
+        minors = (a, a * d - b * b, a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d))
+        if min(minors) <= 0:
+            raise ValueError("basis does not span a positive 3-plane")
+
+
+def same_component(p: OrientedPlane, q: OrientedPlane) -> bool:
+    """Co-orientation test for maximal positive planes.
+
+    The mutual pairing matrix of two maximal positive subspaces is
+    nonsingular, and its determinant sign is constant on components of
+    the oriented Grassmannian, positive exactly on the diagonal.
+    """
+    d = rat_det([[pairing(u, v) for v in q.basis] for u in p.basis])
+    if d == 0:
+        raise ValueError("singular mutual pairing: planes are not both maximal positive")
+    return d > 0
+
+
+@cache
+def standard_plane(lattice: Lattice) -> OrientedPlane:
+    """Reference orientation: the diagonal vectors e_i + f_i of the hyperbolic
+    summands.
+
+    Built once per lattice, so its vectors keep their cached Gram images."""
+    return OrientedPlane(tuple(
+        (lattice.basis_vector(e) + lattice.basis_vector(f)).to_rational() for e, f in _PLANES))
 
 
 def preserves_components(phi: Isometry) -> bool:

@@ -82,6 +82,14 @@ def _gram_kernel(entries: tuple[tuple[tuple[int, int], ...], ...]):
     return eval(source, {"__builtins__": {}})(*names)
 
 
+def _refuse_coordinate(c):
+    raise TypeError(f"integer or Fraction coordinate expected, got {clip_repr(c)}")
+
+
+# the reduced ratio n/d of each exact type a rational coordinate may have
+_AS_RATIO = {int: int.as_integer_ratio, Fraction: Fraction.as_integer_ratio}
+
+
 class Lattice(Frozen):
     """Free Z-module of finite rank with an integer-valued pairing."""
 
@@ -140,15 +148,14 @@ class Lattice(Frozen):
     def rational_vector(self, coords: Iterable) -> "RationalVector":
         """Numerators over the lcm of the reduced denominators.
 
-        Each input is read once as a reduced ratio n/d with d > 0; ints and
-        Fractions give theirs directly, other types go through Fraction(c).
-        The result is already canonical: a prime p dividing den = lcm(d)
-        divides some d_j to the full power it has in den, so p divides
-        neither den // d_j nor n_j (coprime to d_j), nor their product."""
-        ratios = [
-            (c if type(c) is int or type(c) is Fraction else Fraction(c)).as_integer_ratio()
-            for c in coords
-        ]
+        Each input is read once as a reduced ratio n/d with d > 0.  Only an
+        int or a Fraction is read, by its exact type as in the one integer
+        rule, so a bool, an IntEnum member, a float or a string raises
+        TypeError instead of being coerced.  The result is already
+        canonical: a prime p dividing den = lcm(d) divides some d_j to the
+        full power it has in den, so p divides neither den // d_j nor n_j
+        (coprime to d_j), nor their product."""
+        ratios = [_AS_RATIO.get(type(c), _refuse_coordinate)(c) for c in coords]
         if len(ratios) != self.rank:
             raise ValueError("coordinate length does not match lattice rank")
         den = lcm(*[d for _, d in ratios])

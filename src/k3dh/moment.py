@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from importlib import resources
 
 from .exact_linalg import Frozen, clip_repr, int_tuple
 from .lattice import LatticeVector, make_K3, pairing, reference_pair
@@ -478,60 +477,90 @@ def _endpoint_from_json(v, unbounded: str):
     return rational_from_json(v)
 
 
-def _json_list(raw: dict, key: str) -> list:
-    """raw[key], which must be a JSON list: a string would unpack by
-    characters and read "404" as three coefficients."""
-    v = raw[key]
+def _field(raw, key: str, where: str):
+    """raw[key] of the JSON object at `where`."""
+    if not isinstance(raw, dict):
+        raise ModelError(f"malformed model: {where} must be an object, got {clip_repr(raw)}")
+    if key not in raw:
+        raise ModelError(f"malformed model: {where} is missing {key!r}")
+    return raw[key]
+
+
+def _json_list(raw, key: str, where: str | None = None, length: int | None = None) -> list:
+    """raw[key], which must be a JSON list, of `length` entries when given:
+    a string would unpack by characters and read "404" as three
+    coefficients.  `where` names an entry of the model, None the model."""
+    v = _field(raw, key, where or "the model")
+    at = f"malformed model: {where}: " if where else ""
     if not isinstance(v, list):
-        raise ModelError(f"{key!r} must be a list, got {clip_repr(v)}")
+        raise ModelError(f"{at}{key!r} must be a list, got {clip_repr(v)}")
+    if length is not None and len(v) != length:
+        raise ModelError(f"{at}{key!r} must have {length} entries, got {len(v)}")
     return v
 
 
+def _located(where: str, build, *args):
+    """build(*args), with a value it refuses reported as a ModelError that
+    names the entry or field at `where`."""
+    try:
+        return build(*args)
+    except (ModelError, TypeError, ValueError) as exc:
+        raise ModelError(f"malformed model: {where}: {exc}") from exc
+
+
+def _piece_from_json(raw, where: str) -> Piece:
+    lo, hi = _json_list(raw, "interval", where, 2)
+    coeffs = _json_list(raw, "dh", where, 3)
+    pair = None
+    if "class_pair" in raw:
+        at = f"{where}.class_pair"
+        pair = tuple(
+            _located(f"{at}.{key}", _K3.vector, _json_list(raw["class_pair"], key, at, _K3.rank))
+            for key in ("kappa", "eta")
+        )
+    return _located(
+        where,
+        Piece,
+        _located(f"{where}.interval", _endpoint_from_json, lo, "-inf"),
+        _located(f"{where}.interval", _endpoint_from_json, hi, "inf"),
+        DHPolynomial(*[_located(f"{where}.dh", rational_from_json, c) for c in coeffs]),
+        pair,
+        raw.get("reduced_space", "K3"),
+    )
+
+
+def _wall_from_json(raw, where: str) -> Wall:
+    level = _located(f"{where}.level", rational_from_json, _field(raw, "level", where))
+    count, weights = _field(raw, "count", where), _json_list(raw, "weights", where)
+    return _located(where, Wall, level, count, tuple(weights))
+
+
 def model_from_json_dict(data: dict) -> GluedModel:
-    """Parse the model schema; every malformation raises ModelError."""
+    """Parse the model schema; every malformation raises ModelError, which
+    names the entry (pieces[i], walls[i]) and the field it is in."""
     if not isinstance(data, dict):
         raise ModelError("model file must contain a JSON object")
     name = data.get("name", "model")
     if not isinstance(name, str):
         raise ModelError(f"'name' must be a string, got {clip_repr(name)}")
-    try:
-        pieces = []
-        for raw in _json_list(data, "pieces"):
-            lo, hi = _json_list(raw, "interval")
-            coeffs = [rational_from_json(c) for c in _json_list(raw, "dh")]
-            if len(coeffs) != 3:
-                raise ModelError("dh must have three coefficients")
-            pair = None
-            if "class_pair" in raw:
-                pair = tuple(
-                    _K3.vector(raw["class_pair"][key]) for key in ("kappa", "eta")
-                )
-            pieces.append(
-                Piece(
-                    _endpoint_from_json(lo, "-inf"),
-                    _endpoint_from_json(hi, "inf"),
-                    DHPolynomial(*coeffs),
-                    class_pair=pair,
-                    reduced_space=raw.get("reduced_space", "K3"),
-                )
-            )
-        walls = [
-            Wall(rational_from_json(w["level"]), w["count"], tuple(_json_list(w, "weights")))
-            for w in _json_list(data, "walls")
-        ]
-        period = data.get("period")
-        return GluedModel(
-            tuple(pieces),
-            tuple(walls),
-            period=None if period is None else rational_from_json(period),
-            fixed_points=data.get("fixed_points"),
-            name=name,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelError(f"malformed model: {exc}") from exc
+    pieces = tuple(_piece_from_json(raw, f"pieces[{i}]")
+                   for i, raw in enumerate(_json_list(data, "pieces")))
+    walls = tuple(_wall_from_json(raw, f"walls[{i}]")
+                  for i, raw in enumerate(_json_list(data, "walls")))
+    period = data.get("period")
+    if period is not None:
+        period = _located("period", rational_from_json, period)
+    # the fixed point count is the one field that GluedModel checks
+    return _located("fixed_points", GluedModel, pieces, walls, period, data.get("fixed_points"),
+                    name)
 
 
 def packaged_model() -> GluedModel:
-    """Load the glued-model fixture shipped inside the package."""
+    """Load the glued-model fixture shipped inside the package.
+
+    importlib.resources is imported here, not with the module, so that
+    importing the CLI does not pay for it: only this loader uses it."""
+    from importlib import resources
+
     text = resources.files("k3dh").joinpath("data/theorem1.json").read_text()
     return model_from_json_dict(json.loads(text))

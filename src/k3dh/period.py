@@ -1,4 +1,5 @@
-"""Period-domain membership and oriented positive 3-planes.
+"""Period points, projection away from their line, and the positive cones
+orthogonal to it.
 
 A period point is kept in real/imaginary normal form: two rational
 vectors re, im with (re, im) = 0 and (re, re) = (im, im) > 0.  With that
@@ -20,22 +21,17 @@ orthogonal to the line; any other vector, even an equal one, is paired.
 """
 
 from fractions import Fraction
-from functools import cache
 from math import gcd
 
-from .exact_linalg import Frozen, InvariantError, rat_det
+from .exact_linalg import Frozen, InvariantError
 from .lattice import (
     AnyVector,
     Lattice,
     LatticeVector,
     RationalVector,
     _check_same_lattice,
-    k3_e,
-    k3_f,
-    pairing,
     pairing_nums,
 )
-from .shortvec import is_generic_plane
 
 
 def _rational(v: AnyVector) -> RationalVector:
@@ -209,69 +205,3 @@ def is_in_ktilde_omega(kappa: AnyVector, point: PeriodPoint) -> bool:
     if member != is_in_k_omega(projection, point):
         raise InvariantError("cone membership disagrees with its projected form")
     return member
-
-
-def is_in_k_omega_generic(kappa: AnyVector, point: PeriodPoint) -> bool:
-    """Membership plus no -2-vector orthogonal to span(kappa, re, im)."""
-    if not is_in_k_omega(kappa, point):
-        return False
-    return is_generic_plane(kappa.lattice, [kappa, point.re, point.im])
-
-
-def is_in_ktilde_omega_generic(kappa: AnyVector, point: PeriodPoint) -> bool:
-    """Tame (K~_Omega) membership plus no -2-vector orthogonal to
-    span(kappa, re, im)."""
-    if not is_in_ktilde_omega(kappa, point):
-        return False
-    return is_generic_plane(kappa.lattice, [kappa, point.re, point.im])
-
-
-class OrientedPlane(Frozen):
-    """Ordered basis of a positive-definite 3-plane; order is orientation."""
-
-    _fields = ("basis",)
-
-    def __init__(self, basis: tuple[AnyVector, AnyVector, AnyVector]):
-        """Sylvester's criterion on the numerator Gram matrix.
-
-        With basis vectors u_i = U_i / d_i, N_ij = (U_i, U_j) is d_i d_j G_ij
-        for the Gram matrix G_ij = (u_i, u_j), so N = D G D with
-        D = diag(d_i) > 0, and the leading minor of order k is
-        det N_k = (d_1 ... d_k)^2 det G_k: the same sign.  So the basis spans
-        a positive 3-plane exactly when the three leading minors of N are
-        positive."""
-        basis = tuple(_rational(v) for v in basis)
-        if len(basis) != 3:
-            raise ValueError("need exactly three spanning vectors")
-        u, v, w = basis
-        _check_same_lattice(u, v)
-        _check_same_lattice(u, w)
-        object.__setattr__(self, "basis", basis)
-        a, b, c = pairing_nums(u, u), pairing_nums(u, v), pairing_nums(u, w)
-        d, e, f = pairing_nums(v, v), pairing_nums(v, w), pairing_nums(w, w)
-        minors = (a, a * d - b * b, a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d))
-        if min(minors) <= 0:
-            raise ValueError("basis does not span a positive 3-plane")
-
-
-def same_component(p: OrientedPlane, q: OrientedPlane) -> bool:
-    """Co-orientation test for maximal positive planes.
-
-    The mutual pairing matrix of two maximal positive subspaces is
-    nonsingular, and its determinant sign is constant on components of
-    the oriented Grassmannian, positive exactly on the diagonal.
-    """
-    d = rat_det([[pairing(u, v) for v in q.basis] for u in p.basis])
-    if d == 0:
-        raise ValueError("singular mutual pairing: planes are not both maximal positive")
-    return d > 0
-
-
-@cache
-def standard_plane(lattice: Lattice) -> OrientedPlane:
-    """Reference orientation: the diagonal vectors of the hyperbolic summands.
-
-    Built once per lattice, so its vectors keep their cached Gram images."""
-    return OrientedPlane(
-        tuple((k3_e(lattice, i) + k3_f(lattice, i)).to_rational() for i in range(3))
-    )

@@ -59,6 +59,9 @@ Schnorr-Euchner, Math. Programming 66, 1994):
 
 A brute-force box search and the rational enumerator, both kept in the
 tests, are independent oracles.
+
+The generic cone memberships at the end take a cone predicate of
+k3dh.period and add that no root is orthogonal to span(kappa, re, im).
 """
 from __future__ import annotations
 
@@ -67,7 +70,8 @@ from operator import mul, neg
 from typing import Sequence
 
 from .exact_linalg import Frozen, IntMatrix, InvariantError, int_tuple, symmetric_bareiss
-from .lattice import Lattice, LatticeVector, RationalVector, _gram_kernel, pairing_nums
+from .lattice import AnyVector, Lattice, LatticeVector, RationalVector, _gram_kernel, pairing_nums
+from .period import PeriodPoint, is_in_k_omega, is_in_ktilde_omega
 from .sublattice import integral_primitive, orthogonal_complement
 
 
@@ -256,3 +260,18 @@ def is_generic_plane(
 ) -> bool:
     """True when no -2-vector of the lattice is orthogonal to the plane."""
     return len(roots_orthogonal_to(lattice, plane)) == 0
+
+
+def is_in_k_omega_generic(kappa: AnyVector, point: PeriodPoint) -> bool:
+    """Membership plus no -2-vector orthogonal to span(kappa, re, im)."""
+    if not is_in_k_omega(kappa, point):
+        return False
+    return is_generic_plane(kappa.lattice, [kappa, point.re, point.im])
+
+
+def is_in_ktilde_omega_generic(kappa: AnyVector, point: PeriodPoint) -> bool:
+    """Tame (K~_Omega) membership plus no -2-vector orthogonal to
+    span(kappa, re, im)."""
+    if not is_in_ktilde_omega(kappa, point):
+        return False
+    return is_generic_plane(kappa.lattice, [kappa, point.re, point.im])

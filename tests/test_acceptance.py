@@ -44,18 +44,13 @@ from k3dh.moment import (
     validate,
     wall_crossing_delta,
 )
-from k3dh.period import (
-    PeriodPoint,
-    is_in_k_omega,
-    is_in_k_omega_generic,
-    is_in_ktilde_omega,
-    is_in_ktilde_omega_generic,
-    project_to_alpha_perp,
-)
+from k3dh.period import PeriodPoint, is_in_k_omega, is_in_ktilde_omega, project_to_alpha_perp
 from k3dh.shortvec import (
     DefiniteGram,
     IndefiniteGramError,
     enumerate_norm,
+    is_in_k_omega_generic,
+    is_in_ktilde_omega_generic,
     roots_orthogonal_to,
 )
 from k3dh.sublattice import is_primitive_embedding

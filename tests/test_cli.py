@@ -534,9 +534,27 @@ def test_validate_model_packaged_file(capsys, tmp_path):
         (lambda d: d["pieces"][1].update(interval="13"), "'interval' must be a list"),
         (lambda d: d["walls"][0].update(weights="-211"), "'weights' must be a list"),
         (lambda d: d.update(name=[1, 2]), "'name' must be a string, got [1, 2]"),
+        # each structural refusal names its field and the entry it is in
+        (lambda d: d["walls"][0].pop("level"), "malformed model: walls[0] is missing 'level'"),
+        (lambda d: d["pieces"][0].update(interval=["-1", "0", "1"]),
+         "malformed model: pieces[0]: 'interval' must have 2 entries, got 3"),
+        (lambda d: d["pieces"].__setitem__(0, 5),
+         "malformed model: pieces[0] must be an object, got 5"),
+        (lambda d: d["pieces"][1]["class_pair"].update(kappa=[1] * 21),
+         "malformed model: pieces[1].class_pair: 'kappa' must have 22 entries, got 21"),
+        (lambda d: d["pieces"][1]["class_pair"].pop("eta"),
+         "malformed model: pieces[1].class_pair is missing 'eta'"),
+        (lambda d: d["walls"][1].update(count=-1),
+         "malformed model: walls[1]: negative fixed point count"),
+        (lambda d: d["pieces"][0]["dh"].__setitem__(1, "x"),
+         "malformed model: pieces[0].dh: not an exact rational: 'x'"),
+        (lambda d: d["pieces"][1]["class_pair"]["kappa"].__setitem__(3, 1.5),
+         "malformed model: pieces[1].class_pair.kappa: integer coordinate expected, got 1.5"),
     ],
     ids=["float-count", "float-weight", "string-fixed-points", "decimal-string",
-         "string-dh", "string-interval", "string-weights", "list-name"],
+         "string-dh", "string-interval", "string-weights", "list-name",
+         "missing-level", "three-endpoints", "int-piece", "short-class-pair", "missing-eta",
+         "negative-count", "string-in-dh", "float-in-class-pair"],
 )
 def test_validate_model_rejects_coercions(capsys, tmp_path, edit, message):
     doc = json.loads(open(THEOREM1).read())

@@ -373,6 +373,7 @@ def test_one_integer_rule(bad, monkeypatch, capsys):
         lambda: k3.vector(coords),
         lambda: RationalVector(k3, coords),
         lambda: RationalVector(k3, [1] + [0] * 21, bad),
+        lambda: k3.rational_vector(coords),
         lambda: kummer.exceptional(bad),
         lambda: kummer.eta_hat(bad),
         lambda: kummer.sigma_class(bad, 1),

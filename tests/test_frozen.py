@@ -15,10 +15,12 @@ import pytest
 
 from k3dh import kummer
 from k3dh.exact_linalg import Frozen, FrozenError, IntMatrix
-from k3dh.isometry import Isometry, flip_third_H, identity_isometry
+from k3dh.isometry import (
+    Isometry, OrientedPlane, flip_third_H, identity_isometry, standard_plane,
+)
 from k3dh.lattice import Lattice, LatticeVector, RationalVector, make_E8, make_H, make_K3
 from k3dh.moment import Check, DHPolynomial, GluedModel, Piece, Report, Wall, packaged_model
-from k3dh.period import OrientedPlane, PeriodPoint, project_to_alpha_perp, standard_plane
+from k3dh.period import PeriodPoint, project_to_alpha_perp
 from k3dh.shortvec import DefiniteGram
 
 K3 = make_K3()

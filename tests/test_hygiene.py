@@ -3,9 +3,11 @@ data and console script declared for the installed package, unchecked
 constructors only in the core modules, unchecked isometries only in the
 isometry module, one evaluation per verified claim, one pairing kernel on
 integers and one place that compiles code, no locking cached_property, no
-dataclasses in the source or at import, no blowup module in the glued-model
-layer, one symmetric elimination, every library name called outside the
-unit tests, and every benchmark tracer entry bound in the library."""
+dataclasses in the source or at import, each module loading only the
+modules its functions call, no importlib.resources at CLI import, no blowup
+module in the glued-model layer, one symmetric elimination, every library
+name called outside the unit tests, and every benchmark tracer entry bound
+in the library."""
 import ast
 import importlib
 import importlib.util
@@ -265,12 +267,21 @@ def test_moment_does_not_import_kummer():
         assert k3dh_imports(line) == {"kummer"}
 
 
+def run_fresh(code: str) -> list[str]:
+    """The words that `code` prints in a fresh interpreter without site, so
+    that no .pth file preloads a module, and without writing bytecode next
+    to the sources."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-B", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    return out.stdout.split()
+
+
 @pytest.mark.parametrize("module", ["k3dh.cli", "k3dh.period", "k3dh.isometry"])
 def test_import_loads_neither_dataclasses_nor_inspect(module):
-    # a fresh interpreter without site, so that no .pth file preloads them,
-    # and without writing bytecode next to the sources; importlib.resources,
-    # which k3dh.moment reads its data with, imports inspect itself from
-    # Python 3.12 on, so it is imported first and what it loads not counted
+    # importlib.resources, which k3dh.moment reads its data with, imports
+    # inspect itself from Python 3.12 on, so it is imported first and what
+    # it loads not counted
     code = (
         "import sys, importlib.resources\n"
         "before = set(sys.modules)\n"
@@ -278,10 +289,39 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
         "new = set(sys.modules) - before\n"
         "print(' '.join(m for m in ('dataclasses', 'inspect') if m in new))"
     )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-S", "-B", "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert out.stdout.split() == []
+    assert run_fresh(code) == []
+
+
+def k3dh_modules_loaded_by(module: str) -> set[str]:
+    return set(run_fresh(
+        f"import sys\nimport {module}\n"
+        "print(*(m for m in sys.modules if m.split('.')[0] == 'k3dh'))"
+    ))
+
+
+def test_each_module_loads_only_what_its_functions_call():
+    # a fresh interpreter compiles every k3dh module that it loads, so a
+    # period-sampling set-up (import k3dh.period) must not load the root
+    # search, and an isometry-pairs set-up (import k3dh.isometry) neither it
+    # nor the period domain
+    core = {"k3dh", "k3dh.exact_linalg", "k3dh.lattice"}
+    assert k3dh_modules_loaded_by("k3dh.period") == core | {"k3dh.period"}
+    assert k3dh_modules_loaded_by("k3dh.isometry") == core | {"k3dh.sublattice", "k3dh.isometry"}
+    shortvec = k3dh_modules_loaded_by("k3dh.shortvec")
+    assert {"k3dh.shortvec", "k3dh.period"} <= shortvec
+    assert not shortvec & {"k3dh.isometry", "k3dh.kummer", "k3dh.moment"}
+
+
+def test_cli_import_leaves_importlib_resources_to_the_packaged_model():
+    # only packaged_model reads package data, so importing the CLI does not
+    # pay for importlib.resources where site has not loaded it; the first
+    # packaged_model call imports it
+    code = (
+        "import sys\nimport k3dh.cli\nprint('importlib.resources' in sys.modules)\n"
+        "from k3dh.moment import packaged_model\npackaged_model()\n"
+        "print('importlib.resources' in sys.modules)"
+    )
+    assert run_fresh(code) == ["False", "True"]
 
 
 def test_pairing_kernel_sees_only_integers(monkeypatch, capsys, tmp_path):

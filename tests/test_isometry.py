@@ -19,6 +19,7 @@ from k3dh.lattice import (
 )
 from k3dh.isometry import (
     Isometry,
+    OrientedPlane,
     StandardizationError,
     eichler_transvection,
     flip_third_H,
@@ -26,10 +27,10 @@ from k3dh.isometry import (
     lemma_iso,
     map_pair_to_standard,
     preserves_components,
+    same_component,
+    standard_plane,
 )
-from k3dh.period import (
-    OrientedPlane, PeriodPoint, project_to_alpha_perp, same_component, standard_plane,
-)
+from k3dh.period import PeriodPoint, project_to_alpha_perp
 from k3dh.sublattice import is_primitive_embedding
 
 K3 = make_K3()

@@ -8,22 +8,18 @@ from hypothesis import strategies as st
 import k3dh.lattice
 import k3dh.period
 from k3dh.exact_linalg import IntMatrix, InvariantError, rat_det
-from k3dh.isometry import flip_third_H
+from k3dh.isometry import OrientedPlane, flip_third_H, same_component, standard_plane
 from k3dh.lattice import (
     Lattice, RationalVector, direct_sum, make_H, make_K3, k3_e, k3_f, norm, pairing, rescale,
 )
 from k3dh.period import (
-    OrientedPlane,
     PeriodPoint,
     is_in_k_omega,
-    is_in_k_omega_generic,
     is_in_ktilde_omega,
-    is_in_ktilde_omega_generic,
     is_in_omega,
     project_to_alpha_perp,
-    same_component,
-    standard_plane,
 )
+from k3dh.shortvec import is_in_k_omega_generic, is_in_ktilde_omega_generic
 
 K3 = make_K3()
 H3 = direct_sum("H+H+H", make_H(), make_H(), make_H())
