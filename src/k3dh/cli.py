@@ -42,8 +42,10 @@ from .kummer import (
 from .lattice import (
     E1,
     E2,
+    E3,
     F1,
     F2,
+    F3,
     Lattice,
     RationalVector,
     direct_sum,
@@ -478,51 +480,31 @@ _PERIOD_SAMPLES = 50
 _SEED = 52706
 
 
-def _kappa_numerators(rng: random.Random, n: int) -> tuple[int, ...]:
-    """n numerators over 6, the draws of
-    rng.randint(-8, 8) * (6 // rng.choice((1, 2, 3))) repeated n times.
-
-    Both calls reduce to CPython's Random._randbelow(w): getrandbits(k) for
-    the bit length k of the width w (17 and 3), drawn again while it is not
-    below w.  Making those draws here consumes the same stream and yields
-    the same values without the overhead of the two calls.
-    """
-    bits = rng.getrandbits
-    nums = []
-    for _ in range(n):
-        r = bits(5)
-        while r >= 17:
-            r = bits(5)
-        s = bits(2)
-        while s == 3:
-            s = bits(2)
-        nums.append((r - 8) * (6, 3, 2)[s])
-    return tuple(nums)
-
-
 def _period_samples(K3: Lattice):
     """The battery's seeded period records (kappa, re, im), built from ints.
 
     re = a (e1 + f1) + b (e2 + f2) and im = a (e2 + f2) - b (e1 + f1), with
-    a in 1..5 and b in 0..5, span a period point: (re, im) = 0 and
-    (re, re) = (im, im) = 2 (a^2 + b^2) > 0.  Each coordinate of kappa is
-    n / d, n in -8..8 and d in {1, 2, 3}, given as the numerator n * (6 // d)
-    over 6; RationalVector reduces it to lowest terms, the vector that
-    K3.rational_vector builds from the Fractions n / d.
+    a in 1..5 and b in 0..5 from randint, span a period point: (re, im) = 0
+    and (re, re) = (im, im) = 2 (a^2 + b^2) > 0.  Each coordinate of kappa is
+    n / 6, n = getrandbits(5) - 16 in -16..15, and every second sample from
+    the first adds 7 (e3 + f3): orthogonal to re and im, of norm 2, it raises
+    the projected norm by 98 + 14 (kappa, e3 + f3) >= 98 - 14 * 32/6 > 0, so
+    14 of the 50 samples lie in the tame cone and the other 36 do not.
     """
     rng = random.Random(_SEED)
+    bits = rng.getrandbits
     n = K3.rank
-    for _ in range(_PERIOD_SAMPLES):
+    for i in range(_PERIOD_SAMPLES):
         a, b = rng.randint(1, 5), rng.randint(0, 5)
         re, im = [0] * n, [0] * n
         re[E1] = re[F1] = im[E2] = im[F2] = a
         re[E2] = re[F2] = b
         im[E1] = im[F1] = -b
-        yield (
-            RationalVector(K3, _kappa_numerators(rng, n), 6),
-            RationalVector(K3, tuple(re)),
-            RationalVector(K3, tuple(im)),
-        )
+        nums = [bits(5) - 16 for _ in range(n)]
+        if i % 2 == 0:
+            nums[E3] += 42
+            nums[F3] += 42
+        yield RationalVector(K3, nums, 6), RationalVector(K3, re), RationalVector(K3, im)
 
 
 def run_verify_paper(perturb: str | None = None) -> Report:

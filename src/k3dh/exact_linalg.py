@@ -2,8 +2,8 @@
 
 Everything here is deterministic and exact: matrices hold Python's
 arbitrary-precision ints, and a Fraction appears only as the value of
-rat_det.  No floating point enters at any stage, so results are
-reproducible bit for bit across platforms.
+rat_det or of rational.  No floating point enters at any stage, so results
+are reproducible bit for bit across platforms.
 
 Every determinant and inverse is one elimination,
 _bareiss_rref: fraction-free (Bareiss) Gauss-Jordan with column skipping.
@@ -21,7 +21,8 @@ form, whose pivot signs are its inertia.  Smith normal form is the one other
 elimination, over the integers by division with remainder; it carries its
 column transform V as the rows of V^T, so a column operation on V is one
 row operation.  Frozen, the immutable-value base of the package's classes,
-lives here because every other module imports this one.
+and the integer and rational rules live here because every other module
+imports this one.
 """
 from __future__ import annotations
 
@@ -107,6 +108,26 @@ def int_tuple(values: Iterable, what: str) -> tuple[int, ...]:
         if type(x) is not int:
             raise TypeError(f"integer {what} expected, got {clip_repr(x)}")
     return t
+
+
+# The one rational rule, the integer rule widened by Fraction: only an int or
+# a Fraction, by exact type, is read as a rational, so a bool, an IntEnum
+# member, a float or a string raises TypeError instead of being coerced.
+# ratio_of(type(x)) is x's reduced-ratio method, or None for any other type.
+ratio_of = {int: int.as_integer_ratio, Fraction: Fraction.as_integer_ratio}.get
+
+
+def as_ratio(x, what: str) -> tuple[int, int]:
+    """The reduced ratio (n, d), d > 0, of x, by the rational rule."""
+    ratio = ratio_of(type(x))
+    if ratio is None:
+        raise TypeError(f"integer or Fraction {what} expected, got {clip_repr(x)}")
+    return ratio(x)
+
+
+def rational(x, what: str) -> Fraction:
+    """x as a Fraction, by the rational rule; a Fraction is kept."""
+    return x if type(x) is Fraction else Fraction(*as_ratio(x, what))
 
 
 def row_combination(coeffs: Sequence[int], rows: Sequence[tuple[int, ...]]) -> tuple[int, ...]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact_linalg import Frozen, IntMatrix, int_tuple
+from .exact_linalg import Frozen, IntMatrix, int_tuple, rational
 from .lattice import Lattice, RationalVector, direct_sum, pairing_nums, rescale
 
 # real slots 0..3 are dx1, dy1, dx2, dy2; this ordering of the six real
@@ -161,7 +161,7 @@ def symplectic_family_form(sign: int, t) -> InvariantForm:
     Every member is real and symplectic: its self-integral is 8(1 + t^2) > 0.
     """
     _check_sign(sign)
-    return volume_real_form() + area_sum_form().scale(Fraction(t) * sign)
+    return volume_real_form() + area_sum_form().scale(rational(t, "t") * sign)
 
 
 def wedge_integrate(a: InvariantForm, b: InvariantForm) -> Fraction:
@@ -236,7 +236,7 @@ def eta_hat(sign: int) -> RationalVector:
 def sigma_class(sign: int, t) -> RationalVector:
     """kappa_hat - t * eta_hat(sign); self-pairing -4 + sign*16t - 4t^2."""
     _check_sign(sign)
-    return kappa_hat() - eta_hat(sign).scale(Fraction(t))
+    return kappa_hat() - eta_hat(sign).scale(t)
 
 
 def primitive_pair_check(y_torus_half: RationalVector, x: RationalVector) -> bool:

@@ -22,12 +22,20 @@ pairing a vector with itself again is a lookup.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, lcm
 from operator import mul, neg
 from typing import ClassVar, Iterable, Sequence, Union
 
-from .exact_linalg import Frozen, IntMatrix, clip_repr, int_tuple, symmetric_bareiss
+from .exact_linalg import (
+    Frozen,
+    IntMatrix,
+    as_ratio,
+    clip_repr,
+    int_tuple,
+    ratio_of,
+    symmetric_bareiss,
+)
 
 Coord = Union[int, Fraction]
 
@@ -82,12 +90,8 @@ def _gram_kernel(entries: tuple[tuple[tuple[int, int], ...], ...]):
     return eval(source, {"__builtins__": {}})(*names)
 
 
-def _refuse_coordinate(c):
-    raise TypeError(f"integer or Fraction coordinate expected, got {clip_repr(c)}")
-
-
-# the reduced ratio n/d of each exact type a rational coordinate may have
-_AS_RATIO = {int: int.as_integer_ratio, Fraction: Fraction.as_integer_ratio}
+# the fallback of ratio_of in Lattice.rational_vector: as_ratio refuses c
+_refuse_coordinate = partial(as_ratio, what="coordinate")
 
 
 class Lattice(Frozen):
@@ -148,14 +152,15 @@ class Lattice(Frozen):
     def rational_vector(self, coords: Iterable) -> "RationalVector":
         """Numerators over the lcm of the reduced denominators.
 
-        Each input is read once as a reduced ratio n/d with d > 0.  Only an
-        int or a Fraction is read, by its exact type as in the one integer
-        rule, so a bool, an IntEnum member, a float or a string raises
-        TypeError instead of being coerced.  The result is already
+        Each input is read once as a reduced ratio n/d with d > 0, by the
+        rational rule of exact_linalg.ratio_of, so a bool, an IntEnum member,
+        a float or a string raises TypeError instead of being coerced; ratio_of
+        is called inline, since as_ratio would add a call per coordinate, and
+        as_ratio only raises here.  The result is already
         canonical: a prime p dividing den = lcm(d) divides some d_j to the
         full power it has in den, so p divides neither den // d_j nor n_j
         (coprime to d_j), nor their product."""
-        ratios = [_AS_RATIO.get(type(c), _refuse_coordinate)(c) for c in coords]
+        ratios = [ratio_of(type(c), _refuse_coordinate)(c) for c in coords]
         if len(ratios) != self.rank:
             raise ValueError("coordinate length does not match lattice rank")
         den = lcm(*[d for _, d in ratios])
@@ -232,16 +237,9 @@ class RationalVector(_Vector):
     _fields = ("lattice", "nums", "den")
 
     def __init__(self, lattice: Lattice, nums: Iterable[int], den: int = 1):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
-        self.__post_init__()
-
-    def __post_init__(self):
-        nums = tuple(self.nums)
-        if len(nums) != self.lattice.rank:
+        nums = tuple(nums)
+        if len(nums) != lattice.rank:
             raise ValueError("coordinate length does not match lattice rank")
-        den = self.den
         int_tuple((den, *nums), "numerator and denominator")
         if den == 0:
             raise ZeroDivisionError("zero denominator")
@@ -251,6 +249,7 @@ class RationalVector(_Vector):
         if g != 1:
             nums = tuple(c // g for c in nums)
             den //= g
+        object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
 
@@ -258,7 +257,7 @@ class RationalVector(_Vector):
     def _trusted(cls, lattice: Lattice, nums: tuple[int, ...], den: int) -> "RationalVector":
         # nums is a tuple of ints of the lattice's rank and den > 0 with
         # gcd(den, *nums) == 1, so the checks and the normalization of
-        # __post_init__ are skipped
+        # __init__ are skipped
         v = object.__new__(cls)
         object.__setattr__(v, "lattice", lattice)
         object.__setattr__(v, "nums", nums)
@@ -297,11 +296,9 @@ class RationalVector(_Vector):
         return RationalVector._trusted(self.lattice, tuple(map(neg, self.nums)), self.den)
 
     def scale(self, c) -> "RationalVector":
-        c = Fraction(c)
-        p = c.numerator
-        return RationalVector(
-            self.lattice, tuple(p * x for x in self.nums), c.denominator * self.den
-        )
+        """c times the vector, for an int or a Fraction c (the rational rule)."""
+        p, q = as_ratio(c, "scalar")
+        return RationalVector(self.lattice, tuple(p * x for x in self.nums), q * self.den)
 
     def is_integral(self) -> bool:
         return self.den == 1

@@ -18,7 +18,7 @@ import json
 import re
 from fractions import Fraction
 
-from .exact_linalg import Frozen, clip_repr, int_tuple
+from .exact_linalg import Frozen, clip_repr, int_tuple, rational
 from .lattice import LatticeVector, make_K3, pairing, reference_pair
 from .sublattice import is_primitive_embedding
 
@@ -29,9 +29,7 @@ class ModelError(Exception):
     """Structurally malformed model or model file."""
 
 
-def rational_to_str(x) -> str:
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
+def rational_to_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -52,21 +50,22 @@ def rational_from_json(v) -> Fraction:
 
 
 class DHPolynomial(Frozen):
-    """c0 + c1 t + c2 t^2 with exact rational coefficients."""
+    """c0 + c1 t + c2 t^2 with exact rational coefficients, read, like the
+    arguments of evaluate and translate, by exact_linalg's rational rule."""
 
     _fields = ("c0", "c1", "c2")
 
     def __init__(self, c0, c1, c2):
-        object.__setattr__(self, "c0", Fraction(c0))
-        object.__setattr__(self, "c1", Fraction(c1))
-        object.__setattr__(self, "c2", Fraction(c2))
+        object.__setattr__(self, "c0", rational(c0, "coefficient"))
+        object.__setattr__(self, "c1", rational(c1, "coefficient"))
+        object.__setattr__(self, "c2", rational(c2, "coefficient"))
 
     @property
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.c0, self.c1, self.c2)
 
     def evaluate(self, t) -> Fraction:
-        t = Fraction(t)
+        t = rational(t, "t")
         return self.c0 + self.c1 * t + self.c2 * t * t
 
     def __add__(self, other: "DHPolynomial") -> "DHPolynomial":
@@ -82,7 +81,7 @@ class DHPolynomial(Frozen):
 
     def translate(self, s) -> "DHPolynomial":
         """The polynomial t -> p(t - s)."""
-        s = Fraction(s)
+        s = rational(s, "shift")
         return DHPolynomial(
             self.c0 - self.c1 * s + self.c2 * s * s,
             self.c1 - 2 * self.c2 * s,
@@ -129,7 +128,7 @@ def pair_from_polynomial(p: DHPolynomial) -> tuple[LatticeVector, LatticeVector]
 
 def is_positive_on(p: DHPolynomial, a, b) -> bool:
     """Exact strict positivity on the closed interval [a, b]."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = rational(a, "endpoint"), rational(b, "endpoint")
     if a > b:
         raise ValueError("empty interval")
     return p.evaluate(a) > 0 and p.evaluate(b) > 0 and _positive_on_open(p, a, b)
@@ -166,7 +165,7 @@ class Wall(Frozen):
     _fields = ("level", "count", "weights")
 
     def __init__(self, level, count: int, weights):
-        level, weights = Fraction(level), tuple(weights)
+        level, weights = rational(level, "level"), tuple(weights)
         int_tuple((count, *weights), "count and weights")
         if len(weights) != 3:
             raise ValueError("expected three weights")  # dimension 6 throughout
@@ -198,8 +197,8 @@ class Piece(Frozen):
 
     def __init__(self, lo, hi, dh: DHPolynomial, class_pair: tuple | None = None,
                  reduced_space: str = "K3"):
-        lo = None if lo is None else Fraction(lo)
-        hi = None if hi is None else Fraction(hi)
+        lo = None if lo is None else rational(lo, "endpoint")
+        hi = None if hi is None else rational(hi, "endpoint")
         if lo is not None and hi is not None and lo >= hi:
             raise ValueError("empty interval")
         if reduced_space not in ("K3", "Kummer"):
@@ -233,7 +232,7 @@ class GluedModel(Frozen):
                  fixed_points: int | None = None, name: str = "model"):
         pieces, walls = tuple(pieces), tuple(walls)
         if period is not None:
-            period = Fraction(period)
+            period = rational(period, "period")
         if fixed_points is not None:
             int_tuple((fixed_points,), "fixed point count")
             if fixed_points < 0:

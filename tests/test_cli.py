@@ -230,59 +230,51 @@ K3 = make_K3()
 DIAGONALS = [(k3_e(K3, i) + k3_f(K3, i)).to_rational() for i in range(3)]
 
 
-def former_period_samples():
-    """Test-only oracle: the battery's former sample law, with Fraction
-    coordinates through Lattice.rational_vector, LatticeVector arithmetic
-    and to_rational."""
+def period_sample_oracle():
+    """Test-only oracle: the battery's sample law, with Fraction coordinates
+    through Lattice.rational_vector, LatticeVector arithmetic and
+    to_rational."""
     rng = random.Random(cli._SEED)
     out = []
-    for _ in range(cli._PERIOD_SAMPLES):
+    for i in range(cli._PERIOD_SAMPLES):
         a, b = rng.randint(1, 5), rng.randint(0, 5)
         u = a * (k3_e(K3, 0) + k3_f(K3, 0)) + b * (k3_e(K3, 1) + k3_f(K3, 1))
         v = a * (k3_e(K3, 1) + k3_f(K3, 1)) - b * (k3_e(K3, 0) + k3_f(K3, 0))
         kappa = K3.rational_vector(
-            [Fraction(rng.randint(-8, 8), rng.choice((1, 2, 3))) for _ in range(K3.rank)]
+            [Fraction(rng.getrandbits(5) - 16, 6) for _ in range(K3.rank)]
         )
+        if i % 2 == 0:
+            kappa = kappa + 7 * (k3_e(K3, 2) + k3_f(K3, 2))
         out.append((kappa, u.to_rational(), v.to_rational()))
     return out
 
 
-def test_period_samples_follow_the_former_law():
+def test_period_samples_follow_their_law():
     # the verify digest records only "50/50", so it cannot see a changed
-    # sample law; each triple must equal the former one, numerators and
+    # sample law; each triple must equal the oracle's, numerators and
     # denominator alike (equality of RationalVector is structural)
     samples = list(cli._period_samples(K3))
-    former = former_period_samples()
-    assert len(samples) == len(former) == 50
-    for got, want in zip(samples, former):
+    oracle = period_sample_oracle()
+    assert len(samples) == len(oracle) == 50
+    for got, want in zip(samples, oracle):
         assert all(type(v) is RationalVector for v in got)
         assert got == want
-    # the law reaches a kappa whose numerators over 6 reduce, and b = 0
-    assert {k.den for k, _, _ in samples} == {3, 6}
+    # the law reaches b = 0, and tame-cone members as well as non-members;
+    # only the samples that gained 7 (e3 + f3) are members
     assert any(not re.nums[2] for _, re, _ in samples)
-
-
-def test_kappa_draws_match_randint_and_choice():
-    # the stdlib is the oracle: the getrandbits draws consume the same
-    # stream as randint(-8, 8) and choice((1, 2, 3)) and return the same
-    # values, on every seed, leaving the generator in the same state
-    for seed in range(300):
-        ours, stdlib = random.Random(seed), random.Random(seed)
-        got = cli._kappa_numerators(ours, 22)
-        want = tuple(stdlib.randint(-8, 8) * (6 // stdlib.choice((1, 2, 3))) for _ in range(22))
-        assert got == want
-        assert ours.getstate() == stdlib.getstate()
-    assert cli._kappa_numerators(random.Random(0), 0) == ()
+    members = [period.is_in_ktilde_omega(k, PeriodPoint(re, im)) for k, re, im in samples]
+    assert sum(members) == 14
+    assert not any(members[1::2])
 
 
 # sha256 of the 50 samples as JSON: for each of kappa, re and im, its
 # numerators followed by its denominator
-PERIOD_SAMPLES_DIGEST = "16c5ea68d588c20b2762e5b763fa8f6d1f27b5d25573d1a250df2c62a09aa14a"
+PERIOD_SAMPLES_DIGEST = "92b47e7e26235219ccb23becca2bfce6cfe8350645e8fb035190a0769fd631c8"
 
 
 def test_period_samples_are_pinned():
-    # pinned apart from the stdlib oracle above, so the battery's law stays
-    # fixed even if an interpreter changes how randint draws
+    # pinned apart from the oracle above, so the battery's law stays fixed
+    # even if an interpreter changes how randint or getrandbits draws
     rows = [[[*v.nums, v.den] for v in sample] for sample in cli._period_samples(K3)]
     assert len(rows) == 50
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == PERIOD_SAMPLES_DIGEST
@@ -778,6 +770,8 @@ def test_period_layer_fault_is_a_failed_row(monkeypatch, capsys, tmp_path, attr,
     # instead of ending the command with a traceback
     samples = list(cli._period_samples(make_K3()))
     members = sum(period.is_in_ktilde_omega(k, PeriodPoint(re, im)) for k, re, im in samples)
+    # both kinds occur, so every fault below fails the battery's sample row
+    assert 0 < members < len(samples)
     monkeypatch.setattr(period, attr, fault)
     k, re, im = [0] * 22, [0] * 22, [0] * 22
     if member:
@@ -803,8 +797,7 @@ def test_period_layer_fault_is_a_failed_row(monkeypatch, capsys, tmp_path, attr,
             positive_projection: members}[fault]
     report = run_verify_paper()
     failed = [c for c in report.checks if not c.passed]
-    assert [c.check_id for c in failed] == (
-        ["period:identity-sample"] if good < len(samples) else [])
+    assert [c.check_id for c in failed] == ["period:identity-sample"]
     sample_row = next(c for c in report.checks if c.check_id == "period:identity-sample")
     assert sample_row.computed == f"{good}/{len(samples)}"
 

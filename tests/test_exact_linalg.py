@@ -1,4 +1,5 @@
 import random
+import re
 from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
@@ -11,18 +12,28 @@ from hypothesis import strategies as st
 from k3dh import cli, exact_linalg, kummer
 from k3dh.exact_linalg import (
     IntMatrix,
+    as_ratio,
     clip_repr,
     det,
     elementary_divisors,
     int_inverse,
     rat_det,
+    rational,
     smith_normal_form,
     symmetric_bareiss,
     xgcd_vector,
 )
 from k3dh.isometry import eichler_transvection
 from k3dh.lattice import RationalVector, make_K3
-from k3dh.moment import GluedModel, ModelError, Wall, rational_from_json
+from k3dh.moment import (
+    DHPolynomial,
+    GluedModel,
+    ModelError,
+    Piece,
+    Wall,
+    is_positive_on,
+    rational_from_json,
+)
 
 H_GRAM = [[0, 1], [1, 0]]
 
@@ -397,6 +408,56 @@ def test_one_integer_rule(bad, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_load_json", lambda path: doc)
     assert cli.main(["isometry", "--pairs", "pairs.json"]) == 2
     assert "'eta_p' must contain integers only" in capsys.readouterr().err
+
+
+POLY = DHPolynomial(1, 0, 1)
+UNIT = make_K3().rational_vector([1] + [0] * 21)
+
+
+# each value here used to be read through Fraction(x), which took 0.1 as
+# 3602879701896397/36028797018963968, "1/3" as 1/3 and True as 1
+@pytest.mark.parametrize(
+    "make, bad",
+    [
+        (lambda: DHPolynomial(0.1, Fraction(1, 3), 1), "0.1"),
+        (lambda: DHPolynomial(0, "1/3", 1), "'1/3'"),
+        (lambda: DHPolynomial(0, 1, True), "True"),
+        (lambda: POLY.evaluate(0.5), "0.5"),
+        (lambda: POLY.translate("1/2"), "'1/2'"),
+        (lambda: is_positive_on(POLY, 0.5, 1), "0.5"),
+        (lambda: Wall(0.5, 16, (-2, 1, 1)), "0.5"),
+        (lambda: Piece("1/2", 2, POLY), "'1/2'"),
+        (lambda: Piece(0, 1e1, POLY), "10.0"),
+        (lambda: GluedModel((), (), period=4.0), "4.0"),
+        (lambda: UNIT.scale(0.5), "0.5"),
+        (lambda: UNIT.scale(Flag.ONE), "<Flag.ONE: 1>"),
+        (lambda: kummer.symplectic_family_form(1, 0.5), "0.5"),
+        (lambda: kummer.sigma_class(1, "1"), "'1'"),
+    ],
+    ids=["dh-float", "dh-string", "dh-bool", "evaluate", "translate", "positive-on",
+         "wall-level", "piece-lo", "piece-hi", "period", "scale-float", "scale-IntEnum",
+         "family-t", "sigma-t"],
+)
+def test_one_rational_rule(make, bad):
+    with pytest.raises(TypeError, match=rf"^integer or Fraction \w+ expected, got {re.escape(bad)}$"):
+        make()
+
+
+def test_the_rational_rule_reads_ints_and_fractions():
+    # an int becomes a Fraction, and a Fraction is kept as it is
+    third = Fraction(1, 3)
+    assert rational(third, "x") is third
+    assert type(rational(-4, "x")) is Fraction and rational(-4, "x") == -4
+    assert as_ratio(Fraction(-6, 4), "x") == (-3, 2) and as_ratio(7, "x") == (7, 1)
+    p = DHPolynomial(2, third, -4)
+    assert [type(c) for c in p.coefficients] == [Fraction] * 3
+    assert p.evaluate(3) == Fraction(-33) and p.translate(third) == DHPolynomial(
+        Fraction(13, 9), Fraction(3), -4)
+    assert type(Wall(1, 16, (-2, 1, 1)).level) is Fraction
+    assert (Piece(0, third, POLY).lo, Piece(0, third, POLY).hi) == (0, third)
+    assert GluedModel((), (), period=4).period == Fraction(4)
+    assert UNIT.scale(Fraction(-3, 2)) == make_K3().rational_vector([Fraction(-3, 2)] + [0] * 21)
+    assert kummer.sigma_class(1, 2) == kummer.sigma_class(1, Fraction(2))
 
 
 # -- oracles for the row-sparse product and the fraction-free inverse -------

@@ -6,8 +6,8 @@ integers and one place that compiles code, no locking cached_property, no
 dataclasses in the source or at import, each module loading only the
 modules its functions call, no importlib.resources at CLI import, no blowup
 module in the glued-model layer, one symmetric elimination, every library
-name called outside the unit tests, and every benchmark tracer entry bound
-in the library."""
+name called outside the unit tests, every benchmark tracer entry bound in
+the library, and the per-op counts of the traced benchmark ops."""
 import ast
 import importlib
 import importlib.util
@@ -402,15 +402,16 @@ def test_every_library_name_has_a_caller():
     assert uncalled_names(snippet, snippet) == ["m:3 g"]
 
 
-def load_tracer(monkeypatch):
-    """bench/tracer.py, loaded read-only: no bytecode is written."""
-    path = ROOT / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("_bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
+def load_bench(monkeypatch, stem: str, name: str | None = None):
+    """bench/<stem>.py, loaded read-only: no bytecode is written.  It is
+    registered in sys.modules as `name`, or as _bench_<stem>."""
+    path = ROOT / "bench" / f"{stem}.py"
+    spec = importlib.util.spec_from_file_location(name or f"_bench_{stem}", path)
+    module = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.setitem(sys.modules, spec.name, tracer)
-    spec.loader.exec_module(tracer)
-    return tracer
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_tracer_entry_resolves(monkeypatch):
@@ -418,7 +419,7 @@ def test_every_tracer_entry_resolves(monkeypatch):
     # and fails a traced run when one is gone or never called; loading it
     # here makes a renamed binding fail the test suite rather than only a
     # traced benchmark run
-    tracer = load_tracer(monkeypatch)
+    tracer = load_bench(monkeypatch, "tracer")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = {w["name"] for w in benchmark["workloads"]}
     src = ROOT / "src" / "k3dh"
@@ -443,7 +444,7 @@ def test_one_lemma_iso_reaches_every_isometry_pairs_entry(monkeypatch):
     # int_inverse or smith_normal_form) must fail here first.  Each entry is
     # wrapped as Tracer.install wraps it: a method on its class, a function
     # in every k3dh module that bound it
-    tracer = load_tracer(monkeypatch)
+    tracer = load_bench(monkeypatch, "tracer")
     called = set()
     hot = [e for e in tracer.ENTRIES if e.hot == "isometry-pairs"]
     for e in hot:
@@ -478,3 +479,79 @@ def test_one_lemma_iso_reaches_every_isometry_pairs_entry(monkeypatch):
     isometry.lemma_iso(kap, eta, kp, ep)
     assert sorted(e.name for e in hot if e.name not in called) == []
     assert len(hot) > 10
+
+
+def traced_per_op(monkeypatch, workload: str, ops: range) -> dict[str, float]:
+    """Per-op layer metrics of a fixed list of seed-1 ops of a benchmark
+    workload, as a traced run takes them: bench/run.py's Workload builds each
+    op, and each op runs once untraced and then under bench/tracer.py's
+    Tracer, after op 0 warmed up untraced."""
+    tracer_mod = load_bench(monkeypatch, "tracer")
+    load_bench(monkeypatch, "workloads", "workloads")  # Workload imports it by name
+    run = load_bench(monkeypatch, "run")
+    reference = json.loads((ROOT / "bench" / "reference.json").read_text())
+    wl = run.Workload(workload, 1, reference, False)
+    op = wl.main_op if workload == "verify-battery" else wl.op
+    ledger, tracer = run.Ledger(), tracer_mod.Tracer()
+    ledger.run(*op(0))
+    for i in ops:
+        ledger.run(*op(i))
+        tracer.install()
+        tracer.op = i
+        try:
+            ledger.run(*op(i))
+        finally:
+            tracer.op = -1
+            tracer.uninstall()
+    assert (ledger.failed, ledger.errors) == (0, [])
+    assert tracer.cold_entries(workload) == []
+    return tracer.layer_metrics(len(ops))
+
+
+def test_benchmark_ops_keep_their_per_op_counts(monkeypatch):
+    # The battery's root counts walk 1660 enumeration nodes and find 1206
+    # vectors per op, so a change to the tree it walks fails here; it
+    # computes one orthogonal complement and builds 4 definite Grams per op,
+    # so a complement or Gram computed twice fails here.  Its Kummer rows
+    # take 9 wedge integrals and 39 blowup pairings, and the battery makes
+    # 128 Fraction operations per op, so an extra integral or extra Fraction
+    # arithmetic on those rows fails here.
+    battery = traced_per_op(monkeypatch, "verify-battery", range(1, 3))
+    assert {name: battery[name] for name in (
+        "shortvec.enumerate_level.calls", "shortvec.vectors_found",
+        "sublattice.orthogonal_complement.calls", "shortvec.DefiniteGram.calls",
+        "kummer.wedge_integrate.calls", "kummer.pairing.calls", "fraction_ops",
+    )} == {
+        "shortvec.enumerate_level.calls": 1660, "shortvec.vectors_found": 1206,
+        "sublattice.orthogonal_complement.calls": 1, "shortvec.DefiniteGram.calls": 4,
+        "kummer.wedge_integrate.calls": 9, "kummer.pairing.calls": 39, "fraction_ops": 128,
+    }
+    # A period-sampling op builds one point, projects once directly and once
+    # inside is_in_ktilde_omega (which reads the point's stored vector), and
+    # pairs in Fractions only in the two lattice.norm calls of its identity
+    # check, so a second projection or a pairing that goes through the
+    # Fraction path fails here.
+    period = traced_per_op(monkeypatch, "period-sampling", range(1, 7))
+    assert {name: period[name] for name in (
+        "period.PeriodPoint.calls", "period.project_to_alpha_perp.calls",
+        "period.is_in_ktilde_omega.calls", "lattice.pairing.rational.calls", "fraction_ops",
+    )} == {
+        "period.PeriodPoint.calls": 1, "period.project_to_alpha_perp.calls": 2,
+        "period.is_in_ktilde_omega.calls": 1, "lattice.pairing.rational.calls": 2,
+        "fraction_ops": 3,
+    }
+    # An isometry-pairs target pair is in reference position and is not
+    # standardized, so an op standardizes at most its source pair: one
+    # primitivity test (one SNF) and two _unitize stages, fewer on the
+    # records whose transvections leave the source pair in place.  The full
+    # M^T G M = G check takes G M from the Gram kernel and makes one
+    # IntMatrix.mul, and the identity g^-1 of a reference target is not
+    # multiplied, so an op makes fewer than 2 products (3.42 when the check
+    # multiplied by G as well); a return to that fails here.  The 8 ops
+    # cover each (depth, mode) of the record law once.
+    pairs = traced_per_op(monkeypatch, "isometry-pairs", range(1, 9))
+    snf = pairs["exact_linalg.smith_normal_form.calls"]
+    assert 0 < snf <= 1
+    assert pairs["sublattice.is_primitive_embedding.calls"] == snf
+    assert pairs["isometry.standardize.calls"] == 2 * snf
+    assert pairs["exact_linalg.IntMatrix.mul.calls"] < 2
