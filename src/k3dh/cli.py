@@ -29,7 +29,6 @@ from .kummer import (
     area_sum_form,
     eta_hat,
     exceptional,
-    form_to_torus_class,
     kappa_hat,
     pairing as blowup_pairing,
     primitive_pair_check,
@@ -394,7 +393,7 @@ def _kummer_checks() -> list[Check]:
         )
     )
     plus_spheres = [blowup_pairing(exceptional(i), ep) for i in range(NUM_EXCEPTIONAL)]
-    pulled = pullback(form_to_torus_class(vol))
+    pulled = pullback(vol)
     pull_spheres = [blowup_pairing(pulled, exceptional(i)) for i in range(NUM_EXCEPTIONAL)]
     checks.append(
         make_check(
@@ -439,7 +438,7 @@ def _kummer_checks() -> list[Check]:
             "the half-sum class is integral primitive with a unit sphere pairing",
             "coordinate gcd 1 and some (E_i, x) = +-1",
             "true",
-            "true" if primitive_pair_check(form_to_torus_class(half_sum), ep) else "false",
+            "true" if primitive_pair_check(half_sum, ep) else "false",
         )
     )
     wall_class = sigma_class(1, 1)

@@ -1,20 +1,19 @@
 """H^2 of the four-torus via translation-invariant forms, and its blowup.
 
-A form is a complex-rational combination of the six real wedge monomials
-TORUS_BASIS in dx1, dy1, dx2, dy2, held as its real and imaginary parts,
-two RationalVectors of TORUS_LATTICE; it is real when its imaginary part is
-zero, and a real form's torus class is its real part.  from_terms reads the
-paper's notation in dz1, dz1bar, dz2, dz2bar through dz_j = dx_j + i dy_j.
-The torus has unit periods, so int dx1 dy1 dx2 dy2 = 1 and the wedge
-integral of two forms is their TORUS_LATTICE pairing.  A blowup class is a
+A real translation-invariant 2-form is its torus class: a RationalVector of
+TORUS_LATTICE in the six real wedge monomials TORUS_BASIS in dx1, dy1, dx2,
+dy2.  from_terms reads the paper's notation in dz1, dz1bar, dz2, dz2bar
+through dz_j = dx_j + i dy_j and refuses a form that is not real.  The
+torus has unit periods, so int dx1 dy1 dx2 dy2 = 1 and the wedge integral
+of two forms is their TORUS_LATTICE pairing.  A blowup class is a
 RationalVector of KUMMER_LATTICE, pi_* H^2(T, Z) + <E_1, ..., E_16>, of
 index 2^11 in H^2(Km A, Z) (Barth-Hulek-Peters-Van de Ven, Ch. VIII):
 x = y / 2 for the torus pullback y, then the 16 sphere coefficients, with
 Gram 2T + (-2) I_16, so a pullback pairs at (1/2) y^T T y = 2 x^T T x.
 
 Every vector is held as integer numerators over one denominator.
-wedge_integrate and pairing take the integer pairings of the numerators
-(lattice.pairing_nums) and build a single Fraction from them at the end,
+wedge_integrate and pairing take the integer pairing of the numerators
+(lattice.pairing_nums) and build a single Fraction from it at the end,
 and from_terms sums int coefficients as ints, so a Fraction is built only
 for a returned rational or a non-int input value.
 """
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact_linalg import Frozen, IntMatrix, int_tuple, rational
+from .exact_linalg import IntMatrix, int_tuple, rational
 from .lattice import Lattice, RationalVector, direct_sum, pairing_nums, rescale
 
 # real slots 0..3 are dx1, dy1, dx2, dy2; this ordering of the six real
@@ -77,129 +76,86 @@ EXCEPTIONAL_LATTICE = Lattice(
 KUMMER_LATTICE = direct_sum("kummer", rescale(TORUS_LATTICE, 2), EXCEPTIONAL_LATTICE)
 
 
-def _check_part(v, lattice: Lattice) -> None:
+def _check_class(v, lattice: Lattice) -> None:
     if not isinstance(v, RationalVector) or (v.lattice is not lattice and v.lattice != lattice):
         raise ValueError(f"expected a RationalVector of the {lattice.name} lattice")
 
 
-class InvariantForm(Frozen):
-    """Translation-invariant 2-form re + i * im on TORUS_BASIS."""
+def from_terms(terms: dict) -> RationalVector:
+    """The torus class of the real form given as {(slot, slot): coefficient}
+    in dz1, dz1bar, dz2, dz2bar, with rational or (re, im) values.
 
-    _fields = ("re", "im")
-
-    def __init__(self, re: RationalVector, im: RationalVector):
-        _check_part(re, TORUS_LATTICE)
-        _check_part(im, TORUS_LATTICE)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    @staticmethod
-    def from_terms(terms: dict) -> "InvariantForm":
-        """Build from {(slot, slot): coefficient} in dz1, dz1bar, dz2, dz2bar,
-        with rational or (re, im) values.
-
-        Reversed slot order is accepted and contributes with a sign flip.
-        Int values are summed as ints; any other value is read exactly as
-        Fraction(value), so a float term is never summed as a float.  A term
-        c dz_i ^ dz_j adds i^e c to each real monomial dx ^ dx' it expands to,
-        and i^e (x + iy) has real part cycle[-e] and imaginary part
-        cycle[1 - e] on the cycle (x, y, -x, -y).
-        """
-        re = [0] * NUM_TORUS
-        im = [0] * NUM_TORUS
-        for (i, j), val in terms.items():
-            i, j = int_tuple((i, j), "slot")
-            if not 0 <= min(i, j) < max(i, j) <= 3:
-                raise ValueError(f"not a wedge monomial: ({i}, {j})")
-            x, y = val if isinstance(val, tuple) else (val, 0)
-            x = x if type(x) is int else Fraction(x)
-            y = y if type(y) is int else Fraction(y)
-            cycle = (x, y, -x, -y)
-            for ri, ei in _DZ[i]:
-                for rj, ej in _DZ[j]:
-                    if ri != rj:
-                        # dx_rj ^ dx_ri = i^2 dx_ri ^ dx_rj
-                        e = ei + ej + 2 * (ri > rj)
-                        k = _TORUS_INDEX[(min(ri, rj), max(ri, rj))]
-                        re[k] += cycle[-e % 4]
-                        im[k] += cycle[(1 - e) % 4]
-        return InvariantForm(
-            TORUS_LATTICE.rational_vector(re), TORUS_LATTICE.rational_vector(im)
-        )
-
-    def __add__(self, other: "InvariantForm") -> "InvariantForm":
-        return InvariantForm(self.re + other.re, self.im + other.im)
-
-    def __neg__(self) -> "InvariantForm":
-        return InvariantForm(-self.re, -self.im)
-
-    def __sub__(self, other: "InvariantForm") -> "InvariantForm":
-        return InvariantForm(self.re - other.re, self.im - other.im)
-
-    def scale(self, x, y=0) -> "InvariantForm":
-        """Multiply by the exact complex scalar x + y*i."""
-        re, im = self.re, self.im
-        return InvariantForm(re.scale(x) - im.scale(y), im.scale(x) + re.scale(y))
-
-    def is_real(self) -> bool:
-        return self.im.is_zero()
+    Reversed slot order is accepted and contributes with a sign flip.
+    Int values are summed as ints; any other value is read exactly as
+    Fraction(value), so a float term is never summed as a float.  A term
+    c dz_i ^ dz_j adds i^e c to each real monomial dx ^ dx' it expands to,
+    and i^e (x + iy) has real part cycle[-e] and imaginary part
+    cycle[1 - e] on the cycle (x, y, -x, -y).  A nonzero imaginary sum on
+    any monomial raises ValueError: the form is not real.
+    """
+    re = [0] * NUM_TORUS
+    im = [0] * NUM_TORUS
+    for (i, j), val in terms.items():
+        i, j = int_tuple((i, j), "slot")
+        if not 0 <= min(i, j) < max(i, j) <= 3:
+            raise ValueError(f"not a wedge monomial: ({i}, {j})")
+        x, y = val if isinstance(val, tuple) else (val, 0)
+        x = x if type(x) is int else Fraction(x)
+        y = y if type(y) is int else Fraction(y)
+        cycle = (x, y, -x, -y)
+        for ri, ei in _DZ[i]:
+            for rj, ej in _DZ[j]:
+                if ri != rj:
+                    # dx_rj ^ dx_ri = i^2 dx_ri ^ dx_rj
+                    e = ei + ej + 2 * (ri > rj)
+                    k = _TORUS_INDEX[(min(ri, rj), max(ri, rj))]
+                    re[k] += cycle[-e % 4]
+                    im[k] += cycle[(1 - e) % 4]
+    if any(im):
+        raise ValueError("form is not real")
+    return TORUS_LATTICE.rational_vector(re)
 
 
-def volume_real_form() -> InvariantForm:
+def volume_real_form() -> RationalVector:
     """dz1 dz2 + dz1bar dz2bar: twice the real part of the complex volume form."""
-    return InvariantForm.from_terms({(0, 2): 1, (1, 3): 1})
+    return from_terms({(0, 2): 1, (1, 3): 1})
 
 
-def area_sum_form() -> InvariantForm:
+def area_sum_form() -> RationalVector:
     """i dz1 dz1bar + i dz2 dz2bar = 2(dx1 dy1 + dx2 dy2)."""
-    return InvariantForm.from_terms({(0, 1): (0, 1), (2, 3): (0, 1)})
+    return from_terms({(0, 1): (0, 1), (2, 3): (0, 1)})
 
 
-def symplectic_family_form(sign: int, t) -> InvariantForm:
+def symplectic_family_form(sign: int, t) -> RationalVector:
     """volume_real_form + sign * t * area_sum_form.
 
-    Every member is real and symplectic: its self-integral is 8(1 + t^2) > 0.
+    Every member is symplectic: its self-integral is 8(1 + t^2) > 0.
     """
     _check_sign(sign)
     return volume_real_form() + area_sum_form().scale(rational(t, "t") * sign)
 
 
-def wedge_integrate(a: InvariantForm, b: InvariantForm) -> Fraction:
-    """Integral of a wedge b over the unit-period torus.
-
-    The coefficient of dx1 dy1 dx2 dy2 in a ^ b is
-    (R_a + i I_a)^T T (R_b + i I_b) for the Gram T of TORUS_LATTICE, and
-    int dx1 dy1 dx2 dy2 = 1.  The return type is a plain rational; a
-    nonzero imaginary part (R_a, I_b) + (I_a, R_b) raises.  Each part is
-    r / d, so both sums are taken on numerators over the product of the
-    denominators.
-    """
-    ra, ia, rb, ib = a.re, a.im, b.re, b.im
-    if pairing_nums(ra, ib) * ia.den * rb.den + pairing_nums(ia, rb) * ra.den * ib.den:
-        raise ValueError("wedge integral is not real")
-    real = pairing_nums(ra, rb) * ia.den * ib.den - pairing_nums(ia, ib) * ra.den * rb.den
-    return Fraction(real, ra.den * rb.den * ia.den * ib.den)
-
-
-def form_to_torus_class(a: InvariantForm) -> RationalVector:
-    """The torus class of a real form: its real part."""
-    if not a.is_real():
-        raise ValueError("form is not real")
-    return a.re
+def wedge_integrate(a: RationalVector, b: RationalVector) -> Fraction:
+    """Integral of a wedge b over the unit-period torus, for two real forms
+    given as RationalVectors of TORUS_LATTICE: one Fraction from the integer
+    pairing of the numerators over the product of the denominators."""
+    _check_class(a, TORUS_LATTICE)
+    _check_class(b, TORUS_LATTICE)
+    return Fraction(pairing_nums(a, b), a.den * b.den)
 
 
 def pairing(a: RationalVector, b: RationalVector) -> Fraction:
     """The pairing (a, b) of two RationalVectors of KUMMER_LATTICE: one
     Fraction from the integer pairing of the numerators over the product
     of the denominators."""
-    _check_part(a, KUMMER_LATTICE)
-    _check_part(b, KUMMER_LATTICE)
+    _check_class(a, KUMMER_LATTICE)
+    _check_class(b, KUMMER_LATTICE)
     return Fraction(pairing_nums(a, b), a.den * b.den)
 
 
 def pullback(y: RationalVector) -> RationalVector:
     """The blowup class of a downstairs class, given through its torus pullback."""
-    _check_part(y, TORUS_LATTICE)
+    _check_class(y, TORUS_LATTICE)
     return RationalVector(KUMMER_LATTICE, (*y.nums, *(0,) * NUM_EXCEPTIONAL), 2 * y.den)
 
 
@@ -210,8 +166,8 @@ _SPHERES = tuple(
 _HALF_SPHERES = RationalVector(KUMMER_LATTICE, (0,) * NUM_TORUS + (1,) * NUM_EXCEPTIONAL, 2)
 # the torus classes of kappa_hat and eta_hat, built once; each call still
 # pulls back into a fresh vector, so its pairings are computed per call
-_VOLUME_CLASS = form_to_torus_class(volume_real_form())
-_AREA_CLASS = form_to_torus_class(area_sum_form())
+_VOLUME_CLASS = volume_real_form()
+_AREA_CLASS = area_sum_form()
 
 
 def exceptional(i: int) -> RationalVector:

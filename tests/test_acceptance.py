@@ -26,7 +26,6 @@ from k3dh.kummer import (
     area_sum_form,
     eta_hat,
     exceptional,
-    form_to_torus_class,
     kappa_hat,
     pairing as blowup_pairing,
     symplectic_family_form,
@@ -296,9 +295,8 @@ def test_criterion_10_shortvec_oracle_and_root_counts():
 
 def test_criterion_11_primitive_class_and_sphere_pairings():
     half_sum = (volume_real_form() + area_sum_form()).scale(Fraction(1, 2))
-    y = form_to_torus_class(half_sum)
-    assert y.is_integral()
-    assert y.is_primitive()
+    assert half_sum.is_integral()
+    assert half_sum.is_primitive()
     for i in range(NUM_EXCEPTIONAL):
         assert blowup_pairing(eta_hat(1), exceptional(i)) == -1
 

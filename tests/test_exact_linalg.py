@@ -389,7 +389,7 @@ def test_one_integer_rule(bad, monkeypatch, capsys):
         lambda: kummer.eta_hat(bad),
         lambda: kummer.sigma_class(bad, 1),
         lambda: kummer.symplectic_family_form(bad, 1),
-        lambda: kummer.InvariantForm.from_terms({(bad, 2): 1}),
+        lambda: kummer.from_terms({(bad, 2): 1}),
         lambda: Wall(1, bad, (-2, 1, 1)),
         lambda: Wall(1, 16, (-2, bad, 1)),
         lambda: GluedModel((), (), fixed_points=bad),

@@ -13,7 +13,6 @@ from functools import cache
 
 import pytest
 
-from k3dh import kummer
 from k3dh.exact_linalg import Frozen, FrozenError, IntMatrix
 from k3dh.isometry import (
     Isometry, OrientedPlane, flip_third_H, identity_isometry, standard_plane,
@@ -37,7 +36,6 @@ FORMER_FIELDS = {
     PeriodPoint: ["re", "im", ("_projection", {"default": None, "init": False, **HIDDEN})],
     OrientedPlane: ["basis"],
     Isometry: ["lattice", "matrix"],
-    kummer.InvariantForm: ["re", "im"],
     DHPolynomial: ["c0", "c1", "c2"],
     Wall: ["level", "count", "weights"],
     Piece: ["lo", "hi", "dh", ("class_pair", {"default": None}), ("reduced_space", {"default": "K3"})],
@@ -102,8 +100,6 @@ def samples():
         OrientedPlane: [standard_plane(K3), OrientedPlane(standard_plane(K3).basis),
                         OrientedPlane(tuple(h_vector(K3, i) for i in (1, 0, 2)))],
         Isometry: [identity_isometry(K3), Isometry(K3, IntMatrix.identity(22)), flip_third_H(K3)],
-        kummer.InvariantForm: [kummer.volume_real_form(), kummer.volume_real_form(),
-                               kummer.symplectic_family_form(1, 2)],
         DHPolynomial: [dh, DHPolynomial(Fraction(4), 0, 4), DHPolynomial(-4, 16, -4)],
         Wall: [wall, Wall(Fraction(1), 16, [1, 1, -1]), Wall(3, 16, (1, -1, -1))],
         Piece: [piece, Piece(lo=-1, hi=1, dh=dh, class_pair=None, reduced_space="Kummer"),
@@ -129,7 +125,7 @@ def test_every_library_value_class_is_sampled():
 
     library = {c for c in subclasses(Frozen) if c.__module__.startswith("k3dh.") and c._fields}
     assert library == set(FORMER_FIELDS) == set(SAMPLES)
-    assert len(library) == 15
+    assert len(library) == 14
 
 
 @pytest.mark.parametrize("cls", list(FORMER_FIELDS), ids=lambda c: c.__name__)

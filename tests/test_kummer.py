@@ -15,11 +15,10 @@ from k3dh.kummer import (
     NUM_TORUS,
     TORUS_BASIS,
     TORUS_LATTICE,
-    InvariantForm,
     area_sum_form,
     eta_hat,
     exceptional,
-    form_to_torus_class,
+    from_terms,
     kappa_hat,
     pairing,
     primitive_pair_check,
@@ -45,8 +44,8 @@ def real_terms(a, b, c, d, e, f) -> dict:
     }
 
 
-def real_form(*params) -> InvariantForm:
-    return InvariantForm.from_terms(real_terms(*params))
+def real_form(*params):
+    return from_terms(real_terms(*params))
 
 
 six_ints = st.tuples(*[st.integers(-5, 5)] * 6)
@@ -72,51 +71,48 @@ def test_reference_integrals():
 
 
 def test_realness_and_conjugation():
-    assert volume_real_form().is_real()
-    assert area_sum_form().is_real()
-    holo = InvariantForm.from_terms({(0, 2): 1})
-    assert not holo.is_real()
-    assert not volume_real_form().scale(0, 1).is_real()
-    # in the real basis, conjugation negates the imaginary part: the
-    # conjugate of dz1 dz2 is dz1bar dz2bar, and their sum is real
-    anti = InvariantForm.from_terms({(1, 3): 1})
-    assert InvariantForm(holo.re, -holo.im) == anti
-    assert holo + anti == volume_real_form()
+    # a form plus its conjugate is real: the conjugate of c dz1 dz2 is
+    # conj(c) dz1bar dz2bar
+    vol = volume_real_form()
+    assert vol == from_terms({(0, 2): 1, (1, 3): 1})
+    assert from_terms({(0, 2): (0, 1), (1, 3): (0, -1)}).coords == (0, 0, 0, -2, -2, 0)
+    assert from_terms({(0, 2): (3, 5), (1, 3): (3, -5)}) == (
+        vol.scale(3) + from_terms({(0, 2): (0, 1), (1, 3): (0, -1)}).scale(5))
     # reversed slot order folds in with a sign
-    assert InvariantForm.from_terms({(2, 0): -1}) == holo
+    assert from_terms({(2, 0): -1, (3, 1): -1}) == vol
+    assert from_terms({(1, 0): (0, -1), (3, 2): (0, -1)}) == area_sum_form()
     with pytest.raises(ValueError):
-        InvariantForm.from_terms({(1, 1): 1})
+        from_terms({(1, 1): 1})
     with pytest.raises(ValueError, match="not a wedge monomial"):
-        InvariantForm.from_terms({(0, 4): 1})
+        from_terms({(0, 4): 1})
     # a slot is exactly an int: 1.0 is not taken as slot 1, and 0.5 is
     # refused by the integer rule rather than by a failed table lookup
     for bad in (1.0, 0.5, True, "1"):
         with pytest.raises(TypeError, match="integer slot expected"):
-            InvariantForm.from_terms({(bad, 2): 1})
+            from_terms({(bad, 2): 1})
 
 
 def test_non_real_integral_rejected():
-    holo = InvariantForm.from_terms({(0, 2): 1})
-    anti = InvariantForm.from_terms({(1, 3): 1})
-    assert wedge_integrate(holo, anti) == 4
-    with pytest.raises(ValueError, match="not real"):
-        wedge_integrate(holo, anti.scale(0, 1))
+    # a form that is not real has no torus class, so it is refused where it
+    # is built: dz1 dz2 alone, its conjugate alone, i times the volume form,
+    # dz1 dz1bar = -2i dx1 dy1, and dz1 dz2 with a non-conjugate partner
+    for terms in ({(0, 2): 1}, {(1, 3): 1}, {(0, 2): (0, 1), (1, 3): (0, 1)},
+                  {(0, 1): 1}, {(0, 2): 1, (1, 3): (1, Fraction(1, 7))}):
+        with pytest.raises(ValueError, match="form is not real"):
+            from_terms(terms)
 
 
-def test_form_to_torus_class_examples():
+def test_torus_class_examples():
     vol, area = volume_real_form(), area_sum_form()
-    assert form_to_torus_class(vol).coords == (0, 0, 2, 0, 0, -2)
-    assert form_to_torus_class(area).coords == (2, 2, 0, 0, 0, 0)
+    assert vol.coords == (0, 0, 2, 0, 0, -2)
+    assert area.coords == (2, 2, 0, 0, 0, 0)
     half_sum = (vol + area).scale(HALF)
-    y = form_to_torus_class(half_sum)
-    assert y.coords == (1, 1, 1, 0, 0, -1)
-    assert y.is_primitive()
-    assert not form_to_torus_class(vol).is_primitive()  # gcd 2
-    assert form_to_torus_class(vol).scale(HALF).is_primitive()
-    assert form_to_torus_class(InvariantForm.from_terms({})).coords == (0,) * 6
+    assert half_sum.coords == (1, 1, 1, 0, 0, -1)
+    assert half_sum.is_primitive()
+    assert not vol.is_primitive()  # gcd 2
+    assert vol.scale(HALF).is_primitive()
+    assert from_terms({}).coords == (0,) * 6
     assert not TORUS_LATTICE.rational_vector((0,) * 6).is_primitive()
-    with pytest.raises(ValueError, match="not real"):
-        form_to_torus_class(InvariantForm.from_terms({(0, 2): 1}))
 
 
 @settings(max_examples=60, deadline=None)
@@ -132,10 +128,9 @@ def test_integration_matches_torus_pairing(u, v, r, s):
         + 2 * r * s * wedge_integrate(a, b)
         + s * s * wedge_integrate(b, b)
     )
-    ya, yb = form_to_torus_class(a), form_to_torus_class(b)
     expected = former_wedge(former_from_terms(real_terms(*u)), former_from_terms(real_terms(*v)))
-    assert wedge_integrate(a, b) == expected == lattice_pairing(ya, yb)
-    assert pairing(pullback(ya), pullback(yb)) == lattice_pairing(ya, yb) / 2
+    assert wedge_integrate(a, b) == expected == lattice_pairing(a, b)
+    assert pairing(pullback(a), pullback(b)) == lattice_pairing(a, b) / 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -143,22 +138,22 @@ def test_integration_matches_torus_pairing(u, v, r, s):
 def test_differences_of_forms_and_classes(u, v):
     a, b = real_form(*u), real_form(*v)
     assert (a - b) + b == a and -(-a) == a
-    zero = InvariantForm.from_terms({})
+    zero = from_terms({})
     assert a - a == zero and (a - b == zero) == (u == v)
     assert (a == zero) == (u == (0,) * 6)
-    ya, yb = form_to_torus_class(a), form_to_torus_class(b)
-    assert ya - yb == form_to_torus_class(a - b)
-    assert lattice_pairing(ya - yb, ya - yb) == wedge_integrate(a - b, a - b)
+    # from_terms is linear in the coefficients
+    assert a - b == real_form(*(x - y for x, y in zip(u, v)))
+    assert lattice_pairing(a - b, a - b) == wedge_integrate(a - b, a - b)
 
 
 def test_shapes_are_validated():
-    # each part of a form must be a RationalVector of the torus lattice
+    # the wedge integral takes two RationalVectors of the torus lattice
     zero_torus = TORUS_LATTICE.rational_vector((0,) * 6)
     zero_exc = EXCEPTIONAL_LATTICE.rational_vector((0,) * NUM_EXCEPTIONAL)
-    for re, im in ((zero_torus, zero_exc), (zero_exc, zero_torus),
-                   (((1, 0),) * 6, zero_torus), (zero_torus, TORUS_LATTICE.vector((0,) * 6))):
-        with pytest.raises(ValueError, match="torus lattice"):
-            InvariantForm(re, im)
+    for other in (zero_exc, ((1, 0),) * 6, TORUS_LATTICE.vector((0,) * 6), exceptional(0)):
+        for a, b in ((other, zero_torus), (zero_torus, other)):
+            with pytest.raises(ValueError, match="torus lattice"):
+                wedge_integrate(a, b)
     with pytest.raises(ValueError, match="rank"):
         TORUS_LATTICE.rational_vector((1,) * 7)
     with pytest.raises(ValueError, match="rank"):
@@ -188,7 +183,7 @@ def test_intersection_table():
         assert pairing(exceptional(i), k) == -1
         assert pairing(exceptional(i), ep) == -1
         assert pairing(exceptional(i), em) == 1
-        assert pairing(pullback(form_to_torus_class(volume_real_form())), exceptional(i)) == 0
+        assert pairing(pullback(volume_real_form()), exceptional(i)) == 0
         for j in range(NUM_EXCEPTIONAL):
             assert pairing(exceptional(i), exceptional(j)) == (-2 if i == j else 0)
 
@@ -213,7 +208,7 @@ def test_sigma_polynomials():
 def test_sigma_class_at_the_wall():
     s = sigma_class(1, 1)
     assert not any(s.nums[NUM_TORUS:])
-    assert s == pullback(form_to_torus_class(symplectic_family_form(1, 1)))
+    assert s == pullback(symplectic_family_form(1, 1))
     assert pairing(s, s) == 8
     m = sigma_class(-1, -1)
     assert not any(m.nums[NUM_TORUS:])
@@ -239,12 +234,11 @@ def test_sign_validation():
 
 
 def test_primitive_pair_check():
-    half_sum = (volume_real_form() + area_sum_form()).scale(HALF)
-    y = form_to_torus_class(half_sum)
+    y = (volume_real_form() + area_sum_form()).scale(HALF)
     assert primitive_pair_check(y, eta_hat(1))
     assert primitive_pair_check(y, eta_hat(-1))
     # gcd 2, not primitive
-    assert not primitive_pair_check(form_to_torus_class(volume_real_form()), eta_hat(1))
+    assert not primitive_pair_check(volume_real_form(), eta_hat(1))
     # non-integral candidate
     half = TORUS_LATTICE.rational_vector((HALF, 0, 0, 0, 0, 0))
     assert not primitive_pair_check(half, eta_hat(1))
@@ -335,6 +329,21 @@ def test_pairing_matches_the_former_fraction_formula(u, v, c):
     assert a - b == kummer_class(tuple([x - y for x, y in zip(p, q)] for p, q in zip(u, v)))
     assert -a == kummer_class(tuple([-x for x in p] for p in u))
     assert a.scale(c) == kummer_class(tuple([c * x for x in p] for p in u))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(FRAC, min_size=6, max_size=6))
+def test_pullback_of_a_rational_torus_class(y):
+    # the blowup class with torus pullback y holds y / 2, over twice the
+    # denominator of y; integral classes alone cannot tell 2 * den from
+    # 2 // den
+    zero = [Fraction(0)] * NUM_EXCEPTIONAL
+    for v in (area_sum_form().scale(Fraction(1, 4)), TORUS_LATTICE.rational_vector(y)):
+        assert pullback(v) == kummer_class((list(v.coords), zero))
+        assert pairing(pullback(v), pullback(v)) == former_pairing(
+            (v.coords, zero), (v.coords, zero)) == lattice_pairing(v, v) / 2
+    quarter = pullback(area_sum_form().scale(Fraction(1, 4)))
+    assert (quarter.nums, quarter.den) == ((1, 1, 0, 0, 0, 0, *zero), 4)
 
 
 # -- the former complex-Fraction forms as oracle ------------------------------
@@ -436,8 +445,22 @@ def former_torus_class(a):
     return tuple(re for re, _ in out)
 
 
-def form_pairs(form: InvariantForm):
-    return tuple(zip(form.re.coords, form.im.coords))
+def former_real_part(terms):
+    """The real part of the former form of the terms in the real basis, or
+    None when its imaginary part is nonzero."""
+    pairs = as_pairs(former_from_terms(terms))
+    if any(im for _, im in pairs):
+        return None
+    return tuple(re for re, _ in pairs)
+
+
+def assert_from_terms_matches_the_former_form(terms):
+    expected = former_real_part(terms)
+    if expected is None:
+        with pytest.raises(ValueError, match="form is not real"):
+            from_terms(terms)
+    else:
+        assert from_terms(terms).coords == expected
 
 
 SLOT_PAIRS = [(i, j) for i in range(4) for j in range(4) if i != j]
@@ -446,37 +469,30 @@ complex_terms = st.dictionaries(
 )
 
 
+def real_part_terms(former) -> dict:
+    """Terms of a + conj(a) for a former form a: real by construction."""
+    return dict(zip(MONOMIALS, former_add(former, former_conjugate(former))))
+
+
 @settings(max_examples=150, deadline=None)
-@given(complex_terms, complex_terms, FRAC, FRAC)
-def test_forms_match_the_former_complex_fractions(ta, tb, x, y):
-    a, b = InvariantForm.from_terms(ta), InvariantForm.from_terms(tb)
+@given(complex_terms, complex_terms, FRAC)
+def test_forms_match_the_former_complex_fractions(ta, tb, x):
+    # a form is real exactly when the former form equals its conjugate, and
+    # from_terms raises exactly when the former imaginary part is nonzero
     fa, fb = former_from_terms(ta), former_from_terms(tb)
-    assert form_pairs(a) == as_pairs(fa) and form_pairs(b) == as_pairs(fb)
-    assert form_pairs(a + b) == as_pairs(former_add(fa, fb))
-    assert form_pairs(a - b) == as_pairs(former_add(fa, former_scale(fb, -1)))
-    assert form_pairs(-a) == as_pairs(former_scale(fa, -1))
-    assert form_pairs(a.scale(x, y)) == as_pairs(former_scale(fa, x, y))
-    # in the real basis, conjugation conjugates each coefficient
-    conj = InvariantForm(a.re, -a.im)
-    assert form_pairs(conj) == as_pairs(former_conjugate(fa))
-    assert a.is_real() == (fa == former_conjugate(fa))
-    # a non-real integral raises on both sides
-    try:
-        expected = former_wedge(fa, fb)
-    except ValueError:
-        with pytest.raises(ValueError, match="not real"):
-            wedge_integrate(a, b)
-    else:
-        assert wedge_integrate(a, b) == expected
-    # a + conj(a) is real; a itself mostly is not
-    for form, former in ((a + conj, former_add(fa, former_conjugate(fa))), (a, fa)):
-        try:
-            expected = former_torus_class(former)
-        except ValueError:
-            with pytest.raises(ValueError, match="not real"):
-                form_to_torus_class(form)
-        else:
-            assert form_to_torus_class(form).coords == expected
+    assert (former_real_part(ta) is not None) == (fa == former_conjugate(fa))
+    assert_from_terms_matches_the_former_form(ta)
+    # a + conj(a) is real, and the arithmetic and the integral of the
+    # classes are those of the former forms
+    ra, rb = real_part_terms(fa), real_part_terms(fb)
+    a, b = from_terms(ra), from_terms(rb)
+    ga, gb = former_from_terms(ra), former_from_terms(rb)
+    assert a.coords == former_torus_class(ga) == former_real_part(ra)
+    assert (a + b).coords == former_torus_class(former_add(ga, gb))
+    assert (a - b).coords == former_torus_class(former_add(ga, former_scale(gb, -1)))
+    assert (-a).coords == former_torus_class(former_scale(ga, -1))
+    assert a.scale(x).coords == former_torus_class(former_scale(ga, x))
+    assert wedge_integrate(a, b) == former_wedge(ga, gb)
 
 
 # -- exact reading of every value type, and the builders on integers ----------
@@ -490,27 +506,46 @@ any_terms = st.dictionaries(
     st.sampled_from(SLOT_PAIRS), st.one_of(ANY_VALUE, st.tuples(ANY_VALUE, ANY_VALUE)),
     max_size=8,
 )
+# one value v in each of these term sets gives a real form: v times the
+# volume form, i v dz1 dz1bar, i v dz2 dz2bar, v (dz1 dz2bar + dz1bar dz2),
+# and the first two again in reversed slot order; their slots are disjoint
+REAL_TEMPLATES = (
+    lambda v: {(0, 2): v, (1, 3): v},
+    lambda v: {(0, 1): (0, v)},
+    lambda v: {(2, 3): (0, v)},
+    lambda v: {(0, 3): v, (1, 2): v},
+    lambda v: {(2, 0): v, (3, 1): v},
+    lambda v: {(1, 0): (0, v)},
+)
+real_any_terms = st.tuples(*[st.one_of(st.none(), ANY_VALUE)] * len(REAL_TEMPLATES)).map(
+    lambda values: {k: w for make, v in zip(REAL_TEMPLATES, values) if v is not None
+                    for k, w in make(v).items()}
+)
 
 
 @settings(max_examples=150, deadline=None)
-@given(any_terms)
-def test_from_terms_reads_every_value_type_exactly(terms):
+@given(any_terms, real_any_terms)
+def test_from_terms_reads_every_value_type_exactly(terms, real):
     # floats, strings, bools and Fractions, alone or as (re, im), give the
-    # forms of the former complex-Fraction builder
-    assert form_pairs(InvariantForm.from_terms(terms)) == as_pairs(former_from_terms(terms))
+    # real part of the former complex-Fraction builder's form, or raise
+    # when its imaginary part is nonzero
+    assert_from_terms_matches_the_former_form(terms)
+    assert former_real_part(real) is not None
+    assert_from_terms_matches_the_former_form(real)
 
 
 def test_from_terms_never_sums_floats():
     # 0.1 + 0.2 rounds as a float sum; (0, 1) and (1, 0) fold onto one
     # monomial, so the exact sum of the two binary values must come out:
-    # (exact - i) dz1 dz1bar = (exact - i)(-2i) dx1 dy1
-    terms = {(0, 1): 0.1, (1, 0): (-0.2, True)}
-    form = InvariantForm.from_terms(terms)
+    # i exact dz1 dz1bar = i exact (-2i) dx1 dy1, and i True dz2 dz2bar is
+    # 2 dx2 dy2
+    terms = {(0, 1): (0, 0.1), (1, 0): (0, -0.2), (2, 3): (0, True)}
+    form = from_terms(terms)
     exact = Fraction(0.1) + Fraction(0.2)
     assert exact != Fraction(0.1 + 0.2)
-    assert form_pairs(form)[0] == (-2, -2 * exact)
-    assert form_pairs(form) == as_pairs(former_from_terms(terms))
-    assert all(type(c) is int for c in (*form.re.nums, *form.im.nums))
+    assert form.coords[:2] == (2 * exact, 2)
+    assert form.coords == former_real_part(terms)
+    assert all(type(c) is int for c in (*form.nums, form.den))
 
 
 def test_kummer_builders_match_the_former_fraction_built_classes():
@@ -545,10 +580,11 @@ def test_hat_torus_classes_are_built_once(monkeypatch):
     # kappa_hat and eta_hat read two torus classes built at import, equal to
     # a fresh build; each call still pulls back into a fresh vector, so no
     # cached Gram image or self-pairing is shared between calls
-    assert kummer._VOLUME_CLASS == form_to_torus_class(volume_real_form())
-    assert kummer._AREA_CLASS == form_to_torus_class(area_sum_form())
+    assert kummer._VOLUME_CLASS == volume_real_form()
+    assert kummer._AREA_CLASS == area_sum_form()
     expected = {"kappa": kappa_hat(), 1: eta_hat(1), -1: eta_hat(-1)}
-    monkeypatch.setattr(kummer, "form_to_torus_class", None)
+    for name in ("from_terms", "volume_real_form", "area_sum_form"):
+        monkeypatch.setattr(kummer, name, None)
     for key, build in (("kappa", kappa_hat), (1, lambda: eta_hat(1)), (-1, lambda: eta_hat(-1))):
         first, second = build(), build()
         assert first == second == expected[key] and first is not second
@@ -557,20 +593,18 @@ def test_hat_torus_classes_are_built_once(monkeypatch):
 
 
 def test_wedge_integrate_on_mixed_denominators():
-    # (x + iy) dz1 dz2 against (u + iv) dz1bar dz2bar: the imaginary part
-    # x v + y u vanishes for these four denominators, and the integral is the
-    # former one, -4 * (-1) (x u - y v) since dz1 dz2 dz1bar dz2bar is minus
-    # the top monomial; shifting v leaves a non-real pair, which still raises
-    x, y, u = Fraction(1, 3), Fraction(1, 2), Fraction(3, 5)
-    a = InvariantForm.from_terms({(0, 2): (x, y)})
-    for v, real in ((Fraction(-9, 10), True), (Fraction(-9, 11), False)):
-        b = InvariantForm.from_terms({(1, 3): (u, v)})
-        fa, fb = former_from_terms({(0, 2): (x, y)}), former_from_terms({(1, 3): (u, v)})
-        if real:
-            assert wedge_integrate(a, b) == former_wedge(fa, fb) == 4 * (x * u - y * v)
-            assert type(wedge_integrate(a, b)) is Fraction
-        else:
-            with pytest.raises(ValueError, match="wedge integral is not real"):
-                former_wedge(fa, fb)
-            with pytest.raises(ValueError, match="wedge integral is not real"):
-                wedge_integrate(a, b)
+    # (x + iy) dz1 dz2 + (x - iy) dz1bar dz2bar against the same with
+    # (u + iv): each is real, with denominators 6 and 10, and the integral
+    # is the former one, 8 (x u + y v), since dz1 dz2 dz1bar dz2bar and
+    # dz1bar dz2bar dz1 dz2 are each minus dz1 dz1bar dz2 dz2bar, which is
+    # -4 times the top monomial
+    x, y, u, v = Fraction(1, 3), Fraction(1, 4), Fraction(3, 5), Fraction(-9, 20)
+    ta, tb = {(0, 2): (x, y), (1, 3): (x, -y)}, {(0, 2): (u, v), (1, 3): (u, -v)}
+    a, b = from_terms(ta), from_terms(tb)
+    assert (a.den, b.den) == (6, 10)
+    result = wedge_integrate(a, b)
+    assert result == former_wedge(former_from_terms(ta), former_from_terms(tb)) == 8 * (x * u + y * v)
+    assert type(result) is Fraction and result == Fraction(7, 10)
+    # one half alone is not real, and is refused where it is built
+    with pytest.raises(ValueError, match="form is not real"):
+        from_terms({(1, 3): (u, v)})
