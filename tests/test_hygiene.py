@@ -509,7 +509,7 @@ def traced_per_op(monkeypatch, workload: str, ops: range) -> dict[str, float]:
 
 
 def test_benchmark_ops_keep_their_per_op_counts(monkeypatch):
-    # The battery's root counts walk 1660 enumeration nodes and find 1206
+    # The battery's root counts walk 1501 enumeration nodes and find 1206
     # vectors per op, so a change to the tree it walks fails here; it
     # computes one orthogonal complement and builds 4 definite Grams per op,
     # so a complement or Gram computed twice fails here.  Its Kummer rows
@@ -522,7 +522,7 @@ def test_benchmark_ops_keep_their_per_op_counts(monkeypatch):
         "sublattice.orthogonal_complement.calls", "shortvec.DefiniteGram.calls",
         "kummer.wedge_integrate.calls", "kummer.pairing.calls", "fraction_ops",
     )} == {
-        "shortvec.enumerate_level.calls": 1660, "shortvec.vectors_found": 1206,
+        "shortvec.enumerate_level.calls": 1501, "shortvec.vectors_found": 1206,
         "sublattice.orthogonal_complement.calls": 1, "shortvec.DefiniteGram.calls": 4,
         "kummer.wedge_integrate.calls": 9, "kummer.pairing.calls": 39, "fraction_ops": 128,
     }

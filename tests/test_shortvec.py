@@ -1,10 +1,10 @@
 import random
 from fractions import Fraction
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 from operator import mul
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3dh import shortvec
@@ -277,6 +277,15 @@ def test_non_positive_plane_rejected():
         roots_orthogonal_to(K3, [e1])  # isotropic
 
 
+def test_non_positive_planes_share_one_refusal():
+    # a dependent plane (a singular Gram), an indefinite one and a negative
+    # definite one are each refused as a plane
+    e1, f1, e2, f2 = k3_e(K3, 0), k3_f(K3, 0), k3_e(K3, 1), k3_f(K3, 1)
+    for plane in ([e1 + f1, 2 * (e1 + f1)], [e1 + f1, e1 - f1], [e1 - f1, e2 - f2]):
+        with pytest.raises(IndefiniteGramError, match="^plane is not positive definite$"):
+            roots_orthogonal_to(K3, plane)
+
+
 def test_wrong_sign_target_rejected():
     pos = DefiniteGram(IntMatrix([[2]]))
     neg = DefiniteGram(IntMatrix([[-2]]))
@@ -345,20 +354,53 @@ def test_matches_fraction_and_naive_oracles(n, rng, target):
     assert found == naive_enumerate(dg, t)
 
 
-@st.composite
-def definite_grams(draw):
-    """+-A^T A for a nonsingular integer A of rank 1-5, either sign."""
-    n = draw(st.integers(1, 5))
-    a = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
-                      min_size=n, max_size=n))
-    assume(det(IntMatrix(a)) != 0)
-    sign = draw(st.sampled_from((1, -1)))
+def ata_gram(a, sign: int = 1) -> DefiniteGram:
+    """sign * A^T A for a nonsingular integer A."""
+    n = len(a)
     g = [[sign * sum(a[k][i] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     return DefiniteGram(IntMatrix(g))
 
 
+@st.composite
+def definite_grams(draw):
+    """+-A^T A for a nonsingular integer A of rank 1-5, either sign.
+
+    A is a drawn matrix D with entries in [-3, 3] plus c I, c the least
+    c >= 0 that makes it nonsingular: D has at most n eigenvalues, so some
+    c <= n does.  A nonsingular D is kept as drawn, so every A of the
+    former law (D conditioned on det D != 0) is reached, and no draw is
+    rejected."""
+    n = draw(st.integers(1, 5))
+    a = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    c = next(c for c in range(n + 1)
+             if det(IntMatrix([[x + c * (i == j) for j, x in enumerate(row)]
+                               for i, row in enumerate(a)])))
+    for i in range(n):
+        a[i][i] += c
+    return ata_gram(a, draw(st.sampled_from((1, -1))))
+
+
+# the edge cases of the former law: rank 1 with the least and the largest
+# entry, of both signs; rank 5 diagonal with the largest entry, so every
+# level splits; rank 5 with every entry +-3; and a unimodular A whose
+# inverse has the largest entries, so the box radii are largest
+EDGE_GRAMS = (
+    ata_gram([[1]]),
+    ata_gram([[-3]], -1),
+    ata_gram([[3 * (i == j) for j in range(5)] for i in range(5)]),
+    ata_gram([[3 if i <= j else -3 for j in range(5)] for i in range(5)], -1),
+    ata_gram([[1 if i == j else 3 if j > i else 0 for j in range(5)] for i in range(5)]),
+)
+
+
 @settings(deadline=None, max_examples=150)
 @given(definite_grams(), st.integers(1, 12))
+@example(EDGE_GRAMS[0], 1)
+@example(EDGE_GRAMS[1], 12)
+@example(EDGE_GRAMS[2], 12)
+@example(EDGE_GRAMS[3], 1)
+@example(EDGE_GRAMS[4], 12)
 def test_integer_box_radii_match_fraction_inverse(dg, t):
     # naive_enumerate's radii isqrt(t * C_ii // det G) against the former
     # Fraction-inverse radii, on the normalized positive definite matrix
@@ -384,18 +426,30 @@ def former_ldl(gram: IntMatrix):
     return tuple(tuple(q[k][k:]) for k in range(n))
 
 
+def reversed_gram(m: IntMatrix) -> IntMatrix:
+    """J G J: G with its coordinates in reverse order."""
+    return IntMatrix([row[::-1] for row in reversed(m.rows)])
+
+
 @settings(deadline=None, max_examples=150)
 @given(definite_grams())
+@example(EDGE_GRAMS[0])
+@example(EDGE_GRAMS[1])
+@example(EDGE_GRAMS[2])
+@example(EDGE_GRAMS[3])
+@example(EDGE_GRAMS[4])
 def test_symmetric_bareiss_matches_former_ldl(dg):
     # a definite form of either sign never needs a pivot repair, so the
-    # shared kernel gives the former rows exactly, and DefiniteGram keeps them
+    # shared kernel gives the former rows exactly; DefiniteGram keeps those
+    # of the normalized form with its coordinates reversed, the order the
+    # walk fixes them in
     for sign in (1, -1):
         m = IntMatrix([[sign * x for x in row] for row in dg.matrix.rows])
         rows = former_ldl(m)
         assert rows is not None and symmetric_bareiss(m) == rows
         again = DefiniteGram(m)
         assert again.negated == (sign < 0) and again.matrix == dg.matrix
-        assert again.rows == (rows if sign > 0 else dg.rows)
+        assert again.rows == former_ldl(reversed_gram(dg.matrix))
 
 
 @settings(deadline=None, max_examples=60)
@@ -405,11 +459,13 @@ def test_symmetric_bareiss_matches_former_ldl(dg):
     data=st.data(),
 )
 def test_scaled_ldl_identity(n, rng, data):
-    # M * Q(x) = sum_k W_k y_k^2 with y_k = sum_{j>=k} a[k][j] x_j
+    # M * Q(x) = sum_k W_k y_k^2 with y_k = sum_{j>=k} a[k][j] x'_j, where
+    # x'_j = x_{n-1-j} is x in the reversed order of the Bareiss rows
     dg = random_definite(rng, n)
     x = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
     q = sum(dg.matrix[i, j] * x[i] * x[j] for i in range(n) for j in range(n))
-    ys = [sum(map(mul, row, x[k:])) for k, row in enumerate(dg.rows)]
+    xr = x[::-1]
+    ys = [sum(map(mul, row, xr[k:])) for k, row in enumerate(dg.rows)]
     assert dg.scale * q == sum(w * y * y for w, y in zip(dg.weights, ys))
     assert all(row[0] > 0 for row in dg.rows)
 
@@ -529,10 +585,63 @@ def former_level(rows, weights, i, r, x, out):
 
 
 def former_enumerate(gram: DefiniteGram, target: int):
+    """The full tree on the Bareiss rows; level k of a solution is its
+    coordinate n-1-k, so each is reversed before the sort."""
     t = -target if gram.negated else target
     n = gram.rank
     out = []
     former_level(gram.rows, gram.weights, n - 1, gram.scale * t, [0] * n, out)
+    return tuple(sorted(v[::-1] for v in out))
+
+
+def former_half_level(rows, weights, i, r, x, out, top, split, tails):
+    """Test-only oracle: shortvec._enumerate_level before the walk ran the
+    coordinates in reverse.  Level i is coordinate i, so it keeps the
+    highest nonzero coordinate positive, and its last level tries y before
+    -y."""
+    if not r and split[i]:
+        out.append(tuple(x))
+        return
+    p, w = rows[i][0], weights[i]
+    s = sum(a * x[j] for j, a in tails[i])
+    if i == 0:
+        q, rest = divmod(r, w)
+        y = isqrt(q)
+        if rest or y * y != q:
+            return
+        for t in (y,) if top or not y else (y, -y):
+            x0, m = divmod(t - s, p)
+            if not m:
+                x[0] = x0
+                out.append(tuple(x))
+        x[0] = 0
+        return
+    b = isqrt(r // w)
+    for xi in range(0 if top else -((s + b) // p), (b - s) // p + 1):
+        y = p * xi + s
+        x[i] = xi
+        former_half_level(rows, weights, i - 1, r - w * y * y, x, out, top and not xi,
+                          split, tails)
+    x[i] = 0
+
+
+def former_walk_then_sort(gram: DefiniteGram, target: int):
+    """Test-only oracle: the former enumerate_norm, the half walk on the
+    Bareiss data of the normalized matrix in its own coordinate order, its
+    negations added, and one sort."""
+    t = -target if gram.negated else target
+    n = gram.rank
+    rows = symmetric_bareiss(gram.matrix)
+    pivots = [row[0] for row in rows]
+    dens = [p * q for p, q in zip([1] + pivots, pivots)]
+    scale = lcm(*dens)
+    tails = tuple(tuple((k + j, a) for j, a in enumerate(row[1:], 1) if a)
+                  for k, row in enumerate(rows))
+    split = tuple(all(j <= i for k in range(i + 1) for j, _ in tails[k]) for i in range(n))
+    out = []
+    former_half_level(rows, tuple(scale // d for d in dens), n - 1, scale * t, [0] * n, out,
+                      True, split, tails)
+    out += [tuple(-x for x in v) for v in out]
     return tuple(sorted(out))
 
 
@@ -589,9 +698,7 @@ def test_half_tree_matches_full_tree_on_random_forms():
     assert signs == {False, True}
 
 
-def direct_sum_gram(rng: random.Random, blocks: list[IntMatrix]) -> IntMatrix:
-    # block-diagonal, then half the time a seeded coordinate permutation
-    # (P^T G P), so the blocks no longer sit in contiguous coordinates
+def block_diagonal(blocks: list[IntMatrix]) -> list[list[int]]:
     n = sum(b.nrows for b in blocks)
     g = [[0] * n for _ in range(n)]
     at = 0
@@ -599,6 +706,14 @@ def direct_sum_gram(rng: random.Random, blocks: list[IntMatrix]) -> IntMatrix:
         for i, row in enumerate(b.rows):
             g[at + i][at:at + len(row)] = row
         at += b.nrows
+    return g
+
+
+def direct_sum_gram(rng: random.Random, blocks: list[IntMatrix]) -> IntMatrix:
+    # block-diagonal, then half the time a seeded coordinate permutation
+    # (P^T G P), so the blocks no longer sit in contiguous coordinates
+    g = block_diagonal(blocks)
+    n = len(g)
     if rng.random() < 0.5:
         perm = rng.sample(range(n), n)
         g = [[g[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
@@ -640,14 +755,18 @@ def test_decoupled_tail_matches_the_oracles_on_direct_sums():
     assert seen["split"] and seen["negated"] and seen["naive"] >= 40
 
 
-def level_calls(monkeypatch) -> dict[str, list[int]]:
+def level_calls(monkeypatch, split: bool = True) -> dict[str, list[int]]:
     """The levels of the _enumerate_level calls of the three root counts,
-    wrapped through the module global, as bench/tracer.py counts them."""
+    wrapped through the module global, as bench/tracer.py counts them.
+    With split False every call sees a form that splits nowhere, so the
+    walk takes no decoupled-tail leaf."""
     level = shortvec._enumerate_level
     calls: list[int] = []
 
     def counted(*args):
         calls.append(args[2])
+        if not split:
+            args = args[:7] + ((False,) * len(args[7]),) + args[8:]
         return level(*args)
 
     monkeypatch.setattr(shortvec, "_enumerate_level", counted)
@@ -666,10 +785,8 @@ def level_calls(monkeypatch) -> dict[str, list[int]]:
 
 
 # _enumerate_level calls at the parent of the half tree, which walked the
-# full tree and looped over the last level
+# full tree in the former coordinate order and looped over the last level
 FULL_TREE_CALLS = {"E8": 510, "E8+E8": 2940, "complement": 4389}
-# and those of the half tree before the decoupled-tail leaf
-HALF_TREE_CALLS = {"E8": 259, "E8+E8": 1478, "complement": 2204}
 
 
 def test_half_tree_halves_the_calls(monkeypatch):
@@ -681,17 +798,23 @@ def test_half_tree_halves_the_calls(monkeypatch):
 
 
 def test_decoupled_tail_halves_the_half_tree(monkeypatch):
-    # E8 splits only at its last level, so its walk is unchanged
+    # E8 splits only at its top level, where the budget is never 0, so its
+    # walk is the half tree's; the direct sum and the complement take
+    # fewer than half the calls of the half tree without the leaf
+    half = {name: len(c) for name, c in level_calls(monkeypatch, split=False).items()}
+    monkeypatch.undo()
     calls = level_calls(monkeypatch)
-    assert len(calls["E8"]) == HALF_TREE_CALLS["E8"]
+    assert len(calls["E8"]) == half["E8"]
     for name in ("E8+E8", "complement"):
-        assert 1 < len(calls[name]) <= 0.5 * HALF_TREE_CALLS[name], name
+        assert 1 < len(calls[name]) <= 0.5 * half[name], name
     assert all(0 in c for c in calls.values())
 
 
-# _enumerate_level calls of the three root counts since the decoupled-tail
-# leaf; reading S from the sparse tails walks the same tree
-LEVEL_CALLS = {"E8": 259, "E8+E8": 638, "complement": 763}
+# _enumerate_level calls of the three root counts since the walk fixes the
+# coordinates in reverse order (259, 638 and 763 in the former order, from
+# the decoupled-tail leaf on); reading S from the sparse tails walks the
+# same tree
+LEVEL_CALLS = {"E8": 251, "E8+E8": 622, "complement": 628}
 
 
 def test_sparse_tails_walk_the_same_tree(monkeypatch):
@@ -801,3 +924,47 @@ def test_half_lift_matches_the_full_lift():
                    for r in roots)
         counts.add(len(full))
     assert 486 in counts and len(counts) >= 4
+
+
+def half_walk(gram: DefiniteGram, t: int) -> list[tuple[int, ...]]:
+    """The walk's own output for the normalized target t > 0."""
+    n = gram.rank
+    out: list[tuple[int, ...]] = []
+    shortvec._enumerate_level(gram.rows, gram.weights, n - 1, gram.scale * t, [0] * n, out,
+                              True, gram.split, gram.tails)
+    return out
+
+
+A1, A2, A3 = (IntMatrix(BLOCKS[k]) for k in (1, 2, 3))
+
+
+def test_repeated_sums_of_both_signs_match_the_oracles():
+    # direct sums with repeated summands, positive and negative definite:
+    # they split at each block boundary, so decoupled-tail leaves end the
+    # zero-budget branches, and many last-level calls find both -y and y.
+    # The walk's half H is the solutions whose first nonzero coordinate is
+    # positive, in ascending order, and enumerate_norm is -H (H negated and
+    # reversed) followed by H, equal to the sorted former path and oracles
+    small = [(A1, A1, A1), (A1, A1, A2), (A2, A2), (A1, A3, A1), (A2, A1, A2)]
+    large = [(E8.gram, E8.gram), (A1, A1, A1, E8.gram)]
+    cases = [(b, range(1, 9)) for b in small] + [(b, (2,)) for b in large]
+    pairs = 0
+    for blocks, targets in cases:
+        g = block_diagonal(list(blocks))
+        for sign in (1, -1):
+            dg = DefiniteGram(IntMatrix([[sign * x for x in row] for row in g]))
+            assert dg.negated == (sign < 0) and any(dg.split[:-1])
+            for target in targets:
+                t = sign * target
+                found = enumerate_norm(dg, t)
+                assert found == former_walk_then_sort(dg, t) == fraction_oracle(dg, t)
+                if dg.rank <= 6:
+                    assert found == naive_enumerate(dg, t)
+                h = half_walk(dg, target)
+                assert h == sorted(set(h))
+                assert all(next(x for x in v if x) > 0 for v in h)
+                assert found == tuple(tuple(-x for x in v) for v in reversed(h)) + tuple(h)
+                # neighbours that differ in the last coordinate alone come
+                # from one last-level call, which emitted -y and then y
+                pairs += sum(u[:-1] == v[:-1] for u, v in zip(h, h[1:]))
+    assert pairs > 0
