@@ -270,8 +270,9 @@ def det(m: IntMatrix) -> int:
     return sign * d if len(pivots) == m.nrows else 0
 
 
-def rat_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a matrix given by Fraction rows: det(S * m) / prod(s_i).
+def rat_det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
+    """Determinant of a matrix given by rows of ints or Fractions:
+    det(S * m) / prod(s_i), where an int reads as its own numerator over 1.
 
     S * m is built as a validated IntMatrix, so ragged rows raise there and
     a non-square shape in det."""

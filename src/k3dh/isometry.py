@@ -77,7 +77,8 @@ hyperbolic coefficients (isotropic transvection arguments shift them with
 no quadratic correction), with the definite blocks as content reservoirs
 when the hyperbolic gcd bottoms out above 1.  One pass either reaches the
 reference pair or raises StandardizationError, from the one failure site:
-the step budget of _unitize.  It never returns a wrong answer.
+the step bound of _unitize, computed from the bit length of its input and
+proven unreachable on a primitive pair.  It never returns a wrong answer.
 """
 
 from functools import cache
@@ -103,11 +104,10 @@ from .lattice import (
 )
 from .sublattice import is_primitive_embedding
 
-_STEP_BUDGET = 60
 
-
-class StandardizationError(Exception):
-    """No move sequence was found; the input is outside the certified range."""
+class StandardizationError(InvariantError):
+    """_unitize ran past its step bound, which the proof in its docstring
+    makes unreachable on a primitive pair: a fault in the move engine."""
 
 
 class Isometry(Frozen):
@@ -208,18 +208,21 @@ def _permuted(rows, perm) -> tuple:
 
 
 def _transvection_data(e: LatticeVector, a: LatticeVector):
-    """G e and w = G a + (a,a)/2 G e, after checking the preconditions of a
-    transvection; G e and G a are the images cached on e and a."""
+    """G e, w = G a + (a,a)/2 G e and the terms (i, a_i, e_i) over
+    supp(a) ∪ supp(e), after checking the preconditions of a transvection.
+    G e and G a are the images cached on e and a; the three pairings read
+    only the terms, and so does _Mover.move."""
     _check_same_lattice(e, a)
     ge, ga = e.gv, a.gv
-    if _dot(ge, e.coords) != 0:
+    terms = [(i, ai, ei) for i, (ai, ei) in enumerate(zip(a.coords, e.coords)) if ai or ei]
+    if sum([ge[i] * ei for i, _, ei in terms]) != 0:
         raise ValueError("transvection base must be isotropic")
-    if _dot(ge, a.coords) != 0:
+    if sum([ge[i] * ai for i, ai, _ in terms]) != 0:
         raise ValueError("transvection argument must be orthogonal to the base")
-    na = _dot(ga, a.coords)
+    na = sum([ga[i] * ai for i, ai, _ in terms])
     if na % 2:
         raise ValueError("transvection argument must have even norm")
-    return ge, [y + (na // 2) * x for x, y in zip(ge, ga)]
+    return ge, [y + (na // 2) * x for x, y in zip(ge, ga)], terms
 
 
 def _transvected(rows, e: LatticeVector, a: LatticeVector, ge, w) -> tuple:
@@ -250,7 +253,7 @@ def eichler_transvection(e: LatticeVector, a: LatticeVector) -> Isometry:
         (Tx, Ty) = (x,y) + s't + s t' + 2h s s' - s(t' + h s') - s'(t + h s)
                  = (x,y),
     so M^T G M = G."""
-    ge, w = _transvection_data(e, a)
+    ge, w, _ = _transvection_data(e, a)
     rows = _transvected(_identity_rows(len(ge)), e, a, ge, w)
     return Isometry._unchecked(e.lattice, IntMatrix._trusted(rows))
 
@@ -304,9 +307,13 @@ def same_component(p: OrientedPlane, q: OrientedPlane) -> bool:
 
     The mutual pairing matrix of two maximal positive subspaces is
     nonsingular, and its determinant sign is constant on components of
-    the oriented Grassmannian, positive exactly on the diagonal.
+    the oriented Grassmannian, positive exactly on the diagonal.  It is
+    taken on the integer pairings of the numerators, N = D M D' for the
+    mutual pairing matrix M and the positive diagonal D, D' of the
+    denominators (as in OrientedPlane), so det N has the sign of det M.
     """
-    d = rat_det([[pairing(u, v) for v in q.basis] for u in p.basis])
+    _check_same_lattice(p.basis[0], q.basis[0])
+    d = rat_det([[pairing_nums(u, v) for v in q.basis] for u in p.basis])
     if d == 0:
         raise ValueError("singular mutual pairing: planes are not both maximal positive")
     return d > 0
@@ -352,8 +359,8 @@ def _character(rows) -> int:
 
 class _Mover:
     """Working vector plus the moves applied to it so far: transvections
-    (e, a, ge, w), kept with the data of _transvection_data, and signed
-    basis permutations {j: (k, sign)}, which send basis vector j to
+    (e, a, ge, w, terms), kept with the data of _transvection_data, and
+    signed basis permutations {j: (k, sign)}, which send basis vector j to
     sign * basis vector k and fix the others.  A move acts on the working
     coordinates only and is checked once, when it is recorded; isometry()
     builds the matrix of the product once."""
@@ -380,11 +387,10 @@ class _Mover:
             for k, c in [(k, s * x[j]) for j, (k, s) in mv.items()]:
                 x[k] = c
             return
-        e, a, ge, w = mv
+        _, _, ge, w, terms = mv
         xe, xw = _dot(ge, x), _dot(w, x)
-        for i, (ai, ei) in enumerate(zip(a.coords, e.coords)):
-            if ai or ei:
-                x[i] += xe * ai - xw * ei
+        for i, ai, ei in terms:
+            x[i] += xe * ai - xw * ei
 
     def isometry(self) -> Isometry:
         """The product of the recorded moves; unchecked, since every factor
@@ -393,10 +399,10 @@ class _Mover:
         A run of consecutive transvections with one base e is the single
         factor E(e, a_1 + ... + a_k), whose preconditions
         _transvection_data checks again, and no factor when the arguments
-        sum to 0; a run of one move is its recorded factor, with the G e and
-        w recorded with it.  Each factor acts on the rows built so far: a
-        signed permutation moves rows, a transvection is the rank-two row
-        update of _transvected.  A first factor is the product itself, so it
+        sum to 0; a run of one move is its recorded factor, with the G e, w
+        and terms recorded with it.  Each factor acts on the rows built so
+        far: a signed permutation moves rows, a transvection is the rank-two
+        row update of _transvected.  A first factor is the product itself, so it
         is the permuted identity or eichler_transvection's matrix."""
         rows = None
         for base, run in groupby(self.moves, key=_run_key):
@@ -404,7 +410,7 @@ class _Mover:
                 for perm in run:
                     rows = _permuted(_identity_rows(self.lattice.rank) if rows is None else rows, perm)
                 continue
-            (e, a, ge, w), *rest = run
+            (e, a, ge, w, _), *rest = run
             for mv in rest:
                 a = a + mv[1]
             if not any(a.coords):
@@ -413,7 +419,7 @@ class _Mover:
                 rows = eichler_transvection(e, a).matrix.rows
             else:
                 if rest:
-                    ge, w = _transvection_data(e, a)
+                    ge, w, _ = _transvection_data(e, a)
                 rows = _transvected(rows, e, a, ge, w)
         if rows is None:
             return identity_isometry(self.lattice)
@@ -470,6 +476,12 @@ def _pull_content(m: _Mover, spares: tuple, extra: LatticeVector | None):
             m.transvect(m.lattice.basis_vector(ei), (-co) * u)
 
 
+def _step_bound(m: _Mover, slots: tuple) -> int:
+    """2b + 3 passes for b the bit length of the largest |coordinate| of the
+    working vector in slots, the bound proven in _unitize."""
+    return 2 * max(abs(m.coords[i]) for i in slots).bit_length() + 3
+
+
 def _unitize(m: _Mover, h1: tuple, spares: tuple, extra: LatticeVector | None = None) -> bool:
     """Drive m.coords[h1[1]] to exactly 1.
 
@@ -484,13 +496,35 @@ def _unitize(m: _Mover, h1: tuple, spares: tuple, extra: LatticeVector | None = 
     hyperbolic coefficient by an integer multiple of another with no
     quadratic correction, so the working coefficient q and the spare
     coefficients can run the euclidean algorithm exactly, with all the
-    junk landing in coefficients the algorithm never reads.  When the
-    hyperbolic part bottoms out at a gcd > 1, one clean content pull
-    injects the reservoir gcd, which is coprime to it whenever the input
-    is primitive across the role summands, and the reduction restarts.
-    |q| strictly decreases between pulls, so this terminates well inside
-    the step budget; running out of it raises StandardizationError, the one
-    failure site of the standardizer.
+    junk landing in coefficients the algorithm never reads.  Each quotient
+    is the nearest integer to c/q, (2c + q) // (2q) for either sign of q,
+    so every remainder r has |r| <= |q|/2 (Knuth, TAOCP vol. 2, §4.5.3).
+    When the hyperbolic part bottoms out at a gcd > 1, one clean content
+    pull injects the reservoir gcd, which is coprime to it whenever the
+    input is primitive across the role summands, and the reduction
+    restarts.
+
+    Step bound: with b the bit length of the largest |coordinate| in h1
+    and the spares at entry, a primitive input returns within 2b + 3
+    passes of the loop.  Write p for the partner coefficient, h1[0].
+    - A zero q, only possible at entry, takes a nonzero p by a swap or a
+      nonzero spare coefficient by a transvection: one pass, and after it
+      0 < |q| <= N for N < 2^b that largest coordinate.  When all of them
+      are 0 (b = 0), a pull writes the reservoir gcd into a spare, and it
+      is 1 by primitivity, so the next pass finds a unit.
+    - While |q| >= 2, a pass either exchanges q with a nonzero remainder,
+      so |q| at least halves, or rides p into an empty spare plane first.
+      The ridden remainder is nonzero, or a pull writes the reservoir gcd
+      there, coprime to q and so with a nonzero remainder; the next pass
+      exchanges, unless it finds a unit.  So there are at most b - 1
+      exchanges and 2b - 1 such passes.
+    - A unit q = -1 or a unit spare coefficient takes one move to q = 1,
+      and the pass that reads q = 1 returns.
+    That is at most 1 + (2b - 1) + 2 passes, or 3 when b = 0.  The bound
+    is computed from the input of each call (_step_bound), so no fixed
+    budget refuses a pair with large entries.  Running past it raises
+    StandardizationError, the one failure site of the standardizer, which
+    the proof makes unreachable on primitive input.
 
     Every move is an Eichler transvection or a block sign/swap whose
     base and argument lie inside the role summands, so whatever is
@@ -500,7 +534,8 @@ def _unitize(m: _Mover, h1: tuple, spares: tuple, extra: LatticeVector | None = 
     e1i, f1i = h1
     e1, f1 = basis(e1i), basis(f1i)
     slots = [idx for pair in spares for idx in pair]
-    for _ in range(_STEP_BUDGET):
+    bound = _step_bound(m, (e1i, f1i, *slots))
+    for _ in range(bound):
         q = m.coords[f1i]
         if q == 1:
             return True
@@ -529,11 +564,11 @@ def _unitize(m: _Mover, h1: tuple, spares: tuple, extra: LatticeVector | None = 
             else:
                 _pull_content(m, spares, extra)
             continue
-        # |q| >= 2: reduce every spare coefficient mod q (E(e1, t e_sp)
-        # adds t q to a, polluting only p), then swap the smallest
-        # nonzero remainder into the q slot
+        # |q| >= 2: reduce every spare coefficient to its least absolute
+        # remainder mod q (E(e1, t e_sp) adds t q to a, polluting only p),
+        # then swap the smallest nonzero remainder into the q slot
         for idx in slots:
-            quo = m.coords[idx] // q
+            quo = (2 * m.coords[idx] + q) // (2 * q)
             if quo:
                 m.transvect(e1, -quo * basis(idx))
         best = min((idx for idx in slots if m.coords[idx]), key=lambda idx: abs(m.coords[idx]),
@@ -543,7 +578,7 @@ def _unitize(m: _Mover, h1: tuple, spares: tuple, extra: LatticeVector | None = 
             # a spare slot (the write is clean because the plane is empty)
             ei, fi = spares[0]
             m.transvect(f1, basis(ei))  # a += p
-            quo = m.coords[ei] // q
+            quo = (2 * m.coords[ei] + q) // (2 * q)
             if quo:
                 m.transvect(e1, -quo * basis(ei))
             if m.coords[ei] == 0:
@@ -559,7 +594,7 @@ def _unitize(m: _Mover, h1: tuple, spares: tuple, extra: LatticeVector | None = 
                 # exchange the pairs, first slot with first slot
                 m.move({e1i: (ei, 1), f1i: (fi, 1), ei: (e1i, 1), fi: (f1i, 1)})
                 break
-    raise StandardizationError(f"no move sequence found in {_STEP_BUDGET} steps")
+    raise StandardizationError(f"no move sequence found in {bound} steps")
 
 
 def _standardize_vector(m: _Mover):
@@ -626,9 +661,10 @@ def _to_reference(kappa: LatticeVector, eta: LatticeVector, target: tuple) -> Is
 def map_pair_to_standard(kappa: LatticeVector, eta: LatticeVector) -> Isometry:
     """Isometry g with g(kappa), g(eta) in the reference position.
 
-    Raises StandardizationError when the staged search exhausts its
-    budget; the returned isometry is always verified: its images here, and
-    its matrix by the exit check; an identity's images are the pair itself.
+    Raises StandardizationError when the staged search runs past its step
+    bound, a fault; the returned isometry is always verified: its images
+    here, and its matrix by the exit check; an identity's images are the
+    pair itself.
     """
     target = reference_pair(kappa.lattice, norm(kappa) // 2, pairing(kappa, eta), norm(eta) // 2)
     g = _to_reference(kappa, eta, target)

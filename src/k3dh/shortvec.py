@@ -229,11 +229,11 @@ def roots_orthogonal_to(
 ) -> tuple[LatticeVector, ...]:
     """All lattice vectors of self-pairing -2 orthogonal to the given plane.
 
-    The plane must be a basis of a positive definite subspace; a dependent,
-    indefinite or negative definite plane raises IndefiniteGramError("plane
-    is not positive definite").  Its orthogonal complement in a lattice of
-    signature (p, q) with p = dim(plane) is then negative definite and the
-    root search is a finite enumeration.
+    The plane must be a basis of a positive definite subspace; a dependent
+    (a zero vector included), indefinite or negative definite plane raises
+    IndefiniteGramError("plane is not positive definite").  Its orthogonal
+    complement in a lattice of signature (p, q) with p = dim(plane) is then
+    negative definite and the root search is a finite enumeration.
 
     Only the first half of the roots is lifted and checked.  The sorted
     coefficient tuple of enumerate_norm is closed under negation and holds
@@ -249,13 +249,16 @@ def roots_orthogonal_to(
     """
     plane = list(plane)
     if plane:
-        ints = [integral_primitive(v) for v in plane]
-        plane_gram = IntMatrix([[pairing_nums(u, v) for v in ints] for u in ints])
-        try:
-            negated = DefiniteGram(plane_gram).negated
-        except IndefiniteGramError:  # a dependent or indefinite plane
-            negated = True
-        if negated:
+        # a zero vector makes the plane dependent and has no primitive rescaling
+        refused = any(v.is_zero() for v in plane)
+        if not refused:
+            ints = [integral_primitive(v) for v in plane]
+            plane_gram = IntMatrix([[pairing_nums(u, v) for v in ints] for u in ints])
+            try:
+                refused = DefiniteGram(plane_gram).negated
+            except IndefiniteGramError:  # a dependent or indefinite plane
+                refused = True
+        if refused:
             raise IndefiniteGramError("plane is not positive definite")
     basis = orthogonal_complement(lattice, plane)
     if not basis:

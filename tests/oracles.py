@@ -6,7 +6,10 @@ _box_radii, the oracle of shortvec.enumerate_norm in tests/test_shortvec.py
 and in the acceptance gate.  sparse_row_lift is a loop over the nonzero
 basis entries, the oracle of the compiled coefficient lift of
 shortvec.roots_orthogonal_to in tests/test_sublattice.py and
-tests/test_shortvec.py.
+tests/test_shortvec.py.  theta_e8, theta_a1 and theta_sum give the number
+of vectors of each norm in E8, A1 and their orthogonal sums from the closed
+form of the theta series, with integer arithmetic only, the oracle of
+enumerate_norm's shell counts in tests/test_shortvec.py.
 """
 from __future__ import annotations
 
@@ -86,3 +89,36 @@ def sparse_row_lift(
             for j, x in row:
                 out[j] += c * x
     return tuple(out)
+
+
+def sigma3(n: int) -> int:
+    """The sum of the cubes of the divisors of n >= 1."""
+    return sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
+
+
+def theta_e8(top: int) -> list[int]:
+    """r(0), ..., r(top), r(k) the number of E8 vectors of norm k.
+
+    theta_E8 = E_4, so r(2n) = 240 sigma_3(n) for n >= 1 (Serre, A Course
+    in Arithmetic, VII.6.6), and E8 is even."""
+    return [1] + [0 if k % 2 else 240 * sigma3(k // 2) for k in range(1, top + 1)]
+
+
+def theta_a1(top: int) -> list[int]:
+    """r(0), ..., r(top) for A1 = Z with x -> 2 x^2: the two vectors +-x of
+    norm 2 x^2 for each x > 0."""
+    r = [1] + [0] * top
+    for x in range(1, isqrt(top // 2) + 1):
+        r[2 * x * x] = 2
+    return r
+
+
+def theta_sum(*series: list[int]) -> list[int]:
+    """The series of an orthogonal sum, the product of its summands'
+    series: a vector of norm k splits as summand vectors whose norms add
+    up to k.  Truncated at the shortest series."""
+    top = min(map(len, series))
+    out = [1] + [0] * (top - 1)
+    for s in series:
+        out = [sum(out[i] * s[k - i] for i in range(k + 1)) for k in range(top)]
+    return out

@@ -399,14 +399,15 @@ def pinned_isometry_docs():
     }
 
 
-# stdout of `k3dh isometry` on pinned_isometry_docs(), recorded before the
-# mover built its product with rank-two row updates and the Smith normal
-# form carried its transform as rows
+# stdout of `k3dh isometry` on pinned_isometry_docs(); the battery rows
+# were re-recorded with least-absolute-remainder quotients in _unitize,
+# after their matrices passed the bench's own images, M^T G M = G and
+# orientation checks
 ISOMETRY_DIGESTS = {
-    ('battery', False, False): "839bb1cb99538eafa36a1e94020cbdaa68356e1cd56697204ff65f480a7913de",
-    ('battery', False, True): "9909433da99c51b0551006087346dbc3c33e854d511b411db8737e3091de704e",
-    ('battery', True, False): "c2b6d8dc33b5aa7750ce518c91dcc06b46ac15bc43e03607e8f13e1c1ab0c527",
-    ('battery', True, True): "a0712d399eda6dcf6985aebd5fde13d21400d0a9d41f07e158bef6a300c3fac5",
+    ('battery', False, False): "eeac3f88dd6e4b38340c03f5695f4dfa4b68909242f980f398973a2f8e37528d",
+    ('battery', False, True): "d03de68a68c69f8812054d263c43a515a2553d13a71e41c73feefa2718227365",
+    ('battery', True, False): "bad188ff09425b160a3dc721c52517e5a5972c281d54ad9688406043903f484b",
+    ('battery', True, True): "37ac0d6f75c3b7d545d2b273704601342fa4d981e23f9d377ca53ec21c3bffff",
     ('both-moved-h', False, False): "eb036be560adc967d8705db856363c6496a327cd6ea2016db750e0e8580fc232",
     ('both-moved-h', False, True): "def292a1a25e7ad26d1233f23a1e7d625ba0220b93a3565db14f6866115bdcf0",
     ('both-moved-h', True, False): "812faedc9a96c1f48615265706c8be8257b4197a9193f0f21442ae9212b5c240",

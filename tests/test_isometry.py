@@ -364,6 +364,14 @@ def test_operands_of_two_lattices_are_refused_by_the_one_check(call):
         refused()
 
 
+def test_same_component_refuses_planes_of_two_lattices():
+    # same_component pairs the integer numerators, which carry no lattice,
+    # so it checks the two planes' lattice once, with the same message
+    copy = Lattice("K3 copy", K3.gram)
+    with pytest.raises(ValueError, match="different lattices"):
+        same_component(standard_plane(K3), standard_plane(copy))
+
+
 @pytest.mark.parametrize("method", ["compose", "inverse", "_transvected"])
 def test_exit_check_catches_faulty_products(monkeypatch, method):
     # the fault adds e1 to the image of the last E8 basis vector; the pairs
@@ -426,7 +434,10 @@ def test_exit_invariants_catch_faulty_parts(monkeypatch):
 
 @pytest.mark.parametrize("budget", [0, 1])
 def test_step_budget_is_the_one_failure_site(monkeypatch, tmp_path, capsys, budget):
-    monkeypatch.setattr(isometry, "_STEP_BUDGET", budget)
+    # the step bound of _unitize, computed from its input, is proven never
+    # to run out on a primitive pair; a bound that does is reported as a
+    # failed construction, not as a wrong answer
+    monkeypatch.setattr(isometry, "_step_bound", lambda m, slots: budget)
     kap, eta = standard_pair(2, 1, -1)
     kp, ep = transvected_pair(random.Random(29), kap, eta, 3)
     with pytest.raises(StandardizationError, match=f"in {budget} steps"):
@@ -587,6 +598,43 @@ def test_random_primitive_pairs_standardize(k, e):
         phi = lemma_iso(*ref, kap, eta, preserve=preserve)
         assert (phi.apply(kap), phi.apply(eta)) == ref
         assert preserves_components(phi) == preserve
+
+
+def large_pair(bits, seed):
+    """22 integers per vector from random.Random(seed).randint(-2^bits, 2^bits),
+    kappa then eta."""
+    rng = random.Random(seed)
+    return tuple(K3.vector([rng.randint(-2**bits, 2**bits) for _ in range(K3.rank)])
+                 for _ in range(2))
+
+
+@pytest.mark.parametrize("bits, seed", [(26, 1), (32, 2), (40, 3)])
+def test_pairs_with_large_entries_standardize(bits, seed, tmp_path, capsys):
+    # A fixed budget of 60 passes of _unitize refused 5, 11 and 22 of 40
+    # such pairs at 26, 28 and 30 bits, and each of these three; the bound
+    # from the input's bit length admits every primitive pair.  The three
+    # cases take about 2.4 s, most of it at 40 bits; larger pairs stay out,
+    # as each spends about 0.1 s in is_primitive_embedding's Smith form.
+    kap, eta = large_pair(bits, seed)
+    assert is_primitive_embedding([kap, eta])
+    g = map_pair_to_standard(kap, eta)
+    assert (g.apply(kap), g.apply(eta)) == standard_pair(
+        norm(kap) // 2, pairing(kap, eta), norm(eta) // 2)
+    # a target moved by a known transvection chain, orientation reversed
+    target = kap, eta
+    for t in (eichler_transvection(E[1], 2 * E[2] - F[0] + K3.basis_vector(9)),
+              eichler_transvection(F[2], E[0] + 3 * F[1] - K3.basis_vector(14))):
+        target = tuple(map(t.apply, target))
+    phi = lemma_iso(*target, kap, eta, preserve=False)
+    assert (phi.apply(kap), phi.apply(eta)) == target
+    assert not preserves_components(phi)
+    # the identity request through the command line
+    doc = {"kappa": kap.coords, "eta": eta.coords, "kappa_p": kap.coords, "eta_p": eta.coords}
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(doc))
+    assert main(["isometry", "--pairs", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] isometry:images" in out and "[FAIL]" not in out
 
 
 def gram_is_preserved(m):
@@ -837,7 +885,10 @@ def test_transvected_model_pairs_take_few_moves():
 
 def test_lemma_iso_matrices_match_the_recorded_digest():
     # sha256 over str(rows) of the first 300 isometry-pairs records of seeds
-    # 1 and 7919, the returned matrices every change to lemma_iso must keep
+    # 1 and 7919.  The matrices change with the move sequence; each record
+    # of a re-recording is first checked by the bench's own arithmetic
+    # (images, M^T G M = G, a 3x3 orientation determinant).  Recorded with
+    # least-absolute-remainder quotients in _unitize
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -850,7 +901,7 @@ def test_lemma_iso_matrices_match_the_recorded_digest():
         records = workloads.Stream(seed, workloads.isometry_maker())
         for i in range(300):
             digest.update(str(workloads.run_isometry(isometry, K3, records[i])).encode())
-    assert digest.hexdigest() == "e3ad2e82ec4711b2319e8b6c9aa1e4814dd50cfdc08b6e7b65d4b8339c49ae6b"
+    assert digest.hexdigest() == "0c1b382b5aaba89f1cec7879d82249a7d630bda836163252f07c9f7bb2528e9e"
 
 
 def former_apply(phi, v):

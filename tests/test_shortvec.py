@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 from math import isqrt, lcm, prod
@@ -29,7 +30,7 @@ from k3dh.shortvec import (
     roots_orthogonal_to,
 )
 from k3dh.sublattice import orthogonal_complement
-from oracles import _box_radii, naive_enumerate, sparse_row_lift
+from oracles import _box_radii, naive_enumerate, sparse_row_lift, theta_a1, theta_e8, theta_sum
 
 K3 = make_K3()
 E8 = make_E8()
@@ -282,6 +283,16 @@ def test_non_positive_planes_share_one_refusal():
     # definite one are each refused as a plane
     e1, f1, e2, f2 = k3_e(K3, 0), k3_f(K3, 0), k3_e(K3, 1), k3_f(K3, 1)
     for plane in ([e1 + f1, 2 * (e1 + f1)], [e1 + f1, e1 - f1], [e1 - f1, e2 - f2]):
+        with pytest.raises(IndefiniteGramError, match="^plane is not positive definite$"):
+            roots_orthogonal_to(K3, plane)
+
+
+def test_planes_holding_the_zero_vector_get_the_plane_refusal():
+    # the zero vector makes a plane dependent, so it gets the plane's
+    # refusal, not the message of the primitive-rescaling helper
+    e1, f1 = k3_e(K3, 0), k3_f(K3, 0)
+    zero = K3.vector([0] * K3.rank)
+    for plane in ([zero], [e1 + f1, zero], [zero.to_rational()]):
         with pytest.raises(IndefiniteGramError, match="^plane is not positive definite$"):
             roots_orthogonal_to(K3, plane)
 
@@ -664,6 +675,61 @@ def test_half_tree_matches_full_tree_on_the_root_systems():
         found = enumerate_norm(dg, t)
         assert len(found) == count
         assert found == former_enumerate(dg, t)
+
+
+def strictly_increasing(found) -> bool:
+    return all(a < b for a, b in zip(found, found[1:]))
+
+
+def shell_matches(dg: DefiniteGram, target: int, count: int) -> bool:
+    """Whether enumerate_norm's shell of target is count vectors in strictly
+    increasing order, each of that norm by plain sums over the rows of the
+    normalized Gram.  With count from the theta series that is the whole
+    shell: count distinct vectors of the shell are all of it."""
+    found = enumerate_norm(dg, target)
+    g, t = dg.matrix.rows, abs(target)
+    return (len(found) == count and strictly_increasing(found)
+            and all(sum(xi * sum(map(mul, g[i], x)) for i, xi in enumerate(x) if xi) == t
+                    for x in found))
+
+
+def theta_cases():
+    """(Gram, sign of its norms, theta series to norm 4): E8, E8+E8 and the
+    standard-plane complement, A1(-1)^3 + E8(-1)^2."""
+    e8, a1 = theta_e8(4), theta_a1(4)
+    return (
+        (DefiniteGram(E8.gram), 1, theta_sum(e8)),
+        (DefiniteGram(direct_sum("E8+E8", E8, E8).gram), 1, theta_sum(e8, e8)),
+        (standard_plane_complement_gram(), -1, theta_sum(a1, a1, a1, e8, e8)),
+    )
+
+
+def test_shells_match_the_theta_series():
+    # 240, 2160; 480, 61920; 486, 64812 vectors, about 0.3 s in all.  The
+    # norm-4 shells are checked by count and order: their norm sums would
+    # take about 1.6 s more
+    cases = theta_cases()
+    assert [theta[2:5:2] for _, _, theta in cases] == [[240, 2160], [480, 61920], [486, 64812]]
+    for dg, sign, theta in cases:
+        assert shell_matches(dg, 2 * sign, theta[2])
+        found = enumerate_norm(dg, 4 * sign)
+        assert len(found) == theta[4] and strictly_increasing(found)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("(-y, y)", "(y,)"),  # the last level drops -y, and loses solutions
+    # a zero budget closes the tail one level above the decoupled block: as
+    # many vectors, but some of the wrong norm
+    ("if not r and split[i]:", "if not r and i and split[i - 1]:"),
+], ids=["dropped-minus-y", "tail-closed-early"])
+def test_the_theta_oracle_catches_a_faulty_walk(monkeypatch, old, new):
+    source = inspect.getsource(shortvec._enumerate_level)
+    assert source.count(old) == 1
+    namespace = dict(vars(shortvec))
+    exec(compile(source.replace(old, new), shortvec.__file__, "exec"), namespace)
+    monkeypatch.setattr(shortvec, "_enumerate_level", namespace["_enumerate_level"])
+    dg, _, theta = theta_cases()[1]
+    assert not shell_matches(dg, 2, theta[2])
 
 
 def random_definite_large(rng: random.Random, n: int) -> DefiniteGram:
